@@ -40,6 +40,7 @@ from .divisors import (
 )
 from .errors import (
     AtlasError,
+    CatalogError,
     DegenerateLattice,
     GramParseError,
     InconsistentInput,

@@ -9,19 +9,25 @@ involution and its composition with the reflection fixing the sublattice.
 Setting the environment variable ``ATLAS_DATA_DIR`` to a directory that
 contains ``s311.json`` and ``u.json`` (records in the export schema of
 ``Atlas.to_records``) replaces the embedded catalogs; ``validate_atlas``
-then reports any damage in the external data.
+then reports any damage in the external data.  Both files are read on
+every ``load_atlas`` call but parsed only once per distinct content, so an
+edit shows up on the next call and unchanged files give the same ``Atlas``
+object.  A file that cannot be read, decoded or parsed, or a record that
+lacks a field or has a bad value, raises ``CatalogError``.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from . import tables
-from .errors import NotInAtlas, SpecialClass
+from .errors import CatalogError, NotInAtlas, SpecialClass
 from .tables import U_EXCLUDED_TRIPLES, U_UNTABULATED_TRIPLES
 
 
@@ -186,21 +192,43 @@ class Atlas:
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "Atlas":
-        classes = []
-        for rec in records:
-            family = Family(rec["family"])
-            h = HInvariant.NOT_APPLICABLE if rec.get("h") in (None, "", "NA") else HInvariant(rec["h"])
-            classes.append(
-                InvolutionClass(
-                    family=family,
-                    r=int(rec["r"]),
-                    a=int(rec["a"]),
-                    delta=int(rec["delta"]),
-                    h=h,
-                    index=str(rec["index"]),
-                )
-            )
-        return cls(classes)
+        """The atlas of export-schema records (see ``to_records``).
+
+        A malformed record raises CatalogError naming its position in
+        ``records`` and the field at fault.
+        """
+        return cls([_class_from_record(rec, number) for number, rec in enumerate(records)])
+
+
+def _class_from_record(rec, number: int) -> InvolutionClass:
+    if not isinstance(rec, dict):
+        raise CatalogError(f"expected a JSON object, got {type(rec).__name__}", record=number)
+
+    def value(name: str, convert):
+        if name not in rec:
+            raise CatalogError(f"field {name!r} is missing", record=number)
+        try:
+            return convert(rec[name])
+        except (TypeError, ValueError, OverflowError):
+            raise CatalogError(
+                f"field {name!r} has bad value {reprlib.repr(rec[name])}", record=number
+            ) from None
+
+    try:
+        return InvolutionClass(
+            family=value("family", Family),
+            r=value("r", int),
+            a=value("a", int),
+            delta=value("delta", int),
+            h=(
+                HInvariant.NOT_APPLICABLE
+                if rec.get("h") in (None, "", "NA")
+                else value("h", HInvariant)
+            ),
+            index=value("index", str),
+        )
+    except ValueError as exc:  # the invariants do not fit together
+        raise CatalogError(str(exc), record=number) from None
 
 
 def _embedded_classes() -> list[InvolutionClass]:
@@ -238,16 +266,60 @@ def _embedded_atlas() -> Atlas:
     return Atlas(_embedded_classes())
 
 
+_CATALOG_FILES = ("s311.json", "u.json")
+
+
+@lru_cache(maxsize=4)
+def _atlas_from_bytes(*contents: bytes) -> Atlas:
+    """The atlas in the contents of ``_CATALOG_FILES``.
+
+    The cache key is the bytes themselves, so any edit is a miss; lru_cache
+    stores no exception, so a failed parse is retried on the next call.
+    Errors name each file by its base name.
+    """
+    records: list = []
+    starts: list[int] = []
+    for name, data in zip(_CATALOG_FILES, contents):
+        # Decode first: json.loads on raw bytes would accept a UTF-8 BOM.
+        try:
+            parsed = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"not UTF-8: {exc.reason} at byte {exc.start}", name) from None
+        except (ValueError, RecursionError) as exc:
+            raise CatalogError(f"bad JSON: {exc}", name) from None
+        if not isinstance(parsed, list):
+            raise CatalogError("expected a JSON array of records", name)
+        starts.append(len(records))
+        records.extend(parsed)
+    try:
+        return Atlas.from_records(records)
+    except CatalogError as exc:
+        # from_records numbers the records of both files as one list.
+        which = bisect.bisect_right(starts, exc.record) - 1
+        raise CatalogError(exc.problem, _CATALOG_FILES[which], exc.record - starts[which]) from None
+
+
 def _atlas_from_dir(path: str) -> Atlas:
-    records: list[dict] = []
-    for name in ("s311.json", "u.json"):
-        with open(os.path.join(path, name), encoding="utf-8") as handle:
-            records.extend(json.load(handle))
-    return Atlas.from_records(records)
+    contents = []
+    for name in _CATALOG_FILES:
+        file = os.path.join(path, name)
+        try:
+            with open(file, "rb") as handle:
+                contents.append(handle.read())
+        except OSError as exc:
+            raise CatalogError(f"cannot read: {exc.strerror or exc}", file) from None
+    try:
+        return _atlas_from_bytes(*contents)
+    except CatalogError as exc:
+        raise CatalogError(exc.problem, os.path.join(path, exc.file), exc.record) from None
 
 
 def load_atlas(data_dir: str | None = None) -> Atlas:
-    """The embedded atlas, or the one under data_dir / $ATLAS_DATA_DIR."""
+    """The embedded atlas, or the one under data_dir / $ATLAS_DATA_DIR.
+
+    An external catalog is read on every call and parsed once per distinct
+    content of its two files; see the module docstring.
+    """
     path = data_dir if data_dir is not None else os.environ.get("ATLAS_DATA_DIR")
     if path:
         return _atlas_from_dir(path)

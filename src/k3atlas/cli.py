@@ -8,7 +8,7 @@ to a file instead of stdout.
 
 Exit codes: 0 success, 1 validation violations, 2 bad flags, 3 class not
 found, 4 class without the requested structure, 5 Gram-file parse error,
-6 degenerate Gram matrix.
+6 degenerate Gram matrix, 7 unreadable or malformed external catalog.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import sys
 
 from .atlas import Family, HInvariant, InvolutionClass, gk_invariants, load_atlas
 from .degenerations import (
+    PRIMED_MOVES,
+    UNPRIMED_MOVES,
     Degeneration,
     TableSide,
     apply_degeneration,
@@ -41,6 +43,7 @@ from .divisors import (
 )
 from .errors import (
     AtlasError,
+    CatalogError,
     DegenerateLattice,
     GramParseError,
     MoveNotApplicable,
@@ -65,6 +68,7 @@ EXIT_NOT_FOUND = 3
 EXIT_SPECIAL_CLASS = 4
 EXIT_PARSE_ERROR = 5
 EXIT_DEGENERATE = 6
+EXIT_CATALOG = 7
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -323,9 +327,8 @@ def cmd_degenerate(args) -> int:
                     [row.index, row.r, row.a, row.delta, row.g, row.k, move.value, "Node (*)"]
                 )
         else:
-            move_names = [m.value for m, _ in degeneration_rows[0].cells]
-            for name in move_names:
-                header += [f"{name}_a", f"{name}_b"]
+            for move in PRIMED_MOVES if side is TableSide.PRIMED else UNPRIMED_MOVES:
+                header += [f"{move.value}_a", f"{move.value}_b"]
             for row in degeneration_rows:
                 values: list = [row.index, row.r, row.a, row.delta, row.g, row.k]
                 for _move, cell in row.cells:
@@ -621,6 +624,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CatalogError as exc:
+        return _fail(str(exc), EXIT_CATALOG)
     except AtlasError as exc:
         return _fail(str(exc), EXIT_VIOLATIONS)
 

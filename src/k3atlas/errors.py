@@ -51,3 +51,20 @@ class OutOfRange(AtlasError):
 
 class InconsistentInput(AtlasError):
     """Topological case, oval counts and class data do not fit together."""
+
+
+class CatalogError(AtlasError):
+    """An external catalog cannot be read or parsed, or a record in it is malformed.
+
+    ``str()`` is one line: the file (when known), the record number (when
+    one record is at fault) and the problem.
+    """
+
+    def __init__(self, problem: str, file: str | None = None, record: int | None = None):
+        self.problem = problem
+        self.file = file
+        self.record = record
+        where = [] if file is None else [file]
+        if record is not None:
+            where.append(f"record {record}")
+        super().__init__(": ".join(where + [problem]))

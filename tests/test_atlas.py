@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from k3atlas import atlas as atlas_module
 from k3atlas import tables
 from k3atlas.atlas import (
     Atlas,
@@ -13,7 +15,7 @@ from k3atlas.atlas import (
     related_key,
     validate_atlas,
 )
-from k3atlas.errors import NotInAtlas, SpecialClass
+from k3atlas.errors import CatalogError, NotInAtlas, SpecialClass
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +205,80 @@ def test_type_metadata_counts():
     assert sum(counts.values()) == 102
     assert counts["Type 0"] + counts["Type Ib (H=0)"] == 51
     assert counts["Type Ia"] + counts["Type Ib (H=Z2)"] == 51
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda rec: rec.pop("r"), "field 'r' is missing"),
+        (lambda rec: rec.update(a="x"), "field 'a' has bad value 'x'"),
+        (lambda rec: rec.update(family="t"), "field 'family' has bad value 't'"),
+        (lambda rec: rec.update(delta=2), "delta is 0 or 1"),
+    ],
+)
+def test_from_records_names_record_and_field(atlas, change, problem):
+    records = atlas.to_records(Family.U)
+    change(records[4])
+    with pytest.raises(CatalogError) as excinfo:
+        Atlas.from_records(records)
+    assert excinfo.value.record == 4
+    assert str(excinfo.value) == f"record 4: {problem}"
+    with pytest.raises(CatalogError, match="record 1: expected a JSON object"):
+        Atlas.from_records(records[:1] + [[1, 2]])
+
+
+@pytest.fixture
+def catalog_dir(atlas, tmp_path):
+    for family, name in ((Family.S311, "s311.json"), (Family.U, "u.json")):
+        (tmp_path / name).write_text(json.dumps(atlas.to_records(family)))
+    return tmp_path
+
+
+def test_external_atlas_parsed_once(catalog_dir, monkeypatch):
+    atlas_module._atlas_from_bytes.cache_clear()
+    calls = []
+    original = Atlas.from_records.__func__
+
+    def counting(cls, records):
+        calls.append(len(records))
+        return original(cls, records)
+
+    monkeypatch.setattr(Atlas, "from_records", classmethod(counting))
+    first = load_atlas(str(catalog_dir))
+    assert load_atlas(str(catalog_dir)) is first
+    assert calls == [165]
+
+
+def test_external_atlas_sees_edit_with_same_size_and_mtime(catalog_dir):
+    path = catalog_dir / "s311.json"
+    before = load_atlas(str(catalog_dir))
+    stat = path.stat()
+    text = path.read_text()
+    path.write_text(text.replace('"No.17"', '"No.71"', 1))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    after = load_atlas(str(catalog_dir))
+    assert after.lookup_index(Family.S311, "No.17") is None
+    assert after.lookup_index(Family.S311, "No.71").key == before.lookup_index(Family.S311, "No.17").key
+
+
+def test_empty_data_dir_is_embedded(atlas, catalog_dir, monkeypatch):
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(catalog_dir))
+    assert load_atlas() is not atlas
+    assert load_atlas(data_dir="") is atlas
+    monkeypatch.delenv("ATLAS_DATA_DIR")
+    assert load_atlas() is atlas
+
+
+def test_corrupt_catalog_is_not_cached(catalog_dir):
+    path = catalog_dir / "u.json"
+    good = path.read_text()
+    records = json.loads(good)
+    del records[2]["delta"]
+    path.write_text(json.dumps(records))
+    for _ in range(2):
+        with pytest.raises(CatalogError) as excinfo:
+            load_atlas(str(catalog_dir))
+        assert str(excinfo.value) == f"{path}: record 2: field 'delta' is missing"
+    path.write_text(good)
+    assert validate_atlas(load_atlas(str(catalog_dir))).ok

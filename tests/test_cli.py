@@ -299,3 +299,37 @@ def test_data_dir_duplicate_class(exported_catalogs, capsys, monkeypatch):
     code, out, _ = run(capsys, "validate")
     assert code == 1
     assert "duplicate invariants" in out
+
+
+@pytest.mark.parametrize(
+    "name, content, problem",
+    [
+        (None, None, "s311.json: cannot read"),  # the directory does not exist
+        ("u.json", b"\xff[]", "u.json: not UTF-8"),
+        ("s311.json", b"[{", "s311.json: bad JSON"),
+        ("u.json", b'[{"family": "u", "a": 1, "delta": 1}]', "u.json: record 0: field 'r' is missing"),
+    ],
+)
+def test_data_dir_malformed_exit_seven(exported_catalogs, capsys, monkeypatch, name, content, problem):
+    data_dir = exported_catalogs / "missing" if name is None else exported_catalogs
+    if name is not None:
+        (data_dir / name).write_bytes(content)
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(data_dir))
+    for argv in (["validate"], ["classes", "--family", "u"], ["degenerate", "--side", "primed"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 7 and out == ""
+        assert err.startswith(f"atlas: {os.path.join(data_dir, problem)}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_data_dir_empty_catalog(exported_catalogs, capsys, monkeypatch):
+    for name in ("s311.json", "u.json"):
+        (exported_catalogs / name).write_text("[]")
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, _ = run(capsys, "degenerate", "--side", "primed", "--format", "csv")
+    assert code == 0
+    assert out == "index,r,a,delta,g,k,conj1p_a,conj1p_b,conj2p_a,conj2p_b,contr3p_a,contr3p_b\n"
+    code, out, _ = run(capsys, "degenerate", "--side", "unprimed")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, out, _ = run(capsys, "validate")
+    assert code == 1
