@@ -5,20 +5,18 @@ correspondence."""
 
 from .atlas import (
     Atlas,
-    AtlasReport,
+    CheckSection,
     Family,
     HInvariant,
     InvolutionClass,
-    all_classes,
     gk_invariants,
     load_atlas,
-    lookup,
-    related_class,
     validate_atlas,
 )
 from .degenerations import (
     Degeneration,
     DegenerationOutcome,
+    MoveSpec,
     TableSide,
     TransitionGraph,
     apply_degeneration,

@@ -200,6 +200,13 @@ class Atlas:
         return cls([_class_from_record(rec, number) for number, rec in enumerate(records)])
 
 
+def _integer(value) -> int:
+    # JSON integers only: int() would turn 1.9, true or "7" into an int.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 def _class_from_record(rec, number: int) -> InvolutionClass:
     if not isinstance(rec, dict):
         raise CatalogError(f"expected a JSON object, got {type(rec).__name__}", record=number)
@@ -217,9 +224,9 @@ def _class_from_record(rec, number: int) -> InvolutionClass:
     try:
         return InvolutionClass(
             family=value("family", Family),
-            r=value("r", int),
-            a=value("a", int),
-            delta=value("delta", int),
+            r=value("r", _integer),
+            a=value("a", _integer),
+            delta=value("delta", _integer),
             h=(
                 HInvariant.NOT_APPLICABLE
                 if rec.get("h") in (None, "", "NA")
@@ -326,61 +333,35 @@ def load_atlas(data_dir: str | None = None) -> Atlas:
     return _embedded_atlas()
 
 
-def all_classes(family: Family) -> tuple[InvolutionClass, ...]:
-    return load_atlas().all_classes(family)
-
-
-def lookup(
-    family: Family,
-    r: int,
-    a: int,
-    delta: int,
-    h: HInvariant = HInvariant.NOT_APPLICABLE,
-) -> InvolutionClass | None:
-    return load_atlas().lookup(family, r, a, delta, h)
-
-
-def related_class(c: InvolutionClass) -> InvolutionClass:
-    return load_atlas().related_class(c)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
 
 @dataclass
-class AtlasReport:
-    counts: dict[str, int] = field(default_factory=dict)
-    duplicates: list[str] = field(default_factory=list)
-    pairing_violations: list[str] = field(default_factory=list)
-    grid_violations: list[str] = field(default_factory=list)
-    count_violations: list[str] = field(default_factory=list)
-    range_violations: list[str] = field(default_factory=list)
+class CheckSection:
+    """One group of checks: how many ran, the violations, the whitelisted
+    discrepancies and, for the catalog audit, the class counts."""
 
-    @property
-    def violations(self) -> list[str]:
-        return (
-            self.duplicates
-            + self.pairing_violations
-            + self.grid_violations
-            + self.count_violations
-            + self.range_violations
-        )
+    name: str
+    checked: int = 0
+    violations: list[str] = field(default_factory=list)
+    whitelisted: list[str] = field(default_factory=list)
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    def expect(self, condition: bool, message: str) -> None:
+        if not condition:
+            self.violations.append(message)
 
-def _expect(report_list: list[str], condition: bool, message: str) -> None:
-    if not condition:
-        report_list.append(message)
 
-
-def validate_atlas(atlas: Atlas | None = None) -> AtlasReport:
-    """Check counts, uniqueness, the pairing and the grid consistency."""
+def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
+    """Check uniqueness, the pairing, the grid consistency, the counts and
+    the (r, a) ranges, reporting violations in that order."""
     atlas = atlas or load_atlas()
-    report = AtlasReport()
+    report = CheckSection("catalogs")
     s311 = atlas.all_classes(Family.S311)
     u = atlas.all_classes(Family.U)
 
@@ -391,24 +372,11 @@ def validate_atlas(atlas: Atlas | None = None) -> AtlasReport:
     report.counts["u delta=0"] = sum(c.delta == 0 for c in u)
     report.counts["u delta=1"] = sum(c.delta == 1 for c in u)
 
-    _expect(report.count_violations, len(s311) == 102, f"expected 102 classes, found {len(s311)}")
-    _expect(
-        report.count_violations,
-        report.counts["s311 H=0"] == 51 and report.counts["s311 H=Z2"] == 51,
-        "expected a 51 + 51 split across the H invariant",
-    )
-    _expect(report.count_violations, len(u) == 63, f"expected 63 classes, found {len(u)}")
-    _expect(
-        report.count_violations,
-        report.counts["u delta=0"] == 14 and report.counts["u delta=1"] == 49,
-        "expected a 14 / 49 delta split",
-    )
-
     for family, members in ((Family.S311, s311), (Family.U, u)):
         seen: dict[tuple, str] = {}
         for c in members:
             if c.key in seen:
-                report.duplicates.append(
+                report.violations.append(
                     f"{family.value}: duplicate invariants {c.key} ({seen[c.key]} and {c.index})"
                 )
             seen[c.key] = c.index
@@ -421,82 +389,68 @@ def validate_atlas(atlas: Atlas | None = None) -> AtlasReport:
             try:
                 partner = atlas.related_class(c)
             except NotInAtlas:
-                report.pairing_violations.append(
+                report.violations.append(
                     f"{c.index}: related invariants {related_key(c)[:3]} missing from {family.value}"
                 )
                 continue
             back = atlas.related_class(partner)
-            _expect(
-                report.pairing_violations,
-                back is c,
-                f"{c.index}: pairing is not an involution",
-            )
-            _expect(
-                report.pairing_violations,
-                partner.delta == c.delta,
-                f"{c.index}: pairing changed delta",
-            )
+            report.expect(back is c, f"{c.index}: pairing is not an involution")
+            report.expect(partner.delta == c.delta, f"{c.index}: pairing changed delta")
             if partner is c:
                 fixed += 1
             if family is Family.U and c.triple not in U_EXCLUDED_TRIPLES:
                 g, k = gk_invariants(c)
                 if partner.triple not in U_EXCLUDED_TRIPLES:
-                    _expect(
-                        report.pairing_violations,
+                    report.expect(
                         gk_invariants(partner) == (k + 1, g - 1),
                         f"{c.index}: pairing does not send (g,k) to (k+1,g-1)",
                     )
             if family is Family.S311 and c.h is HInvariant.ZERO:
-                _expect(
-                    report.pairing_violations,
+                report.expect(
                     partner.h is HInvariant.Z2
                     and (partner.r, partner.a) == (19 - c.r, c.a + 1),
                     f"{c.index}: pairing is not (r,a) -> (19-r, a+1) with H toggled",
                 )
-        _expect(
-            report.pairing_violations,
+        report.expect(
             fixed == expected_fixed,
             f"{family.value}: {fixed} self-related classes, expected {expected_fixed}",
         )
         quotient = (len(members) - fixed) // 2 + fixed
         report.counts[f"{family.value} quotient"] = quotient
-    _expect(
-        report.count_violations,
-        report.counts.get("s311 quotient") == 51,
-        "expected 51 classes after identifying related pairs",
-    )
-    _expect(
-        report.count_violations,
-        report.counts.get("u quotient") == 37,
-        "expected 37 classes after identifying related pairs",
-    )
 
     # Grid <-> row-list consistency, both directions.
     for h, grid in ((HInvariant.ZERO, tables.GRID_H0), (HInvariant.Z2, tables.GRID_Z2)):
         cells = {(r, a, d) for (r, a), deltas in grid.items() for d in deltas}
         rows = {c.triple for c in s311 if c.h is h}
         for missing in sorted(cells - rows):
-            report.grid_violations.append(
-                f"grid cell {missing} (H={h.value}) has no catalog row"
-            )
+            report.violations.append(f"grid cell {missing} (H={h.value}) has no catalog row")
         for extra in sorted(rows - cells):
-            report.grid_violations.append(
-                f"catalog row {extra} (H={h.value}) is not a grid cell"
-            )
+            report.violations.append(f"catalog row {extra} (H={h.value}) is not a grid cell")
+
+    counts = report.counts
+    report.expect(len(s311) == 102, f"expected 102 classes, found {len(s311)}")
+    report.expect(
+        counts["s311 H=0"] == 51 and counts["s311 H=Z2"] == 51,
+        "expected a 51 + 51 split across the H invariant",
+    )
+    report.expect(len(u) == 63, f"expected 63 classes, found {len(u)}")
+    report.expect(
+        counts["u delta=0"] == 14 and counts["u delta=1"] == 49,
+        "expected a 14 / 49 delta split",
+    )
+    report.expect(
+        counts["s311 quotient"] == 51, "expected 51 classes after identifying related pairs"
+    )
+    report.expect(
+        counts["u quotient"] == 37, "expected 37 classes after identifying related pairs"
+    )
 
     # 2-rank bounds: a is a 2-rank of both the fixed and anti-fixed parts.
     # Parity: r - a and 22 - r - a are even for every class of both families.
-    for members in (s311, u):
-        for c in members:
-            _expect(
-                report.range_violations,
-                c.a <= c.r and c.a <= 22 - c.r,
-                f"{c.index}: a = {c.a} exceeds min(r, 22 - r)",
-            )
-            _expect(
-                report.range_violations,
-                (c.r - c.a) % 2 == 0,
-                f"{c.index}: r - a is odd",
-            )
+    for c in s311 + u:
+        report.expect(
+            c.a <= c.r and c.a <= 22 - c.r, f"{c.index}: a = {c.a} exceeds min(r, 22 - r)"
+        )
+        report.expect((c.r - c.a) % 2 == 0, f"{c.index}: r - a is odd")
 
     return report

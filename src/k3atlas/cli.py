@@ -8,7 +8,10 @@ to a file instead of stdout.
 
 Exit codes: 0 success, 1 validation violations, 2 bad flags, 3 class not
 found, 4 class without the requested structure, 5 Gram-file parse error,
-6 degenerate Gram matrix, 7 unreadable or malformed external catalog.
+6 degenerate Gram matrix, 7 unreadable or malformed external catalog.  A
+library error that reaches ``main`` gets its code from ``EXIT_CODES``,
+looked up along the exception's class hierarchy; any other ``AtlasError``
+exits 1.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .degenerations import (
     degeneration_table,
     graph_to_dot,
     graph_to_json,
-    move_label,
     transition_graph,
 )
 from .divisors import (
@@ -48,9 +50,11 @@ from .errors import (
     GramParseError,
     MoveNotApplicable,
     NonIntegerGenus,
+    NotInAtlas,
     NotTwoElementary,
     SpecialClass,
     UnsupportedSurface,
+    WrongFamily,
 )
 from .lattices import (
     discriminant_group,
@@ -69,6 +73,16 @@ EXIT_SPECIAL_CLASS = 4
 EXIT_PARSE_ERROR = 5
 EXIT_DEGENERATE = 6
 EXIT_CATALOG = 7
+
+EXIT_CODES = {
+    NotInAtlas: EXIT_NOT_FOUND,
+    SpecialClass: EXIT_SPECIAL_CLASS,
+    WrongFamily: EXIT_SPECIAL_CLASS,
+    MoveNotApplicable: EXIT_USAGE,
+    GramParseError: EXIT_PARSE_ERROR,
+    DegenerateLattice: EXIT_DEGENERATE,
+    CatalogError: EXIT_CATALOG,
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -298,13 +312,10 @@ def cmd_isotopy(args) -> int:
 # degenerate
 
 
-_MOVE_NAMES = {move.value: move for move in Degeneration}
-
-
 def _outcome_record(outcome) -> dict:
     return {
         "move": outcome.move.value,
-        "label": move_label(outcome.move),
+        "label": outcome.move.spec.label,
         "result": "impossible" if outcome.impossible else outcome.iso.case.value,
         "alpha": None if outcome.impossible else outcome.iso.alpha,
         "beta": None if outcome.impossible else outcome.iso.beta,
@@ -353,20 +364,8 @@ def cmd_degenerate(args) -> int:
     if c is None:
         return _fail(f"({r},{a},{delta}) is not a realizable class", EXIT_NOT_FOUND)
 
-    if args.move:
-        moves = [_MOVE_NAMES[args.move]]
-    else:
-        moves = list(applicable_moves(c))
-    outcomes = []
-    for move in moves:
-        try:
-            outcomes.append(apply_degeneration(c, move, atlas))
-        except SpecialClass as exc:
-            return _fail(str(exc), EXIT_SPECIAL_CLASS)
-        except MoveNotApplicable as exc:
-            return _fail(str(exc), EXIT_USAGE)
-
-    records = [_outcome_record(o) for o in outcomes]
+    moves = [Degeneration(args.move)] if args.move else applicable_moves(c)
+    records = [_outcome_record(apply_degeneration(c, move, atlas)) for move in moves]
     if args.format == "json":
         payload = {
             "index": c.index,
@@ -455,10 +454,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    try:
-        lattice = load_gram_file(args.gram_file)
-    except GramParseError as exc:
-        return _fail(str(exc), EXIT_PARSE_ERROR)
+    lattice = load_gram_file(args.gram_file)
     det = lattice.det()
     if lattice.rank and det == 0:
         return _fail("Gram matrix is degenerate (determinant 0)", EXIT_DEGENERATE)
@@ -580,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degenerate", help="apply simplest degenerations")
     p.add_argument("--class", dest="cls", help="selector r,a,delta")
-    p.add_argument("--move", choices=sorted(_MOVE_NAMES), help="a single move")
+    p.add_argument(
+        "--move", choices=sorted(move.value for move in Degeneration), help="a single move"
+    )
     p.add_argument(
         "--side",
         choices=("unprimed", "primed", "star"),
@@ -624,10 +622,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CatalogError as exc:
-        return _fail(str(exc), EXIT_CATALOG)
     except AtlasError as exc:
-        return _fail(str(exc), EXIT_VIOLATIONS)
+        codes = (EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
+        return _fail(str(exc), next(codes, EXIT_VIOLATIONS))
 
 
 if __name__ == "__main__":

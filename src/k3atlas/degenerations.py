@@ -5,9 +5,12 @@ non-contractible component, the section, and two pools of empty ovals:
 (g-1) inner ones and k outer ones.  Conjunctions merge an oval with the
 non-contractible component (1, 1') or with another oval of the same pool
 (2, 2'); contractions shrink one oval to a point (3, 3'); the two
-self-conjunctions (4, 4') produce the non-contractible node case.  Every
-outcome is a candidate only: none of these degenerations is known to be
-realizable for every pair of end curves.
+self-conjunctions (4, 4') produce the non-contractible node case.  Each
+move is described once, by its ``MoveSpec`` (``Degeneration.spec``); the
+outcomes, the move tables, the correspondence check and the CLI choices
+are all derived from these specs.  Every outcome is a candidate only: none
+of these degenerations is known to be realizable for every pair of end
+curves.
 """
 
 from __future__ import annotations
@@ -15,10 +18,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .atlas import Atlas, Family, HInvariant, InvolutionClass, gk_invariants, load_atlas
+from .atlas import (
+    Atlas,
+    CheckSection,
+    Family,
+    HInvariant,
+    InvolutionClass,
+    gk_invariants,
+    load_atlas,
+)
 from .errors import MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
 from .tables import U_EXCLUDED_TRIPLES
-from .topology import IsotopyType, TopCase
+from .topology import (
+    STAR_KEY_H0,
+    STAR_KEY_Z2,
+    IsotopyType,
+    TopCase,
+    candidate_isotopy_types,
+)
 
 
 class Degeneration(Enum):
@@ -31,24 +48,66 @@ class Degeneration(Enum):
     CONJ4 = "conj4"
     CONJ4P = "conj4p"
 
+    @property
+    def spec(self) -> MoveSpec:
+        return MOVE_SPECS[self]
 
-_MOVE_LABELS = {
-    Degeneration.CONJ1: "Conjunction 1)",
-    Degeneration.CONJ2: "Conjunction 2)",
-    Degeneration.CONTR3: "Contraction 3)",
-    Degeneration.CONJ1P: "Conjunction 1')",
-    Degeneration.CONJ2P: "Conjunction 2')",
-    Degeneration.CONTR3P: "Contraction 3')",
-    Degeneration.CONJ4: "Conjunction 4)",
-    Degeneration.CONJ4P: "Conjunction 4')",
+
+@dataclass(frozen=True)
+class MoveSpec:
+    """What one move does.
+
+    A move draws on one oval pool, k when ``primed`` and g-1 otherwise, and
+    consumes ``ovals`` of them: it is impossible when the pool is smaller,
+    and otherwise leaves (alpha, beta) = (the other pool, this pool minus
+    ``ovals``) in the case ``case``.  It lands on the class with the same
+    (r, a, delta) and H = 0, or on (r-1, a+1, delta) with H = Z/2 when
+    primed.  A self-conjunction instead starts from the class ``source``
+    only, whose pool holds one oval and the other pool none, and lands on
+    the star class ``star_target``, where no oval is left.
+    """
+
+    label: str
+    case: TopCase
+    primed: bool
+    ovals: int
+    source: tuple[int, int, int] | None = None
+    star_target: tuple[int, int, int, HInvariant] | None = None
+
+    def pools(self, g: int, k: int) -> tuple[int, int]:
+        """(this move's pool, the other pool) of a class with invariants (g, k)."""
+        return (k, g - 1) if self.primed else (g - 1, k)
+
+    def cell(self, g: int, k: int) -> tuple[int, int] | None:
+        pool, other = self.pools(g, k)
+        return None if pool < self.ovals else (other, pool - self.ovals)
+
+    def target_key(self, c: InvolutionClass) -> tuple[int, int, int, HInvariant]:
+        if self.star_target is not None:
+            return self.star_target
+        if self.primed:
+            return (c.r - 1, c.a + 1, c.delta, HInvariant.Z2)
+        return (c.r, c.a, c.delta, HInvariant.ZERO)
+
+
+MOVE_SPECS = {
+    Degeneration.CONJ1: MoveSpec("Conjunction 1)", TopCase.NODE1, False, 1),
+    Degeneration.CONJ2: MoveSpec("Conjunction 2)", TopCase.NODE2, False, 2),
+    Degeneration.CONTR3: MoveSpec("Contraction 3)", TopCase.ISOLATED, False, 1),
+    Degeneration.CONJ1P: MoveSpec("Conjunction 1')", TopCase.NODE1, True, 1),
+    Degeneration.CONJ2P: MoveSpec("Conjunction 2')", TopCase.NODE2, True, 2),
+    Degeneration.CONTR3P: MoveSpec("Contraction 3')", TopCase.ISOLATED, True, 1),
+    Degeneration.CONJ4: MoveSpec(
+        "Conjunction 4)", TopCase.NODE_STAR, False, 1, (9, 9, 1), STAR_KEY_H0
+    ),
+    Degeneration.CONJ4P: MoveSpec(
+        "Conjunction 4')", TopCase.NODE_STAR, True, 1, (11, 9, 1), STAR_KEY_Z2
+    ),
 }
 
-UNPRIMED_MOVES = (Degeneration.CONJ1, Degeneration.CONJ2, Degeneration.CONTR3)
-PRIMED_MOVES = (Degeneration.CONJ1P, Degeneration.CONJ2P, Degeneration.CONTR3P)
-
-
-def move_label(move: Degeneration) -> str:
-    return _MOVE_LABELS[move]
+UNPRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and not m.spec.primed)
+PRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and m.spec.primed)
+STAR_MOVES = tuple(m for m in Degeneration if m.spec.source)
 
 
 @dataclass(frozen=True)
@@ -71,21 +130,8 @@ class DegenerationOutcome:
 
     def __str__(self) -> str:
         if self.impossible:
-            return f"{move_label(self.move)}: impossible"
-        return f"{move_label(self.move)}: {self.iso} -> {self.target}"
-
-
-def _target(atlas: Atlas, c: InvolutionClass, primed: bool) -> InvolutionClass:
-    if primed:
-        key = (c.r - 1, c.a + 1, c.delta, HInvariant.Z2)
-    else:
-        key = (c.r, c.a, c.delta, HInvariant.ZERO)
-    target = atlas.lookup(Family.S311, *key[:3], key[3])
-    if target is None:
-        raise NotInAtlas(
-            f"no class with invariants {key[:3]} and H={key[3].value} exists"
-        )
-    return target
+            return f"{self.move.spec.label}: impossible"
+        return f"{self.move.spec.label}: {self.iso} -> {self.target}"
 
 
 def apply_degeneration(
@@ -103,66 +149,25 @@ def apply_degeneration(
         raise SpecialClass(
             "(10,8,0) carries no oval bookkeeping; degenerations are undefined"
         )
-
-    if move is Degeneration.CONJ4:
-        if c.triple != (9, 9, 1):
-            raise MoveNotApplicable("the self-conjunction 4) starts from (9,9,1) only")
-        target = atlas.lookup(Family.S311, 10, 8, 0, HInvariant.ZERO)
-        if target is None:
-            raise NotInAtlas("the (10,8,0,H=0) class is missing from the atlas")
-        return DegenerationOutcome(move, IsotopyType(TopCase.NODE_STAR, 0, 0), target)
-    if move is Degeneration.CONJ4P:
-        if c.triple != (11, 9, 1):
-            raise MoveNotApplicable("the self-conjunction 4') starts from (11,9,1) only")
-        target = atlas.lookup(Family.S311, 9, 9, 0, HInvariant.Z2)
-        if target is None:
-            raise NotInAtlas("the (9,9,0,H=Z2) class is missing from the atlas")
-        return DegenerationOutcome(move, IsotopyType(TopCase.NODE_STAR, 0, 0), target)
-
-    g, k = gk_invariants(c)
-    requirement = {
-        Degeneration.CONJ1: g >= 2,
-        Degeneration.CONJ2: g >= 3,
-        Degeneration.CONTR3: g >= 2,
-        Degeneration.CONJ1P: k >= 1,
-        Degeneration.CONJ2P: k >= 2,
-        Degeneration.CONTR3P: k >= 1,
-    }[move]
-    if not requirement:
+    spec = move.spec
+    if spec.source and c.triple != spec.source:
+        raise MoveNotApplicable(
+            "the self-conjunction {} starts from ({},{},{}) only".format(
+                spec.label.split()[-1], *spec.source
+            )
+        )
+    cell = spec.cell(*gk_invariants(c))
+    if cell is None:
         return DegenerationOutcome(move, None, None)
-    case = {
-        Degeneration.CONJ1: TopCase.NODE1,
-        Degeneration.CONJ2: TopCase.NODE2,
-        Degeneration.CONTR3: TopCase.ISOLATED,
-        Degeneration.CONJ1P: TopCase.NODE1,
-        Degeneration.CONJ2P: TopCase.NODE2,
-        Degeneration.CONTR3P: TopCase.ISOLATED,
-    }[move]
-    if move is Degeneration.CONJ1:
-        alpha, beta = k, g - 2
-    elif move is Degeneration.CONJ2:
-        alpha, beta = k, g - 3
-    elif move is Degeneration.CONTR3:
-        alpha, beta = k, g - 2
-    elif move is Degeneration.CONJ1P:
-        alpha, beta = g - 1, k - 1
-    elif move is Degeneration.CONJ2P:
-        alpha, beta = g - 1, k - 2
-    else:
-        alpha, beta = g - 1, k - 1
-    primed = move in PRIMED_MOVES
-    return DegenerationOutcome(
-        move, IsotopyType(case, alpha, beta), _target(atlas, c, primed)
-    )
+    key = spec.target_key(c)
+    target = atlas.lookup(Family.S311, *key)
+    if target is None:
+        raise NotInAtlas(f"no class with invariants {key[:3]} and H={key[3].value} exists")
+    return DegenerationOutcome(move, IsotopyType(spec.case, *cell), target)
 
 
 def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
-    moves = UNPRIMED_MOVES + PRIMED_MOVES
-    if c.triple == (9, 9, 1):
-        moves += (Degeneration.CONJ4,)
-    if c.triple == (11, 9, 1):
-        moves += (Degeneration.CONJ4P,)
-    return moves
+    return tuple(m for m in Degeneration if m.spec.source in (None, c.triple))
 
 
 class TableSide(Enum):
@@ -192,8 +197,8 @@ def degeneration_table(side: TableSide, atlas: Atlas | None = None) -> list[Move
     atlas = atlas or load_atlas()
     rows: list[MoveTableRow] = []
     if side is TableSide.STAR:
-        for triple, move in (((9, 9, 1), Degeneration.CONJ4), ((11, 9, 1), Degeneration.CONJ4P)):
-            c = atlas.lookup(Family.U, *triple)
+        for move in STAR_MOVES:
+            c = atlas.lookup(Family.U, *move.spec.source)
             if c is None:
                 continue
             outcome = apply_degeneration(c, move, atlas)
@@ -237,47 +242,19 @@ def degeneration_table(side: TableSide, atlas: Atlas | None = None) -> list[Move
 # The correspondence between degeneration outcomes and isotopy candidates
 
 
-@dataclass
-class CorrespondenceReport:
-    checked: int = 0
-    mismatches: list[str] | None = None
-
-    def __post_init__(self):
-        if self.mismatches is None:
-            self.mismatches = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def correspondence_check(atlas: Atlas | None = None) -> CorrespondenceReport:
+def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     """Degenerations of the class No.k land exactly on the isotopy
     candidates of the class No.k on the other side, move by move; likewise
     for No.k' with the primed moves, and for the two self-conjunctions.
-
-    Also checks single-valuedness: each (class, move) pair determines one
-    outcome class.
     """
-    from .topology import candidate_isotopy_types
-
     atlas = atlas or load_atlas()
-    report = CorrespondenceReport()
-    move_to_case = {
-        Degeneration.CONJ1: TopCase.NODE1,
-        Degeneration.CONJ2: TopCase.NODE2,
-        Degeneration.CONTR3: TopCase.ISOLATED,
-        Degeneration.CONJ1P: TopCase.NODE1,
-        Degeneration.CONJ2P: TopCase.NODE2,
-        Degeneration.CONTR3P: TopCase.ISOLATED,
-    }
-
+    section = CheckSection("correspondence")
     for k in range(1, 51):
         for label, moves in ((f"No.{k}", UNPRIMED_MOVES), (f"No.{k}'", PRIMED_MOVES)):
             u_class = atlas.lookup_index(Family.U, label)
             s_class = atlas.lookup_index(Family.S311, label)
             if u_class is None or s_class is None:
-                report.mismatches.append(f"{label}: missing from one of the catalogs")
+                section.violations.append(f"{label}: missing from one of the catalogs")
                 continue
             candidates = {
                 t.case: (t.alpha, t.beta)
@@ -285,52 +262,47 @@ def correspondence_check(atlas: Atlas | None = None) -> CorrespondenceReport:
                 if t.case is not TopCase.NODE_STAR
             }
             for move in moves:
-                report.checked += 1
+                section.checked += 1
                 outcome = apply_degeneration(u_class, move, atlas)
-                repeat = apply_degeneration(u_class, move, atlas)
-                if (outcome.cell(), outcome.target) != (repeat.cell(), repeat.target):
-                    report.mismatches.append(f"{label} {move.value}: not single-valued")
-                case = move_to_case[move]
+                case = move.spec.case
                 expected = candidates.get(case)
                 if outcome.impossible:
                     if expected is not None:
-                        report.mismatches.append(
+                        section.violations.append(
                             f"{label} {move.value}: impossible, but {case.value} "
                             f"{expected} is a candidate"
                         )
                     continue
                 if expected is None:
-                    report.mismatches.append(
+                    section.violations.append(
                         f"{label} {move.value}: produced {outcome.cell()}, but "
                         f"{case.value} is not a candidate of {label}"
                     )
                 elif outcome.cell() != expected:
-                    report.mismatches.append(
+                    section.violations.append(
                         f"{label} {move.value}: produced {outcome.cell()}, "
                         f"candidate is {expected}"
                     )
                 if outcome.target is not s_class:
-                    report.mismatches.append(
+                    section.violations.append(
                         f"{label} {move.value}: target {outcome.target} is not {label}"
                     )
 
-    for triple, move, target_key in (
-        ((9, 9, 1), Degeneration.CONJ4, (10, 8, 0, HInvariant.ZERO)),
-        ((11, 9, 1), Degeneration.CONJ4P, (9, 9, 0, HInvariant.Z2)),
-    ):
-        report.checked += 1
+    for move in STAR_MOVES:
+        section.checked += 1
+        triple = move.spec.source
         u_class = atlas.lookup(Family.U, *triple)
         if u_class is None:
-            report.mismatches.append(f"{triple}: missing from the catalog")
+            section.violations.append(f"{triple}: missing from the catalog")
             continue
         outcome = apply_degeneration(u_class, move, atlas)
-        target = atlas.lookup(Family.S311, *target_key[:3], target_key[3])
+        target = atlas.lookup(Family.S311, *move.spec.star_target)
         star_candidates = [
             t for t in candidate_isotopy_types(target) if t.case is TopCase.NODE_STAR
         ]
         if outcome.impossible or outcome.target is not target or not star_candidates:
-            report.mismatches.append(f"{triple} {move.value}: star outcome mismatch")
-    return report
+            section.violations.append(f"{triple} {move.value}: star outcome mismatch")
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +347,18 @@ def transition_graph(atlas: Atlas | None = None) -> TransitionGraph:
     return TransitionGraph(nodes, tuple(edges))
 
 
-def _node_id(c: InvolutionClass) -> str:
-    if c.family is Family.U:
-        return f"U:{c.index} ({c.r},{c.a},{c.delta})"
-    return f"S:({c.r},{c.a},{c.delta},{c.h.value})"
-
-
 def graph_to_dot(graph: TransitionGraph) -> str:
     def quote(s: str) -> str:
         return '"{}"'.format(s.replace('"', r"\""))
 
     lines = ["digraph degenerations {"]
     for node in graph.nodes:
-        lines.append(f"  {quote(_node_id(node))};")
+        lines.append(f"  {quote(str(node))};")
     for edge in graph.edges:
         lines.append(
             "  {} -> {} [label={}];".format(
-                quote(_node_id(edge.source)),
-                quote(_node_id(edge.target)),
+                quote(str(edge.source)),
+                quote(str(edge.target)),
                 quote(edge.move.value),
             )
         )
@@ -404,7 +370,7 @@ def graph_to_json(graph: TransitionGraph) -> dict:
     return {
         "nodes": [
             {
-                "id": _node_id(c),
+                "id": str(c),
                 "family": c.family.value,
                 "index": c.index,
                 "r": c.r,
@@ -416,8 +382,8 @@ def graph_to_json(graph: TransitionGraph) -> dict:
         ],
         "edges": [
             {
-                "from": _node_id(e.source),
-                "to": _node_id(e.target),
+                "from": str(e.source),
+                "to": str(e.target),
                 "move": e.move.value,
                 "alpha": e.iso.alpha,
                 "beta": e.iso.beta,

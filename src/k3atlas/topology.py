@@ -47,12 +47,11 @@ class Cover(Enum):
     RELATED_PHI = "related_phi"
 
 
-_STAR_DATA = {
-    # (r, a, delta, h) of the two classes whose singular component is
-    # non-contractible; fixed data, not covered by the case I/II formulas.
-    (10, 8, 0, HInvariant.ZERO),
-    (9, 9, 0, HInvariant.Z2),
-}
+# (r, a, delta, H) of the two classes whose singular component is
+# non-contractible; fixed data, not covered by the case I/II formulas.
+STAR_KEY_H0 = (10, 8, 0, HInvariant.ZERO)
+STAR_KEY_Z2 = (9, 9, 0, HInvariant.Z2)
+STAR_KEYS = (STAR_KEY_H0, STAR_KEY_Z2)
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ def candidate_isotopy_types(
     if c.family is not Family.S311:
         raise WrongFamily("isotopy candidates are defined for the 102-class family")
 
-    key = (c.r, c.a, c.delta, c.h)
-    if key == (10, 8, 0, HInvariant.ZERO):
+    if c.key == STAR_KEY_H0:
         return [IsotopyType(TopCase.NODE_STAR, 0, 0)]
 
     g, k = gk_invariants(c)
@@ -126,7 +124,7 @@ def candidate_isotopy_types(
         group_i = (g - 1, k)
         group_ii = (g - 1, k - 1)
 
-    conjectured = key == (9, 9, 0, HInvariant.Z2)
+    conjectured = c.key == STAR_KEY_Z2
     out: list[IsotopyType] = []
 
     def emit(case: TopCase, cell: tuple[int, int], table: bool = True) -> None:
@@ -164,10 +162,8 @@ def invariants_from_isotopy(
     determines H (the lower region gives H = 0).
     """
     if case is TopCase.NODE_STAR:
-        raise InconsistentInput(
-            "the non-contractible node case carries fixed invariants, "
-            "(10,8,0,H=0) and (9,9,0,H=Z2)"
-        )
+        keys = " and ".join("({},{},{},H={})".format(*k[:3], k[3].value) for k in STAR_KEYS)
+        raise InconsistentInput(f"the non-contractible node case carries fixed invariants, {keys}")
     IsotopyType(case, alpha, beta)  # bounds check
     if case in CASE_I:
         if side is Side.PHI_COVERS_A_MINUS:
@@ -323,7 +319,7 @@ def real_part_topology(
     if c.family is not Family.S311:
         raise WrongFamily("real-part types are defined for the 102-class family")
     if iso.case is TopCase.NODE_STAR:
-        if (c.r, c.a, c.delta, c.h) not in _STAR_DATA:
+        if c.key not in STAR_KEYS:
             raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
     else:
         side = Side.PHI_COVERS_A_MINUS if c.h is HInvariant.ZERO else Side.PHI_COVERS_A_PLUS

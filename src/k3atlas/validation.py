@@ -11,12 +11,13 @@ everything else must match exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from . import tables
 from .atlas import (
     Atlas,
-    AtlasReport,
+    CheckSection,
     Family,
     HInvariant,
     gk_invariants,
@@ -33,6 +34,7 @@ from .degenerations import (
     transition_graph,
 )
 from .topology import (
+    STAR_KEYS,
     Side,
     TopCase,
     candidate_isotopy_types,
@@ -53,20 +55,8 @@ FLAGGED_NOTES = (
 
 
 @dataclass
-class CheckSection:
-    name: str
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    whitelisted: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class ValidationSummary:
-    atlas_report: AtlasReport
+    atlas_report: CheckSection
     sections: list[CheckSection]
     notes: tuple[str, ...] = FLAGGED_NOTES
 
@@ -141,9 +131,9 @@ def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
 def _check_move_tables(atlas: Atlas) -> CheckSection:
     section = CheckSection("degeneration tables")
     whitelist = {(idx, move): (shipped, derived) for idx, move, shipped, derived in tables.WHITELISTED_CELLS}
-    for side, golden_rows, names in (
-        (TableSide.UNPRIMED, tables.MOVES_UNPRIMED, ("conj1", "conj2", "contr3")),
-        (TableSide.PRIMED, tables.MOVES_PRIMED, ("conj1p", "conj2p", "contr3p")),
+    for side, golden_rows, moves in (
+        (TableSide.UNPRIMED, tables.MOVES_UNPRIMED, UNPRIMED_MOVES),
+        (TableSide.PRIMED, tables.MOVES_PRIMED, PRIMED_MOVES),
     ):
         rows = degeneration_table(side, atlas)
         if len(rows) != len(golden_rows):
@@ -165,9 +155,9 @@ def _check_move_tables(atlas: Atlas) -> CheckSection:
                     f"{side.value} row {golden.index}: head columns mismatch"
                 )
                 continue
-            generated = {move.value: cell for move, cell in row.cells}
-            for name, shipped in zip(names, (golden.conj1, golden.conj2, golden.contr3)):
-                cell = generated[name]
+            generated = dict(row.cells)
+            for move, shipped in zip(moves, (golden.conj1, golden.conj2, golden.contr3)):
+                cell, name = generated[move], move.value
                 if cell == shipped:
                     continue
                 entry = whitelist.get((golden.index, name))
@@ -199,11 +189,7 @@ def _check_roundtrips(atlas: Atlas) -> CheckSection:
         for t in candidate_isotopy_types(c):
             section.checked += 1
             if t.case is TopCase.NODE_STAR:
-                star_keys = {
-                    (10, 8, 0, HInvariant.ZERO),
-                    (9, 9, 0, HInvariant.Z2),
-                }
-                if (c.r, c.a, c.delta, c.h) not in star_keys:
+                if c.key not in STAR_KEYS:
                     section.violations.append(f"{c.index}: unexpected star candidate")
                 continue
             r, a, h = invariants_from_isotopy(t.case, t.alpha, t.beta, side)
@@ -238,9 +224,10 @@ def _check_euler(atlas: Atlas) -> CheckSection:
 
 def _check_exclusions(atlas: Atlas) -> CheckSection:
     section = CheckSection("exclusions")
-    # The H = 0 case formulas never land on (10,10,0) or (10,8,0).
+    # The H = 0 case formulas never land on the triples without oval
+    # bookkeeping, (10,8,0) and (10,10,0).
     for c in atlas.all_classes(Family.S311):
-        if c.h is not HInvariant.ZERO or c.triple not in ((10, 10, 0), (10, 8, 0)):
+        if c.h is not HInvariant.ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
             continue
         section.checked += 1
         cases = {t.case for t in candidate_isotopy_types(c)}
@@ -255,14 +242,6 @@ def _check_monotonicity(atlas: Atlas) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
     section = CheckSection("oval-count monotonicity")
-    drops = {
-        "conj1": 1,
-        "contr3": 1,
-        "conj2": 2,
-        "conj1p": 1,
-        "contr3p": 1,
-        "conj2p": 2,
-    }
     for c in atlas.all_classes(Family.U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
@@ -270,19 +249,17 @@ def _check_monotonicity(atlas: Atlas) -> CheckSection:
         before = (g - 1) + k
         for move in UNPRIMED_MOVES + PRIMED_MOVES:
             outcome = apply_degeneration(c, move, atlas)
+            section.checked += 1
             if outcome.impossible:
                 # Impossibility criteria in terms of the pools.
-                section.checked += 1
-                pool = g - 1 if move in UNPRIMED_MOVES else k
-                needed = 2 if move.value in ("conj2", "conj2p") else 1
-                if pool >= needed:
+                pool, _other = move.spec.pools(g, k)
+                if pool >= move.spec.ovals:
                     section.violations.append(
                         f"{c.index} {move.value}: impossible despite {pool} ovals"
                     )
                 continue
-            section.checked += 1
             after = outcome.iso.alpha + outcome.iso.beta
-            if before - after != drops[move.value]:
+            if before - after != move.spec.ovals:
                 section.violations.append(
                     f"{c.index} {move.value}: oval count dropped by {before - after}"
                 )
@@ -295,18 +272,16 @@ def _check_graph(atlas: Atlas) -> CheckSection:
     section.checked += 1
     if len(graph.nodes) != 165:
         section.violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
-    indegree: dict[str, int] = {}
-    for edge in graph.edges:
-        indegree[edge.target.index] = indegree.get(edge.target.index, 0) + 1
+    indegree = Counter(edge.target for edge in graph.edges)
     for c in atlas.all_classes(Family.S311):
         section.checked += 1
-        expected_min = 1
-        if indegree.get(c.index, 0) < expected_min:
+        if not indegree[c]:
             section.violations.append(f"{c.index}: no incoming degeneration edge")
-    for star_index in ("special-(10,8,0)", "special-(9,9,0)"):
+    for key in STAR_KEYS:
         section.checked += 1
-        if indegree.get(star_index, 0) != 1:
-            section.violations.append(f"{star_index}: in-degree != 1")
+        star = atlas.lookup(Family.S311, *key)
+        if indegree[star] != 1:
+            section.violations.append(f"{star.index}: in-degree != 1")
     return section
 
 
@@ -325,11 +300,8 @@ def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:
         _check_exclusions(atlas),
         _check_monotonicity(atlas),
     ]
-    correspondence = correspondence_check(atlas)
-    corr_section = CheckSection("correspondence", checked=correspondence.checked)
-    corr_section.violations.extend(correspondence.mismatches)
-    sections.append(corr_section)
+    sections.append(correspondence_check(atlas))
     # Graph checks only make sense once the catalogs agree with the tables.
-    if corr_section.ok:
+    if sections[-1].ok:
         sections.append(_check_graph(atlas))
     return ValidationSummary(report, sections)

@@ -122,7 +122,7 @@ def test_criterion_4_formula_roundtrip():
 
 def test_criterion_5_correspondence():
     result = correspondence_check(ATLAS)
-    assert result.ok, result.mismatches[:3]
+    assert result.ok, result.violations[:3]
     assert result.checked == 302
     report(5, f"degeneration/isotopy correspondence over {result.checked} pairs")
 

@@ -157,15 +157,15 @@ def test_validate_detects_missing_partner(atlas):
     ]
     report = validate_atlas(Atlas.from_records(records))
     assert not report.ok
-    assert any("related invariants" in v and "No.17'" in v for v in report.pairing_violations)
-    assert any("grid cell (7, 7, 1)" in v for v in report.grid_violations)
+    assert any("related invariants" in v and "No.17'" in v for v in report.violations)
+    assert any("grid cell (7, 7, 1)" in v for v in report.violations)
 
 
 def test_validate_detects_duplicates(atlas):
     records = atlas.to_records(Family.S311) + atlas.to_records(Family.U)
     report = validate_atlas(Atlas.from_records(records + [records[0]]))
     assert not report.ok
-    assert any("duplicate invariants" in v for v in report.duplicates)
+    assert any("duplicate invariants" in v for v in report.violations)
 
 
 def test_records_roundtrip(atlas, tmp_path):
@@ -225,6 +225,19 @@ def test_from_records_names_record_and_field(atlas, change, problem):
     assert str(excinfo.value) == f"record 4: {problem}"
     with pytest.raises(CatalogError, match="record 1: expected a JSON object"):
         Atlas.from_records(records[:1] + [[1, 2]])
+
+
+@pytest.mark.parametrize("value", [7, 1.9, True, 1.0, "7"])
+def test_integer_fields_take_json_integers_only(atlas, value):
+    records = atlas.to_records(Family.U)
+    records[4]["r"] = value
+    if type(value) is int:
+        loaded = Atlas.from_records(records).lookup_index(Family.U, records[4]["index"])
+        assert loaded.r == 7
+        return
+    with pytest.raises(CatalogError) as excinfo:
+        Atlas.from_records(records)
+    assert str(excinfo.value) == f"record 4: field 'r' has bad value {value!r}"
 
 
 @pytest.fixture

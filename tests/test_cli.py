@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from k3atlas import cli, errors
 from k3atlas.cli import main
 
 GRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "grams")
@@ -332,4 +333,44 @@ def test_data_dir_empty_catalog(exported_catalogs, capsys, monkeypatch):
     code, out, _ = run(capsys, "degenerate", "--side", "unprimed")
     assert code == 0 and len(out.splitlines()) == 2
     code, out, _ = run(capsys, "validate")
+    assert code == 1
+
+
+class _NotFoundHere(errors.NotInAtlas):
+    pass
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.NotInAtlas, 3),
+        (_NotFoundHere, 3),  # resolved through the MRO
+        (errors.SpecialClass, 4),
+        (errors.WrongFamily, 4),
+        (errors.MoveNotApplicable, 2),
+        (errors.GramParseError, 5),
+        (errors.DegenerateLattice, 6),
+        (errors.CatalogError, 7),
+        (errors.NotTwoElementary, 1),
+    ],
+)
+def test_exit_code_table(capsys, monkeypatch, error, code):
+    def fail(_atlas):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "transition_graph", fail)
+    assert run(capsys, "graph") == (code, "", "atlas: boom\n")
+
+
+def test_exit_codes_of_library_errors(exported_catalogs, capsys, monkeypatch):
+    code, _, err = run(capsys, "degenerate", "--class", "14,2,0", "--move", "conj4")
+    assert code == 2 and "starts from (9,9,1) only" in err
+    path = exported_catalogs / "s311.json"
+    records = [rec for rec in json.loads(path.read_text()) if rec["index"] != "No.17'"]
+    path.write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, err = run(capsys, "degenerate", "--side", "primed")
+    assert (code, out) == (3, "")
+    assert err == "atlas: no class with invariants (12, 8, 1) and H=Z2 exists\n"
+    code, _, _ = run(capsys, "validate")
     assert code == 1

@@ -158,7 +158,7 @@ def test_impossibility_criteria(atlas):
 
 def test_correspondence(atlas):
     report = correspondence_check(atlas)
-    assert report.ok, report.mismatches[:5]
+    assert report.ok, report.violations[:5]
     assert report.checked == 302  # 2 * 50 * 3 moves + 2 self-conjunctions
 
 
