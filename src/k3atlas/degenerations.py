@@ -11,10 +11,16 @@ outcomes, the move tables, the correspondence check and the CLI choices
 are all derived from these specs.  Every outcome is a candidate only: none
 of these degenerations is known to be realizable for every pair of end
 curves.
+
+``transition_graph`` is built from one pass over every applicable
+(class, move) pair; ``validation.run_all_checks`` runs that pass once and
+shares it with the private forms of the move tables and the
+correspondence check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -170,6 +176,41 @@ def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
     return tuple(m for m in Degeneration if m.spec.source in (None, c.triple))
 
 
+# (class, move) -> its outcome; the private table, correspondence and graph
+# builders take one so that a validation can share a single pass.
+_OutcomeOf = Callable[[InvolutionClass, Degeneration], DegenerationOutcome]
+_Outcomes = list[tuple[InvolutionClass, DegenerationOutcome]]
+
+
+def _derive(atlas: Atlas) -> _OutcomeOf:
+    return lambda c, move: apply_degeneration(c, move, atlas)
+
+
+def _all_outcomes(atlas: Atlas) -> _Outcomes:
+    """Every applicable outcome of the classes with oval bookkeeping, each
+    derived once and paired with its source class, in catalog and move
+    order."""
+    return [
+        (c, apply_degeneration(c, move, atlas))
+        for c in atlas.all_classes(Family.U)
+        if c.triple not in U_EXCLUDED_TRIPLES
+        for move in applicable_moves(c)
+    ]
+
+
+def _shared(outcomes: _Outcomes, atlas: Atlas) -> _OutcomeOf:
+    """Look outcomes up in ``outcomes``.  A pair the pass skipped, such as an
+    excluded class carrying a table label in an external catalog, goes to
+    ``apply_degeneration``, which raises what it raises on its own."""
+    by_pair = {(c, outcome.move): outcome for c, outcome in outcomes}
+
+    def outcome_of(c: InvolutionClass, move: Degeneration) -> DegenerationOutcome:
+        found = by_pair.get((c, move))
+        return apply_degeneration(c, move, atlas) if found is None else found
+
+    return outcome_of
+
+
 class TableSide(Enum):
     UNPRIMED = "unprimed"
     PRIMED = "primed"
@@ -195,17 +236,21 @@ def degeneration_table(side: TableSide, atlas: Atlas | None = None) -> list[Move
     table holds the two self-conjunction rows.
     """
     atlas = atlas or load_atlas()
+    return _degeneration_table(side, atlas, _derive(atlas))
+
+
+def _degeneration_table(
+    side: TableSide, atlas: Atlas, outcome_of: _OutcomeOf
+) -> list[MoveTableRow]:
     rows: list[MoveTableRow] = []
     if side is TableSide.STAR:
         for move in STAR_MOVES:
             c = atlas.lookup(Family.U, *move.spec.source)
             if c is None:
                 continue
-            outcome = apply_degeneration(c, move, atlas)
             g, k = gk_invariants(c)
-            rows.append(
-                MoveTableRow(c.index, c.r, c.a, c.delta, g, k, ((move, outcome.cell()),))
-            )
+            cells = ((move, outcome_of(c, move).cell()),)
+            rows.append(MoveTableRow(c.index, c.r, c.a, c.delta, g, k, cells))
         return rows
 
     primed = side is TableSide.PRIMED
@@ -231,9 +276,7 @@ def degeneration_table(side: TableSide, atlas: Atlas | None = None) -> list[Move
         return int(digits) if digits else 10**6
 
     for c, g, k in sorted(members, key=sort_value):
-        cells = tuple(
-            (move, apply_degeneration(c, move, atlas).cell()) for move in moves
-        )
+        cells = tuple((move, outcome_of(c, move).cell()) for move in moves)
         rows.append(MoveTableRow(row_index(c), c.r, c.a, c.delta, g, k, cells))
     return rows
 
@@ -248,6 +291,10 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     atlas = atlas or load_atlas()
+    return _correspondence_check(atlas, _derive(atlas))
+
+
+def _correspondence_check(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
     section = CheckSection("correspondence")
     for k in range(1, 51):
         for label, moves in ((f"No.{k}", UNPRIMED_MOVES), (f"No.{k}'", PRIMED_MOVES)):
@@ -263,7 +310,7 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
             }
             for move in moves:
                 section.checked += 1
-                outcome = apply_degeneration(u_class, move, atlas)
+                outcome = outcome_of(u_class, move)
                 case = move.spec.case
                 expected = candidates.get(case)
                 if outcome.impossible:
@@ -295,7 +342,7 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
         if u_class is None:
             section.violations.append(f"{triple}: missing from the catalog")
             continue
-        outcome = apply_degeneration(u_class, move, atlas)
+        outcome = outcome_of(u_class, move)
         target = atlas.lookup(Family.S311, *move.spec.star_target)
         star_candidates = [
             t for t in candidate_isotopy_types(target) if t.case is TopCase.NODE_STAR
@@ -329,20 +376,21 @@ _MOVE_ORDER = {move: i for i, move in enumerate(Degeneration)}
 def transition_graph(atlas: Atlas | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs."""
     atlas = atlas or load_atlas()
+    return _graph_from(atlas, _all_outcomes(atlas))
+
+
+def _graph_from(atlas: Atlas, outcomes: _Outcomes) -> TransitionGraph:
     nodes = tuple(
         sorted(
             atlas.all_classes(Family.S311) + atlas.all_classes(Family.U),
             key=InvolutionClass.sort_key,
         )
     )
-    edges = []
-    for c in atlas.all_classes(Family.U):
-        if c.triple in U_EXCLUDED_TRIPLES:
-            continue
-        for move in applicable_moves(c):
-            outcome = apply_degeneration(c, move, atlas)
-            if not outcome.impossible:
-                edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
+    edges = [
+        TransitionEdge(c, outcome.target, outcome.move, outcome.iso)
+        for c, outcome in outcomes
+        if not outcome.impossible
+    ]
     edges.sort(key=lambda e: (e.source.sort_key(), _MOVE_ORDER[e.move]))
     return TransitionGraph(nodes, tuple(edges))
 

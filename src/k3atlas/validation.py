@@ -7,6 +7,12 @@ the branched double cover, the move-by-move correspondence between the
 two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
+
+One call derives each degeneration outcome once, in a single pass over
+every applicable (class, move) pair that the move tables, the
+monotonicity and correspondence checks and the transition graph share,
+and evaluates the Euler identity once per distinct (case, alpha, beta).
+Nothing is kept between calls: each call pays for its own derivations.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ from .degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
     TableSide,
-    apply_degeneration,
-    correspondence_check,
-    degeneration_table,
-    transition_graph,
+    TransitionGraph,
+    _all_outcomes,
+    _correspondence_check,
+    _degeneration_table,
+    _graph_from,
+    _OutcomeOf,
+    _shared,
 )
 from .topology import (
     STAR_KEYS,
@@ -128,14 +137,14 @@ def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
     return section
 
 
-def _check_move_tables(atlas: Atlas) -> CheckSection:
+def _check_move_tables(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
     section = CheckSection("degeneration tables")
     whitelist = {(idx, move): (shipped, derived) for idx, move, shipped, derived in tables.WHITELISTED_CELLS}
     for side, golden_rows, moves in (
         (TableSide.UNPRIMED, tables.MOVES_UNPRIMED, UNPRIMED_MOVES),
         (TableSide.PRIMED, tables.MOVES_PRIMED, PRIMED_MOVES),
     ):
-        rows = degeneration_table(side, atlas)
+        rows = _degeneration_table(side, atlas, outcome_of)
         if len(rows) != len(golden_rows):
             section.violations.append(
                 f"{side.value} table has {len(rows)} rows, shipped {len(golden_rows)}"
@@ -169,7 +178,7 @@ def _check_move_tables(atlas: Atlas) -> CheckSection:
                     section.violations.append(
                         f"row {golden.index} {name}: derived {cell}, shipped {shipped}"
                     )
-    star_rows = degeneration_table(TableSide.STAR, atlas)
+    star_rows = _degeneration_table(TableSide.STAR, atlas, outcome_of)
     expected_stars = [(r.index, r.r, r.a, r.delta, r.g, r.k, r.result) for r in tables.MOVES_STAR]
     got_stars = [
         (r.index, r.r, r.a, r.delta, r.g, r.k, "Node (*)") for r in star_rows
@@ -214,18 +223,23 @@ def _check_roundtrips(atlas: Atlas) -> CheckSection:
 
 def _check_euler(atlas: Atlas) -> CheckSection:
     section = CheckSection("double-cover Euler identity")
+    holds: dict[tuple[TopCase, int, int], bool] = {}
     for c in atlas.all_classes(Family.S311):
         for t in candidate_isotopy_types(c, include_degenerate=True):
             section.checked += 1
-            if not double_cover_euler_check(t.case, t.alpha, t.beta):
+            if t.triple not in holds:
+                holds[t.triple] = double_cover_euler_check(*t.triple)
+            if not holds[t.triple]:
                 section.violations.append(f"{c.index} {t}: chi mismatch")
     return section
 
 
 def _check_exclusions(atlas: Atlas) -> CheckSection:
     section = CheckSection("exclusions")
-    # The H = 0 case formulas never land on the triples without oval
-    # bookkeeping, (10,8,0) and (10,10,0).
+    # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
+    # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
+    # checks one class, and re-tests that its candidates are the star case
+    # alone; no (10,10,0) class with H = 0 exists to check.
     for c in atlas.all_classes(Family.S311):
         if c.h is not HInvariant.ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
             continue
@@ -238,7 +252,7 @@ def _check_exclusions(atlas: Atlas) -> CheckSection:
     return section
 
 
-def _check_monotonicity(atlas: Atlas) -> CheckSection:
+def _check_monotonicity(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
     section = CheckSection("oval-count monotonicity")
@@ -248,7 +262,7 @@ def _check_monotonicity(atlas: Atlas) -> CheckSection:
         g, k = gk_invariants(c)
         before = (g - 1) + k
         for move in UNPRIMED_MOVES + PRIMED_MOVES:
-            outcome = apply_degeneration(c, move, atlas)
+            outcome = outcome_of(c, move)
             section.checked += 1
             if outcome.impossible:
                 # Impossibility criteria in terms of the pools.
@@ -266,9 +280,8 @@ def _check_monotonicity(atlas: Atlas) -> CheckSection:
     return section
 
 
-def _check_graph(atlas: Atlas) -> CheckSection:
+def _check_graph(atlas: Atlas, graph: TransitionGraph) -> CheckSection:
     section = CheckSection("transition graph")
-    graph = transition_graph(atlas)
     section.checked += 1
     if len(graph.nodes) != 165:
         section.violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
@@ -292,16 +305,18 @@ def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:
         # A structurally damaged catalog already fails; the deeper checks
         # assume pairing partners and table rows exist.
         return ValidationSummary(report, [])
+    outcomes = _all_outcomes(atlas)
+    outcome_of = _shared(outcomes, atlas)
     sections = [
         _check_isotopy_tables(atlas),
-        _check_move_tables(atlas),
+        _check_move_tables(atlas, outcome_of),
         _check_roundtrips(atlas),
         _check_euler(atlas),
         _check_exclusions(atlas),
-        _check_monotonicity(atlas),
+        _check_monotonicity(atlas, outcome_of),
     ]
-    sections.append(correspondence_check(atlas))
+    sections.append(_correspondence_check(atlas, outcome_of))
     # Graph checks only make sense once the catalogs agree with the tables.
     if sections[-1].ok:
-        sections.append(_check_graph(atlas))
+        sections.append(_check_graph(atlas, _graph_from(atlas, outcomes)))
     return ValidationSummary(report, sections)

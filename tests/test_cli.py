@@ -336,6 +336,23 @@ def test_data_dir_empty_catalog(exported_catalogs, capsys, monkeypatch):
     assert code == 1
 
 
+def test_data_dir_excluded_class_under_a_table_label(exported_catalogs, capsys, monkeypatch):
+    # (10,8,0) carries the label No.5 and the real No.5 another one: the
+    # correspondence check reaches an excluded class by its label.
+    path = exported_catalogs / "u.json"
+    records = json.loads(path.read_text())
+    for rec in records:
+        if rec["index"] == "No.5":
+            rec["index"] = "special-x"
+        elif (rec["r"], rec["a"], rec["delta"]) == (10, 8, 0):
+            rec["index"] = "No.5"
+    path.write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, err = run(capsys, "validate")
+    assert (code, out) == (4, "")
+    assert err == "atlas: (10,8,0) carries no oval bookkeeping; degenerations are undefined\n"
+
+
 class _NotFoundHere(errors.NotInAtlas):
     pass
 

@@ -7,6 +7,11 @@ from k3atlas.degenerations import (
     UNPRIMED_MOVES,
     Degeneration,
     TableSide,
+    _all_outcomes,
+    _correspondence_check,
+    _degeneration_table,
+    _graph_from,
+    _shared,
     apply_degeneration,
     applicable_moves,
     correspondence_check,
@@ -240,3 +245,31 @@ def test_oval_monotonicity(atlas):
                 continue
             after = outcome.iso.alpha + outcome.iso.beta
             assert before - after == drop[move]
+
+
+def test_shared_outcomes_match_apply_degeneration(atlas):
+    pairs = [
+        (c, move)
+        for c in atlas.all_classes(Family.U)
+        if c.triple not in tables.U_EXCLUDED_TRIPLES
+        for move in applicable_moves(c)
+    ]
+    outcomes = _all_outcomes(atlas)
+    assert len(pairs) == 368
+    assert [(c, outcome.move) for c, outcome in outcomes] == pairs
+    outcome_of = _shared(outcomes, atlas)
+    for c, move in pairs:
+        shared, own = outcome_of(c, move), apply_degeneration(c, move, atlas)
+        assert shared.impossible == own.impossible
+        assert shared.cell() == own.cell()
+        assert shared.iso == own.iso
+        assert shared.target is own.target
+    # the builders give what the public functions give
+    for side in TableSide:
+        assert _degeneration_table(side, atlas, outcome_of) == degeneration_table(side, atlas)
+    assert _correspondence_check(atlas, outcome_of) == correspondence_check(atlas)
+    assert _graph_from(atlas, outcomes) == transition_graph(atlas)
+    # a pair outside the pass goes to apply_degeneration, which raises
+    excluded = atlas.lookup(Family.U, 10, 8, 0)
+    with pytest.raises(SpecialClass, match="no oval bookkeeping"):
+        outcome_of(excluded, Degeneration.CONJ1)

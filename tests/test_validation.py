@@ -1,0 +1,53 @@
+"""``run_all_checks`` derives each fact once per call and reports as before."""
+
+from k3atlas import degenerations, validation
+from k3atlas.atlas import load_atlas
+from k3atlas.topology import TopCase
+
+
+def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
+    pairs, triples = [], []
+    apply = degenerations.apply_degeneration
+    euler = validation.double_cover_euler_check
+
+    def counting_apply(c, move, atlas=None):
+        pairs.append((c, move))
+        return apply(c, move, atlas)
+
+    def counting_euler(case, alpha, beta):
+        triples.append((case, alpha, beta))
+        return euler(case, alpha, beta)
+
+    monkeypatch.setattr(degenerations, "apply_degeneration", counting_apply)
+    # a direct call from validation would be counted too
+    monkeypatch.setattr(validation, "apply_degeneration", counting_apply, raising=False)
+    monkeypatch.setattr(validation, "double_cover_euler_check", counting_euler)
+    summary = validation.run_all_checks(load_atlas())
+    assert summary.ok
+    assert len(pairs) == len(set(pairs)) == 368
+    assert len(triples) == len(set(triples)) == 201
+    # a second call derives everything again: nothing is kept between calls
+    validation.run_all_checks(load_atlas())
+    assert len(pairs) == 2 * 368 and len(triples) == 2 * 201
+
+
+def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
+    bad = (TopCase.NODE1, 0, 7)
+    seen = []
+
+    def failing_euler(case, alpha, beta):
+        seen.append((case, alpha, beta))
+        return (case, alpha, beta) != bad
+
+    monkeypatch.setattr(validation, "double_cover_euler_check", failing_euler)
+    summary = validation.run_all_checks(load_atlas())
+    section = next(s for s in summary.sections if s.name == "double-cover Euler identity")
+    assert section.checked == 461
+    assert section.violations == [
+        "No.3 Node (1) (0,7): chi mismatch",
+        "No.4 Node (1) (0,7): chi mismatch",
+        "No.3' Node (1) (0,7): chi mismatch",
+        "No.4' Node (1) (0,7): chi mismatch",
+    ]
+    assert seen.count(bad) == 1
+    assert summary.summary_line() == "102/51, 63/37, 4 violations, 1 whitelisted discrepancy"
