@@ -31,17 +31,32 @@ from .errors import CatalogError, NotInAtlas, SpecialClass
 from .tables import U_EXCLUDED_TRIPLES, U_UNTABULATED_TRIPLES
 
 
-class Family(Enum):
+class IdentityEnum(Enum):
+    """An enum hashed by identity.
+
+    Members are singletons that compare by identity, so the object hash
+    agrees with ``==``; ``Enum.__hash__`` is a Python-level function on
+    CPython up to 3.13, and the catalog checks hash members on every
+    lookup.  The order of a set of members follows memory addresses, so no
+    output may depend on it.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Family(IdentityEnum):
     S311 = "s311"
     U = "u"
 
 
-class HInvariant(Enum):
+class HInvariant(IdentityEnum):
     ZERO = "0"
     Z2 = "Z2"
     NOT_APPLICABLE = "NA"
 
 
+# Sort ranks; a dict lookup is cheaper than the ``value`` property.
+_FAMILY_ORDER = {Family.S311: 0, Family.U: 1}
 _H_ORDER = {HInvariant.ZERO: 0, HInvariant.Z2: 1, HInvariant.NOT_APPLICABLE: 2}
 
 
@@ -73,7 +88,7 @@ class InvolutionClass:
         return (self.r, self.a, self.delta)
 
     def sort_key(self):
-        return (self.family.value, self.r, self.a, self.delta, _H_ORDER[self.h])
+        return (_FAMILY_ORDER[self.family], self.r, self.a, self.delta, _H_ORDER[self.h])
 
     def __str__(self) -> str:
         if self.family is Family.U:

@@ -258,12 +258,15 @@ def _isotopy_json(c: InvolutionClass, include_degenerate: bool) -> dict:
 
 def cmd_isotopy(args) -> int:
     atlas = load_atlas()
-    if args.index:
+    # An empty selector is a usage error, not "no selector": test for None.
+    if args.index is not None:
+        if not args.index:
+            return _fail("--index needs a catalog label, e.g. No.17", EXIT_USAGE)
         target = atlas.lookup_index(Family.S311, args.index)
         if target is None:
             return _fail(f"no class with index {args.index}", EXIT_NOT_FOUND)
         selected = [target]
-    elif args.cls:
+    elif args.cls is not None:
         try:
             r, a, delta, h = _parse_selector(args.cls, Family.S311)
         except ValueError as exc:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 from .atlas import (
     Atlas,
     CheckSection,
     Family,
     HInvariant,
+    IdentityEnum,
     InvolutionClass,
     gk_invariants,
     load_atlas,
@@ -44,7 +44,7 @@ from .topology import (
 )
 
 
-class Degeneration(Enum):
+class Degeneration(IdentityEnum):
     CONJ1 = "conj1"
     CONJ2 = "conj2"
     CONTR3 = "contr3"
@@ -173,12 +173,17 @@ def apply_degeneration(
 
 
 def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
-    return tuple(m for m in Degeneration if m.spec.source in (None, c.triple))
+    return UNPRIMED_MOVES + PRIMED_MOVES + tuple(
+        m for m in STAR_MOVES if m.spec.source == c.triple
+    )
 
 
 # (class, move) -> its outcome; the private table, correspondence and graph
 # builders take one so that a validation can share a single pass.
 _OutcomeOf = Callable[[InvolutionClass, Degeneration], DegenerationOutcome]
+# class of the 102-atlas -> its table candidates, as candidate_isotopy_types
+# gives them; shared the same way.
+_CandidatesOf = Callable[[InvolutionClass], list[IsotopyType]]
 _Outcomes = list[tuple[InvolutionClass, DegenerationOutcome]]
 
 
@@ -211,7 +216,7 @@ def _shared(outcomes: _Outcomes, atlas: Atlas) -> _OutcomeOf:
     return outcome_of
 
 
-class TableSide(Enum):
+class TableSide(IdentityEnum):
     UNPRIMED = "unprimed"
     PRIMED = "primed"
     STAR = "star"
@@ -291,10 +296,12 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     atlas = atlas or load_atlas()
-    return _correspondence_check(atlas, _derive(atlas))
+    return _correspondence_check(atlas, _derive(atlas), candidate_isotopy_types)
 
 
-def _correspondence_check(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
+def _correspondence_check(
+    atlas: Atlas, outcome_of: _OutcomeOf, candidates_of: _CandidatesOf
+) -> CheckSection:
     section = CheckSection("correspondence")
     for k in range(1, 51):
         for label, moves in ((f"No.{k}", UNPRIMED_MOVES), (f"No.{k}'", PRIMED_MOVES)):
@@ -305,7 +312,7 @@ def _correspondence_check(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
                 continue
             candidates = {
                 t.case: (t.alpha, t.beta)
-                for t in candidate_isotopy_types(s_class)
+                for t in candidates_of(s_class)
                 if t.case is not TopCase.NODE_STAR
             }
             for move in moves:
@@ -345,7 +352,7 @@ def _correspondence_check(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
         outcome = outcome_of(u_class, move)
         target = atlas.lookup(Family.S311, *move.spec.star_target)
         star_candidates = [
-            t for t in candidate_isotopy_types(target) if t.case is TopCase.NODE_STAR
+            t for t in candidates_of(target) if t.case is TopCase.NODE_STAR
         ]
         if outcome.impossible or outcome.target is not target or not star_candidates:
             section.violations.append(f"{triple} {move.value}: star outcome mismatch")
@@ -395,18 +402,29 @@ def _graph_from(atlas: Atlas, outcomes: _Outcomes) -> TransitionGraph:
     return TransitionGraph(nodes, tuple(edges))
 
 
+def _node_ids(graph: TransitionGraph) -> Callable[[InvolutionClass], str]:
+    """``str`` of a class, formatted once per node of ``graph``.
+
+    Keyed by identity, since the edges of a built graph hold the node
+    objects themselves; any other class is formatted on each use.
+    """
+    ids = {id(c): str(c) for c in graph.nodes}
+    return lambda c: ids.get(id(c)) or str(c)
+
+
 def graph_to_dot(graph: TransitionGraph) -> str:
     def quote(s: str) -> str:
         return '"{}"'.format(s.replace('"', r"\""))
 
+    node_id = _node_ids(graph)
     lines = ["digraph degenerations {"]
     for node in graph.nodes:
-        lines.append(f"  {quote(str(node))};")
+        lines.append(f"  {quote(node_id(node))};")
     for edge in graph.edges:
         lines.append(
             "  {} -> {} [label={}];".format(
-                quote(str(edge.source)),
-                quote(str(edge.target)),
+                quote(node_id(edge.source)),
+                quote(node_id(edge.target)),
                 quote(edge.move.value),
             )
         )
@@ -415,10 +433,11 @@ def graph_to_dot(graph: TransitionGraph) -> str:
 
 
 def graph_to_json(graph: TransitionGraph) -> dict:
+    node_id = _node_ids(graph)
     return {
         "nodes": [
             {
-                "id": str(c),
+                "id": node_id(c),
                 "family": c.family.value,
                 "index": c.index,
                 "r": c.r,
@@ -430,8 +449,8 @@ def graph_to_json(graph: TransitionGraph) -> dict:
         ],
         "edges": [
             {
-                "from": str(e.source),
-                "to": str(e.target),
+                "from": node_id(e.source),
+                "to": node_id(e.target),
                 "move": e.move.value,
                 "alpha": e.iso.alpha,
                 "beta": e.iso.beta,

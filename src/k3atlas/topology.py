@@ -13,13 +13,12 @@ shipped tables, which remain authoritative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .atlas import Family, HInvariant, InvolutionClass, gk_invariants
+from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, OutOfRange, WrongFamily
 
 
-class TopCase(Enum):
+class TopCase(IdentityEnum):
     NODE1 = "Node (1)"
     NODE2 = "Node (2)"
     NODE_STAR = "Node (*)"
@@ -32,17 +31,17 @@ CASE_I = frozenset({TopCase.NODE1, TopCase.CUSP1, TopCase.ISOLATED})
 CASE_II = frozenset({TopCase.NODE2, TopCase.CUSP2})
 
 
-class Side(Enum):
+class Side(IdentityEnum):
     PHI_COVERS_A_MINUS = "A-"
     PHI_COVERS_A_PLUS = "A+"
 
 
-class Region(Enum):
+class Region(IdentityEnum):
     A_PLUS = "A+"
     A_MINUS = "A-"
 
 
-class Cover(Enum):
+class Cover(IdentityEnum):
     PHI = "phi"
     RELATED_PHI = "related_phi"
 
@@ -223,7 +222,7 @@ def closed_surface(genus: int, spheres: int = 0) -> SurfaceDescriptor:
     return SurfaceDescriptor((genus,) + (0,) * spheres)
 
 
-class PieceKind(Enum):
+class PieceKind(IdentityEnum):
     ANNULUS_WITH_HOLES = "annulus with holes"
     DISK = "disk"
     MOEBIUS_COMPOSITE = "annulus-minus-disk glued to a Moebius band, with holes"

@@ -10,8 +10,11 @@ everything else must match exactly.
 
 One call derives each degeneration outcome once, in a single pass over
 every applicable (class, move) pair that the move tables, the
-monotonicity and correspondence checks and the transition graph share,
-and evaluates the Euler identity once per distinct (case, alpha, beta).
+monotonicity and correspondence checks and the transition graph share;
+derives the candidate list of each class of the 102-atlas once, degenerate
+variants included, and shares it and its table-only part with the
+isotopy-table, roundtrip, Euler, exclusion and correspondence checks; and
+evaluates the Euler identity once per distinct (case, alpha, beta).
 Nothing is kept between calls: each call pays for its own derivations.
 """
 
@@ -26,6 +29,7 @@ from .atlas import (
     CheckSection,
     Family,
     HInvariant,
+    InvolutionClass,
     gk_invariants,
     load_atlas,
     validate_atlas,
@@ -44,6 +48,7 @@ from .degenerations import (
 )
 from .topology import (
     STAR_KEYS,
+    IsotopyType,
     Side,
     TopCase,
     candidate_isotopy_types,
@@ -99,7 +104,23 @@ class ValidationSummary:
         )
 
 
-def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
+# class of the 102-atlas -> its candidate list
+_Candidates = dict[InvolutionClass, list[IsotopyType]]
+
+
+def _candidate_lists(atlas: Atlas) -> tuple[_Candidates, _Candidates]:
+    """Every class's candidates with the degenerate variants, each derived
+    once, and its table candidates: the same list without those variants,
+    which is what ``candidate_isotopy_types(c)`` returns."""
+    full = {
+        c: candidate_isotopy_types(c, include_degenerate=True)
+        for c in atlas.all_classes(Family.S311)
+    }
+    table = {c: [t for t in types if t.table_data] for c, types in full.items()}
+    return full, table
+
+
+def _check_isotopy_tables(atlas: Atlas, candidates: _Candidates) -> CheckSection:
     section = CheckSection("isotopy tables")
     for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2)):
         for row in rows:
@@ -116,7 +137,7 @@ def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
                 section.violations.append(f"row {row.index}: (g,k) mismatch")
             generated: dict[TopCase, tuple[int, int]] = {}
             has_star = False
-            for t in candidate_isotopy_types(c):
+            for t in candidates[c]:
                 if t.case is TopCase.NODE_STAR:
                     has_star = True
                 else:
@@ -189,13 +210,13 @@ def _check_move_tables(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
     return section
 
 
-def _check_roundtrips(atlas: Atlas) -> CheckSection:
+def _check_roundtrips(candidates: _Candidates) -> CheckSection:
     section = CheckSection("invariant roundtrips")
-    for c in atlas.all_classes(Family.S311):
+    for c, types in candidates.items():
         side = (
             Side.PHI_COVERS_A_MINUS if c.h is HInvariant.ZERO else Side.PHI_COVERS_A_PLUS
         )
-        for t in candidate_isotopy_types(c):
+        for t in types:
             section.checked += 1
             if t.case is TopCase.NODE_STAR:
                 if c.key not in STAR_KEYS:
@@ -221,11 +242,11 @@ def _check_roundtrips(atlas: Atlas) -> CheckSection:
     return section
 
 
-def _check_euler(atlas: Atlas) -> CheckSection:
+def _check_euler(candidates: _Candidates) -> CheckSection:
     section = CheckSection("double-cover Euler identity")
     holds: dict[tuple[TopCase, int, int], bool] = {}
-    for c in atlas.all_classes(Family.S311):
-        for t in candidate_isotopy_types(c, include_degenerate=True):
+    for c, types in candidates.items():
+        for t in types:
             section.checked += 1
             if t.triple not in holds:
                 holds[t.triple] = double_cover_euler_check(*t.triple)
@@ -234,17 +255,17 @@ def _check_euler(atlas: Atlas) -> CheckSection:
     return section
 
 
-def _check_exclusions(atlas: Atlas) -> CheckSection:
+def _check_exclusions(candidates: _Candidates) -> CheckSection:
     section = CheckSection("exclusions")
     # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its candidates are the star case
     # alone; no (10,10,0) class with H = 0 exists to check.
-    for c in atlas.all_classes(Family.S311):
+    for c, types in candidates.items():
         if c.h is not HInvariant.ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
             continue
         section.checked += 1
-        cases = {t.case for t in candidate_isotopy_types(c)}
+        cases = {t.case for t in types}
         if cases - {TopCase.NODE_STAR}:
             section.violations.append(
                 f"{c.index}: case I/II candidates emitted for excluded invariants"
@@ -307,15 +328,16 @@ def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:
         return ValidationSummary(report, [])
     outcomes = _all_outcomes(atlas)
     outcome_of = _shared(outcomes, atlas)
+    full, table = _candidate_lists(atlas)
     sections = [
-        _check_isotopy_tables(atlas),
+        _check_isotopy_tables(atlas, table),
         _check_move_tables(atlas, outcome_of),
-        _check_roundtrips(atlas),
-        _check_euler(atlas),
-        _check_exclusions(atlas),
+        _check_roundtrips(table),
+        _check_euler(full),
+        _check_exclusions(table),
         _check_monotonicity(atlas, outcome_of),
     ]
-    sections.append(_correspondence_check(atlas, outcome_of))
+    sections.append(_correspondence_check(atlas, outcome_of, table.__getitem__))
     # Graph checks only make sense once the catalogs agree with the tables.
     if sections[-1].ok:
         sections.append(_check_graph(atlas, _graph_from(atlas, outcomes)))

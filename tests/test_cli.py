@@ -1,13 +1,21 @@
+import copy
 import csv
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
 from k3atlas import cli, errors
+from k3atlas.atlas import Family, HInvariant, IdentityEnum
 from k3atlas.cli import main
+from k3atlas.degenerations import Degeneration, TableSide
+from k3atlas.topology import Cover, PieceKind, Region, Side, TopCase
 
 GRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "grams")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -74,6 +82,16 @@ def test_isotopy_not_found(capsys):
     assert code == 3 and "No.99" in err
     code, _, err = run(capsys, "isotopy", "--class", "10,10,0,0")
     assert code == 3
+
+
+@pytest.mark.parametrize("flag", ["--index", "--class"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_isotopy_empty_selector_is_a_usage_error(capsys, flag, fmt):
+    # an empty selector must not fall through to the full table
+    code, out, err = run(capsys, "isotopy", flag, "", "--format", fmt)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("atlas: ")
 
 
 def test_isotopy_json_annotations(capsys):
@@ -187,6 +205,48 @@ def test_determinism(capsys):
         _code, out, _ = run(capsys, "graph", "--format", "dot")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_output_does_not_depend_on_hashing():
+    # Enum members hash by identity, so the order of a set of them follows
+    # memory addresses; string hashes follow PYTHONHASHSEED.  Neither may
+    # reach stdout.
+    env = {k: v for k, v in os.environ.items() if k != "ATLAS_DATA_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    commands = (
+        ["graph", "--format", "dot"],
+        ["graph", "--format", "json"],
+        ["validate", "--format", "json"],
+    )
+    for argv in commands:
+        outputs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "k3atlas.cli", *argv],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                timeout=60,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1], argv
+
+
+IDENTITY_ENUMS = (
+    Family, HInvariant, TopCase, Side, Region, Cover, PieceKind, Degeneration, TableSide
+)
+
+
+def test_identity_enums_survive_pickle_and_deepcopy():
+    assert set(IdentityEnum.__subclasses__()) == set(IDENTITY_ENUMS)
+    for enum in IDENTITY_ENUMS:
+        assert enum.__hash__ is object.__hash__
+        for member in enum:
+            assert copy.deepcopy(member) is member
+            assert copy.copy(member) is member
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(member, protocol)) is member
+            assert {member: 1}[enum(member.value)] == 1
 
 
 def test_lattice_reports(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from k3atlas import tables
@@ -7,6 +9,7 @@ from k3atlas.degenerations import (
     UNPRIMED_MOVES,
     Degeneration,
     TableSide,
+    TransitionGraph,
     _all_outcomes,
     _correspondence_check,
     _degeneration_table,
@@ -22,6 +25,7 @@ from k3atlas.degenerations import (
 )
 from k3atlas.errors import MoveNotApplicable, SpecialClass, WrongFamily
 from k3atlas.topology import TopCase
+from k3atlas.validation import _candidate_lists
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,14 @@ def test_untabulated_class_has_no_moves(atlas):
     for move in UNPRIMED_MOVES + PRIMED_MOVES:
         assert apply_degeneration(c, move, atlas).impossible
     assert applicable_moves(c) == UNPRIMED_MOVES + PRIMED_MOVES
+
+
+def test_applicable_moves_in_declaration_order(atlas):
+    for c in atlas.all_classes(Family.U):
+        expected = tuple(m for m in Degeneration if m.spec.source in (None, c.triple))
+        assert applicable_moves(c) == expected
+    assert applicable_moves(atlas.lookup(Family.U, 9, 9, 1))[-1] is Degeneration.CONJ4
+    assert applicable_moves(atlas.lookup(Family.U, 11, 9, 1))[-1] is Degeneration.CONJ4P
 
 
 def test_spec_rows(atlas):
@@ -225,6 +237,22 @@ def test_graph_exports(atlas):
     assert all(e["from"] in node_ids and e["to"] in node_ids for e in payload["edges"])
 
 
+def test_graph_exports_of_equal_copies(atlas):
+    # ids are formatted once per node object; a graph whose edges hold equal
+    # copies of the nodes, or classes that are not nodes, exports the same text
+    graph = transition_graph(atlas)
+    copy = dataclasses.replace
+    edges = tuple(
+        copy(e, source=copy(e.source), target=copy(e.target)) for e in graph.edges
+    )
+    copied = TransitionGraph(graph.nodes, edges)
+    assert graph_to_dot(copied) == graph_to_dot(graph)
+    assert graph_to_json(copied) == graph_to_json(graph)
+    no_nodes = TransitionGraph((), graph.edges)
+    assert graph_to_dot(no_nodes).count(" -> ") == 280
+    assert graph_to_json(no_nodes)["edges"] == graph_to_json(graph)["edges"]
+
+
 def test_oval_monotonicity(atlas):
     drop = {
         Degeneration.CONJ1: 1,
@@ -267,7 +295,9 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
     # the builders give what the public functions give
     for side in TableSide:
         assert _degeneration_table(side, atlas, outcome_of) == degeneration_table(side, atlas)
-    assert _correspondence_check(atlas, outcome_of) == correspondence_check(atlas)
+    table = _candidate_lists(atlas)[1]
+    section = _correspondence_check(atlas, outcome_of, table.__getitem__)
+    assert section == correspondence_check(atlas)
     assert _graph_from(atlas, outcomes) == transition_graph(atlas)
     # a pair outside the pass goes to apply_degeneration, which raises
     excluded = atlas.lookup(Family.U, 10, 8, 0)

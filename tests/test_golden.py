@@ -9,6 +9,11 @@ text keep the file small; the full outputs come to about 500 KB.
 After an intended output change, rewrite the manifest from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To compare the CLI against the manifest without pytest and without
+rewriting it (exit 1 on any mismatch, for example on another Python):
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 import contextlib
@@ -126,20 +131,40 @@ def compute_manifest() -> list[dict]:
     return entries
 
 
-def test_cli_matches_golden_manifest():
-    with open(MANIFEST, encoding="utf-8") as handle:
-        golden = json.load(handle)
-    computed = compute_manifest()
-    assert [e["argv"] for e in computed] == [e["argv"] for e in golden]
-    mismatches = [
-        (want["catalog"], want["argv"])
+def _differences(golden: list[dict], computed: list[dict]) -> list[str]:
+    if [e["argv"] for e in computed] != [e["argv"] for e in golden]:
+        return ["the invocations differ from the manifest's"]
+    return [
+        f"mismatch ({want['catalog']}): atlas {' '.join(want['argv'])}"
         for got, want in zip(computed, golden)
         if got != want
     ]
-    assert not mismatches, mismatches[:5]
+
+
+def _load_manifest() -> list[dict]:
+    with open(MANIFEST, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_cli_matches_golden_manifest():
+    differences = _differences(_load_manifest(), compute_manifest())
+    assert not differences, differences[:5]
+
+
+def _check() -> int:
+    golden = _load_manifest()
+    differences = _differences(golden, compute_manifest())
+    for line in differences:
+        print(line, file=sys.stderr)
+    print(f"{len(differences)} of {len(golden)} invocations differ", file=sys.stderr)
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     with open(MANIFEST, "w", encoding="utf-8") as handle:
         lines = ",\n".join(json.dumps(entry) for entry in compute_manifest())
         handle.write(f"[\n{lines}\n]\n")

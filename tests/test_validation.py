@@ -1,8 +1,8 @@
 """``run_all_checks`` derives each fact once per call and reports as before."""
 
 from k3atlas import degenerations, validation
-from k3atlas.atlas import load_atlas
-from k3atlas.topology import TopCase
+from k3atlas.atlas import Family, load_atlas
+from k3atlas.topology import STAR_KEY_H0, STAR_KEY_Z2, TopCase, candidate_isotopy_types
 
 
 def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
@@ -29,6 +29,40 @@ def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
     # a second call derives everything again: nothing is kept between calls
     validation.run_all_checks(load_atlas())
     assert len(pairs) == 2 * 368 and len(triples) == 2 * 201
+
+
+def test_one_candidate_list_per_class(monkeypatch):
+    calls = []
+    candidates = validation.candidate_isotopy_types
+
+    def counting_candidates(c, include_degenerate=False):
+        calls.append((c, include_degenerate))
+        return candidates(c, include_degenerate)
+
+    monkeypatch.setattr(validation, "candidate_isotopy_types", counting_candidates)
+    # the correspondence check runs in degenerations
+    monkeypatch.setattr(degenerations, "candidate_isotopy_types", counting_candidates)
+    atlas = load_atlas()
+    assert validation.run_all_checks(atlas).ok
+    s311 = atlas.all_classes(Family.S311)
+    assert calls == [(c, True) for c in s311]
+    # a second call derives every list again: nothing is kept between calls
+    validation.run_all_checks(atlas)
+    assert len(calls) == 2 * 102
+
+
+def test_shared_table_lists_are_the_table_candidates():
+    atlas = load_atlas()
+    full, table = validation._candidate_lists(atlas)
+    s311 = atlas.all_classes(Family.S311)
+    assert list(full) == list(table) == list(s311)
+    for c in s311:
+        assert full[c] == candidate_isotopy_types(c, include_degenerate=True)
+        assert table[c] == candidate_isotopy_types(c)
+    for key in (STAR_KEY_H0, STAR_KEY_Z2):
+        star = atlas.lookup(Family.S311, *key)
+        assert any(t.case is TopCase.NODE_STAR for t in table[star])
+        assert table[star] == candidate_isotopy_types(star)
 
 
 def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
