@@ -1,88 +1,65 @@
 """Exact-arithmetic atlases for real 2-elementary K3 involution classes,
 candidate real isotopy types of one-node real anti-bicanonical curves on
 the fourth real Hirzebruch surface, and their simplest-degeneration
-correspondence."""
+correspondence.
 
-from .atlas import (
-    Atlas,
-    CheckSection,
-    Family,
-    HInvariant,
-    InvolutionClass,
-    gk_invariants,
-    load_atlas,
-    validate_atlas,
-)
-from .degenerations import (
-    Degeneration,
-    DegenerationOutcome,
-    MoveSpec,
-    TableSide,
-    TransitionGraph,
-    apply_degeneration,
-    correspondence_check,
-    degeneration_table,
-    graph_to_dot,
-    graph_to_json,
-    transition_graph,
-)
-from .divisors import (
-    DivisorClass,
-    Surface,
-    anti_bicanonical,
-    arithmetic_genus,
-    canonical_class,
-    f4_class,
-    intersect,
-    y_class,
-)
-from .errors import (
-    AtlasError,
-    CatalogError,
-    DegenerateLattice,
-    GramParseError,
-    InconsistentInput,
-    MoveNotApplicable,
-    NonIntegerGenus,
-    NotInAtlas,
-    NotTwoElementary,
-    OutOfRange,
-    SpecialClass,
-    SurfaceMismatch,
-    UnsupportedSurface,
-    WrongFamily,
-)
-from .lattices import (
-    DiscriminantGroup,
-    IntegralLattice,
-    TwoElemInvariants,
-    direct_sum,
-    discriminant_group,
-    gram_E8_minus,
-    gram_LK3,
-    gram_PicY,
-    gram_S311,
-    gram_U,
-    gram_minus2,
-    parse_gram_text,
-    signature,
-    smith_normal_form,
-    two_elementary_invariants,
-)
-from .topology import (
-    Cover,
-    IsotopyType,
-    Region,
-    RegionDescriptor,
-    Side,
-    SurfaceDescriptor,
-    TopCase,
-    candidate_isotopy_types,
-    double_cover_euler_check,
-    invariants_from_isotopy,
-    real_part_topology,
-    region_descriptor,
-)
-from .validation import ValidationSummary, run_all_checks
+Submodules load on first use: ``import k3atlas`` loads none of them, and
+reading an exported name such as ``k3atlas.load_atlas`` loads only the
+module that defines it (PEP 562).  So the catalog half never loads the
+lattice code (``lattices``) or the divisor code (``divisors``).
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "atlas": (
+        "Atlas", "CheckSection", "Family", "HInvariant", "InvolutionClass",
+        "gk_invariants", "load_atlas", "validate_atlas",
+    ),
+    "degenerations": (
+        "Degeneration", "DegenerationOutcome", "MoveSpec", "TableSide", "TransitionGraph",
+        "apply_degeneration", "correspondence_check", "degeneration_table",
+        "graph_to_dot", "graph_to_json", "transition_graph",
+    ),
+    "divisors": (
+        "DivisorClass", "Surface", "anti_bicanonical", "arithmetic_genus",
+        "canonical_class", "f4_class", "intersect", "y_class",
+    ),
+    "errors": (
+        "AtlasError", "CatalogError", "DegenerateLattice", "GramParseError",
+        "InconsistentInput", "MoveNotApplicable", "NonIntegerGenus", "NotInAtlas",
+        "NotTwoElementary", "OutOfRange", "SpecialClass", "SurfaceMismatch",
+        "UnsupportedSurface", "WrongFamily",
+    ),
+    "lattices": (
+        "DiscriminantGroup", "IntegralLattice", "TwoElemInvariants", "direct_sum",
+        "discriminant_group", "gram_E8_minus", "gram_LK3", "gram_PicY", "gram_S311",
+        "gram_U", "gram_minus2", "parse_gram_text", "signature", "smith_normal_form",
+        "two_elementary_invariants",
+    ),
+    "topology": (
+        "Cover", "IsotopyType", "Region", "RegionDescriptor", "Side", "SurfaceDescriptor",
+        "TopCase", "candidate_isotopy_types", "double_cover_euler_check",
+        "invariants_from_isotopy", "real_part_topology", "region_descriptor",
+    ),
+    "validation": ("ValidationSummary", "run_all_checks"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Nothing is bound here, so each read asks the submodule: a function
+    # that is replaced there (by a test or a tracer) is seen at once.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

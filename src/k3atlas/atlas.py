@@ -19,7 +19,6 @@ lacks a field or has a bad value, raises ``CatalogError``.
 from __future__ import annotations
 
 import bisect
-import json
 import os
 import reprlib
 from dataclasses import dataclass, field
@@ -68,6 +67,10 @@ class InvolutionClass:
     delta: int
     h: HInvariant
     index: str
+    # (r, a, delta, h) and (r, a, delta), built once per class: the checks
+    # read them on every lookup.
+    key: tuple[int, int, int, HInvariant] = field(init=False, repr=False, compare=False)
+    triple: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta not in (0, 1):
@@ -78,14 +81,8 @@ class InvolutionClass:
             raise ValueError("the nonsingular-curve family carries no H invariant")
         if self.family is Family.S311 and self.h is HInvariant.NOT_APPLICABLE:
             raise ValueError("classes of this family need H = 0 or H = Z/2")
-
-    @property
-    def key(self) -> tuple[int, int, int, HInvariant]:
-        return (self.r, self.a, self.delta, self.h)
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.r, self.a, self.delta)
+        object.__setattr__(self, "triple", (self.r, self.a, self.delta))
+        object.__setattr__(self, "key", self.triple + (self.h,))
 
     def sort_key(self):
         return (_FAMILY_ORDER[self.family], self.r, self.a, self.delta, _H_ORDER[self.h])
@@ -299,6 +296,8 @@ def _atlas_from_bytes(*contents: bytes) -> Atlas:
     stores no exception, so a failed parse is retried on the next call.
     Errors name each file by its base name.
     """
+    import json  # here, so that the embedded catalog never loads it
+
     records: list = []
     starts: list[int] = []
     for name, data in zip(_CATALOG_FILES, contents):

@@ -17,32 +17,8 @@ exits 1.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
-from .atlas import Family, HInvariant, InvolutionClass, gk_invariants, load_atlas
-from .degenerations import (
-    PRIMED_MOVES,
-    UNPRIMED_MOVES,
-    Degeneration,
-    TableSide,
-    apply_degeneration,
-    applicable_moves,
-    degeneration_table,
-    graph_to_dot,
-    graph_to_json,
-    transition_graph,
-)
-from .divisors import (
-    DivisorClass,
-    Surface,
-    anti_bicanonical,
-    arithmetic_genus,
-    canonical_class,
-    intersect,
-)
 from .errors import (
     AtlasError,
     CatalogError,
@@ -56,14 +32,12 @@ from .errors import (
     UnsupportedSurface,
     WrongFamily,
 )
-from .lattices import (
-    discriminant_group,
-    load_gram_file,
-    signature,
-    two_elementary_invariants,
-)
-from .topology import Cover, TopCase, candidate_isotopy_types, real_part_topology
-from .validation import run_all_checks
+
+# Each subcommand imports what it uses, so that ``atlas classes`` loads no
+# lattice, divisor, degeneration or validation code.  The --move choices
+# are the values of ``degenerations.Degeneration``, spelled out for the
+# same reason; a test keeps the two equal.
+MOVE_NAMES = ("conj1", "conj1p", "conj2", "conj2p", "conj4", "conj4p", "contr3", "contr3p")
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -99,10 +73,15 @@ def _fail(message: str, code: int) -> int:
 
 
 def _json_text(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -118,14 +97,18 @@ def _md_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_family(text: str) -> Family:
+def _parse_family(text: str):
+    from .atlas import Family
+
     try:
         return Family(text.lower())
     except ValueError:
         raise argparse.ArgumentTypeError(f"unknown family {text!r} (s311 or u)")
 
 
-def _parse_h(text: str) -> HInvariant:
+def _parse_h(text: str):
+    from .atlas import HInvariant
+
     normalized = text.strip().lower()
     if normalized in ("0", "zero"):
         return HInvariant.ZERO
@@ -134,7 +117,9 @@ def _parse_h(text: str) -> HInvariant:
     raise ValueError(f"H must be 0 or 1/Z2, got {text!r}")
 
 
-def _parse_selector(text: str, family: Family) -> tuple:
+def _parse_selector(text: str, family) -> tuple:
+    from .atlas import Family, HInvariant
+
     parts = [p.strip() for p in text.split(",")]
     if family is Family.U:
         if len(parts) != 3:
@@ -169,6 +154,8 @@ def _grid_markdown(classes, title: str) -> str:
 
 
 def cmd_classes(args) -> int:
+    from .atlas import Family, HInvariant, load_atlas
+
     atlas = load_atlas()
     records = atlas.to_records(args.family)
     if args.format == "json":
@@ -217,7 +204,10 @@ _ISOTOPY_HEADER = [
 ]
 
 
-def _isotopy_row(c: InvolutionClass) -> list:
+def _isotopy_row(c) -> list:
+    from .atlas import gk_invariants
+    from .topology import Cover, TopCase, candidate_isotopy_types, real_part_topology
+
     g, k = gk_invariants(c)
     cells = {t.case: t for t in candidate_isotopy_types(c)}
     values: list = [c.index, c.r, c.a, c.delta, c.h.value, g, k]
@@ -229,7 +219,10 @@ def _isotopy_row(c: InvolutionClass) -> list:
     return values
 
 
-def _isotopy_json(c: InvolutionClass, include_degenerate: bool) -> dict:
+def _isotopy_json(c, include_degenerate: bool) -> dict:
+    from .atlas import gk_invariants
+    from .topology import Cover, candidate_isotopy_types, real_part_topology
+
     g, k = gk_invariants(c)
     candidates = []
     for t in candidate_isotopy_types(c, include_degenerate=include_degenerate):
@@ -257,6 +250,9 @@ def _isotopy_json(c: InvolutionClass, include_degenerate: bool) -> dict:
 
 
 def cmd_isotopy(args) -> int:
+    from .atlas import Family, HInvariant, load_atlas
+    from .topology import candidate_isotopy_types
+
     atlas = load_atlas()
     # An empty selector is a usage error, not "no selector": test for None.
     if args.index is not None:
@@ -327,6 +323,10 @@ def _outcome_record(outcome) -> dict:
 
 
 def cmd_degenerate(args) -> int:
+    from .atlas import Family, load_atlas
+    from .degenerations import PRIMED_MOVES, UNPRIMED_MOVES, Degeneration, TableSide
+    from .degenerations import apply_degeneration, applicable_moves, degeneration_table
+
     atlas = load_atlas()
     if args.side:
         side = TableSide(args.side)
@@ -405,6 +405,9 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .atlas import load_atlas
+    from .degenerations import graph_to_dot, graph_to_json, transition_graph
+
     graph = transition_graph(load_atlas())
     if args.format == "dot":
         _emit(graph_to_dot(graph), args.out)
@@ -414,6 +417,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .atlas import load_atlas
+    from .validation import run_all_checks
+
     summary = run_all_checks(load_atlas())
     if args.format == "json":
         payload = {
@@ -457,6 +463,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from .lattices import discriminant_group, load_gram_file, signature, two_elementary_invariants
+
     lattice = load_gram_file(args.gram_file)
     det = lattice.det()
     if lattice.rank and det == 0:
@@ -501,6 +509,9 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_divisor(args) -> int:
+    from .divisors import DivisorClass, Surface, anti_bicanonical, arithmetic_genus
+    from .divisors import canonical_class, intersect
+
     surface = Surface(args.surface)
     try:
         coords = tuple(int(p) for p in args.cls.split(","))
@@ -531,7 +542,9 @@ def cmd_divisor(args) -> int:
     except UnsupportedSurface:
         lines.append("canonical data: not modelled on this surface")
         payload["K"] = None
-    if args.intersect:
+    if args.intersect is not None:
+        if not args.intersect:
+            return _fail("--intersect needs a class, e.g. 1,0", EXIT_USAGE)
         try:
             other = DivisorClass(surface, tuple(int(p) for p in args.intersect.split(",")))
         except ValueError as exc:
@@ -579,9 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degenerate", help="apply simplest degenerations")
     p.add_argument("--class", dest="cls", help="selector r,a,delta")
-    p.add_argument(
-        "--move", choices=sorted(move.value for move in Degeneration), help="a single move"
-    )
+    p.add_argument("--move", choices=MOVE_NAMES, help="a single move")
     p.add_argument(
         "--side",
         choices=("unprimed", "primed", "star"),

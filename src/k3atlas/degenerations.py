@@ -44,21 +44,6 @@ from .topology import (
 )
 
 
-class Degeneration(IdentityEnum):
-    CONJ1 = "conj1"
-    CONJ2 = "conj2"
-    CONTR3 = "contr3"
-    CONJ1P = "conj1p"
-    CONJ2P = "conj2p"
-    CONTR3P = "contr3p"
-    CONJ4 = "conj4"
-    CONJ4P = "conj4p"
-
-    @property
-    def spec(self) -> MoveSpec:
-        return MOVE_SPECS[self]
-
-
 @dataclass(frozen=True)
 class MoveSpec:
     """What one move does.
@@ -96,20 +81,32 @@ class MoveSpec:
         return (c.r, c.a, c.delta, HInvariant.ZERO)
 
 
-MOVE_SPECS = {
-    Degeneration.CONJ1: MoveSpec("Conjunction 1)", TopCase.NODE1, False, 1),
-    Degeneration.CONJ2: MoveSpec("Conjunction 2)", TopCase.NODE2, False, 2),
-    Degeneration.CONTR3: MoveSpec("Contraction 3)", TopCase.ISOLATED, False, 1),
-    Degeneration.CONJ1P: MoveSpec("Conjunction 1')", TopCase.NODE1, True, 1),
-    Degeneration.CONJ2P: MoveSpec("Conjunction 2')", TopCase.NODE2, True, 2),
-    Degeneration.CONTR3P: MoveSpec("Contraction 3')", TopCase.ISOLATED, True, 1),
-    Degeneration.CONJ4: MoveSpec(
+class Degeneration(IdentityEnum):
+    """A move: its value is the name the CLI takes, ``spec`` what it does."""
+
+    spec: MoveSpec
+
+    CONJ1 = "conj1", MoveSpec("Conjunction 1)", TopCase.NODE1, False, 1)
+    CONJ2 = "conj2", MoveSpec("Conjunction 2)", TopCase.NODE2, False, 2)
+    CONTR3 = "contr3", MoveSpec("Contraction 3)", TopCase.ISOLATED, False, 1)
+    CONJ1P = "conj1p", MoveSpec("Conjunction 1')", TopCase.NODE1, True, 1)
+    CONJ2P = "conj2p", MoveSpec("Conjunction 2')", TopCase.NODE2, True, 2)
+    CONTR3P = "contr3p", MoveSpec("Contraction 3')", TopCase.ISOLATED, True, 1)
+    CONJ4 = "conj4", MoveSpec(
         "Conjunction 4)", TopCase.NODE_STAR, False, 1, (9, 9, 1), STAR_KEY_H0
-    ),
-    Degeneration.CONJ4P: MoveSpec(
+    )
+    CONJ4P = "conj4p", MoveSpec(
         "Conjunction 4')", TopCase.NODE_STAR, True, 1, (11, 9, 1), STAR_KEY_Z2
-    ),
-}
+    )
+
+    def __new__(cls, value: str, spec: MoveSpec):
+        # A plain attribute, not a property over a table: the checks read
+        # ``move.spec`` on every step.
+        move = object.__new__(cls)
+        move._value_ = value
+        move.spec = spec
+        return move
+
 
 UNPRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and not m.spec.primed)
 PRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and m.spec.primed)
@@ -412,11 +409,18 @@ def _node_ids(graph: TransitionGraph) -> Callable[[InvolutionClass], str]:
     return lambda c: ids.get(id(c)) or str(c)
 
 
+def _values(*enums: type[IdentityEnum]) -> dict[IdentityEnum, str]:
+    """member -> ``member.value`` over ``enums``; an export looks values up
+    here rather than read the Python-level ``value`` property per use."""
+    return {member: member.value for enum in enums for member in enum}
+
+
 def graph_to_dot(graph: TransitionGraph) -> str:
     def quote(s: str) -> str:
         return '"{}"'.format(s.replace('"', r"\""))
 
     node_id = _node_ids(graph)
+    value = _values(Degeneration)
     lines = ["digraph degenerations {"]
     for node in graph.nodes:
         lines.append(f"  {quote(node_id(node))};")
@@ -425,7 +429,7 @@ def graph_to_dot(graph: TransitionGraph) -> str:
             "  {} -> {} [label={}];".format(
                 quote(node_id(edge.source)),
                 quote(node_id(edge.target)),
-                quote(edge.move.value),
+                quote(value[edge.move]),
             )
         )
     lines.append("}")
@@ -434,16 +438,17 @@ def graph_to_dot(graph: TransitionGraph) -> str:
 
 def graph_to_json(graph: TransitionGraph) -> dict:
     node_id = _node_ids(graph)
+    value = _values(Family, HInvariant, Degeneration, TopCase)
     return {
         "nodes": [
             {
                 "id": node_id(c),
-                "family": c.family.value,
+                "family": value[c.family],
                 "index": c.index,
                 "r": c.r,
                 "a": c.a,
                 "delta": c.delta,
-                "h": None if c.h is HInvariant.NOT_APPLICABLE else c.h.value,
+                "h": None if c.h is HInvariant.NOT_APPLICABLE else value[c.h],
             }
             for c in graph.nodes
         ],
@@ -451,10 +456,10 @@ def graph_to_json(graph: TransitionGraph) -> dict:
             {
                 "from": node_id(e.source),
                 "to": node_id(e.target),
-                "move": e.move.value,
+                "move": value[e.move],
                 "alpha": e.iso.alpha,
                 "beta": e.iso.beta,
-                "case": e.iso.case.value,
+                "case": value[e.iso.case],
             }
             for e in graph.edges
         ],

@@ -53,6 +53,21 @@ STAR_KEY_Z2 = (9, 9, 0, HInvariant.Z2)
 STAR_KEYS = (STAR_KEY_H0, STAR_KEY_Z2)
 
 
+def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
+    """Raise InconsistentInput unless (alpha, beta) are oval counts of ``case``."""
+    if alpha < 0 or beta < 0:
+        raise InconsistentInput("oval counts are nonnegative")
+    total = alpha + beta
+    if case is TopCase.NODE_STAR:
+        if total:
+            raise InconsistentInput("the non-contractible node case has no ovals")
+    elif case in CASE_II:
+        if total > 8:
+            raise InconsistentInput("alpha + beta <= 8 in group II")
+    elif total > 9:
+        raise InconsistentInput("alpha + beta <= 9 in group I")
+
+
 @dataclass(frozen=True)
 class IsotopyType:
     """A topological case with oval counts in the regions R1 and R2."""
@@ -64,17 +79,7 @@ class IsotopyType:
     conjectured_nonrealizable: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise InconsistentInput("oval counts are nonnegative")
-        total = self.alpha + self.beta
-        if self.case is TopCase.NODE_STAR:
-            if total:
-                raise InconsistentInput("the non-contractible node case has no ovals")
-        elif self.case in CASE_II:
-            if total > 8:
-                raise InconsistentInput("alpha + beta <= 8 in group II")
-        elif total > 9:
-            raise InconsistentInput("alpha + beta <= 9 in group I")
+        _check_oval_bounds(self.case, self.alpha, self.beta)
 
     @property
     def triple(self) -> tuple[TopCase, int, int]:
@@ -163,7 +168,7 @@ def invariants_from_isotopy(
     if case is TopCase.NODE_STAR:
         keys = " and ".join("({},{},{},H={})".format(*k[:3], k[3].value) for k in STAR_KEYS)
         raise InconsistentInput(f"the non-contractible node case carries fixed invariants, {keys}")
-    IsotopyType(case, alpha, beta)  # bounds check
+    _check_oval_bounds(case, alpha, beta)
     if case in CASE_I:
         if side is Side.PHI_COVERS_A_MINUS:
             r, a = 9 + alpha - beta, 9 - alpha - beta
@@ -191,15 +196,14 @@ class SurfaceDescriptor:
     genera: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "genera", tuple(sorted((int(g) for g in self.genera), reverse=True))
-        )
-        if any(g < 0 for g in self.genera):
+        genera = tuple(sorted(map(int, self.genera), reverse=True))
+        object.__setattr__(self, "genera", genera)
+        if genera and genera[-1] < 0:
             raise ValueError("genus is nonnegative")
 
     @property
     def euler_characteristic(self) -> int:
-        return sum(2 - 2 * g for g in self.genera)
+        return 2 * len(self.genera) - 2 * sum(self.genera)
 
     def __str__(self) -> str:
         parts = []
@@ -231,13 +235,15 @@ class PieceKind(IdentityEnum):
     MOEBIUS_BAND = "Moebius band"
 
 
+# kind -> (base, per_hole): a piece with h holes has Euler characteristic
+# base + per_hole * h.
 _PIECE_EULER = {
-    PieceKind.ANNULUS_WITH_HOLES: lambda holes: -holes,
-    PieceKind.DISK: lambda holes: 1,
-    PieceKind.MOEBIUS_COMPOSITE: lambda holes: -1 - holes,
-    PieceKind.PAIR_OF_PANTS: lambda holes: -1,
-    PieceKind.ANNULUS: lambda holes: 0,
-    PieceKind.MOEBIUS_BAND: lambda holes: 0,
+    PieceKind.ANNULUS_WITH_HOLES: (0, -1),
+    PieceKind.DISK: (1, 0),
+    PieceKind.MOEBIUS_COMPOSITE: (-1, -1),
+    PieceKind.PAIR_OF_PANTS: (-1, 0),
+    PieceKind.ANNULUS: (0, 0),
+    PieceKind.MOEBIUS_BAND: (0, 0),
 }
 
 
@@ -248,7 +254,8 @@ class RegionPiece:
 
     @property
     def euler_characteristic(self) -> int:
-        return _PIECE_EULER[self.kind](self.holes)
+        base, per_hole = _PIECE_EULER[self.kind]
+        return base + per_hole * self.holes
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,11 @@ class RegionDescriptor:
 
     @property
     def euler_characteristic(self) -> int:
-        return sum(p.euler_characteristic for p in self.pieces)
+        total = 0
+        for piece in self.pieces:  # RegionPiece.euler_characteristic, inlined
+            base, per_hole = _PIECE_EULER[piece.kind]
+            total += base + per_hole * piece.holes
+        return total
 
     def __str__(self) -> str:
         named: list[str] = []
@@ -278,7 +289,7 @@ def region_descriptor(
     case: TopCase, alpha: int, beta: int, region: Region
 ) -> RegionDescriptor:
     """Homeomorphism type of a region cut out by the real branch curve."""
-    IsotopyType(case, alpha, beta)  # bounds check
+    _check_oval_bounds(case, alpha, beta)
     return _region_descriptor(case, alpha, beta, region)
 
 
@@ -343,7 +354,7 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     The branch locus consists of circles, which carry no Euler
     characteristic, so the identity holds on both sides simultaneously.
     """
-    IsotopyType(case, alpha, beta)  # bounds check
+    _check_oval_bounds(case, alpha, beta)
     for region in (Region.A_PLUS, Region.A_MINUS):
         surface = _surface_for(case, alpha, beta, region)
         region_piece = _region_descriptor(case, alpha, beta, region)

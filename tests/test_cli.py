@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from k3atlas import cli, errors
+from k3atlas import cli, degenerations, errors
 from k3atlas.atlas import Family, HInvariant, IdentityEnum
 from k3atlas.cli import main
 from k3atlas.degenerations import Degeneration, TableSide
@@ -306,6 +306,18 @@ def test_divisor_report(capsys):
     assert "not modelled" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_divisor_empty_intersect_is_a_usage_error(capsys, fmt):
+    code, out, err = run(capsys, "divisor", "--class", "12,3", "--intersect", "", "--format", fmt)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "atlas: --intersect needs a class, e.g. 1,0\n"
+
+
+def test_move_choices_are_the_moves():
+    assert cli.MOVE_NAMES == tuple(sorted(move.value for move in Degeneration))
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "classes.csv"
     code, out, _ = run(
@@ -435,7 +447,8 @@ def test_exit_code_table(capsys, monkeypatch, error, code):
     def fail(_atlas):
         raise error("boom")
 
-    monkeypatch.setattr(cli, "transition_graph", fail)
+    # cmd_graph imports transition_graph when it runs
+    monkeypatch.setattr(degenerations, "transition_graph", fail)
     assert run(capsys, "graph") == (code, "", "atlas: boom\n")
 
 

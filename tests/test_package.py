@@ -1,0 +1,89 @@
+"""The package surface: every exported name resolves, submodules load on
+first use, and the catalog half loads no lattice, divisor or JSON code."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import k3atlas
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+UNUSED_BY_CATALOG = ("k3atlas.lattices", "k3atlas.divisors", "k3atlas.validation")
+
+
+def test_every_export_is_its_module_binding():
+    assert len(set(k3atlas.__all__)) == len(k3atlas.__all__)
+    for name in k3atlas.__all__:
+        value = getattr(k3atlas, name)
+        assert value.__module__.startswith("k3atlas."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from k3atlas import *", namespace)
+    for name in k3atlas.__all__:
+        assert namespace[name] is getattr(k3atlas, name), name
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        k3atlas.no_such_name
+    with pytest.raises(ImportError):
+        from k3atlas import no_such_name  # noqa: F401
+
+
+def test_dir_lists_the_exports():
+    listed = dir(k3atlas)
+    assert set(k3atlas.__all__) <= set(listed)
+    assert "__version__" in listed and listed == sorted(listed)
+
+
+def test_a_replaced_function_is_seen_through_the_package(monkeypatch):
+    from k3atlas import topology
+
+    sentinel = object()
+    monkeypatch.setattr(topology, "region_descriptor", sentinel)
+    assert k3atlas.region_descriptor is sentinel
+    monkeypatch.undo()
+    assert k3atlas.region_descriptor is topology.region_descriptor
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter loads while running ``code``."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "ATLAS_DATA_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return set(done.stderr.split())
+
+
+def test_loading_the_atlas_loads_no_lattice_or_json_code():
+    loaded = _modules_loaded_by("import k3atlas; k3atlas.load_atlas()")
+    assert "k3atlas.atlas" in loaded
+    assert not loaded & {*UNUSED_BY_CATALOG, "json"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["classes", "--family", "u"], ["isotopy", "--index", "No.17"]]
+)
+def test_catalog_subcommands_load_only_what_they_use(argv):
+    loaded = _modules_loaded_by(
+        f"from k3atlas.cli import main\nassert main({argv!r}) == 0"
+    )
+    assert "k3atlas.atlas" in loaded
+    assert not loaded & {*UNUSED_BY_CATALOG, "k3atlas.degenerations"}

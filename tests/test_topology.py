@@ -8,6 +8,8 @@ from k3atlas.topology import (
     IsotopyType,
     PieceKind,
     Region,
+    RegionDescriptor,
+    RegionPiece,
     Side,
     SurfaceDescriptor,
     TopCase,
@@ -130,6 +132,31 @@ def test_isotopy_type_bounds():
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        IsotopyType,
+        lambda case, alpha, beta: region_descriptor(case, alpha, beta, Region.A_PLUS),
+        double_cover_euler_check,
+        lambda case, alpha, beta: invariants_from_isotopy(
+            case, alpha, beta, Side.PHI_COVERS_A_PLUS
+        ),
+    ],
+    ids=["IsotopyType", "region_descriptor", "double_cover_euler_check", "invariants"],
+)
+def test_oval_bounds_of_every_entry_point(entry):
+    entry(TopCase.NODE1, 4, 5)
+    for case, alpha, beta in (
+        (TopCase.NODE1, 5, 5),
+        (TopCase.NODE2, 5, 4),
+        (TopCase.CUSP2, 9, 0),
+        (TopCase.ISOLATED, -1, 0),
+        (TopCase.CUSP1, 0, -2),
+    ):
+        with pytest.raises(InconsistentInput):
+            entry(case, alpha, beta)
+
+
+@pytest.mark.parametrize(
     "case,alpha,beta,side,expected",
     [
         (TopCase.NODE1, 0, 8, Side.PHI_COVERS_A_MINUS, (1, 1, HInvariant.ZERO)),
@@ -181,6 +208,33 @@ def test_surface_descriptor_printing():
     assert str(SurfaceDescriptor(())) == "empty"
     assert closed_surface(10).euler_characteristic == -18
     assert SurfaceDescriptor((1, 1)).euler_characteristic == 0
+
+
+def test_surface_descriptor_genera():
+    assert SurfaceDescriptor((0, 2, 1)).genera == (2, 1, 0)
+    assert SurfaceDescriptor([True, 3]).genera == (3, 1)
+    with pytest.raises(ValueError):
+        SurfaceDescriptor((2, -1))
+    with pytest.raises(ValueError):
+        SurfaceDescriptor((-3,))
+
+
+def test_piece_euler_table():
+    # Euler characteristics of the piece kinds, as closed forms in the holes.
+    reference = {
+        PieceKind.ANNULUS_WITH_HOLES: lambda holes: -holes,
+        PieceKind.DISK: lambda holes: 1,
+        PieceKind.MOEBIUS_COMPOSITE: lambda holes: -1 - holes,
+        PieceKind.PAIR_OF_PANTS: lambda holes: -1,
+        PieceKind.ANNULUS: lambda holes: 0,
+        PieceKind.MOEBIUS_BAND: lambda holes: 0,
+    }
+    for kind in PieceKind:
+        for holes in range(11):
+            piece = RegionPiece(kind, holes)
+            assert piece.euler_characteristic == reference[kind](holes), (kind, holes)
+            pieces = RegionDescriptor((piece, RegionPiece(PieceKind.DISK)))
+            assert pieces.euler_characteristic == reference[kind](holes) + 1
 
 
 def test_region_descriptors():

