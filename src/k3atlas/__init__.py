@@ -20,9 +20,9 @@ _EXPORTS = {
         "gk_invariants", "load_atlas", "validate_atlas",
     ),
     "degenerations": (
-        "Degeneration", "DegenerationOutcome", "MoveSpec", "TableSide", "TransitionGraph",
-        "apply_degeneration", "correspondence_check", "degeneration_table",
-        "graph_to_dot", "graph_to_json", "transition_graph",
+        "Degeneration", "DegenerationOutcome", "Derivation", "MoveSpec", "TableSide",
+        "TransitionGraph", "apply_degeneration", "correspondence_check",
+        "degeneration_table", "graph_to_dot", "graph_to_json", "transition_graph",
     ),
     "divisors": (
         "DivisorClass", "Surface", "anti_bicanonical", "arithmetic_genus",

@@ -12,16 +12,17 @@ are all derived from these specs.  Every outcome is a candidate only: none
 of these degenerations is known to be realizable for every pair of end
 curves.
 
-``transition_graph`` is built from one pass over every applicable
-(class, move) pair; ``validation.run_all_checks`` runs that pass once and
-shares it with the private forms of the move tables and the
-correspondence check.
+``degeneration_table``, ``correspondence_check`` and ``transition_graph``
+read outcomes and candidate lists through a ``Derivation``, which derives
+each on first request; ``validation.run_all_checks`` passes one to all
+three, so a call derives each outcome once and keeps nothing after it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .atlas import (
     Atlas,
@@ -175,42 +176,46 @@ def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
     )
 
 
-# (class, move) -> its outcome; the private table, correspondence and graph
-# builders take one so that a validation can share a single pass.
-_OutcomeOf = Callable[[InvolutionClass, Degeneration], DegenerationOutcome]
-# class of the 102-atlas -> its table candidates, as candidate_isotopy_types
-# gives them; shared the same way.
-_CandidatesOf = Callable[[InvolutionClass], list[IsotopyType]]
-_Outcomes = list[tuple[InvolutionClass, DegenerationOutcome]]
+class Derivation:
+    """The outcomes and candidate lists of one atlas, each derived on first
+    request and kept for this object's lifetime only.  The move tables, the
+    correspondence check and the graph take one in place of an atlas."""
 
+    def __init__(self, atlas: Atlas):
+        self.atlas = atlas
+        self._outcomes: dict[tuple[tuple, Degeneration], DegenerationOutcome] = {}
 
-def _derive(atlas: Atlas) -> _OutcomeOf:
-    return lambda c, move: apply_degeneration(c, move, atlas)
+    @classmethod
+    def of(cls, atlas: Atlas | Derivation | None) -> Derivation:
+        return atlas if isinstance(atlas, Derivation) else cls(atlas or load_atlas())
 
+    # Keyed by ``c.key``, a tuple hashed in C: its H part fixes the family, and
+    # apply_degeneration and candidate_isotopy_types read nothing else of c.
+    def outcome(self, c: InvolutionClass, move: Degeneration) -> DegenerationOutcome:
+        pair = c.key, move
+        found = self._outcomes.get(pair)
+        if found is None:
+            found = self._outcomes[pair] = apply_degeneration(c, move, self.atlas)
+        return found
 
-def _all_outcomes(atlas: Atlas) -> _Outcomes:
-    """Every applicable outcome of the classes with oval bookkeeping, each
-    derived once and paired with its source class, in catalog and move
-    order."""
-    return [
-        (c, apply_degeneration(c, move, atlas))
-        for c in atlas.all_classes(Family.U)
-        if c.triple not in U_EXCLUDED_TRIPLES
-        for move in applicable_moves(c)
-    ]
+    @cached_property
+    def _full(self) -> dict[tuple, list[IsotopyType]]:
+        return {
+            c.key: candidate_isotopy_types(c, include_degenerate=True)
+            for c in self.atlas.all_classes(Family.S311)
+        }
 
+    @cached_property
+    def _table(self) -> dict[tuple, list[IsotopyType]]:
+        return {key: [t for t in types if t.table_data] for key, types in self._full.items()}
 
-def _shared(outcomes: _Outcomes, atlas: Atlas) -> _OutcomeOf:
-    """Look outcomes up in ``outcomes``.  A pair the pass skipped, such as an
-    excluded class carrying a table label in an external catalog, goes to
-    ``apply_degeneration``, which raises what it raises on its own."""
-    by_pair = {(c, outcome.move): outcome for c, outcome in outcomes}
+    def candidates(self, c: InvolutionClass) -> list[IsotopyType]:
+        """With the degenerate variants; the first request derives all 102."""
+        return self._full[c.key]
 
-    def outcome_of(c: InvolutionClass, move: Degeneration) -> DegenerationOutcome:
-        found = by_pair.get((c, move))
-        return apply_degeneration(c, move, atlas) if found is None else found
-
-    return outcome_of
+    def table_candidates(self, c: InvolutionClass) -> list[IsotopyType]:
+        """What ``candidate_isotopy_types(c)`` returns."""
+        return self._table[c.key]
 
 
 class TableSide(IdentityEnum):
@@ -230,20 +235,17 @@ class MoveTableRow:
     cells: tuple[tuple[Degeneration, tuple[int, int] | None], ...]
 
 
-def degeneration_table(side: TableSide, atlas: Atlas | None = None) -> list[MoveTableRow]:
+def degeneration_table(
+    side: TableSide, atlas: Atlas | Derivation | None = None
+) -> list[MoveTableRow]:
     """Regenerate a full move table from ``apply_degeneration``.
 
     The unprimed table lists every class with g >= 2, the primed table
     every class with k >= 1, each under its index on that side; the star
     table holds the two self-conjunction rows.
     """
-    atlas = atlas or load_atlas()
-    return _degeneration_table(side, atlas, _derive(atlas))
-
-
-def _degeneration_table(
-    side: TableSide, atlas: Atlas, outcome_of: _OutcomeOf
-) -> list[MoveTableRow]:
+    derivation = Derivation.of(atlas)
+    atlas = derivation.atlas
     rows: list[MoveTableRow] = []
     if side is TableSide.STAR:
         for move in STAR_MOVES:
@@ -251,7 +253,7 @@ def _degeneration_table(
             if c is None:
                 continue
             g, k = gk_invariants(c)
-            cells = ((move, outcome_of(c, move).cell()),)
+            cells = ((move, derivation.outcome(c, move).cell()),)
             rows.append(MoveTableRow(c.index, c.r, c.a, c.delta, g, k, cells))
         return rows
 
@@ -278,7 +280,7 @@ def _degeneration_table(
         return int(digits) if digits else 10**6
 
     for c, g, k in sorted(members, key=sort_value):
-        cells = tuple((move, outcome_of(c, move).cell()) for move in moves)
+        cells = tuple((move, derivation.outcome(c, move).cell()) for move in moves)
         rows.append(MoveTableRow(row_index(c), c.r, c.a, c.delta, g, k, cells))
     return rows
 
@@ -287,18 +289,13 @@ def _degeneration_table(
 # The correspondence between degeneration outcomes and isotopy candidates
 
 
-def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
+def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSection:
     """Degenerations of the class No.k land exactly on the isotopy
     candidates of the class No.k on the other side, move by move; likewise
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
-    atlas = atlas or load_atlas()
-    return _correspondence_check(atlas, _derive(atlas), candidate_isotopy_types)
-
-
-def _correspondence_check(
-    atlas: Atlas, outcome_of: _OutcomeOf, candidates_of: _CandidatesOf
-) -> CheckSection:
+    derivation = Derivation.of(atlas)
+    atlas = derivation.atlas
     section = CheckSection("correspondence")
     for k in range(1, 51):
         for label, moves in ((f"No.{k}", UNPRIMED_MOVES), (f"No.{k}'", PRIMED_MOVES)):
@@ -309,12 +306,12 @@ def _correspondence_check(
                 continue
             candidates = {
                 t.case: (t.alpha, t.beta)
-                for t in candidates_of(s_class)
+                for t in derivation.table_candidates(s_class)
                 if t.case is not TopCase.NODE_STAR
             }
             for move in moves:
                 section.checked += 1
-                outcome = outcome_of(u_class, move)
+                outcome = derivation.outcome(u_class, move)
                 case = move.spec.case
                 expected = candidates.get(case)
                 if outcome.impossible:
@@ -346,10 +343,10 @@ def _correspondence_check(
         if u_class is None:
             section.violations.append(f"{triple}: missing from the catalog")
             continue
-        outcome = outcome_of(u_class, move)
+        outcome = derivation.outcome(u_class, move)
         target = atlas.lookup(Family.S311, *move.spec.star_target)
         star_candidates = [
-            t for t in candidates_of(target) if t.case is TopCase.NODE_STAR
+            t for t in derivation.table_candidates(target) if t.case is TopCase.NODE_STAR
         ]
         if outcome.impossible or outcome.target is not target or not star_candidates:
             section.violations.append(f"{triple} {move.value}: star outcome mismatch")
@@ -377,24 +374,24 @@ class TransitionGraph:
 _MOVE_ORDER = {move: i for i, move in enumerate(Degeneration)}
 
 
-def transition_graph(atlas: Atlas | None = None) -> TransitionGraph:
+def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs."""
-    atlas = atlas or load_atlas()
-    return _graph_from(atlas, _all_outcomes(atlas))
-
-
-def _graph_from(atlas: Atlas, outcomes: _Outcomes) -> TransitionGraph:
+    derivation = Derivation.of(atlas)
+    atlas = derivation.atlas
     nodes = tuple(
         sorted(
             atlas.all_classes(Family.S311) + atlas.all_classes(Family.U),
             key=InvolutionClass.sort_key,
         )
     )
-    edges = [
-        TransitionEdge(c, outcome.target, outcome.move, outcome.iso)
-        for c, outcome in outcomes
-        if not outcome.impossible
-    ]
+    edges = []
+    for c in atlas.all_classes(Family.U):
+        if c.triple in U_EXCLUDED_TRIPLES:
+            continue
+        for move in applicable_moves(c):
+            outcome = derivation.outcome(c, move)
+            if not outcome.impossible:
+                edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
     edges.sort(key=lambda e: (e.source.sort_key(), _MOVE_ORDER[e.move]))
     return TransitionGraph(nodes, tuple(edges))
 

@@ -8,14 +8,11 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-One call derives each degeneration outcome once, in a single pass over
-every applicable (class, move) pair that the move tables, the
-monotonicity and correspondence checks and the transition graph share;
-derives the candidate list of each class of the 102-atlas once, degenerate
-variants included, and shares it and its table-only part with the
-isotopy-table, roundtrip, Euler, exclusion and correspondence checks; and
-evaluates the Euler identity once per distinct (case, alpha, beta).
-Nothing is kept between calls: each call pays for its own derivations.
+One call builds one ``degenerations.Derivation`` and hands it to every
+section, so each degeneration outcome and each class's candidate list is
+derived once, on first request, whichever sections read it; the Euler
+identity is evaluated once per distinct (case, alpha, beta).  Nothing is
+kept between calls: each call pays for its own derivations.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .atlas import (
     CheckSection,
     Family,
     HInvariant,
-    InvolutionClass,
     gk_invariants,
     load_atlas,
     validate_atlas,
@@ -37,21 +33,17 @@ from .atlas import (
 from .degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
+    Derivation,
     TableSide,
-    TransitionGraph,
-    _all_outcomes,
-    _correspondence_check,
-    _degeneration_table,
-    _graph_from,
-    _OutcomeOf,
-    _shared,
+    correspondence_check,
+    degeneration_table,
+    transition_graph,
 )
 from .topology import (
     STAR_KEYS,
-    IsotopyType,
     Side,
     TopCase,
-    candidate_isotopy_types,
+    candidate_isotopy_types,  # called through Derivation; still importable here
     component_count,
     double_cover_euler_check,
     invariants_from_isotopy,
@@ -104,23 +96,8 @@ class ValidationSummary:
         )
 
 
-# class of the 102-atlas -> its candidate list
-_Candidates = dict[InvolutionClass, list[IsotopyType]]
-
-
-def _candidate_lists(atlas: Atlas) -> tuple[_Candidates, _Candidates]:
-    """Every class's candidates with the degenerate variants, each derived
-    once, and its table candidates: the same list without those variants,
-    which is what ``candidate_isotopy_types(c)`` returns."""
-    full = {
-        c: candidate_isotopy_types(c, include_degenerate=True)
-        for c in atlas.all_classes(Family.S311)
-    }
-    table = {c: [t for t in types if t.table_data] for c, types in full.items()}
-    return full, table
-
-
-def _check_isotopy_tables(atlas: Atlas, candidates: _Candidates) -> CheckSection:
+def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
+    atlas = derivation.atlas
     section = CheckSection("isotopy tables")
     for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2)):
         for row in rows:
@@ -137,7 +114,7 @@ def _check_isotopy_tables(atlas: Atlas, candidates: _Candidates) -> CheckSection
                 section.violations.append(f"row {row.index}: (g,k) mismatch")
             generated: dict[TopCase, tuple[int, int]] = {}
             has_star = False
-            for t in candidates[c]:
+            for t in derivation.table_candidates(c):
                 if t.case is TopCase.NODE_STAR:
                     has_star = True
                 else:
@@ -158,14 +135,14 @@ def _check_isotopy_tables(atlas: Atlas, candidates: _Candidates) -> CheckSection
     return section
 
 
-def _check_move_tables(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
+def _check_move_tables(derivation: Derivation) -> CheckSection:
     section = CheckSection("degeneration tables")
     whitelist = {(idx, move): (shipped, derived) for idx, move, shipped, derived in tables.WHITELISTED_CELLS}
     for side, golden_rows, moves in (
         (TableSide.UNPRIMED, tables.MOVES_UNPRIMED, UNPRIMED_MOVES),
         (TableSide.PRIMED, tables.MOVES_PRIMED, PRIMED_MOVES),
     ):
-        rows = _degeneration_table(side, atlas, outcome_of)
+        rows = degeneration_table(side, derivation)
         if len(rows) != len(golden_rows):
             section.violations.append(
                 f"{side.value} table has {len(rows)} rows, shipped {len(golden_rows)}"
@@ -199,7 +176,7 @@ def _check_move_tables(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
                     section.violations.append(
                         f"row {golden.index} {name}: derived {cell}, shipped {shipped}"
                     )
-    star_rows = _degeneration_table(TableSide.STAR, atlas, outcome_of)
+    star_rows = degeneration_table(TableSide.STAR, derivation)
     expected_stars = [(r.index, r.r, r.a, r.delta, r.g, r.k, r.result) for r in tables.MOVES_STAR]
     got_stars = [
         (r.index, r.r, r.a, r.delta, r.g, r.k, "Node (*)") for r in star_rows
@@ -210,13 +187,13 @@ def _check_move_tables(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
     return section
 
 
-def _check_roundtrips(candidates: _Candidates) -> CheckSection:
+def _check_roundtrips(derivation: Derivation) -> CheckSection:
     section = CheckSection("invariant roundtrips")
-    for c, types in candidates.items():
+    for c in derivation.atlas.all_classes(Family.S311):
         side = (
             Side.PHI_COVERS_A_MINUS if c.h is HInvariant.ZERO else Side.PHI_COVERS_A_PLUS
         )
-        for t in types:
+        for t in derivation.table_candidates(c):
             section.checked += 1
             if t.case is TopCase.NODE_STAR:
                 if c.key not in STAR_KEYS:
@@ -242,11 +219,11 @@ def _check_roundtrips(candidates: _Candidates) -> CheckSection:
     return section
 
 
-def _check_euler(candidates: _Candidates) -> CheckSection:
+def _check_euler(derivation: Derivation) -> CheckSection:
     section = CheckSection("double-cover Euler identity")
     holds: dict[tuple[TopCase, int, int], bool] = {}
-    for c, types in candidates.items():
-        for t in types:
+    for c in derivation.atlas.all_classes(Family.S311):
+        for t in derivation.candidates(c):
             section.checked += 1
             if t.triple not in holds:
                 holds[t.triple] = double_cover_euler_check(*t.triple)
@@ -255,17 +232,17 @@ def _check_euler(candidates: _Candidates) -> CheckSection:
     return section
 
 
-def _check_exclusions(candidates: _Candidates) -> CheckSection:
+def _check_exclusions(derivation: Derivation) -> CheckSection:
     section = CheckSection("exclusions")
     # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its candidates are the star case
     # alone; no (10,10,0) class with H = 0 exists to check.
-    for c, types in candidates.items():
+    for c in derivation.atlas.all_classes(Family.S311):
         if c.h is not HInvariant.ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
             continue
         section.checked += 1
-        cases = {t.case for t in types}
+        cases = {t.case for t in derivation.table_candidates(c)}
         if cases - {TopCase.NODE_STAR}:
             section.violations.append(
                 f"{c.index}: case I/II candidates emitted for excluded invariants"
@@ -273,17 +250,17 @@ def _check_exclusions(candidates: _Candidates) -> CheckSection:
     return section
 
 
-def _check_monotonicity(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
+def _check_monotonicity(derivation: Derivation) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
     section = CheckSection("oval-count monotonicity")
-    for c in atlas.all_classes(Family.U):
+    for c in derivation.atlas.all_classes(Family.U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
         before = (g - 1) + k
         for move in UNPRIMED_MOVES + PRIMED_MOVES:
-            outcome = outcome_of(c, move)
+            outcome = derivation.outcome(c, move)
             section.checked += 1
             if outcome.impossible:
                 # Impossibility criteria in terms of the pools.
@@ -301,20 +278,21 @@ def _check_monotonicity(atlas: Atlas, outcome_of: _OutcomeOf) -> CheckSection:
     return section
 
 
-def _check_graph(atlas: Atlas, graph: TransitionGraph) -> CheckSection:
+def _check_graph(derivation: Derivation) -> CheckSection:
     section = CheckSection("transition graph")
     section.checked += 1
+    graph = transition_graph(derivation)
     if len(graph.nodes) != 165:
         section.violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
-    indegree = Counter(edge.target for edge in graph.edges)
-    for c in atlas.all_classes(Family.S311):
+    indegree = Counter(edge.target.key for edge in graph.edges)
+    for c in derivation.atlas.all_classes(Family.S311):
         section.checked += 1
-        if not indegree[c]:
+        if not indegree[c.key]:
             section.violations.append(f"{c.index}: no incoming degeneration edge")
     for key in STAR_KEYS:
         section.checked += 1
-        star = atlas.lookup(Family.S311, *key)
-        if indegree[star] != 1:
+        if indegree[key] != 1:
+            star = derivation.atlas.lookup(Family.S311, *key)
             section.violations.append(f"{star.index}: in-degree != 1")
     return section
 
@@ -326,19 +304,17 @@ def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:
         # A structurally damaged catalog already fails; the deeper checks
         # assume pairing partners and table rows exist.
         return ValidationSummary(report, [])
-    outcomes = _all_outcomes(atlas)
-    outcome_of = _shared(outcomes, atlas)
-    full, table = _candidate_lists(atlas)
+    derivation = Derivation(atlas)
     sections = [
-        _check_isotopy_tables(atlas, table),
-        _check_move_tables(atlas, outcome_of),
-        _check_roundtrips(table),
-        _check_euler(full),
-        _check_exclusions(table),
-        _check_monotonicity(atlas, outcome_of),
+        _check_isotopy_tables(derivation),
+        _check_move_tables(derivation),
+        _check_roundtrips(derivation),
+        _check_euler(derivation),
+        _check_exclusions(derivation),
+        _check_monotonicity(derivation),
+        correspondence_check(derivation),
     ]
-    sections.append(_correspondence_check(atlas, outcome_of, table.__getitem__))
     # Graph checks only make sense once the catalogs agree with the tables.
     if sections[-1].ok:
-        sections.append(_check_graph(atlas, _graph_from(atlas, outcomes)))
+        sections.append(_check_graph(derivation))
     return ValidationSummary(report, sections)

@@ -8,13 +8,9 @@ from k3atlas.degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
     Degeneration,
+    Derivation,
     TableSide,
     TransitionGraph,
-    _all_outcomes,
-    _correspondence_check,
-    _degeneration_table,
-    _graph_from,
-    _shared,
     apply_degeneration,
     applicable_moves,
     correspondence_check,
@@ -25,7 +21,6 @@ from k3atlas.degenerations import (
 )
 from k3atlas.errors import MoveNotApplicable, SpecialClass, WrongFamily
 from k3atlas.topology import TopCase
-from k3atlas.validation import _candidate_lists
 
 
 @pytest.fixture(scope="module")
@@ -282,24 +277,24 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
         if c.triple not in tables.U_EXCLUDED_TRIPLES
         for move in applicable_moves(c)
     ]
-    outcomes = _all_outcomes(atlas)
     assert len(pairs) == 368
-    assert [(c, outcome.move) for c, outcome in outcomes] == pairs
-    outcome_of = _shared(outcomes, atlas)
+    derivation = Derivation(atlas)
     for c, move in pairs:
-        shared, own = outcome_of(c, move), apply_degeneration(c, move, atlas)
+        shared, own = derivation.outcome(c, move), apply_degeneration(c, move, atlas)
+        assert shared.move is move
         assert shared.impossible == own.impossible
         assert shared.cell() == own.cell()
         assert shared.iso == own.iso
         assert shared.target is own.target
-    # the builders give what the public functions give
+        assert derivation.outcome(c, move) is shared
+    # a shared derivation gives what the public functions give on their own
     for side in TableSide:
-        assert _degeneration_table(side, atlas, outcome_of) == degeneration_table(side, atlas)
-    table = _candidate_lists(atlas)[1]
-    section = _correspondence_check(atlas, outcome_of, table.__getitem__)
-    assert section == correspondence_check(atlas)
-    assert _graph_from(atlas, outcomes) == transition_graph(atlas)
-    # a pair outside the pass goes to apply_degeneration, which raises
+        assert degeneration_table(side, derivation) == degeneration_table(side, atlas)
+    assert correspondence_check(derivation) == correspondence_check(atlas)
+    assert transition_graph(derivation) == transition_graph(atlas)
+    assert Derivation.of(derivation) is derivation
+    assert Derivation.of(atlas).atlas is atlas
+    # a class without oval bookkeeping raises as apply_degeneration does
     excluded = atlas.lookup(Family.U, 10, 8, 0)
     with pytest.raises(SpecialClass, match="no oval bookkeeping"):
-        outcome_of(excluded, Degeneration.CONJ1)
+        derivation.outcome(excluded, Degeneration.CONJ1)
