@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DegenerateLattice, GramParseError, NotTwoElementary
@@ -260,9 +261,9 @@ def smith_normal_form(
 def discriminant_group(l: IntegralLattice) -> DiscriminantGroup:
     """Dual modulo lattice, with generators as rational coordinate vectors."""
     n = l.rank
-    if n and l.det() == 0:
-        raise DegenerateLattice("discriminant group needs a nondegenerate pairing")
     d, _u, v = smith_normal_form(l.gram)
+    if any(d[i][i] == 0 for i in range(n)):
+        raise DegenerateLattice("discriminant group needs a nondegenerate pairing")
     orders = []
     generators = []
     for i in range(n):
@@ -277,7 +278,7 @@ def two_elementary_invariants(l: IntegralLattice) -> TwoElemInvariants:
     """The (r, a, delta) triple of an even lattice with 2-elementary dual quotient.
 
     delta is 0 exactly when x.x is an integer for every element x of the
-    discriminant group; all 2^a classes are enumerated, not only generators.
+    discriminant group, which holds exactly when it holds for the generators.
     """
     if not l.is_even():
         raise NotTwoElementary("lattice is odd (some basis vector has odd square)")
@@ -285,65 +286,51 @@ def two_elementary_invariants(l: IntegralLattice) -> TwoElemInvariants:
     bad = [o for o in group.cyclic_orders if o != 2]
     if bad:
         raise NotTwoElementary(f"discriminant group has cyclic factors {bad}")
-    a = len(group.cyclic_orders)
-    gens = group.generators
-    # x_T.x_T for a subset T expands into single and pairwise products.
-    prod = [[l.pairing(gens[i], gens[j]) for j in range(a)] for i in range(a)]
-    delta = 0
-    for mask in range(1, 1 << a):
-        members = [i for i in range(a) if mask >> i & 1]
-        norm = sum(prod[i][i] for i in members)
-        norm += 2 * sum(
-            prod[i][j] for idx, i in enumerate(members) for j in members[idx + 1 :]
-        )
-        if Fraction(norm).denominator != 1:
-            delta = 1
-            break
-    return TwoElemInvariants(l.rank, a, delta)
+    # (x+y).(x+y) = x.x + y.y + 2 x.y, and 2 x.y is an integer when 2x lies in
+    # the lattice, so x.x mod 1 is additive and vanishes if it does on generators.
+    delta = int(any(l.pairing(g, g).denominator != 1 for g in group.generators))
+    return TwoElemInvariants(l.rank, len(group.cyclic_orders), delta)
 
 
 def signature(l: IntegralLattice) -> tuple[int, int]:
-    """Counts of positive and negative squares, by exact symmetric reduction.
+    """Counts of positive and negative squares, by fraction-free symmetric reduction.
 
+    Each pivot d = m[p][p] leaves with its row and column c, and the rest S
+    becomes (d*S - c c^T) / (sign(d) * gcd of its entries), a positive
+    multiple of S - c c^T / d with integer entries and the same signature.
     p + n can fall short of the rank only for a degenerate pairing.
     """
-    n = l.rank
-    m = [[Fraction(x) for x in row] for row in l.gram]
-    remaining = list(range(n))
+    m = [list(row) for row in l.gram]
     pos = neg = 0
-    while remaining:
-        p = next((i for i in remaining if m[i][i]), None)
+    while m:
+        n = len(m)
+        p = next((i for i in range(n) if m[i][i]), None)
         if p is None:
             pair = next(
-                (
-                    (i, j)
-                    for pos_i, i in enumerate(remaining)
-                    for j in remaining[pos_i + 1 :]
-                    if m[i][j]
-                ),
+                ((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]),
                 None,
             )
             if pair is None:
                 break
             i, j = pair
             # Isotropic diagonal: e_i += e_j makes m[i][i] = 2 m[i][j] != 0.
-            for k in remaining:
-                m[i][k] += m[j][k]
-            for k in remaining:
-                m[k][i] += m[k][j]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
             continue
-        d = m[p][p]
+        c = m.pop(p)
+        d = c.pop(p)
+        for row in m:
+            del row[p]
         if d > 0:
             pos += 1
         else:
             neg += 1
-        remaining.remove(p)
-        column = {i: m[i][p] for i in remaining}
-        for i in remaining:
-            ci = column[i]
-            if ci:
-                for j in remaining:
-                    m[i][j] -= ci * m[p][j] / d
+        m = [[d * x - ci * cj for x, cj in zip(row, c)] for row, ci in zip(m, c)]
+        g = gcd(*(x for row in m for x in row))
+        if g:
+            g = g if d > 0 else -g
+            m = [[x // g for x in row] for row in m]
     return pos, neg
 
 

@@ -1,6 +1,9 @@
 """Shared helpers for exact-matrix tests."""
 
 import random
+from fractions import Fraction
+
+from k3atlas.lattices import discriminant_group
 
 
 def matmul(a, b):
@@ -42,3 +45,23 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 25):
 def conjugate(gram, p):
     """p . gram . p^T, the Gram matrix after the basis change p."""
     return matmul(matmul(p, [list(row) for row in gram]), transpose(p))
+
+
+def delta_by_enumeration(lattice):
+    """Reference delta: 1 when some x in the 2-elementary discriminant group
+    has a non-integral square, found by walking all 2^a classes (a <= 10)."""
+    gens = discriminant_group(lattice).generators
+    a = len(gens)
+    if a > 10:
+        raise ValueError(f"2^{a} classes is too many for the reference walk")
+    # x_T.x_T for a subset T expands into single and pairwise products.
+    prod = [[lattice.pairing(gens[i], gens[j]) for j in range(a)] for i in range(a)]
+    for mask in range(1, 1 << a):
+        members = [i for i in range(a) if mask >> i & 1]
+        norm = sum(prod[i][i] for i in members)
+        norm += 2 * sum(
+            prod[i][j] for idx, i in enumerate(members) for j in members[idx + 1 :]
+        )
+        if Fraction(norm).denominator != 1:
+            return 1
+    return 0

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 import numpy as np
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import conjugate, int_det, matmul, random_unimodular
+from conftest import conjugate, delta_by_enumeration, int_det, matmul, random_unimodular
 from k3atlas.errors import DegenerateLattice, GramParseError, NotTwoElementary
 from k3atlas.lattices import (
     IntegralLattice,
@@ -204,13 +205,91 @@ def test_unimodular_invariance(fixture, expected_sig, expected_inv, expected_det
 
 
 def test_delta_uses_full_group():
-    # Two copies of <-2>: each generator alone has half-integer square, and
-    # so does their sum; delta stays 1 over the whole 2^a enumeration.
+    # Two copies of <-2>: each generator has square -1/2 but their sum has
+    # square -1; one class with a non-integral square already makes delta 1.
     lattice = direct_sum(gram_minus2(), gram_minus2())
     assert two_elementary_invariants(lattice).triple == (2, 2, 1)
     group = discriminant_group(lattice)
     total = tuple(a + b for a, b in zip(*group.generators))
     assert lattice.pairing(total, total) == Fraction(-1)
+
+
+def scaled(lattice, k):
+    return IntegralLattice(tuple(tuple(k * x for x in row) for row in lattice.gram))
+
+
+def block_sum(blocks):
+    lattice = IntegralLattice(())
+    for block in blocks:
+        lattice = direct_sum(lattice, block)
+    return lattice
+
+
+def test_delta_for_twenty_generators():
+    u2 = scaled(gram_U(), 2)
+    assert two_elementary_invariants(block_sum([u2] * 10)).triple == (20, 20, 0)
+    mixed = block_sum([u2] * 9 + [gram_minus2()] * 2)
+    assert two_elementary_invariants(mixed).triple == (20, 20, 1)
+
+
+def test_delta_reads_each_generator_once(monkeypatch):
+    calls = []
+    pairing = IntegralLattice.pairing
+
+    def counting(self, x, y):
+        calls.append(1)
+        return pairing(self, x, y)
+
+    monkeypatch.setattr(IntegralLattice, "pairing", counting)
+    u2 = scaled(gram_U(), 2)
+    assert two_elementary_invariants(block_sum([u2] * 5)).triple == (10, 10, 0)
+    assert len(calls) <= 10
+
+
+D4_MINUS = IntegralLattice(
+    ((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2))
+)
+# name: (lattice, a, delta, signature), each known in closed form.
+BLOCKS = {
+    "U": (gram_U(), 0, 0, (1, 1)),
+    "U(2)": (scaled(gram_U(), 2), 2, 0, (1, 1)),
+    "<2>": (scaled(gram_minus2(), -1), 1, 1, (1, 0)),
+    "<-2>": (gram_minus2(), 1, 1, (0, 1)),
+    "D4(-1)": (D4_MINUS, 2, 0, (0, 4)),
+    "E8(-1)": (gram_E8_minus(), 0, 0, (0, 8)),
+    "E8(-2)": (scaled(gram_E8_minus(), 2), 8, 0, (0, 8)),
+}
+
+
+def fit_rank_22(names):
+    kept, rank = [], 0
+    for name in names:
+        block_rank = BLOCKS[name][0].rank
+        if rank + block_rank <= 22:
+            kept.append(name)
+            rank += block_rank
+    return kept
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(BLOCKS)), min_size=1, max_size=12).map(fit_rank_22),
+    rng=st.randoms(use_true_random=False),
+)
+def test_conjugated_block_sums_match_closed_form(names, rng):
+    blocks, a_values, deltas, signatures = zip(*(BLOCKS[name] for name in names))
+    base = block_sum(blocks)
+    gram = base.gram
+    if base.rank > 1:
+        gram = conjugate(gram, random_unimodular(base.rank, rng))
+    changed = IntegralLattice(gram)
+    a = sum(a_values)
+    invariants = two_elementary_invariants(changed)
+    assert invariants.triple == (base.rank, a, max(deltas))
+    assert signature(changed) == (sum(p for p, _ in signatures), sum(n for _, n in signatures))
+    assert abs(changed.det()) == 2**a
+    if a <= 10:
+        assert invariants.delta == delta_by_enumeration(changed)
 
 
 GRAM_TEXT = """\
