@@ -3,15 +3,16 @@
 Subcommands: classes, isotopy, degenerate, graph, validate, lattice,
 divisor.  All output is deterministic (fixed ordering, no timestamps), so
 identical invocations are byte-identical; every subcommand takes
-``--format`` where more than one rendering exists and ``--out`` to write
-to a file instead of stdout.
+``--format`` and ``--out`` to write to a file instead of stdout.  Each
+``cmd_*`` returns ``(exit_code, text)`` or raises; only ``main`` writes,
+the text to ``--out`` or stdout and the one-line error to stderr.
 
-Exit codes: 0 success, 1 validation violations, 2 bad flags, 3 class not
-found, 4 class without the requested structure, 5 Gram-file parse error,
-6 degenerate Gram matrix, 7 unreadable or malformed external catalog.  A
-library error that reaches ``main`` gets its code from ``EXIT_CODES``,
-looked up along the exception's class hierarchy; any other ``AtlasError``
-exits 1.
+Exit codes: 0 success, 1 validation violations, 2 bad flags (including
+conflicting selectors and an unwritable ``--out``), 3 class not found,
+4 class without the requested structure, 5 Gram-file parse error,
+6 degenerate Gram matrix, 7 unreadable or malformed external catalog.  An
+error gets its code from ``EXIT_CODES``, looked up along the exception's
+class hierarchy; any other ``AtlasError`` exits 1.
 """
 
 from __future__ import annotations
@@ -42,34 +43,22 @@ MOVE_NAMES = ("conj1", "conj1p", "conj2", "conj2p", "conj4", "conj4p", "contr3",
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
-EXIT_NOT_FOUND = 3
-EXIT_SPECIAL_CLASS = 4
-EXIT_PARSE_ERROR = 5
-EXIT_DEGENERATE = 6
-EXIT_CATALOG = 7
+
+
+class UsageError(AtlasError):
+    """A selector is empty, malformed or conflicts with another flag."""
+
 
 EXIT_CODES = {
-    NotInAtlas: EXIT_NOT_FOUND,
-    SpecialClass: EXIT_SPECIAL_CLASS,
-    WrongFamily: EXIT_SPECIAL_CLASS,
+    UsageError: EXIT_USAGE,
     MoveNotApplicable: EXIT_USAGE,
-    GramParseError: EXIT_PARSE_ERROR,
-    DegenerateLattice: EXIT_DEGENERATE,
-    CatalogError: EXIT_CATALOG,
+    NotInAtlas: 3,
+    SpecialClass: 4,
+    WrongFamily: 4,
+    GramParseError: 5,
+    DegenerateLattice: 6,
+    CatalogError: 7,
 }
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"atlas: {message}", file=sys.stderr)
-    return code
 
 
 def _json_text(payload) -> str:
@@ -114,20 +103,27 @@ def _parse_h(text: str):
         return HInvariant.ZERO
     if normalized in ("1", "z2", "z/2"):
         return HInvariant.Z2
-    raise ValueError(f"H must be 0 or 1/Z2, got {text!r}")
+    raise UsageError(f"H must be 0 or 1/Z2, got {text!r}")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_selector(text: str, family) -> tuple:
     from .atlas import Family, HInvariant
 
-    parts = [p.strip() for p in text.split(",")]
     if family is Family.U:
-        if len(parts) != 3:
-            raise ValueError("selector for this family is r,a,delta")
-        return (int(parts[0]), int(parts[1]), int(parts[2]), HInvariant.NOT_APPLICABLE)
-    if len(parts) != 4:
-        raise ValueError("selector is r,a,delta,H")
-    return (int(parts[0]), int(parts[1]), int(parts[2]), _parse_h(parts[3]))
+        if text.count(",") != 2:
+            raise UsageError("selector for this family is r,a,delta")
+        return _ints(text) + (HInvariant.NOT_APPLICABLE,)
+    if text.count(",") != 3:
+        raise UsageError("selector is r,a,delta,H")
+    triple, h = text.rsplit(",", 1)
+    return _ints(triple) + (_parse_h(h),)
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +149,20 @@ def _grid_markdown(classes, title: str) -> str:
     return f"### {title}\n\n" + _md_table(header, rows)
 
 
-def cmd_classes(args) -> int:
+def cmd_classes(args) -> tuple[int, str]:
     from .atlas import Family, HInvariant, load_atlas
 
     atlas = load_atlas()
     records = atlas.to_records(args.family)
     if args.format == "json":
-        _emit(_json_text(records), args.out)
+        text = _json_text(records)
     elif args.format == "csv":
         header = ["family", "r", "a", "delta", "h", "index", "g", "k", "related_index"]
         rows = [
             [rec[key] if rec[key] is not None else "" for key in header]
             for rec in records
         ]
-        _emit(_csv_text(header, rows), args.out)
+        text = _csv_text(header, rows)
     else:
         classes = atlas.all_classes(args.family)
         if args.family is Family.S311:
@@ -178,8 +174,7 @@ def cmd_classes(args) -> int:
             )
         else:
             text = _grid_markdown(classes, "nonsingular-curve classes")
-        _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +199,12 @@ _ISOTOPY_HEADER = [
 ]
 
 
-def _isotopy_row(c) -> list:
+def _isotopy_row(c, candidates) -> list:
     from .atlas import gk_invariants
-    from .topology import Cover, TopCase, candidate_isotopy_types, real_part_topology
+    from .topology import Cover, TopCase, real_part_topology
 
     g, k = gk_invariants(c)
-    cells = {t.case: t for t in candidate_isotopy_types(c)}
+    cells = {t.case: t for t in candidates}
     values: list = [c.index, c.r, c.a, c.delta, c.h.value, g, k]
     for case in (TopCase.NODE1, TopCase.ISOLATED, TopCase.NODE2):
         t = cells.get(case)
@@ -219,24 +214,23 @@ def _isotopy_row(c) -> list:
     return values
 
 
-def _isotopy_json(c, include_degenerate: bool) -> dict:
+def _isotopy_json(c, candidates) -> dict:
     from .atlas import gk_invariants
-    from .topology import Cover, candidate_isotopy_types, real_part_topology
+    from .topology import Cover, real_part_topology
 
     g, k = gk_invariants(c)
-    candidates = []
-    for t in candidate_isotopy_types(c, include_degenerate=include_degenerate):
-        candidates.append(
-            {
-                "case": t.case.value,
-                "alpha": t.alpha,
-                "beta": t.beta,
-                "table_data": t.table_data,
-                "conjectured_nonrealizable": t.conjectured_nonrealizable,
-                "real_part_phi": str(real_part_topology(c, t, Cover.PHI)),
-                "real_part_related": str(real_part_topology(c, t, Cover.RELATED_PHI)),
-            }
-        )
+    records = [
+        {
+            "case": t.case.value,
+            "alpha": t.alpha,
+            "beta": t.beta,
+            "table_data": t.table_data,
+            "conjectured_nonrealizable": t.conjectured_nonrealizable,
+            "real_part_phi": str(real_part_topology(c, t, Cover.PHI)),
+            "real_part_related": str(real_part_topology(c, t, Cover.RELATED_PHI)),
+        }
+        for t in candidates
+    ]
     return {
         "index": c.index,
         "r": c.r,
@@ -245,66 +239,55 @@ def _isotopy_json(c, include_degenerate: bool) -> dict:
         "h": c.h.value,
         "g": g,
         "k": k,
-        "candidates": candidates,
+        "candidates": records,
     }
 
 
-def cmd_isotopy(args) -> int:
+def cmd_isotopy(args) -> tuple[int, str]:
     from .atlas import Family, HInvariant, load_atlas
     from .topology import candidate_isotopy_types
 
+    if args.index is not None and args.cls is not None:
+        raise UsageError("--index and --class cannot be combined")
     atlas = load_atlas()
     # An empty selector is a usage error, not "no selector": test for None.
     if args.index is not None:
         if not args.index:
-            return _fail("--index needs a catalog label, e.g. No.17", EXIT_USAGE)
+            raise UsageError("--index needs a catalog label, e.g. No.17")
         target = atlas.lookup_index(Family.S311, args.index)
         if target is None:
-            return _fail(f"no class with index {args.index}", EXIT_NOT_FOUND)
+            raise NotInAtlas(f"no class with index {args.index}")
         selected = [target]
     elif args.cls is not None:
-        try:
-            r, a, delta, h = _parse_selector(args.cls, Family.S311)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
+        r, a, delta, h = _parse_selector(args.cls, Family.S311)
         target = atlas.lookup(Family.S311, r, a, delta, h)
         if target is None:
-            return _fail(
-                f"({r},{a},{delta},H={h.value}) is not a realizable class",
-                EXIT_NOT_FOUND,
-            )
+            raise NotInAtlas(f"({r},{a},{delta},H={h.value}) is not a realizable class")
         selected = [target]
     else:
         classes = atlas.all_classes(Family.S311)
         selected = [c for c in classes if c.h is HInvariant.ZERO]
         selected += [c for c in classes if c.h is HInvariant.Z2]
+    # Cusp variants have cases of their own and are never conjectured nonrealizable.
+    entries = [(c, candidate_isotopy_types(c, args.include_degenerate)) for c in selected]
 
     if args.format == "json":
-        payload = [_isotopy_json(c, args.include_degenerate) for c in selected]
-        _emit(_json_text(payload if len(payload) != 1 else payload[0]), args.out)
+        payload = [_isotopy_json(c, candidates) for c, candidates in entries]
+        text = _json_text(payload if len(payload) != 1 else payload[0])
     elif args.format == "csv":
-        rows = [_isotopy_row(c) for c in selected]
-        _emit(_csv_text(_ISOTOPY_HEADER, rows), args.out)
+        rows = [_isotopy_row(c, candidates) for c, candidates in entries]
+        text = _csv_text(_ISOTOPY_HEADER, rows)
     else:
-        rows = [[str(v) for v in _isotopy_row(c)] for c in selected]
+        rows = [[str(v) for v in _isotopy_row(c, candidates)] for c, candidates in entries]
         text = _md_table(_ISOTOPY_HEADER, rows)
-        if args.include_degenerate:
-            extra = []
-            for c in selected:
-                for t in candidate_isotopy_types(c, include_degenerate=True):
-                    if not t.table_data:
-                        extra.append(f"- {c.index}: {t} (degenerate variant, non-table data)")
-            if extra:
-                text += "\n" + "\n".join(extra) + "\n"
-        annotations = []
-        for c in selected:
-            for t in candidate_isotopy_types(c):
-                if t.conjectured_nonrealizable:
-                    annotations.append(f"- {c.index}: {t} conjectured nonrealizable")
-        if annotations:
-            text += "\n" + "\n".join(annotations) + "\n"
-        _emit(text, args.out)
-    return EXIT_OK
+        for note, wanted in (
+            ("(degenerate variant, non-table data)", lambda t: not t.table_data),
+            ("conjectured nonrealizable", lambda t: t.conjectured_nonrealizable),
+        ):
+            lines = [f"- {c.index}: {t} {note}" for c, ts in entries for t in ts if wanted(t)]
+            if lines:
+                text += "\n" + "\n".join(lines) + "\n"
+    return EXIT_OK, text
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +305,15 @@ def _outcome_record(outcome) -> dict:
     }
 
 
-def cmd_degenerate(args) -> int:
+def cmd_degenerate(args) -> tuple[int, str]:
     from .atlas import Family, load_atlas
     from .degenerations import PRIMED_MOVES, UNPRIMED_MOVES, Degeneration, TableSide
     from .degenerations import apply_degeneration, applicable_moves, degeneration_table
 
+    if args.side and (args.cls is not None or args.move):
+        raise UsageError("--side cannot be combined with --class or --move")
+    if not args.side and not args.cls:
+        raise UsageError("--class or --side is required")
     atlas = load_atlas()
     if args.side:
         side = TableSide(args.side)
@@ -349,23 +336,15 @@ def cmd_degenerate(args) -> int:
                     values.extend(["", ""] if cell is None else [cell[0], cell[1]])
                 rows.append(values)
         if args.format == "json":
-            payload = [dict(zip(header, values)) for values in rows]
-            _emit(_json_text(payload), args.out)
-        elif args.format == "csv":
-            _emit(_csv_text(header, rows), args.out)
-        else:
-            _emit(_md_table(header, [[str(v) for v in r] for r in rows]), args.out)
-        return EXIT_OK
+            return EXIT_OK, _json_text([dict(zip(header, values)) for values in rows])
+        if args.format == "csv":
+            return EXIT_OK, _csv_text(header, rows)
+        return EXIT_OK, _md_table(header, [[str(v) for v in r] for r in rows])
 
-    if not args.cls:
-        return _fail("--class or --side is required", EXIT_USAGE)
-    try:
-        r, a, delta, _h = _parse_selector(args.cls, Family.U)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    r, a, delta, _h = _parse_selector(args.cls, Family.U)
     c = atlas.lookup(Family.U, r, a, delta)
     if c is None:
-        return _fail(f"({r},{a},{delta}) is not a realizable class", EXIT_NOT_FOUND)
+        raise NotInAtlas(f"({r},{a},{delta}) is not a realizable class")
 
     moves = [Degeneration(args.move)] if args.move else applicable_moves(c)
     records = [_outcome_record(apply_degeneration(c, move, atlas)) for move in moves]
@@ -377,7 +356,7 @@ def cmd_degenerate(args) -> int:
             "delta": c.delta,
             "outcomes": records,
         }
-        _emit(_json_text(payload), args.out)
+        text = _json_text(payload)
     elif args.format == "csv":
         header = ["move", "result", "alpha", "beta", "target_index"]
         rows = [
@@ -385,7 +364,7 @@ def cmd_degenerate(args) -> int:
             + ["" if rec[k] is None else rec[k] for k in ("alpha", "beta", "target_index")]
             for rec in records
         ]
-        _emit(_csv_text(header, rows), args.out)
+        text = _csv_text(header, rows)
     else:
         lines = [f"### {c.index} ({c.r},{c.a},{c.delta})", ""]
         for rec in records:
@@ -396,27 +375,25 @@ def cmd_degenerate(args) -> int:
                     f"- {rec['label']}: {rec['result']} "
                     f"({rec['alpha']},{rec['beta']}) -> {rec['target_index']}"
                 )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        text = "\n".join(lines) + "\n"
+    return EXIT_OK, text
 
 
 # ---------------------------------------------------------------------------
 # graph / validate / lattice / divisor
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> tuple[int, str]:
     from .atlas import load_atlas
     from .degenerations import graph_to_dot, graph_to_json, transition_graph
 
     graph = transition_graph(load_atlas())
     if args.format == "dot":
-        _emit(graph_to_dot(graph), args.out)
-    else:
-        _emit(_json_text(graph_to_json(graph)), args.out)
-    return EXIT_OK
+        return EXIT_OK, graph_to_dot(graph)
+    return EXIT_OK, _json_text(graph_to_json(graph))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     from .atlas import load_atlas
     from .validation import run_all_checks
 
@@ -430,7 +407,7 @@ def cmd_validate(args) -> int:
             "notes": list(summary.notes),
             "summary": summary.summary_line(),
         }
-        _emit(_json_text(payload), args.out)
+        text = _json_text(payload)
     else:
         lines = []
         counts = summary.atlas_report.counts
@@ -458,43 +435,38 @@ def cmd_validate(args) -> int:
         for note in summary.notes:
             lines.append(f"  note: {note}")
         lines.append("summary: " + summary.summary_line())
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if summary.ok else EXIT_VIOLATIONS
+        text = "\n".join(lines) + "\n"
+    return EXIT_OK if summary.ok else EXIT_VIOLATIONS, text
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple[int, str]:
     from .lattices import discriminant_group, load_gram_file, signature, two_elementary_invariants
 
     lattice = load_gram_file(args.gram_file)
     det = lattice.det()
     if lattice.rank and det == 0:
-        return _fail("Gram matrix is degenerate (determinant 0)", EXIT_DEGENERATE)
+        raise DegenerateLattice("Gram matrix is degenerate (determinant 0)")
     sig = signature(lattice)
-    group = discriminant_group(lattice)
-    group_text = (
-        " x ".join(f"Z/{d}" for d in group.cyclic_orders) if group.cyclic_orders else "trivial"
-    )
     try:
         invariants = two_elementary_invariants(lattice)
+        orders: tuple[int, ...] = (2,) * invariants.a  # no second Smith normal form
         inv_text = "({},{},{})".format(*invariants.triple)
-        inv_json: dict | None = {
-            "r": invariants.r,
-            "a": invariants.a,
-            "delta": invariants.delta,
-        }
-    except (NotTwoElementary, DegenerateLattice) as exc:
+        inv_json: dict | None = dict(zip(("r", "a", "delta"), invariants.triple))
+    except NotTwoElementary as exc:
+        orders = discriminant_group(lattice).cyclic_orders
         inv_text = f"not applicable: {exc}"
         inv_json = None
+    group_text = " x ".join(f"Z/{d}" for d in orders) if orders else "trivial"
     if args.format == "json":
         payload = {
             "rank": lattice.rank,
             "signature": list(sig),
             "det": det,
             "even": lattice.is_even(),
-            "discriminant_group": list(group.cyclic_orders),
+            "discriminant_group": list(orders),
             "two_elementary": inv_json,
         }
-        _emit(_json_text(payload), args.out)
+        text = _json_text(payload)
     else:
         lines = [
             f"rank: {lattice.rank}",
@@ -504,20 +476,22 @@ def cmd_lattice(args) -> int:
             f"discriminant group: {group_text}",
             f"invariants (r,a,delta): {inv_text}",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        text = "\n".join(lines) + "\n"
+    return EXIT_OK, text
 
 
-def cmd_divisor(args) -> int:
+def cmd_divisor(args) -> tuple[int, str]:
     from .divisors import DivisorClass, Surface, anti_bicanonical, arithmetic_genus
     from .divisors import canonical_class, intersect
 
     surface = Surface(args.surface)
+    if args.intersect == "":
+        raise UsageError("--intersect needs a class, e.g. 1,0")
     try:
-        coords = tuple(int(p) for p in args.cls.split(","))
-        d = DivisorClass(surface, coords)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        d = DivisorClass(surface, _ints(args.cls))
+        other = None if args.intersect is None else DivisorClass(surface, _ints(args.intersect))
+    except ValueError as exc:  # a wrong number of coordinates
+        raise UsageError(str(exc)) from None
     lines = [f"class: {d} on {surface.value}", f"self-intersection: {intersect(d, d)}"]
     payload: dict = {
         "surface": surface.value,
@@ -542,21 +516,13 @@ def cmd_divisor(args) -> int:
     except UnsupportedSurface:
         lines.append("canonical data: not modelled on this surface")
         payload["K"] = None
-    if args.intersect is not None:
-        if not args.intersect:
-            return _fail("--intersect needs a class, e.g. 1,0", EXIT_USAGE)
-        try:
-            other = DivisorClass(surface, tuple(int(p) for p in args.intersect.split(",")))
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
+    if other is not None:
         lines.append(f"pairing with {other}: {intersect(d, other)}")
         payload["pairing_with"] = list(other.coords)
         payload["pairing"] = intersect(d, other)
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return EXIT_OK, _json_text(payload)
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +538,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classes", help="list a class catalog or render its grid")
-    p.add_argument("--family", type=_parse_family, required=True)
-    p.add_argument("--format", choices=("csv", "json", "md"), default="md")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_classes)
+    def add(name: str, func, formats: tuple[str, ...], default: str, summary: str):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=formats, default=default)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("isotopy", help="candidate isotopy types (single class or all)")
+    tables, reports = ("csv", "json", "md"), ("text", "json")
+    p = add("classes", cmd_classes, tables, "md", "list a class catalog or render its grid")
+    p.add_argument("--family", type=_parse_family, required=True)
+
+    p = add("isotopy", cmd_isotopy, tables, "md", "candidate isotopy types (single class or all)")
     p.add_argument("--index", help="catalog label, e.g. No.17 or No.17'")
     p.add_argument("--class", dest="cls", help="selector r,a,delta,H (H = 0 or 1)")
-    p.add_argument("--format", choices=("csv", "json", "md"), default="md")
     p.add_argument(
         "--include-degenerate",
         action="store_true",
         help="also list cusp variants (marked; not table data)",
     )
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_isotopy)
 
-    p = sub.add_parser("degenerate", help="apply simplest degenerations")
+    p = add("degenerate", cmd_degenerate, tables, "md", "apply simplest degenerations")
     p.add_argument("--class", dest="cls", help="selector r,a,delta")
     p.add_argument("--move", choices=MOVE_NAMES, help="a single move")
     p.add_argument(
@@ -598,47 +566,39 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("unprimed", "primed", "star"),
         help="regenerate a full move table instead",
     )
-    p.add_argument("--format", choices=("csv", "json", "md"), default="md")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_degenerate)
 
-    p = sub.add_parser("graph", help="export the candidate transition graph")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_graph)
+    add("graph", cmd_graph, ("dot", "json"), "dot", "export the candidate transition graph")
+    add("validate", cmd_validate, reports, "text", "run every consistency check")
 
-    p = sub.add_parser("validate", help="run every consistency check")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("lattice", help="invariants of a Gram-matrix file")
+    p = add("lattice", cmd_lattice, reports, "text", "invariants of a Gram-matrix file")
     p.add_argument("gram_file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("divisor", help="divisor-class pairing and genus")
+    p = add("divisor", cmd_divisor, reports, "text", "divisor-class pairing and genus")
     p.add_argument("--surface", choices=("f4", "y"), default="f4")
     p.add_argument(
         "--class", dest="cls", required=True, help="coordinates, e.g. 12,3 for 12c+3s"
     )
     p.add_argument("--intersect", help="second class to pair with")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_divisor)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+        else:
+            sys.stdout.write(text)
+        return code
     except AtlasError as exc:
-        codes = (EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
-        return _fail(str(exc), next(codes, EXIT_VIOLATIONS))
+        print(f"atlas: {exc}", file=sys.stderr)
+        return next((EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES), EXIT_VIOLATIONS)
 
 
 if __name__ == "__main__":

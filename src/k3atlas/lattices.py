@@ -446,4 +446,6 @@ def load_gram_file(path) -> IntegralLattice:
             text = handle.read()
     except OSError as exc:
         raise GramParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GramParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_gram_text(text)

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import os
 import pickle
@@ -7,8 +9,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k3atlas import cli, degenerations, errors
+from k3atlas import cli, degenerations, errors, lattices, topology
 from k3atlas.atlas import Family, HInvariant, IdentityEnum
 from k3atlas.cli import main
 from k3atlas.degenerations import Degeneration, TableSide
@@ -92,6 +95,39 @@ def test_isotopy_empty_selector_is_a_usage_error(capsys, flag, fmt):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("atlas: ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["isotopy", "--index", "No.17", "--class", "9,9,0,1"], "--index and --class"),
+        (["isotopy", "--index", "No.17", "--class", ""], "--index and --class"),
+        (["degenerate", "--class", "9,9,1", "--side", "star"], "--side cannot"),
+        (["degenerate", "--side", "unprimed", "--move", "conj1"], "--side cannot"),
+        (["degenerate", "--class", "9,9,1", "--side", "star", "--move", "conj1"], "--side cannot"),
+    ],
+)
+def test_conflicting_selectors_are_a_usage_error(capsys, argv, problem, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"atlas: {problem}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+@pytest.mark.parametrize("include", [[], ["--include-degenerate"]])
+def test_isotopy_builds_one_candidate_list_per_class(capsys, monkeypatch, fmt, include):
+    calls = []
+    build = topology.candidate_isotopy_types
+
+    def counted(c, *args, **kwargs):
+        calls.append(c)
+        return build(c, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "candidate_isotopy_types", counted)
+    code, out, _ = run(capsys, "isotopy", "--format", fmt, *include)
+    assert code == 0 and out
+    assert len(calls) == 102
 
 
 def test_isotopy_json_annotations(capsys):
@@ -284,6 +320,28 @@ def test_lattice_parse_error(capsys, tmp_path):
     assert code == 5
 
 
+def test_lattice_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.gram"
+    bad.write_bytes(b"\xff\xfe2\n")
+    code, out, err = run(capsys, "lattice", str(bad))
+    assert (code, out) == (5, "")
+    assert err == f"atlas: {bad}: not UTF-8: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize("gram", ["lk3", "picy"])
+def test_lattice_computes_one_smith_normal_form(capsys, monkeypatch, gram):
+    calls = []
+    snf = lattices.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(lattices, "smith_normal_form", counted)
+    code, _, _ = run(capsys, "lattice", os.path.join(GRAMS, f"{gram}.gram"))
+    assert code == 0 and len(calls) == 1
+
+
 def test_lattice_degenerate_exit(capsys, tmp_path):
     degenerate = tmp_path / "degenerate.gram"
     degenerate.write_text("2\n1 1\n1 1\n")
@@ -325,6 +383,14 @@ def test_out_flag_writes_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert len(target.read_text().splitlines()) == 64
+
+
+@pytest.mark.parametrize("name", ["missing-dir/x.csv", "."])
+def test_out_flag_unwritable(capsys, tmp_path, name):
+    target = tmp_path / name
+    code, out, err = run(capsys, "classes", "--family", "u", "--out", str(target))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"atlas: cannot write {target}: ") and err.count("\n") == 1
 
 
 @pytest.fixture
@@ -464,3 +530,45 @@ def test_exit_codes_of_library_errors(exported_catalogs, capsys, monkeypatch):
     assert err == "atlas: no class with invariants (12, 8, 1) and H=Z2 exists\n"
     code, _, _ = run(capsys, "validate")
     assert code == 1
+
+
+# Line and paragraph separators and control characters are left out: the
+# messages echo the selector, and a line break in it would split the line.
+_SELECTOR_CHARS = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"))
+# Valid selectors of every subcommand, so that exits 0, 3 and 4 are drawn too.
+_KNOWN = ["No.17", "No.26'", "10,8,0,0", "9,9,0,1", "9,9,1", "10,10,0", "14,2,0", "1,0"]
+_SELECTORS = st.one_of(
+    st.sampled_from(_KNOWN),
+    st.text(_SELECTOR_CHARS, max_size=12),
+    st.lists(
+        st.one_of(
+            st.integers(-2, 20).map(str),
+            st.sampled_from(["0", "1", "Z2", " 9", ""]),
+            st.text(_SELECTOR_CHARS, max_size=3),
+        ),
+        max_size=5,
+    ).map(",".join),
+)
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        ["isotopy", "--class"],
+        ["isotopy", "--index"],
+        ["degenerate", "--class"],
+        ["divisor", "--class", "12,3", "--intersect"],
+    ],
+)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(text=_SELECTORS)
+def test_random_selectors_exit_with_a_documented_code(prefix, text):
+    # --flag=TEXT, so that a value such as -1,2 is not read as an option.
+    argv = prefix[:-1] + [f"{prefix[-1]}={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    assert message == "" or (message.startswith("atlas: ") and message.count("\n") == 1)
