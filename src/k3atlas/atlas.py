@@ -54,11 +54,6 @@ class HInvariant(IdentityEnum):
     NOT_APPLICABLE = "NA"
 
 
-# Sort ranks; a dict lookup is cheaper than the ``value`` property.
-_FAMILY_ORDER = {Family.S311: 0, Family.U: 1}
-_H_ORDER = {HInvariant.ZERO: 0, HInvariant.Z2: 1, HInvariant.NOT_APPLICABLE: 2}
-
-
 @dataclass(frozen=True)
 class InvolutionClass:
     family: Family
@@ -67,10 +62,10 @@ class InvolutionClass:
     delta: int
     h: HInvariant
     index: str
-    # (r, a, delta, h) and (r, a, delta), built once per class: the checks
-    # read them on every lookup.
+    # Built once per class: the checks and the graph exports read them per use.
     key: tuple[int, int, int, HInvariant] = field(init=False, repr=False, compare=False)
     triple: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta not in (0, 1):
@@ -83,14 +78,14 @@ class InvolutionClass:
             raise ValueError("classes of this family need H = 0 or H = Z/2")
         object.__setattr__(self, "triple", (self.r, self.a, self.delta))
         object.__setattr__(self, "key", self.triple + (self.h,))
-
-    def sort_key(self):
-        return (_FAMILY_ORDER[self.family], self.r, self.a, self.delta, _H_ORDER[self.h])
+        if self.family is Family.U:
+            label = f"U:{self.index} ({self.r},{self.a},{self.delta})"
+        else:
+            label = f"S:({self.r},{self.a},{self.delta},{self.h.value})"
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
-        if self.family is Family.U:
-            return f"U:{self.index} ({self.r},{self.a},{self.delta})"
-        return f"S:({self.r},{self.a},{self.delta},{self.h.value})"
+        return self.label
 
 
 def gk_invariants(c: InvolutionClass) -> tuple[int, int]:
@@ -113,10 +108,6 @@ def related_key(c: InvolutionClass) -> tuple[int, int, int, HInvariant]:
     return (19 - c.r, c.a - 1, c.delta, HInvariant.ZERO)
 
 
-def _primed(index: str) -> str:
-    return index + "'"
-
-
 class Atlas:
     """Immutable pair of class catalogs with exact-match lookups."""
 
@@ -128,7 +119,7 @@ class Atlas:
             members = tuple(
                 sorted(
                     (c for c in classes if c.family is family),
-                    key=InvolutionClass.sort_key,
+                    key=lambda c: (c.r, c.a, c.delta, c.h is HInvariant.Z2),
                 )
             )
             self._by_family[family] = members
@@ -145,7 +136,7 @@ class Atlas:
             ):
                 partner = self._by_key.get((Family.U,) + related_key(c))
                 if partner is not None:
-                    self._by_index.setdefault((Family.U, _primed(c.index)), partner)
+                    self._by_index.setdefault((Family.U, c.index + "'"), partner)
 
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
         return self._by_family[family]
@@ -177,7 +168,7 @@ class Atlas:
         # names the partner (possibly as an alias of its canonical label).
         partner = self.related_class(c)
         if c.index.startswith("No."):
-            return c.index[:-1] if c.index.endswith("'") else _primed(c.index)
+            return c.index[:-1] if c.index.endswith("'") else c.index + "'"
         return partner.index
 
     def to_records(self, family: Family) -> list[dict]:
@@ -251,29 +242,17 @@ def _class_from_record(rec, number: int) -> InvolutionClass:
 
 
 def _embedded_classes() -> list[InvolutionClass]:
-    classes: list[InvolutionClass] = []
-    for row in tables.ISOTOPY_H0:
-        classes.append(
-            InvolutionClass(Family.S311, row.r, row.a, row.delta, HInvariant.ZERO, row.index)
-        )
-    for row in tables.ISOTOPY_Z2:
-        classes.append(
-            InvolutionClass(Family.S311, row.r, row.a, row.delta, HInvariant.Z2, row.index)
-        )
-    seen: dict[tuple[int, int, int], str] = {}
-    u_members: list[tuple[tuple[int, int, int], str]] = []
-    for row in tables.MOVES_UNPRIMED:
-        seen[(row.r, row.a, row.delta)] = row.index
-        u_members.append(((row.r, row.a, row.delta), row.index))
-    for row in tables.MOVES_PRIMED:
-        triple = (row.r, row.a, row.delta)
-        if triple not in seen:
-            seen[triple] = row.index
-            u_members.append((triple, row.index))
+    classes = [
+        InvolutionClass(Family.S311, row.r, row.a, row.delta, h, row.index)
+        for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2))
+        for row in rows
+    ]
+    u_members: dict[tuple[int, int, int], str] = {}
+    for row in tables.MOVES_UNPRIMED + tables.MOVES_PRIMED:
+        u_members.setdefault((row.r, row.a, row.delta), row.index)
     for triple in U_EXCLUDED_TRIPLES + U_UNTABULATED_TRIPLES:
-        label = "special-({},{},{})".format(*triple)
-        u_members.append((triple, label))
-    for (r, a, delta), index in u_members:
+        u_members[triple] = "special-({},{},{})".format(*triple)
+    for (r, a, delta), index in u_members.items():
         classes.append(
             InvolutionClass(Family.U, r, a, delta, HInvariant.NOT_APPLICABLE, index)
         )

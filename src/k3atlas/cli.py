@@ -7,12 +7,12 @@ identical invocations are byte-identical; every subcommand takes
 ``cmd_*`` returns ``(exit_code, text)`` or raises; only ``main`` writes,
 the text to ``--out`` or stdout and the one-line error to stderr.
 
-Exit codes: 0 success, 1 validation violations, 2 bad flags (including
-conflicting selectors and an unwritable ``--out``), 3 class not found,
-4 class without the requested structure, 5 Gram-file parse error,
-6 degenerate Gram matrix, 7 unreadable or malformed external catalog.  An
-error gets its code from ``EXIT_CODES``, looked up along the exception's
-class hierarchy; any other ``AtlasError`` exits 1.
+Exit codes: 0 success, 1 validation violations, 2 bad, unknown or missing
+flags (also conflicting selectors and an unwritable ``--out``), 3 class
+not found, 4 class without the requested structure, 5 Gram-file parse
+error, 6 degenerate Gram matrix, 7 unreadable or malformed external
+catalog.  An error gets its code from ``EXIT_CODES``, looked up along the
+exception's class hierarchy; any other ``AtlasError`` exits 1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,12 @@ EXIT_USAGE = 2
 
 
 class UsageError(AtlasError):
-    """A selector is empty, malformed or conflicts with another flag."""
+    """A flag or selector is unknown, missing, malformed or conflicts with another."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # the subcommand parsers are _Parsers too
+        raise UsageError(message)
 
 
 EXIT_CODES = {
@@ -529,7 +534,7 @@ def cmd_divisor(args) -> tuple[int, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atlas",
         description=(
             "Catalogs of real 2-elementary K3 involution classes, candidate "
@@ -584,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, text = args.func(args)
         if args.out:
             try:

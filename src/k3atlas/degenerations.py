@@ -20,7 +20,6 @@ three, so a call derives each outcome once and keeps nothing after it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -259,29 +258,19 @@ def degeneration_table(
 
     primed = side is TableSide.PRIMED
     moves = PRIMED_MOVES if primed else UNPRIMED_MOVES
-
-    def row_index(c: InvolutionClass) -> str:
-        # The primed table labels a class after its related partner; whenever
-        # k >= 1 the partner has g = k + 1 >= 2 and hence an unprimed label.
-        if primed:
-            return atlas.related_class(c).index + "'"
-        return c.index
-
-    members = []
     for c in atlas.all_classes(Family.U):
         if c.triple in U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
-        if (k >= 1) if primed else (g >= 2):
-            members.append((c, g, k))
-
-    def sort_value(item):
-        digits = "".join(ch for ch in row_index(item[0]) if ch.isdigit())
-        return int(digits) if digits else 10**6
-
-    for c, g, k in sorted(members, key=sort_value):
+        if not ((k >= 1) if primed else (g >= 2)):
+            continue
+        # The primed table labels a class after its related partner; whenever
+        # k >= 1 the partner has g = k + 1 >= 2 and hence an unprimed label.
+        index = atlas.related_class(c).index + "'" if primed else c.index
         cells = tuple((move, derivation.outcome(c, move).cell()) for move in moves)
-        rows.append(MoveTableRow(row_index(c), c.r, c.a, c.delta, g, k, cells))
+        rows.append(MoveTableRow(index, c.r, c.a, c.delta, g, k, cells))
+    # By the number in the label (17 for No.17'); a label without one goes last.
+    rows.sort(key=lambda row: int("".join(filter(str.isdigit, row.index)) or 10**6))
     return rows
 
 
@@ -371,19 +360,10 @@ class TransitionGraph:
     edges: tuple[TransitionEdge, ...]
 
 
-_MOVE_ORDER = {move: i for i, move in enumerate(Degeneration)}
-
-
 def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
-    """All candidate degeneration edges over both catalogs."""
+    """All candidate degeneration edges over both catalogs, in atlas order."""
     derivation = Derivation.of(atlas)
     atlas = derivation.atlas
-    nodes = tuple(
-        sorted(
-            atlas.all_classes(Family.S311) + atlas.all_classes(Family.U),
-            key=InvolutionClass.sort_key,
-        )
-    )
     edges = []
     for c in atlas.all_classes(Family.U):
         if c.triple in U_EXCLUDED_TRIPLES:
@@ -392,18 +372,8 @@ def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph
             outcome = derivation.outcome(c, move)
             if not outcome.impossible:
                 edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
-    edges.sort(key=lambda e: (e.source.sort_key(), _MOVE_ORDER[e.move]))
+    nodes = atlas.all_classes(Family.S311) + atlas.all_classes(Family.U)
     return TransitionGraph(nodes, tuple(edges))
-
-
-def _node_ids(graph: TransitionGraph) -> Callable[[InvolutionClass], str]:
-    """``str`` of a class, formatted once per node of ``graph``.
-
-    Keyed by identity, since the edges of a built graph hold the node
-    objects themselves; any other class is formatted on each use.
-    """
-    ids = {id(c): str(c) for c in graph.nodes}
-    return lambda c: ids.get(id(c)) or str(c)
 
 
 def _values(*enums: type[IdentityEnum]) -> dict[IdentityEnum, str]:
@@ -416,16 +386,15 @@ def graph_to_dot(graph: TransitionGraph) -> str:
     def quote(s: str) -> str:
         return '"{}"'.format(s.replace('"', r"\""))
 
-    node_id = _node_ids(graph)
     value = _values(Degeneration)
     lines = ["digraph degenerations {"]
     for node in graph.nodes:
-        lines.append(f"  {quote(node_id(node))};")
+        lines.append(f"  {quote(node.label)};")
     for edge in graph.edges:
         lines.append(
             "  {} -> {} [label={}];".format(
-                quote(node_id(edge.source)),
-                quote(node_id(edge.target)),
+                quote(edge.source.label),
+                quote(edge.target.label),
                 quote(value[edge.move]),
             )
         )
@@ -434,12 +403,11 @@ def graph_to_dot(graph: TransitionGraph) -> str:
 
 
 def graph_to_json(graph: TransitionGraph) -> dict:
-    node_id = _node_ids(graph)
     value = _values(Family, HInvariant, Degeneration, TopCase)
     return {
         "nodes": [
             {
-                "id": node_id(c),
+                "id": c.label,
                 "family": value[c.family],
                 "index": c.index,
                 "r": c.r,
@@ -451,8 +419,8 @@ def graph_to_json(graph: TransitionGraph) -> dict:
         ],
         "edges": [
             {
-                "from": node_id(e.source),
-                "to": node_id(e.target),
+                "from": e.source.label,
+                "to": e.target.label,
                 "move": value[e.move],
                 "alpha": e.iso.alpha,
                 "beta": e.iso.beta,

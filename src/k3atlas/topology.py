@@ -290,12 +290,6 @@ def region_descriptor(
 ) -> RegionDescriptor:
     """Homeomorphism type of a region cut out by the real branch curve."""
     _check_oval_bounds(case, alpha, beta)
-    return _region_descriptor(case, alpha, beta, region)
-
-
-def _region_descriptor(
-    case: TopCase, alpha: int, beta: int, region: Region
-) -> RegionDescriptor:
     if case is TopCase.NODE_STAR:
         if region is Region.A_PLUS:
             return RegionDescriptor((RegionPiece(PieceKind.PAIR_OF_PANTS),))
@@ -354,10 +348,10 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     The branch locus consists of circles, which carry no Euler
     characteristic, so the identity holds on both sides simultaneously.
     """
-    _check_oval_bounds(case, alpha, beta)
     for region in (Region.A_PLUS, Region.A_MINUS):
+        # region_descriptor checks the oval bounds before _surface_for runs.
+        region_piece = region_descriptor(case, alpha, beta, region)
         surface = _surface_for(case, alpha, beta, region)
-        region_piece = _region_descriptor(case, alpha, beta, region)
         if surface.euler_characteristic != 2 * region_piece.euler_characteristic:
             return False
     return True

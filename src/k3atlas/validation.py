@@ -43,10 +43,10 @@ from .topology import (
     STAR_KEYS,
     Side,
     TopCase,
-    candidate_isotopy_types,  # called through Derivation; still importable here
     component_count,
     double_cover_euler_check,
     invariants_from_isotopy,
+    real_part_topology,
 )
 
 # The region bookkeeping in the isolated point case: the shipped tables
@@ -113,10 +113,10 @@ def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
             if gk_invariants(c) != (row.g, row.k):
                 section.violations.append(f"row {row.index}: (g,k) mismatch")
             generated: dict[TopCase, tuple[int, int]] = {}
-            has_star = False
+            star = None
             for t in derivation.table_candidates(c):
                 if t.case is TopCase.NODE_STAR:
-                    has_star = True
+                    star = str(real_part_topology(c, t))
                 else:
                     generated[t.case] = (t.alpha, t.beta)
             expected = {
@@ -130,7 +130,7 @@ def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
                         f"row {row.index} {case.value}: generated "
                         f"{generated.get(case)}, shipped {cell}"
                     )
-            if has_star != (row.node_star is not None):
+            if star != row.node_star:
                 section.violations.append(f"row {row.index}: star cell mismatch")
     return section
 

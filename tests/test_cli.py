@@ -200,12 +200,29 @@ def test_degenerate_side_tables(capsys):
 
 
 def test_bad_flags_exit_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["classes", "--family", "bogus"])
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["nonsense"])
-    assert excinfo.value.code == 2
+    # argparse's own errors end like every other one: one line, exit 2
+    for argv, problem in (
+        (["classes", "--family", "bogus"], "argument --family: unknown family 'bogus'"),
+        (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+        (["degenerate", "--class", "9,9,1", "--move=x"], "argument --move: invalid choice: 'x'"),
+        (["degenerate", "--side", "left"], "argument --side: invalid choice: 'left'"),
+        (["divisor", "--class", "12,3", "--surface", "p2"], "argument --surface: invalid choice"),
+        (["graph", "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["validate", "--strict"], "unrecognized arguments: --strict"),
+        ([], "the following arguments are required: command"),
+        (["classes"], "the following arguments are required: --family"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"atlas: {problem}") and err.count("\n") == 1, err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["degenerate", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage: atlas" in capsys.readouterr().out
 
 
 def test_graph_exports(capsys):
@@ -537,6 +554,7 @@ def test_exit_codes_of_library_errors(exported_catalogs, capsys, monkeypatch):
 _SELECTOR_CHARS = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"))
 # Valid selectors of every subcommand, so that exits 0, 3 and 4 are drawn too.
 _KNOWN = ["No.17", "No.26'", "10,8,0,0", "9,9,0,1", "9,9,1", "10,10,0", "14,2,0", "1,0"]
+_KNOWN += list(cli.MOVE_NAMES) + [side.value for side in TableSide]
 _SELECTORS = st.one_of(
     st.sampled_from(_KNOWN),
     st.text(_SELECTOR_CHARS, max_size=12),
@@ -558,6 +576,8 @@ _SELECTORS = st.one_of(
         ["isotopy", "--index"],
         ["degenerate", "--class"],
         ["divisor", "--class", "12,3", "--intersect"],
+        ["degenerate", "--class", "9,9,1", "--move"],
+        ["degenerate", "--side"],
     ],
 )
 @settings(max_examples=50, derandomize=True, deadline=None)

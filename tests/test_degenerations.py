@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import random
 
 import pytest
 
@@ -233,8 +235,8 @@ def test_graph_exports(atlas):
 
 
 def test_graph_exports_of_equal_copies(atlas):
-    # ids are formatted once per node object; a graph whose edges hold equal
-    # copies of the nodes, or classes that are not nodes, exports the same text
+    # a graph whose edges hold equal copies of the nodes, or classes that are
+    # not nodes, exports the same text
     graph = transition_graph(atlas)
     copy = dataclasses.replace
     edges = tuple(
@@ -246,6 +248,23 @@ def test_graph_exports_of_equal_copies(atlas):
     no_nodes = TransitionGraph((), graph.edges)
     assert graph_to_dot(no_nodes).count(" -> ") == 280
     assert graph_to_json(no_nodes)["edges"] == graph_to_json(graph)["edges"]
+
+
+def test_exports_do_not_depend_on_record_order(atlas, tmp_path, monkeypatch):
+    # The graph and the move tables come out in atlas order, which the Atlas
+    # builds by sorting; a shuffled external catalog must give the same text.
+    rng = random.Random(20121)
+    for family in Family:
+        records = atlas.to_records(family)
+        rng.shuffle(records)
+        (tmp_path / f"{family.value}.json").write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(tmp_path))
+    shuffled = load_atlas()
+    assert shuffled is not atlas
+    assert graph_to_dot(transition_graph(shuffled)) == graph_to_dot(transition_graph(atlas))
+    assert graph_to_json(transition_graph(shuffled)) == graph_to_json(transition_graph(atlas))
+    for side in TableSide:
+        assert degeneration_table(side, shuffled) == degeneration_table(side, atlas)
 
 
 def test_oval_monotonicity(atlas):

@@ -3,7 +3,7 @@
 import cProfile
 import pstats
 
-from k3atlas import degenerations, validation
+from k3atlas import degenerations, tables, validation
 from k3atlas.atlas import Family, InvolutionClass, load_atlas
 from k3atlas.degenerations import Derivation, TableSide
 from k3atlas.topology import STAR_KEY_H0, STAR_KEY_Z2, TopCase, candidate_isotopy_types
@@ -37,14 +37,13 @@ def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
 
 def test_one_candidate_list_per_class(monkeypatch):
     calls = []
-    candidates = validation.candidate_isotopy_types
+    # every section reads the lists through the Derivation in degenerations
+    candidates = degenerations.candidate_isotopy_types
 
     def counting_candidates(c, include_degenerate=False):
         calls.append((c, include_degenerate))
         return candidates(c, include_degenerate)
 
-    monkeypatch.setattr(validation, "candidate_isotopy_types", counting_candidates)
-    # the correspondence check runs in degenerations
     monkeypatch.setattr(degenerations, "candidate_isotopy_types", counting_candidates)
     atlas = load_atlas()
     assert validation.run_all_checks(atlas).ok
@@ -69,6 +68,18 @@ def test_shared_table_lists_are_the_table_candidates():
         star = atlas.lookup(Family.S311, *key)
         assert any(t.case is TopCase.NODE_STAR for t in derivation.table_candidates(star))
         assert derivation.table_candidates(star) == candidate_isotopy_types(star)
+
+
+def test_shipped_star_real_part_is_checked(monkeypatch):
+    rows = tuple(
+        row._replace(node_star="Sigma_2") if row.index == "special-(10,8,0)" else row
+        for row in tables.ISOTOPY_H0
+    )
+    monkeypatch.setattr(tables, "ISOTOPY_H0", rows)
+    summary = validation.run_all_checks(load_atlas())
+    section = next(s for s in summary.sections if s.name == "isotopy tables")
+    assert section.checked == 102
+    assert summary.violations == ["isotopy tables: row special-(10,8,0): star cell mismatch"]
 
 
 def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
