@@ -16,12 +16,13 @@ curves.
 read outcomes and candidate lists through a ``Derivation``, which derives
 each on first request; ``validation.run_all_checks`` passes one to all
 three, so a call derives each outcome once and keeps nothing after it.
+The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .atlas import (
     Atlas,
@@ -44,8 +45,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class MoveSpec:
+class MoveSpec(NamedTuple):
     """What one move does.
 
     A move draws on one oval pool, k when ``primed`` and g-1 otherwise, and
@@ -113,8 +113,7 @@ PRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and m.spec.pri
 STAR_MOVES = tuple(m for m in Degeneration if m.spec.source)
 
 
-@dataclass(frozen=True)
-class DegenerationOutcome:
+class DegenerationOutcome(NamedTuple):
     """Result of one move: a candidate isotopy type with its target class,
     or an impossibility when the required oval pool is too small."""
 
@@ -223,8 +222,7 @@ class TableSide(IdentityEnum):
     STAR = "star"
 
 
-@dataclass(frozen=True)
-class MoveTableRow:
+class MoveTableRow(NamedTuple):
     index: str
     r: int
     a: int
@@ -346,16 +344,14 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
 # Transition graph
 
 
-@dataclass(frozen=True)
-class TransitionEdge:
+class TransitionEdge(NamedTuple):
     source: InvolutionClass
     target: InvolutionClass
     move: Degeneration
     iso: IsotopyType
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(NamedTuple):
     nodes: tuple[InvolutionClass, ...]
     edges: tuple[TransitionEdge, ...]
 

@@ -7,12 +7,14 @@ II (Node (2), Cusp (2)), and group III (Node (*)).  The oval counts
 (alpha, beta) in the two regions R1, R2 determine, and are determined by,
 the lattice invariants (r, a) and the H invariant of the covering
 involutions; the closed forms here were checked cell by cell against the
-shipped tables, which remain authoritative.
+shipped tables, which remain authoritative.  The value types are immutable
+NamedTuples; ``IsotopyType`` and ``SurfaceDescriptor`` check their fields on
+every build, ``_replace``, ``_make``, copies and unpickling included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, OutOfRange, WrongFamily
@@ -55,6 +57,8 @@ STAR_KEYS = (STAR_KEY_H0, STAR_KEY_Z2)
 
 def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
     """Raise InconsistentInput unless (alpha, beta) are oval counts of ``case``."""
+    if type(case) is not TopCase or type(alpha) is not int or type(beta) is not int:
+        raise InconsistentInput("oval data is a TopCase and two integer counts")
     if alpha < 0 or beta < 0:
         raise InconsistentInput("oval counts are nonnegative")
     total = alpha + beta
@@ -68,18 +72,32 @@ def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
         raise InconsistentInput("alpha + beta <= 9 in group I")
 
 
-@dataclass(frozen=True)
-class IsotopyType:
-    """A topological case with oval counts in the regions R1 and R2."""
+class _Checked:
+    """Makes ``_make`` (so ``_replace``) and pickling call the class's ``__new__``."""
 
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _IsotopyFields(NamedTuple):
     case: TopCase
     alpha: int
     beta: int
-    table_data: bool = True
-    conjectured_nonrealizable: bool = False
+    table_data: bool
+    conjectured_nonrealizable: bool
 
-    def __post_init__(self):
-        _check_oval_bounds(self.case, self.alpha, self.beta)
+
+class IsotopyType(_Checked, _IsotopyFields):
+    """A topological case with oval counts in the regions R1 and R2."""
+
+    __slots__ = ()
+
+    def __new__(cls, case, alpha, beta, table_data=True, conjectured_nonrealizable=False):
+        _check_oval_bounds(case, alpha, beta)
+        return tuple.__new__(cls, (case, alpha, beta, table_data, conjectured_nonrealizable))
 
     @property
     def triple(self) -> tuple[TopCase, int, int]:
@@ -189,17 +207,20 @@ def invariants_from_isotopy(
 # Real parts of the covering surfaces
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
-    """Disjoint union of closed orientable surfaces; genus 0 means a sphere."""
-
+class _SurfaceFields(NamedTuple):
     genera: tuple[int, ...]
 
-    def __post_init__(self):
-        genera = tuple(sorted(map(int, self.genera), reverse=True))
-        object.__setattr__(self, "genera", genera)
+
+class SurfaceDescriptor(_Checked, _SurfaceFields):
+    """Disjoint union of closed orientable surfaces; genus 0 means a sphere."""
+
+    __slots__ = ()
+
+    def __new__(cls, genera):
+        genera = tuple(sorted(map(int, genera), reverse=True))
         if genera and genera[-1] < 0:
             raise ValueError("genus is nonnegative")
+        return tuple.__new__(cls, (genera,))
 
     @property
     def euler_characteristic(self) -> int:
@@ -247,8 +268,7 @@ _PIECE_EULER = {
 }
 
 
-@dataclass(frozen=True)
-class RegionPiece:
+class RegionPiece(NamedTuple):
     kind: PieceKind
     holes: int = 0
 
@@ -258,8 +278,10 @@ class RegionPiece:
         return base + per_hole * self.holes
 
 
-@dataclass(frozen=True)
-class RegionDescriptor:
+_DISK = RegionPiece(PieceKind.DISK)  # built once; region_descriptor repeats it
+
+
+class RegionDescriptor(NamedTuple):
     """A region of the quotient torus as a disjoint union of pieces."""
 
     pieces: tuple[RegionPiece, ...]
@@ -299,10 +321,10 @@ def region_descriptor(
     extra = 0 if case in CASE_I else 1
     if region is Region.A_PLUS:
         pieces = [RegionPiece(PieceKind.ANNULUS_WITH_HOLES, alpha)]
-        pieces += [RegionPiece(PieceKind.DISK)] * (beta + extra)
+        pieces += [_DISK] * (beta + extra)
     else:
         pieces = [RegionPiece(PieceKind.MOEBIUS_COMPOSITE, beta + extra)]
-        pieces += [RegionPiece(PieceKind.DISK)] * alpha
+        pieces += [_DISK] * alpha
     return RegionDescriptor(tuple(pieces))
 
 

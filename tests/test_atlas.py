@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3atlas import atlas as atlas_module
 from k3atlas import tables
@@ -225,6 +226,49 @@ def test_from_records_names_record_and_field(atlas, change, problem):
     assert str(excinfo.value) == f"record 4: {problem}"
     with pytest.raises(CatalogError, match="record 1: expected a JSON object"):
         Atlas.from_records(records[:1] + [[1, 2]])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+# Values near the valid ones reach the checks past the type tests: a count
+# out of range, or a family and an H that do not fit together.
+_VALUES = st.integers(-2, 24) | st.sampled_from(("s311", "u", "0", "Z2", "NA")) | _JSON
+# (record number, a field or None for the whole record, None to delete it or
+# a 1-tuple holding the value to put in its place)
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 101),
+        st.sampled_from((None, "family", "r", "a", "delta", "h", "index")),
+        st.none() | st.tuples(_VALUES),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(family=st.sampled_from(list(Family)), edits=_EDITS)
+def test_corrupted_records_raise_only_catalog_error(family, edits):
+    # Any other exception would reach the CLI as a traceback.
+    records = load_atlas().to_records(family)
+    for number, field, new in edits:
+        number %= len(records)
+        if field is None and new is None:
+            del records[number]
+        elif field is None:
+            records[number] = new[0]
+        elif isinstance(records[number], dict) and new is None:
+            records[number].pop(field, None)
+        elif isinstance(records[number], dict):
+            records[number][field] = new[0]
+    try:
+        Atlas.from_records(records)
+    except CatalogError:
+        pass
 
 
 @pytest.mark.parametrize("value", [7, 1.9, True, 1.0, "7"])

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -22,7 +24,15 @@ from k3atlas.degenerations import (
     transition_graph,
 )
 from k3atlas.errors import MoveNotApplicable, SpecialClass, WrongFamily
-from k3atlas.topology import TopCase
+from k3atlas.topology import (
+    PieceKind,
+    Region,
+    RegionPiece,
+    SurfaceDescriptor,
+    TopCase,
+    candidate_isotopy_types,
+    region_descriptor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +250,7 @@ def test_graph_exports_of_equal_copies(atlas):
     graph = transition_graph(atlas)
     copy = dataclasses.replace
     edges = tuple(
-        copy(e, source=copy(e.source), target=copy(e.target)) for e in graph.edges
+        e._replace(source=copy(e.source), target=copy(e.target)) for e in graph.edges
     )
     copied = TransitionGraph(graph.nodes, edges)
     assert graph_to_dot(copied) == graph_to_dot(graph)
@@ -317,3 +327,75 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
     excluded = atlas.lookup(Family.U, 10, 8, 0)
     with pytest.raises(SpecialClass, match="no oval bookkeeping"):
         derivation.outcome(excluded, Degeneration.CONJ1)
+
+
+# One instance of each catalog value type, with the repr it had when the types
+# were frozen dataclasses: NamedTuples print the same text.
+VALUE_REPRS = {
+    "IsotopyType": "IsotopyType(case=<TopCase.NODE1: 'Node (1)'>, alpha=4, beta=4, "
+    "table_data=True, conjectured_nonrealizable=False)",
+    "SurfaceDescriptor": "SurfaceDescriptor(genera=(2, 1, 0, 0))",
+    "RegionPiece": "RegionPiece(kind=<PieceKind.ANNULUS_WITH_HOLES: 'annulus with holes'>, "
+    "holes=3)",
+    "RegionDescriptor": "RegionDescriptor(pieces=(RegionPiece(kind=<PieceKind.ANNULUS_WITH_"
+    "HOLES: 'annulus with holes'>, holes=1), RegionPiece(kind=<PieceKind.DISK: 'disk'>, "
+    "holes=0), RegionPiece(kind=<PieceKind.DISK: 'disk'>, holes=0), RegionPiece(kind="
+    "<PieceKind.DISK: 'disk'>, holes=0)))",
+    "MoveSpec": "MoveSpec(label=\"Conjunction 4')\", case=<TopCase.NODE_STAR: 'Node (*)'>, "
+    "primed=True, ovals=1, source=(11, 9, 1), star_target=(9, 9, 0, <HInvariant.Z2: 'Z2'>))",
+    "DegenerationOutcome": "DegenerationOutcome(move=<Degeneration.CONJ1: 'conj1'>, "
+    "iso=IsotopyType(case=<TopCase.NODE1: 'Node (1)'>, alpha=4, beta=4, table_data=True, "
+    "conjectured_nonrealizable=False), target=InvolutionClass(family=<Family.S311: "
+    "'s311'>, r=9, a=1, delta=1, h=<HInvariant.ZERO: '0'>, index='No.22'))",
+    "MoveTableRow": "MoveTableRow(index='No.26', r=9, a=9, delta=1, g=2, k=0, "
+    "cells=((<Degeneration.CONJ4: 'conj4'>, None),))",
+    "TransitionEdge": "TransitionEdge(source=InvolutionClass(family=<Family.U: 'u'>, r=1, "
+    "a=1, delta=1, h=<HInvariant.NOT_APPLICABLE: 'NA'>, index='No.1'), target="
+    "InvolutionClass(family=<Family.S311: 's311'>, r=1, a=1, delta=1, h=<HInvariant.ZERO: "
+    "'0'>, index='No.1'), move=<Degeneration.CONJ1: 'conj1'>, iso=IsotopyType(case="
+    "<TopCase.NODE1: 'Node (1)'>, alpha=0, beta=8, table_data=True, "
+    "conjectured_nonrealizable=False))",
+    "TransitionGraph": "TransitionGraph(nodes=(InvolutionClass(family=<Family.S311: "
+    "'s311'>, r=1, a=1, delta=0, h=<HInvariant.Z2: 'Z2'>, index=\"No.50'\"),), edges=("
+    "TransitionEdge(source=InvolutionClass(family=<Family.U: 'u'>, r=1, a=1, delta=1, "
+    "h=<HInvariant.NOT_APPLICABLE: 'NA'>, index='No.1'), target=InvolutionClass(family="
+    "<Family.S311: 's311'>, r=1, a=1, delta=1, h=<HInvariant.ZERO: '0'>, index='No.1'), "
+    "move=<Degeneration.CONJ1: 'conj1'>, iso=IsotopyType(case=<TopCase.NODE1: 'Node (1)'>, "
+    "alpha=0, beta=8, table_data=True, conjectured_nonrealizable=False)),))",
+}
+
+
+@pytest.fixture(scope="module")
+def values(atlas):
+    graph = transition_graph(atlas)
+    return {
+        "IsotopyType": candidate_isotopy_types(atlas.lookup_index(Family.S311, "No.22"))[0],
+        "SurfaceDescriptor": SurfaceDescriptor((0, 2, 1, 0)),
+        "RegionPiece": RegionPiece(PieceKind.ANNULUS_WITH_HOLES, 3),
+        "RegionDescriptor": region_descriptor(TopCase.NODE2, 1, 2, Region.A_PLUS),
+        "MoveSpec": Degeneration.CONJ4P.spec,
+        "DegenerationOutcome": apply_degeneration(
+            atlas.lookup_index(Family.U, "No.22"), Degeneration.CONJ1, atlas
+        ),
+        "MoveTableRow": degeneration_table(TableSide.STAR, atlas)[0],
+        "TransitionEdge": graph.edges[0],
+        "TransitionGraph": TransitionGraph(graph.nodes[:1], graph.edges[:1]),
+    }
+
+
+@pytest.mark.parametrize("name", list(VALUE_REPRS))
+def test_value_type_contract(values, name):
+    value = values[name]
+    assert type(value).__name__ == name
+    assert repr(value) == VALUE_REPRS[name]
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+

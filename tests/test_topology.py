@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from k3atlas import tables
@@ -151,6 +154,10 @@ def test_oval_bounds_of_every_entry_point(entry):
         (TopCase.CUSP2, 9, 0),
         (TopCase.ISOLATED, -1, 0),
         (TopCase.CUSP1, 0, -2),
+        ("Node (1)", 1, 2),
+        (TopCase.NODE1, 1.5, 0),
+        (TopCase.NODE1, 1, True),
+        (TopCase.NODE1, 1.0, 2.0),
     ):
         with pytest.raises(InconsistentInput):
             entry(case, alpha, beta)
@@ -217,6 +224,36 @@ def test_surface_descriptor_genera():
         SurfaceDescriptor((2, -1))
     with pytest.raises(ValueError):
         SurfaceDescriptor((-3,))
+
+
+def test_checked_types_validate_every_build():
+    # _replace and _make call the class, and so do unpickling and copying at
+    # every protocol, so no route builds a value that the constructor rejects.
+    iso = IsotopyType(TopCase.NODE1, 4, 5)
+    assert iso._replace(alpha=3) == IsotopyType(TopCase.NODE1, 3, 5)
+    assert IsotopyType._make(iso) == iso
+    with pytest.raises(InconsistentInput):
+        iso._replace(alpha=-5)
+    with pytest.raises(InconsistentInput):
+        IsotopyType._make([TopCase.NODE1, 40, 2, True, False])
+    surface = SurfaceDescriptor((2, 0))
+    assert surface._replace(genera=(0, 3)).genera == (3, 0)
+    assert SurfaceDescriptor._make([(1, 2)]).genera == (2, 1)
+    with pytest.raises(ValueError):
+        surface._replace(genera=(1, -1))
+    with pytest.raises(ValueError):
+        SurfaceDescriptor._make([(-2,)])
+    for cls, fields, error in (
+        (IsotopyType, (TopCase.NODE1, 40, 2, True, False), InconsistentInput),
+        (SurfaceDescriptor, ((1, -1),), ValueError),
+    ):
+        forged = tuple.__new__(cls, fields)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(forged, protocol)
+            with pytest.raises(error):
+                pickle.loads(data)
+        with pytest.raises(error):
+            copy.copy(forged)
 
 
 def test_piece_euler_table():

@@ -105,11 +105,12 @@ def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # cProfile counts every Python-level and builtin call: between 24,600
-    # and 25,400 on CPython 3.10 to 3.13.  pstats keeps one entry per
-    # (file, line, name), so of the generated dataclass __init__ methods,
-    # which share one label, only one is counted: 24,400 to 25,500 whichever
-    # it is, against about 27,500 calls made.
+    # pstats counts 25,299 to 25,804 calls on CPython 3.10 to 3.13.  It keeps
+    # one entry per (file, line, name), so of the generated NamedTuple
+    # __new__ methods, which share one label, only one is counted; but each
+    # value built calls the builtin tuple.__new__, which counts every time.
+    # With frozen dataclasses, whose generated __init__ methods also share
+    # one label, the count was 22,597 to 22,998, and the call was slower.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
