@@ -136,10 +136,6 @@ def _integer_determinant(gram: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _nearest_quotient(a: int, b: int) -> int:
     # Quotient with |a - q*b| <= |b| / 2; balanced remainders keep the
     # intermediate entries small (Havas-Majewski pivoting).  Python's
@@ -162,79 +158,62 @@ def smith_normal_form(
 
     Pivots are always chosen as a smallest-magnitude nonzero entry of the
     trailing block and reductions use nearest-integer quotients; without
-    both, entry sizes explode on matrices as small as 20 x 20.
+    both, entry sizes explode on matrices as small as 20 x 20.  The
+    operations run on one bordered matrix ``[[mat, 1], [1, 0]]``, so each
+    is written once and carries ``u`` and ``v`` along with ``d``.
     """
     a = [[int(x) for x in row] for row in mat]
     n = len(a)
     m = len(a[0]) if n else 0
     if any(len(row) != m for row in a):
         raise ValueError("matrix rows must have equal length")
-    u = _identity(n)
-    v = _identity(m)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    # b = [[mat, 1_n], [1_m, 0]]: an operation on one of the first n rows
+    # updates d and u at once, one on one of the first m columns d and v.
+    b = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    b += [[int(i == j) for j in range(m)] + [0] * n for i in range(m)]
 
     def add_row(i, j, c):
         # row i += c * row j
-        ai, aj = a[i], a[j]
-        for t in range(m):
-            ai[t] += c * aj[t]
-        ui, uj = u[i], u[j]
-        for t in range(n):
-            ui[t] += c * uj[t]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, c):
-        # column i += c * column j
-        for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
+        bi, bj = b[i], b[j]
+        for k in range(m + n):
+            bi[k] += c * bj[k]
 
     def move_smallest_pivot(t):
         pivot = None
         best = None
         for i in range(t, n):
             for j in range(t, m):
-                value = abs(a[i][j])
+                value = abs(b[i][j])
                 if value and (best is None or value < best):
                     pivot = (i, j)
                     best = value
         if pivot is None:
             return False
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        i, j = pivot
+        b[t], b[i] = b[i], b[t]
+        if j != t:
+            for row in b:
+                row[t], row[j] = row[j], row[t]
         return True
 
-    t = 0
-    while t < min(n, m):
+    for t in range(min(n, m)):
         if not move_smallest_pivot(t):
             break
         while True:
             # One balanced-remainder pass; then re-pick the smallest pivot.
-            p = a[t][t]
+            p = b[t][t]
             dirty = False
             for i in range(t + 1, n):
-                if a[i][t]:
-                    add_row(i, t, -_nearest_quotient(a[i][t], p))
-                    dirty = dirty or bool(a[i][t])
+                if b[i][t]:
+                    add_row(i, t, -_nearest_quotient(b[i][t], p))
+                    dirty = dirty or bool(b[i][t])
             for j in range(t + 1, m):
-                if a[t][j]:
-                    add_col(j, t, -_nearest_quotient(a[t][j], p))
-                    dirty = dirty or bool(a[t][j])
+                if b[t][j]:
+                    # column j += c * column t
+                    c = -_nearest_quotient(b[t][j], p)
+                    for row in b:
+                        row[j] += c * row[t]
+                    dirty = dirty or bool(b[t][j])
             if dirty:
                 move_smallest_pivot(t)
                 continue
@@ -242,7 +221,7 @@ def smith_normal_form(
                 (
                     i
                     for i in range(t + 1, n)
-                    if any(a[i][j] % p for j in range(t + 1, m))
+                    if any(b[i][j] % p for j in range(t + 1, m))
                 ),
                 None,
             )
@@ -251,11 +230,10 @@ def smith_normal_form(
             # Pull the offending row up so the next pivot divides it too.
             add_row(t, offender, 1)
             move_smallest_pivot(t)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
 
-    return a, u, v
+    return [row[:m] for row in b[:n]], [row[m:] for row in b[:n]], [row[:m] for row in b[n:]]
 
 
 def discriminant_group(l: IntegralLattice) -> DiscriminantGroup:

@@ -14,6 +14,7 @@ every build, ``_replace``, ``_make``, copies and unpickling included.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
@@ -217,10 +218,15 @@ class SurfaceDescriptor(_Checked, _SurfaceFields):
     __slots__ = ()
 
     def __new__(cls, genera):
-        genera = tuple(sorted(map(int, genera), reverse=True))
-        if genera and genera[-1] < 0:
+        genera = tuple(genera)
+        try:
+            # operator.index takes ints and bools but refuses a float or a string.
+            ordered = tuple(sorted(map(operator.index, genera), reverse=True))
+        except TypeError:
+            raise ValueError(f"each genus must be an integer: {genera!r}") from None
+        if ordered and ordered[-1] < 0:
             raise ValueError("genus is nonnegative")
-        return tuple.__new__(cls, (genera,))
+        return tuple.__new__(cls, (ordered,))
 
     @property
     def euler_characteristic(self) -> int:

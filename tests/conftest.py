@@ -31,20 +31,19 @@ def int_det(m):
     return total
 
 
-def random_unimodular(n: int, rng: random.Random, steps: int = 25):
-    """Product of integer shears and swaps; determinant is always +-1."""
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
+def shear_conjugate(gram, rng: random.Random, steps: int = 25):
+    """p . gram . p^T for a random unimodular p, a product of ``steps``
+    shears e_i += c e_j (c in +-1, +-2); each shear is applied to the Gram
+    matrix as one row update and one column update."""
+    g = [list(row) for row in gram]
+    n = len(g)
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
-        for t in range(n):
-            m[i][t] += c * m[j][t]
-    return m
-
-
-def conjugate(gram, p):
-    """p . gram . p^T, the Gram matrix after the basis change p."""
-    return matmul(matmul(p, [list(row) for row in gram]), transpose(p))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[i] += c * row[j]
+    return g
 
 
 def delta_by_enumeration(lattice):

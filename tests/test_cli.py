@@ -457,6 +457,21 @@ def test_data_dir_duplicate_class(exported_catalogs, capsys, monkeypatch):
     assert "duplicate invariants" in out
 
 
+def test_data_dir_odd_parity_classes_are_reported(exported_catalogs, capsys, monkeypatch):
+    # r - a odd: no integral (g, k), so the audit must report the classes,
+    # not stop at the first one it cannot describe.
+    path = exported_catalogs / "u.json"
+    records = json.loads(path.read_text())
+    for index, r in (("X1", 5), ("X2", 15)):
+        records.append(dict(records[0], index=index, r=r, a=2, delta=1))
+    path.write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, err = run(capsys, "validate")
+    assert (code, err) == (1, "")
+    assert "  ! X1: r - a is odd\n  ! X2: r - a is odd\n" in out
+    assert out.endswith("summary: 102/51, 65/38, 5 violations, 0 whitelisted discrepancies\n")
+
+
 @pytest.mark.parametrize(
     "name, content, problem",
     [

@@ -226,6 +226,21 @@ def test_surface_descriptor_genera():
         SurfaceDescriptor((-3,))
 
 
+@pytest.mark.parametrize("genus", [1.9, 2.0, "2"])
+def test_surface_descriptor_refuses_a_non_integral_genus(genus):
+    # Each route that builds a descriptor refuses it, naming the genus,
+    # rather than truncating 1.9 to a torus or reading "2" as genus 2.
+    surface = SurfaceDescriptor((1, 0))
+    for build in (
+        lambda: SurfaceDescriptor((genus, True)),
+        lambda: surface._replace(genera=(0, genus)),
+        lambda: SurfaceDescriptor._make([(genus,)]),
+    ):
+        with pytest.raises(ValueError, match="each genus must be an integer") as info:
+            build()
+        assert repr(genus) in str(info.value)
+
+
 def test_checked_types_validate_every_build():
     # _replace and _make call the class, and so do unpickling and copying at
     # every protocol, so no route builds a value that the constructor rejects.
