@@ -30,9 +30,8 @@ _EXPORTS = {
     ),
     "errors": (
         "AtlasError", "CatalogError", "DegenerateLattice", "GramParseError",
-        "InconsistentInput", "MoveNotApplicable", "NonIntegerGenus", "NotInAtlas",
-        "NotTwoElementary", "OutOfRange", "SpecialClass", "SurfaceMismatch",
-        "UnsupportedSurface", "WrongFamily",
+        "InconsistentInput", "MoveNotApplicable", "NotInAtlas", "NotTwoElementary",
+        "SpecialClass", "SurfaceMismatch", "UnsupportedSurface", "WrongFamily",
     ),
     "lattices": (
         "DiscriminantGroup", "IntegralLattice", "TwoElemInvariants", "direct_sum",
@@ -41,7 +40,7 @@ _EXPORTS = {
         "two_elementary_invariants",
     ),
     "topology": (
-        "Cover", "IsotopyType", "Region", "RegionDescriptor", "Side", "SurfaceDescriptor",
+        "Cover", "IsotopyType", "Region", "RegionDescriptor", "SurfaceDescriptor",
         "TopCase", "candidate_isotopy_types", "double_cover_euler_check",
         "invariants_from_isotopy", "real_part_topology", "region_descriptor",
     ),

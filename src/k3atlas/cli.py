@@ -26,7 +26,6 @@ from .errors import (
     DegenerateLattice,
     GramParseError,
     MoveNotApplicable,
-    NonIntegerGenus,
     NotInAtlas,
     NotTwoElementary,
     SpecialClass,
@@ -329,14 +328,12 @@ def cmd_degenerate(args) -> tuple[int, str]:
             header += ["move", "result"]
             for row in degeneration_rows:
                 move = row.cells[0][0]
-                rows.append(
-                    [row.index, row.r, row.a, row.delta, row.g, row.k, move.value, "Node (*)"]
-                )
+                rows.append([*row[:6], move.value, move.spec.case.value])
         else:
             for move in PRIMED_MOVES if side is TableSide.PRIMED else UNPRIMED_MOVES:
                 header += [f"{move.value}_a", f"{move.value}_b"]
             for row in degeneration_rows:
-                values: list = [row.index, row.r, row.a, row.delta, row.g, row.k]
+                values = list(row[:6])
                 for _move, cell in row.cells:
                     values.extend(["", ""] if cell is None else [cell[0], cell[1]])
                 rows.append(values)
@@ -508,13 +505,9 @@ def cmd_divisor(args) -> tuple[int, str]:
         lines.append(f"K: {k}; d.K = {intersect(d, k)}")
         payload["K"] = list(k.coords)
         payload["d_dot_K"] = intersect(d, k)
-        try:
-            genus = arithmetic_genus(d)
-            lines.append(f"arithmetic genus: {genus}")
-            payload["arithmetic_genus"] = genus
-        except NonIntegerGenus as exc:
-            lines.append(f"arithmetic genus: undefined ({exc})")
-            payload["arithmetic_genus"] = None
+        genus = arithmetic_genus(d)
+        lines.append(f"arithmetic genus: {genus}")
+        payload["arithmetic_genus"] = genus
         anti = anti_bicanonical(surface)
         lines.append(f"anti-bicanonical class: {anti}")
         payload["anti_bicanonical"] = list(anti.coords)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NonIntegerGenus, SurfaceMismatch, UnsupportedSurface
+from .errors import SurfaceMismatch, UnsupportedSurface
 from .lattices import gram_PicY
 
 
@@ -114,9 +114,11 @@ def anti_bicanonical(surface: Surface) -> DivisorClass:
 
 
 def arithmetic_genus(d: DivisorClass) -> int:
-    """Adjunction genus 1 + (d.d + d.K) / 2 of a curve class."""
+    """Adjunction genus 1 + (d.d + d.K) / 2 of a divisor class.
+
+    The quotient is always an integer: K = -6c - 2s is characteristic (Wu's
+    formula, d.d = d.K mod 2), and for d = xc + ys the sum d.d + d.K is
+    2xy - 4y^2 - 2x + 2y.  On Y, ``canonical_class`` raises first.
+    """
     k = canonical_class(d.surface)
-    total = intersect(d, d) + intersect(d, k)
-    if total % 2:
-        raise NonIntegerGenus(f"{d} has odd d.(d + K); not a curve class")
-    return 1 + total // 2
+    return 1 + (intersect(d, d) + intersect(d, k)) // 2

@@ -25,10 +25,6 @@ class UnsupportedSurface(AtlasError):
     """The requested divisor data is only defined on the Hirzebruch surface."""
 
 
-class NonIntegerGenus(AtlasError):
-    """Adjunction produced a half-integer; the divisor class is not a curve class."""
-
-
 class NotInAtlas(AtlasError):
     """The class is not a member of the shipped (or loaded) catalogs."""
 
@@ -43,10 +39,6 @@ class WrongFamily(AtlasError):
 
 class MoveNotApplicable(AtlasError):
     """The degeneration move is only defined for specific source classes."""
-
-
-class OutOfRange(AtlasError):
-    """Oval counts produced a negative lattice invariant."""
 
 
 class InconsistentInput(AtlasError):

@@ -10,6 +10,10 @@ involutions; the closed forms here were checked cell by cell against the
 shipped tables, which remain authoritative.  The value types are immutable
 NamedTuples; ``IsotopyType`` and ``SurfaceDescriptor`` check their fields on
 every build, ``_replace``, ``_make``, copies and unpickling included.
+
+Those bounds (alpha + beta <= 9 in group I, <= 8 in group II) keep the
+recovered a = 9, 10, 8 or 9 minus alpha + beta nonnegative, so
+``invariants_from_isotopy`` needs no range check of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import operator
 from typing import NamedTuple
 
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
-from .errors import InconsistentInput, OutOfRange, WrongFamily
+from .errors import InconsistentInput, WrongFamily
 
 
 class TopCase(IdentityEnum):
@@ -32,11 +36,6 @@ class TopCase(IdentityEnum):
 
 CASE_I = frozenset({TopCase.NODE1, TopCase.CUSP1, TopCase.ISOLATED})
 CASE_II = frozenset({TopCase.NODE2, TopCase.CUSP2})
-
-
-class Side(IdentityEnum):
-    PHI_COVERS_A_MINUS = "A-"
-    PHI_COVERS_A_PLUS = "A+"
 
 
 class Region(IdentityEnum):
@@ -177,31 +176,29 @@ def candidate_isotopy_types(
 
 
 def invariants_from_isotopy(
-    case: TopCase, alpha: int, beta: int, side: Side
+    case: TopCase, alpha: int, beta: int, covered: Region
 ) -> tuple[int, int, HInvariant]:
     """Recover (r, a) and H of the covering involution from a candidate.
 
-    ``side`` states which region the involution covers; the region covered
-    determines H (the lower region gives H = 0).
+    ``covered`` is the region the involution covers; it determines H (the
+    lower region A- gives H = 0).
     """
     if case is TopCase.NODE_STAR:
         keys = " and ".join("({},{},{},H={})".format(*k[:3], k[3].value) for k in STAR_KEYS)
         raise InconsistentInput(f"the non-contractible node case carries fixed invariants, {keys}")
     _check_oval_bounds(case, alpha, beta)
+    lower = covered is Region.A_MINUS
     if case in CASE_I:
-        if side is Side.PHI_COVERS_A_MINUS:
+        if lower:
             r, a = 9 + alpha - beta, 9 - alpha - beta
         else:
             r, a = 10 - alpha + beta, 10 - alpha - beta
     else:
-        if side is Side.PHI_COVERS_A_MINUS:
+        if lower:
             r, a = 8 + alpha - beta, 8 - alpha - beta
         else:
             r, a = 11 - alpha + beta, 9 - alpha - beta
-    if a < 0:
-        raise OutOfRange(f"{case.value} with ({alpha},{beta}) gives a = {a} < 0")
-    h = HInvariant.ZERO if side is Side.PHI_COVERS_A_MINUS else HInvariant.Z2
-    return r, a, h
+    return r, a, HInvariant.ZERO if lower else HInvariant.Z2
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +353,15 @@ def real_part_topology(
     """
     if c.family is not Family.S311:
         raise WrongFamily("real-part types are defined for the 102-class family")
+    region = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
     if iso.case is TopCase.NODE_STAR:
-        if c.key not in STAR_KEYS:
-            raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
+        fits = c.key in STAR_KEYS
     else:
-        side = Side.PHI_COVERS_A_MINUS if c.h is HInvariant.ZERO else Side.PHI_COVERS_A_PLUS
-        r, a, h = invariants_from_isotopy(iso.case, iso.alpha, iso.beta, side)
-        if (r, a, h) != (c.r, c.a, c.h):
-            raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
-    phi_region = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
-    other = Region.A_PLUS if phi_region is Region.A_MINUS else Region.A_MINUS
-    region = phi_region if which is Cover.PHI else other
+        fits = invariants_from_isotopy(*iso.triple, region) == (c.r, c.a, c.h)
+    if not fits:
+        raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
+    if which is Cover.RELATED_PHI:
+        region = Region.A_PLUS if region is Region.A_MINUS else Region.A_MINUS
     return _surface_for(iso.case, iso.alpha, iso.beta, region)
 
 

@@ -26,7 +26,7 @@ from k3atlas.lattices import (
     two_elementary_invariants,
 )
 from k3atlas.topology import (
-    Side,
+    Region,
     TopCase,
     candidate_isotopy_types,
     double_cover_euler_check,
@@ -106,13 +106,13 @@ def test_criterion_3_golden_tables():
 def test_criterion_4_formula_roundtrip():
     checked = 0
     for c in ATLAS.all_classes(Family.S311):
-        side = Side.PHI_COVERS_A_MINUS if c.h is HInvariant.ZERO else Side.PHI_COVERS_A_PLUS
+        covered = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
         for t in candidate_isotopy_types(c):
             if t.case is TopCase.NODE_STAR:
                 assert (c.r, c.a, c.delta) in ((10, 8, 0), (9, 9, 0))
                 checked += 1
                 continue
-            assert invariants_from_isotopy(t.case, t.alpha, t.beta, side) == (
+            assert invariants_from_isotopy(t.case, t.alpha, t.beta, covered) == (
                 c.r, c.a, c.h,
             )
             checked += 1

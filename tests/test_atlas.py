@@ -164,9 +164,15 @@ def test_validate_detects_missing_partner(atlas):
 
 def test_validate_detects_duplicates(atlas):
     records = atlas.to_records(Family.S311) + atlas.to_records(Family.U)
-    report = validate_atlas(Atlas.from_records(records + [records[0]]))
-    assert not report.ok
-    assert any("duplicate invariants" in v for v in report.violations)
+    for family, line in (
+        (Family.U, "u: duplicate invariants (1, 1, 1) (No.1 and No.1)"),
+        (Family.S311, "s311: duplicate invariants (1, 1, 1) (H=0) (No.1 and No.1)"),
+    ):
+        duplicate = next(rec for rec in atlas.to_records(family) if rec["index"] == "No.1")
+        report = validate_atlas(Atlas.from_records(records + [duplicate]))
+        assert line in report.violations
+        # the shadowed duplicate still finds its partner
+        assert not any("related invariants" in v for v in report.violations)
 
 
 def test_records_roundtrip(atlas, tmp_path):
@@ -215,6 +221,7 @@ def test_type_metadata_counts():
         (lambda rec: rec.update(a="x"), "field 'a' has bad value 'x'"),
         (lambda rec: rec.update(family="t"), "field 'family' has bad value 't'"),
         (lambda rec: rec.update(delta=2), "delta is 0 or 1"),
+        (lambda rec: rec.update(r=-1), "r and a are nonnegative"),
     ],
 )
 def test_from_records_names_record_and_field(atlas, change, problem):

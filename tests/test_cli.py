@@ -15,7 +15,7 @@ from k3atlas import cli, degenerations, errors, lattices, topology
 from k3atlas.atlas import Family, HInvariant, IdentityEnum
 from k3atlas.cli import main
 from k3atlas.degenerations import Degeneration, TableSide
-from k3atlas.topology import Cover, PieceKind, Region, Side, TopCase
+from k3atlas.topology import Cover, PieceKind, Region, TopCase
 
 GRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "grams")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -85,6 +85,12 @@ def test_isotopy_not_found(capsys):
     assert code == 3 and "No.99" in err
     code, _, err = run(capsys, "isotopy", "--class", "10,10,0,0")
     assert code == 3
+
+
+def test_isotopy_bad_h_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "isotopy", "--class", "1,1,1,7")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "atlas: H must be 0 or 1/Z2, got '7'\n"
 
 
 @pytest.mark.parametrize("flag", ["--index", "--class"])
@@ -286,7 +292,7 @@ def test_output_does_not_depend_on_hashing():
 
 
 IDENTITY_ENUMS = (
-    Family, HInvariant, TopCase, Side, Region, Cover, PieceKind, Degeneration, TableSide
+    Family, HInvariant, TopCase, Region, Cover, PieceKind, Degeneration, TableSide
 )
 
 
@@ -389,8 +395,21 @@ def test_divisor_empty_intersect_is_a_usage_error(capsys, fmt):
     assert err == "atlas: --intersect needs a class, e.g. 1,0\n"
 
 
+def _choices(subcommand: str, dest: str) -> tuple[str, ...]:
+    subparsers = next(
+        action for action in cli.build_parser()._actions if action.dest == "command"
+    )
+    options = subparsers.choices[subcommand]._actions
+    return tuple(next(action for action in options if action.dest == dest).choices)
+
+
 def test_move_choices_are_the_moves():
+    from k3atlas.divisors import Surface
+
     assert cli.MOVE_NAMES == tuple(sorted(move.value for move in Degeneration))
+    assert _choices("degenerate", "move") == cli.MOVE_NAMES
+    assert _choices("degenerate", "side") == tuple(side.value for side in TableSide)
+    assert _choices("divisor", "surface") == tuple(surface.value for surface in Surface)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -454,7 +473,8 @@ def test_data_dir_duplicate_class(exported_catalogs, capsys, monkeypatch):
     monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
     code, out, _ = run(capsys, "validate")
     assert code == 1
-    assert "duplicate invariants" in out
+    assert "  ! u: duplicate invariants (1, 1, 1) (No.1 and No.1)\n" in out
+    assert "missing from u" not in out
 
 
 def test_data_dir_odd_parity_classes_are_reported(exported_catalogs, capsys, monkeypatch):
@@ -470,6 +490,13 @@ def test_data_dir_odd_parity_classes_are_reported(exported_catalogs, capsys, mon
     assert (code, err) == (1, "")
     assert "  ! X1: r - a is odd\n  ! X2: r - a is odd\n" in out
     assert out.endswith("summary: 102/51, 65/38, 5 violations, 0 whitelisted discrepancies\n")
+    # the export leaves (g, k) empty where r - a is odd
+    code, out, _ = run(capsys, "classes", "--family", "u", "--format", "json")
+    exported = {rec["index"]: rec for rec in json.loads(out)}
+    assert code == 0
+    for index, related in (("X1", "X2"), ("X2", "X1")):
+        assert (exported[index]["g"], exported[index]["k"]) == (None, None)
+        assert exported[index]["related_index"] == related
 
 
 @pytest.mark.parametrize(

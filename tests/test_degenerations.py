@@ -7,7 +7,7 @@ import random
 import pytest
 
 from k3atlas import tables
-from k3atlas.atlas import Family, HInvariant, gk_invariants, load_atlas
+from k3atlas.atlas import Atlas, Family, HInvariant, gk_invariants, load_atlas
 from k3atlas.degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
@@ -206,6 +206,27 @@ def test_spec_correspondence_examples(atlas):
     outcome = apply_degeneration(u1p, Degeneration.CONTR3P, atlas)
     isolated = next(t for t in candidate_isotopy_types(s1p) if t.case is TopCase.ISOLATED)
     assert outcome.cell() == (isolated.alpha, isolated.beta) == (0, 8)
+
+
+def test_outcome_str(atlas):
+    # the README's library example
+    u22 = atlas.lookup_index(Family.U, "No.22")
+    outcome = apply_degeneration(u22, Degeneration.CONJ1, atlas)
+    assert str(outcome) == "Conjunction 1): Node (1) (4,4) -> S:(9,1,1,0)"
+
+
+def test_correspondence_reports_swapped_labels(atlas):
+    records = atlas.to_records(Family.S311) + atlas.to_records(Family.U)
+    swapped = {"No.1": "No.2", "No.2": "No.1"}
+    for rec in records:
+        if rec["family"] == "u" and rec["index"] in swapped:
+            rec["index"] = swapped[rec["index"]]
+    report = correspondence_check(Atlas.from_records(records))
+    assert (report.checked, len(report.violations)) == (302, 18)
+    assert report.violations[:2] == [
+        "No.1 conj1: produced (1, 8), candidate is (0, 8)",
+        "No.1 conj1: target S:(2,0,0,0) is not No.1",
+    ]
 
 
 def test_transition_graph_shape(atlas):

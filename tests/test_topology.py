@@ -13,7 +13,6 @@ from k3atlas.topology import (
     Region,
     RegionDescriptor,
     RegionPiece,
-    Side,
     SurfaceDescriptor,
     TopCase,
     candidate_isotopy_types,
@@ -141,7 +140,7 @@ def test_isotopy_type_bounds():
         lambda case, alpha, beta: region_descriptor(case, alpha, beta, Region.A_PLUS),
         double_cover_euler_check,
         lambda case, alpha, beta: invariants_from_isotopy(
-            case, alpha, beta, Side.PHI_COVERS_A_PLUS
+            case, alpha, beta, Region.A_PLUS
         ),
     ],
     ids=["IsotopyType", "region_descriptor", "double_cover_euler_check", "invariants"],
@@ -164,32 +163,32 @@ def test_oval_bounds_of_every_entry_point(entry):
 
 
 @pytest.mark.parametrize(
-    "case,alpha,beta,side,expected",
+    "case,alpha,beta,covered,expected",
     [
-        (TopCase.NODE1, 0, 8, Side.PHI_COVERS_A_MINUS, (1, 1, HInvariant.ZERO)),
-        (TopCase.NODE2, 0, 7, Side.PHI_COVERS_A_PLUS, (18, 2, HInvariant.Z2)),
-        (TopCase.NODE1, 0, 0, Side.PHI_COVERS_A_MINUS, (9, 9, HInvariant.ZERO)),
-        (TopCase.ISOLATED, 1, 0, Side.PHI_COVERS_A_PLUS, (9, 9, HInvariant.Z2)),
-        (TopCase.CUSP1, 2, 1, Side.PHI_COVERS_A_MINUS, (10, 6, HInvariant.ZERO)),
-        (TopCase.CUSP2, 1, 1, Side.PHI_COVERS_A_PLUS, (11, 7, HInvariant.Z2)),
+        (TopCase.NODE1, 0, 8, Region.A_MINUS, (1, 1, HInvariant.ZERO)),
+        (TopCase.NODE2, 0, 7, Region.A_PLUS, (18, 2, HInvariant.Z2)),
+        (TopCase.NODE1, 0, 0, Region.A_MINUS, (9, 9, HInvariant.ZERO)),
+        (TopCase.ISOLATED, 1, 0, Region.A_PLUS, (9, 9, HInvariant.Z2)),
+        (TopCase.CUSP1, 2, 1, Region.A_MINUS, (10, 6, HInvariant.ZERO)),
+        (TopCase.CUSP2, 1, 1, Region.A_PLUS, (11, 7, HInvariant.Z2)),
     ],
 )
-def test_invariants_from_isotopy(case, alpha, beta, side, expected):
-    assert invariants_from_isotopy(case, alpha, beta, side) == expected
+def test_invariants_from_isotopy(case, alpha, beta, covered, expected):
+    assert invariants_from_isotopy(case, alpha, beta, covered) == expected
 
 
 def test_invariants_from_isotopy_rejects_star():
     with pytest.raises(InconsistentInput):
-        invariants_from_isotopy(TopCase.NODE_STAR, 0, 0, Side.PHI_COVERS_A_MINUS)
+        invariants_from_isotopy(TopCase.NODE_STAR, 0, 0, Region.A_MINUS)
 
 
 def test_roundtrip_all_candidates(atlas):
     for c in atlas.all_classes(Family.S311):
-        side = Side.PHI_COVERS_A_MINUS if c.h is HInvariant.ZERO else Side.PHI_COVERS_A_PLUS
+        covered = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
         for t in candidate_isotopy_types(c, include_degenerate=True):
             if t.case is TopCase.NODE_STAR:
                 continue
-            assert invariants_from_isotopy(t.case, t.alpha, t.beta, side) == (
+            assert invariants_from_isotopy(t.case, t.alpha, t.beta, covered) == (
                 c.r,
                 c.a,
                 c.h,
@@ -308,6 +307,9 @@ def test_region_descriptors():
     r = region_descriptor(TopCase.NODE_STAR, 0, 0, Region.A_PLUS)
     assert [p.kind for p in r.pieces] == [PieceKind.PAIR_OF_PANTS]
     assert r.euler_characteristic == -1
+
+    r = region_descriptor(TopCase.NODE2, 1, 2, Region.A_PLUS)
+    assert str(r) == "(annulus with 1 holes) u 3 disks"
 
 
 def test_double_cover_examples():
