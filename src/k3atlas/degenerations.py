@@ -44,6 +44,10 @@ from .topology import (
     candidate_isotopy_types,
 )
 
+# Module globals, read per call in place of class attributes: see IdentityEnum.
+_S311, _U, _NODE_STAR = Family.S311, Family.U, TopCase.NODE_STAR
+_ZERO, _Z2, _NOT_APPLICABLE = HInvariant.ZERO, HInvariant.Z2, HInvariant.NOT_APPLICABLE
+
 
 class MoveSpec(NamedTuple):
     """What one move does.
@@ -77,8 +81,8 @@ class MoveSpec(NamedTuple):
         if self.star_target is not None:
             return self.star_target
         if self.primed:
-            return (c.r - 1, c.a + 1, c.delta, HInvariant.Z2)
-        return (c.r, c.a, c.delta, HInvariant.ZERO)
+            return (c.r - 1, c.a + 1, c.delta, _Z2)
+        return (c.r, c.a, c.delta, _ZERO)
 
 
 class Degeneration(IdentityEnum):
@@ -126,7 +130,7 @@ class DegenerationOutcome(NamedTuple):
         return self.iso is None
 
     def cell(self) -> tuple[int, int] | None:
-        if self.iso is None or self.iso.case is TopCase.NODE_STAR:
+        if self.iso is None or self.iso.case is _NODE_STAR:
             return None
         return (self.iso.alpha, self.iso.beta)
 
@@ -136,21 +140,22 @@ class DegenerationOutcome(NamedTuple):
         return f"{self.move.spec.label}: {self.iso} -> {self.target}"
 
 
+# The two classes of the nonsingular-curve family that no move starts from.
+_NO_MOVES = {
+    (10, 10, 0): "(10,10,0) has an empty real part; no real curve degenerates",
+    (10, 8, 0): "(10,8,0) carries no oval bookkeeping; degenerations are undefined",
+}
+
+
 def apply_degeneration(
     c: InvolutionClass, move: Degeneration, atlas: Atlas | None = None
 ) -> DegenerationOutcome:
     """One simplest degeneration step applied to a nonsingular-curve class."""
     atlas = atlas or load_atlas()
-    if c.family is not Family.U:
+    if c.family is not _U:
         raise WrongFamily("degenerations start from the nonsingular-curve family")
-    if c.triple == (10, 10, 0):
-        raise SpecialClass(
-            "(10,10,0) has an empty real part; no real curve degenerates"
-        )
-    if c.triple == (10, 8, 0):
-        raise SpecialClass(
-            "(10,8,0) carries no oval bookkeeping; degenerations are undefined"
-        )
+    if c.triple in _NO_MOVES:
+        raise SpecialClass(_NO_MOVES[c.triple])
     spec = move.spec
     if spec.source and c.triple != spec.source:
         raise MoveNotApplicable(
@@ -162,7 +167,7 @@ def apply_degeneration(
     if cell is None:
         return DegenerationOutcome(move, None, None)
     key = spec.target_key(c)
-    target = atlas.lookup(Family.S311, *key)
+    target = atlas.lookup(_S311, *key)
     if target is None:
         raise NotInAtlas(f"no class with invariants {key[:3]} and H={key[3].value} exists")
     return DegenerationOutcome(move, IsotopyType(spec.case, *cell), target)
@@ -222,6 +227,9 @@ class TableSide(IdentityEnum):
     STAR = "star"
 
 
+_PRIMED, _STAR = TableSide.PRIMED, TableSide.STAR
+
+
 class MoveTableRow(NamedTuple):
     index: str
     r: int
@@ -244,9 +252,9 @@ def degeneration_table(
     derivation = Derivation.of(atlas)
     atlas = derivation.atlas
     rows: list[MoveTableRow] = []
-    if side is TableSide.STAR:
+    if side is _STAR:
         for move in STAR_MOVES:
-            c = atlas.lookup(Family.U, *move.spec.source)
+            c = atlas.lookup(_U, *move.spec.source)
             if c is None:
                 continue
             g, k = gk_invariants(c)
@@ -254,9 +262,9 @@ def degeneration_table(
             rows.append(MoveTableRow(c.index, c.r, c.a, c.delta, g, k, cells))
         return rows
 
-    primed = side is TableSide.PRIMED
+    primed = side is _PRIMED
     moves = PRIMED_MOVES if primed else UNPRIMED_MOVES
-    for c in atlas.all_classes(Family.U):
+    for c in atlas.all_classes(_U):
         if c.triple in U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
@@ -268,7 +276,7 @@ def degeneration_table(
         cells = tuple((move, derivation.outcome(c, move).cell()) for move in moves)
         rows.append(MoveTableRow(index, c.r, c.a, c.delta, g, k, cells))
     # By the number in the label (17 for No.17'); a label without one goes last.
-    rows.sort(key=lambda row: int("".join(filter(str.isdigit, row.index)) or 10**6))
+    rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row.index)) or 10**6))
     return rows
 
 
@@ -286,15 +294,15 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     section = CheckSection("correspondence")
     for k in range(1, 51):
         for label, moves in ((f"No.{k}", UNPRIMED_MOVES), (f"No.{k}'", PRIMED_MOVES)):
-            u_class = atlas.lookup_index(Family.U, label)
-            s_class = atlas.lookup_index(Family.S311, label)
+            u_class = atlas.lookup_index(_U, label)
+            s_class = atlas.lookup_index(_S311, label)
             if u_class is None or s_class is None:
                 section.violations.append(f"{label}: missing from one of the catalogs")
                 continue
             candidates = {
                 t.case: (t.alpha, t.beta)
                 for t in derivation.table_candidates(s_class)
-                if t.case is not TopCase.NODE_STAR
+                if t.case is not _NODE_STAR
             }
             for move in moves:
                 section.checked += 1
@@ -326,14 +334,14 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     for move in STAR_MOVES:
         section.checked += 1
         triple = move.spec.source
-        u_class = atlas.lookup(Family.U, *triple)
+        u_class = atlas.lookup(_U, *triple)
         if u_class is None:
             section.violations.append(f"{triple}: missing from the catalog")
             continue
         # The target is apply_degeneration's lookup of ``move.spec.star_target``.
         outcome = derivation.outcome(u_class, move)
         if outcome.impossible or not any(
-            t.case is TopCase.NODE_STAR for t in derivation.table_candidates(outcome.target)
+            t.case is _NODE_STAR for t in derivation.table_candidates(outcome.target)
         ):
             section.violations.append(f"{triple} {move.value}: star outcome mismatch")
     return section
@@ -360,14 +368,14 @@ def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph
     derivation = Derivation.of(atlas)
     atlas = derivation.atlas
     edges = []
-    for c in atlas.all_classes(Family.U):
+    for c in atlas.all_classes(_U):
         if c.triple in U_EXCLUDED_TRIPLES:
             continue
         for move in applicable_moves(c):
             outcome = derivation.outcome(c, move)
             if not outcome.impossible:
                 edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
-    nodes = atlas.all_classes(Family.S311) + atlas.all_classes(Family.U)
+    nodes = atlas.all_classes(_S311) + atlas.all_classes(_U)
     return TransitionGraph(nodes, tuple(edges))
 
 
@@ -377,22 +385,23 @@ def _values(*enums: type[IdentityEnum]) -> dict[IdentityEnum, str]:
     return {member: member.value for enum in enums for member in enum}
 
 
-def graph_to_dot(graph: TransitionGraph) -> str:
-    def quote(s: str) -> str:
-        return '"{}"'.format(s.replace('"', r"\""))
+class _Quoted(dict):
+    """string -> its DOT quoted form, made on first use."""
 
-    value = _values(Degeneration)
+    def __missing__(self, s: str) -> str:
+        quoted = self[s] = '"{}"'.format(s.replace('"', r"\""))
+        return quoted
+
+
+def graph_to_dot(graph: TransitionGraph) -> str:
+    quote = _Quoted()  # one per export: each label and move name is quoted once
+    move = {m: quote[m.value] for m in Degeneration}
     lines = ["digraph degenerations {"]
-    for node in graph.nodes:
-        lines.append(f"  {quote(node.label)};")
-    for edge in graph.edges:
-        lines.append(
-            "  {} -> {} [label={}];".format(
-                quote(edge.source.label),
-                quote(edge.target.label),
-                quote(value[edge.move]),
-            )
-        )
+    lines += [f"  {quote[node.label]};" for node in graph.nodes]
+    lines += [
+        f"  {quote[e.source.label]} -> {quote[e.target.label]} [label={move[e.move]}];"
+        for e in graph.edges
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -408,7 +417,7 @@ def graph_to_json(graph: TransitionGraph) -> dict:
                 "r": c.r,
                 "a": c.a,
                 "delta": c.delta,
-                "h": None if c.h is HInvariant.NOT_APPLICABLE else value[c.h],
+                "h": None if c.h is _NOT_APPLICABLE else value[c.h],
             }
             for c in graph.nodes
         ],

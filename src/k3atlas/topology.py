@@ -48,11 +48,22 @@ class Cover(IdentityEnum):
     RELATED_PHI = "related_phi"
 
 
+# Module globals, read per call in place of class attributes: see IdentityEnum.
+_NODE1, _NODE2, _NODE_STAR, _CUSP1, _CUSP2, _ISOLATED = TopCase
+_A_PLUS, _A_MINUS = Region
+_S311, _ZERO, _Z2, _RELATED_PHI = Family.S311, HInvariant.ZERO, HInvariant.Z2, Cover.RELATED_PHI
+
+
 # (r, a, delta, H) of the two classes whose singular component is
 # non-contractible; fixed data, not covered by the case I/II formulas.
 STAR_KEY_H0 = (10, 8, 0, HInvariant.ZERO)
 STAR_KEY_Z2 = (9, 9, 0, HInvariant.Z2)
 STAR_KEYS = (STAR_KEY_H0, STAR_KEY_Z2)
+
+# case -> (largest alpha + beta, the message past it)
+_OVAL_CAPS = {_NODE_STAR: (0, "the non-contractible node case has no ovals")}
+_OVAL_CAPS.update(dict.fromkeys(CASE_II, (8, "alpha + beta <= 8 in group II")))
+_OVAL_CAPS.update(dict.fromkeys(CASE_I, (9, "alpha + beta <= 9 in group I")))
 
 
 def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
@@ -61,15 +72,9 @@ def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
         raise InconsistentInput("oval data is a TopCase and two integer counts")
     if alpha < 0 or beta < 0:
         raise InconsistentInput("oval counts are nonnegative")
-    total = alpha + beta
-    if case is TopCase.NODE_STAR:
-        if total:
-            raise InconsistentInput("the non-contractible node case has no ovals")
-    elif case in CASE_II:
-        if total > 8:
-            raise InconsistentInput("alpha + beta <= 8 in group II")
-    elif total > 9:
-        raise InconsistentInput("alpha + beta <= 9 in group I")
+    cap, message = _OVAL_CAPS[case]
+    if alpha + beta > cap:
+        raise InconsistentInput(message)
 
 
 class _Checked:
@@ -132,46 +137,33 @@ def candidate_isotopy_types(
     empty table cells.  Cusp variants are emitted only when
     ``include_degenerate`` is set and are flagged as non-table data.
     """
-    if c.family is not Family.S311:
+    if c.family is not _S311:
         raise WrongFamily("isotopy candidates are defined for the 102-class family")
 
     if c.key == STAR_KEY_H0:
-        return [IsotopyType(TopCase.NODE_STAR, 0, 0)]
+        return [IsotopyType(_NODE_STAR, 0, 0)]
 
     g, k = gk_invariants(c)
-    if c.h is HInvariant.ZERO:
-        group_i = (k, g - 2)
-        group_ii = (k, g - 3)
+    if c.h is _ZERO:
+        group_i, group_ii = (k, g - 2), (k, g - 3)
     else:
-        group_i = (g - 1, k)
-        group_ii = (g - 1, k - 1)
+        group_i, group_ii = (g - 1, k), (g - 1, k - 1)
 
+    # Of the star class with H = Z/2, Node (1) and the isolated point are
+    # conjectured not realizable.
     conjectured = c.key == STAR_KEY_Z2
-    out: list[IsotopyType] = []
-
-    def emit(case: TopCase, cell: tuple[int, int], table: bool = True) -> None:
-        alpha, beta = cell
-        if alpha < 0 or beta < 0:
-            return
-        out.append(
-            IsotopyType(
-                case,
-                alpha,
-                beta,
-                table_data=table,
-                conjectured_nonrealizable=conjectured
-                and case in (TopCase.NODE1, TopCase.ISOLATED),
-            )
-        )
-
-    emit(TopCase.NODE1, group_i)
-    emit(TopCase.ISOLATED, group_i)
-    emit(TopCase.NODE2, group_ii)
+    table_cells = ((_NODE1, group_i), (_ISOLATED, group_i), (_NODE2, group_ii))
+    out = [
+        IsotopyType(case, alpha, beta, True, conjectured and case is not _NODE2)
+        for case, (alpha, beta) in table_cells
+        if alpha >= 0 and beta >= 0
+    ]
     if conjectured:
-        out.append(IsotopyType(TopCase.NODE_STAR, 0, 0))
+        out.append(IsotopyType(_NODE_STAR, 0, 0))
     if include_degenerate:
-        emit(TopCase.CUSP1, group_i, table=False)
-        emit(TopCase.CUSP2, group_ii, table=False)
+        for case, (alpha, beta) in ((_CUSP1, group_i), (_CUSP2, group_ii)):
+            if alpha >= 0 and beta >= 0:
+                out.append(IsotopyType(case, alpha, beta, False))
     return out
 
 
@@ -183,11 +175,11 @@ def invariants_from_isotopy(
     ``covered`` is the region the involution covers; it determines H (the
     lower region A- gives H = 0).
     """
-    if case is TopCase.NODE_STAR:
+    if case is _NODE_STAR:
         keys = " and ".join("({},{},{},H={})".format(*k[:3], k[3].value) for k in STAR_KEYS)
         raise InconsistentInput(f"the non-contractible node case carries fixed invariants, {keys}")
     _check_oval_bounds(case, alpha, beta)
-    lower = covered is Region.A_MINUS
+    lower = covered is _A_MINUS
     if case in CASE_I:
         if lower:
             r, a = 9 + alpha - beta, 9 - alpha - beta
@@ -198,7 +190,7 @@ def invariants_from_isotopy(
             r, a = 8 + alpha - beta, 8 - alpha - beta
         else:
             r, a = 11 - alpha + beta, 9 - alpha - beta
-    return r, a, HInvariant.ZERO if lower else HInvariant.Z2
+    return r, a, _ZERO if lower else _Z2
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +274,8 @@ class RegionPiece(NamedTuple):
 
 
 _DISK = RegionPiece(PieceKind.DISK)  # built once; region_descriptor repeats it
+_ANNULUS_WITH_HOLES = PieceKind.ANNULUS_WITH_HOLES
+_MOEBIUS_COMPOSITE = PieceKind.MOEBIUS_COMPOSITE
 
 
 class RegionDescriptor(NamedTuple):
@@ -315,30 +309,30 @@ def region_descriptor(
 ) -> RegionDescriptor:
     """Homeomorphism type of a region cut out by the real branch curve."""
     _check_oval_bounds(case, alpha, beta)
-    if case is TopCase.NODE_STAR:
-        if region is Region.A_PLUS:
+    if case is _NODE_STAR:
+        if region is _A_PLUS:
             return RegionDescriptor((RegionPiece(PieceKind.PAIR_OF_PANTS),))
         return RegionDescriptor(
             (RegionPiece(PieceKind.MOEBIUS_BAND), RegionPiece(PieceKind.ANNULUS))
         )
     extra = 0 if case in CASE_I else 1
-    if region is Region.A_PLUS:
-        pieces = [RegionPiece(PieceKind.ANNULUS_WITH_HOLES, alpha)]
+    if region is _A_PLUS:
+        pieces = [RegionPiece(_ANNULUS_WITH_HOLES, alpha)]
         pieces += [_DISK] * (beta + extra)
     else:
-        pieces = [RegionPiece(PieceKind.MOEBIUS_COMPOSITE, beta + extra)]
+        pieces = [RegionPiece(_MOEBIUS_COMPOSITE, beta + extra)]
         pieces += [_DISK] * alpha
     return RegionDescriptor(tuple(pieces))
 
 
 def _surface_for(case: TopCase, alpha: int, beta: int, region: Region) -> SurfaceDescriptor:
     # Real part of the involution whose image is the given region.
-    if case is TopCase.NODE_STAR:
-        if region is Region.A_MINUS:
+    if case is _NODE_STAR:
+        if region is _A_MINUS:
             return SurfaceDescriptor((1, 1))
         return closed_surface(2)
     extra = 0 if case in CASE_I else 1
-    if region is Region.A_MINUS:
+    if region is _A_MINUS:
         return closed_surface(2 + beta + extra, alpha)
     return closed_surface(1 + alpha, beta + extra)
 
@@ -351,17 +345,17 @@ def real_part_topology(
     The involution with H = 0 covers the lower region; its related
     involution covers the other one.
     """
-    if c.family is not Family.S311:
+    if c.family is not _S311:
         raise WrongFamily("real-part types are defined for the 102-class family")
-    region = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
-    if iso.case is TopCase.NODE_STAR:
+    region = _A_MINUS if c.h is _ZERO else _A_PLUS
+    if iso.case is _NODE_STAR:
         fits = c.key in STAR_KEYS
     else:
         fits = invariants_from_isotopy(*iso.triple, region) == (c.r, c.a, c.h)
     if not fits:
         raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
-    if which is Cover.RELATED_PHI:
-        region = Region.A_PLUS if region is Region.A_MINUS else Region.A_MINUS
+    if which is _RELATED_PHI:
+        region = _A_PLUS if region is _A_MINUS else _A_MINUS
     return _surface_for(iso.case, iso.alpha, iso.beta, region)
 
 
@@ -371,7 +365,7 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     The branch locus consists of circles, which carry no Euler
     characteristic, so the identity holds on both sides simultaneously.
     """
-    for region in (Region.A_PLUS, Region.A_MINUS):
+    for region in (_A_PLUS, _A_MINUS):
         # region_descriptor checks the oval bounds before _surface_for runs.
         region_piece = region_descriptor(case, alpha, beta, region)
         surface = _surface_for(case, alpha, beta, region)

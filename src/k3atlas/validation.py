@@ -53,6 +53,13 @@ from .topology import (
     real_part_topology,
 )
 
+# Module globals, read per class or candidate: see atlas.IdentityEnum.
+_S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
+_NODE1, _NODE2, _NODE_STAR, _ISOLATED = (
+    TopCase.NODE1, TopCase.NODE2, TopCase.NODE_STAR, TopCase.ISOLATED
+)
+_A_PLUS, _A_MINUS = Region.A_PLUS, Region.A_MINUS
+
 
 class ValidationSummary(NamedTuple):
     atlas_report: CheckSection
@@ -101,9 +108,9 @@ class ValidationSummary(NamedTuple):
 def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
     atlas = derivation.atlas
     section = CheckSection("isotopy tables")
-    for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2)):
+    for h, rows in ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)):
         for row in rows:
-            c = atlas.lookup(Family.S311, row.r, row.a, row.delta, h)
+            c = atlas.lookup(_S311, row.r, row.a, row.delta, h)
             section.checked += 1
             if c is None:
                 section.violations.append(f"row {row.index}: class missing from atlas")
@@ -117,15 +124,11 @@ def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
             generated: dict[TopCase, tuple[int, int]] = {}
             star = None
             for t in derivation.table_candidates(c):
-                if t.case is TopCase.NODE_STAR:
+                if t.case is _NODE_STAR:
                     star = str(real_part_topology(c, t))
                 else:
                     generated[t.case] = (t.alpha, t.beta)
-            expected = {
-                TopCase.NODE1: row.node1,
-                TopCase.ISOLATED: row.isolated,
-                TopCase.NODE2: row.node2,
-            }
+            expected = {_NODE1: row.node1, _ISOLATED: row.isolated, _NODE2: row.node2}
             for case, cell in expected.items():
                 if generated.get(case) != cell:
                     section.violations.append(
@@ -182,11 +185,11 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
 
 def _check_roundtrips(derivation: Derivation) -> CheckSection:
     section = CheckSection("invariant roundtrips")
-    for c in derivation.atlas.all_classes(Family.S311):
-        covered = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
+    for c in derivation.atlas.all_classes(_S311):
+        covered = _A_MINUS if c.h is _ZERO else _A_PLUS
         for t in derivation.table_candidates(c):
             section.checked += 1
-            if t.case is TopCase.NODE_STAR:
+            if t.case is _NODE_STAR:
                 continue
             r, a, h = invariants_from_isotopy(t.case, t.alpha, t.beta, covered)
             if (r, a, h) != (c.r, c.a, c.h):
@@ -194,8 +197,8 @@ def _check_roundtrips(derivation: Derivation) -> CheckSection:
                     f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"
                 )
             # Oval-sum rules on the H = 0 side.
-            if c.h is HInvariant.ZERO:
-                expected_sum = 8 - c.a if t.case is TopCase.NODE2 else 9 - c.a
+            if c.h is _ZERO:
+                expected_sum = 8 - c.a if t.case is _NODE2 else 9 - c.a
                 if t.alpha + t.beta != expected_sum:
                     section.violations.append(f"{c.index} {t}: oval sum violated")
     return section
@@ -204,7 +207,7 @@ def _check_roundtrips(derivation: Derivation) -> CheckSection:
 def _check_euler(derivation: Derivation) -> CheckSection:
     section = CheckSection("double-cover Euler identity")
     holds: dict[tuple[TopCase, int, int], bool] = {}
-    for c in derivation.atlas.all_classes(Family.S311):
+    for c in derivation.atlas.all_classes(_S311):
         for t in derivation.candidates(c):
             section.checked += 1
             if t.triple not in holds:
@@ -220,12 +223,12 @@ def _check_exclusions(derivation: Derivation) -> CheckSection:
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its candidates are the star case
     # alone; no (10,10,0) class with H = 0 exists to check.
-    for c in derivation.atlas.all_classes(Family.S311):
-        if c.h is not HInvariant.ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
+    for c in derivation.atlas.all_classes(_S311):
+        if c.h is not _ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
             continue
         section.checked += 1
         cases = {t.case for t in derivation.table_candidates(c)}
-        if cases - {TopCase.NODE_STAR}:
+        if cases - {_NODE_STAR}:
             section.violations.append(
                 f"{c.index}: case I/II candidates emitted for excluded invariants"
             )
@@ -236,7 +239,7 @@ def _check_monotonicity(derivation: Derivation) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
     section = CheckSection("oval-count monotonicity")
-    for c in derivation.atlas.all_classes(Family.U):
+    for c in derivation.atlas.all_classes(_U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
@@ -267,14 +270,14 @@ def _check_graph(derivation: Derivation) -> CheckSection:
     if len(graph.nodes) != 165:
         section.violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
     indegree = Counter(edge.target.key for edge in graph.edges)
-    for c in derivation.atlas.all_classes(Family.S311):
+    for c in derivation.atlas.all_classes(_S311):
         section.checked += 1
         if not indegree[c.key]:
             section.violations.append(f"{c.index}: no incoming degeneration edge")
     for key in STAR_KEYS:
         section.checked += 1
         if indegree[key] != 1:
-            star = derivation.atlas.lookup(Family.S311, *key)
+            star = derivation.atlas.lookup(_S311, *key)
             section.violations.append(f"{star.index}: in-degree != 1")
     return section
 

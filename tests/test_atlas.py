@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +110,38 @@ def test_gk_examples(atlas):
     for triple in tables.U_EXCLUDED_TRIPLES:
         with pytest.raises(SpecialClass):
             gk_invariants(atlas.lookup(Family.U, *triple))
+
+
+def test_gk_is_built_with_the_class(atlas):
+    c = atlas.lookup_index(Family.U, "No.27")
+    assert c.gk == gk_invariants(c) == (6, 5)
+    assert dataclasses.replace(c, r=12).gk == (5, 6)
+    twins = [copy.copy(c), copy.deepcopy(c)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twins.append(pickle.loads(pickle.dumps(c, protocol)))
+    for twin in twins:
+        assert twin.gk == (6, 5)
+        assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+    # gk takes no part in eq, hash or repr
+    assert hash(c) == hash((c.family, c.r, c.a, c.delta, c.h, c.index))
+    assert repr(c) == (
+        "InvolutionClass(family=<Family.U: 'u'>, r=10, a=0, delta=0, "
+        "h=<HInvariant.NOT_APPLICABLE: 'NA'>, index='No.27')"
+    )
+
+
+def test_gk_invariants_raises_both_special_messages(atlas):
+    excluded = atlas.lookup(Family.U, 10, 10, 0)
+    assert excluded.gk is None
+    message = r"^special-\(10,10,0\) carries no genus/sphere description$"
+    with pytest.raises(SpecialClass, match=message):
+        gk_invariants(excluded)
+    records = atlas.to_records(Family.U)
+    records.append(dict(records[0], index="X1", r=5, a=2, delta=1))
+    odd = Atlas.from_records(records).lookup_index(Family.U, "X1")
+    assert odd.gk is None
+    with pytest.raises(SpecialClass, match=r"^\(5,2,1\) has no integral \(g, k\)$"):
+        gk_invariants(odd)
 
 
 def test_untabulated_class(atlas):
@@ -276,6 +311,19 @@ def test_corrupted_records_raise_only_catalog_error(family, edits):
         Atlas.from_records(records)
     except CatalogError:
         pass
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(order=st.permutations(range(102 + 63)))
+def test_records_in_any_order_rebuild_the_atlas(order):
+    atlas = load_atlas()
+    exports = {family: atlas.to_records(family) for family in Family}
+    records = exports[Family.S311] + exports[Family.U]
+    # the records of both families, interleaved in any order
+    rebuilt = Atlas.from_records([records[i] for i in order])
+    for family in Family:
+        assert rebuilt.all_classes(family) == atlas.all_classes(family)
+        assert rebuilt.to_records(family) == exports[family]
 
 
 @pytest.mark.parametrize("value", [7, 1.9, True, 1.0, "7"])

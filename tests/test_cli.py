@@ -499,6 +499,25 @@ def test_data_dir_odd_parity_classes_are_reported(exported_catalogs, capsys, mon
         assert exported[index]["related_index"] == related
 
 
+def test_data_dir_superscript_digit_in_an_index(exported_catalogs, capsys, monkeypatch):
+    # "²" is a digit to str.isdigit but not to int(): the move tables sort
+    # their rows by the decimal digits of the index.
+    path = exported_catalogs / "u.json"
+    records = json.loads(path.read_text())
+    for rec in records:
+        if rec["index"] == "No.1":
+            rec["index"] = "No.1²"
+    path.write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, err = run(capsys, "degenerate", "--side", "unprimed")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2].startswith("| No.1² | 1 | 1 | 1 | 10 | 0 |")
+    code, out, err = run(capsys, "validate")
+    assert (code, err) == (1, "")
+    assert "  ! correspondence: No.1: missing from one of the catalogs\n" in out
+    assert out.endswith("summary: 102/51, 63/37, 3 violations, 1 whitelisted discrepancy\n")
+
+
 @pytest.mark.parametrize(
     "name, content, problem",
     [

@@ -1,3 +1,4 @@
+import cProfile
 import copy
 import dataclasses
 import json
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from k3atlas import tables
+from k3atlas import degenerations, tables
 from k3atlas.atlas import Atlas, Family, HInvariant, gk_invariants, load_atlas
 from k3atlas.degenerations import (
     PRIMED_MOVES,
@@ -279,6 +280,40 @@ def test_graph_exports_of_equal_copies(atlas):
     no_nodes = TransitionGraph((), graph.edges)
     assert graph_to_dot(no_nodes).count(" -> ") == 280
     assert graph_to_json(no_nodes)["edges"] == graph_to_json(graph)["edges"]
+
+
+def _dot_quoting_every_use(graph: TransitionGraph) -> str:
+    def quote(s: str) -> str:
+        return '"{}"'.format(s.replace('"', r"\""))
+
+    lines = ["digraph degenerations {"]
+    lines += [f"  {quote(node.label)};" for node in graph.nodes]
+    lines += [
+        f"  {quote(e.source.label)} -> {quote(e.target.label)} [label={quote(e.move.value)}];"
+        for e in graph.edges
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_dot_export_quotes_each_string_once(atlas):
+    graph = transition_graph(atlas)
+    edge = graph.edges[0]
+    # an endpoint that is not a node, with a quote in its label
+    stray = edge._replace(source=dataclasses.replace(edge.source, index='say "No.1"'))
+    for exported in (
+        graph,
+        TransitionGraph((), graph.edges),
+        TransitionGraph(graph.nodes, graph.edges + (stray,)),
+    ):
+        assert graph_to_dot(exported) == _dot_quoting_every_use(exported)
+    assert r'"U:say \"No.1\" (1,1,1)" -> "S:(1,1,1,0)" [label="conj1"];' in graph_to_dot(
+        TransitionGraph((), (stray,))
+    )
+    profile = cProfile.Profile()
+    profile.runcall(graph_to_dot, graph)
+    code = degenerations._Quoted.__missing__.__code__
+    quoted = sum(entry.callcount for entry in profile.getstats() if entry.code is code)
+    assert quoted == 165 + len(Degeneration)
 
 
 def test_exports_do_not_depend_on_record_order(atlas, tmp_path, monkeypatch):

@@ -51,6 +51,20 @@ def test_a_replaced_function_is_seen_through_the_package(monkeypatch):
     assert k3atlas.region_descriptor is topology.region_descriptor
 
 
+def test_member_globals_are_the_members_they_name():
+    # The catalog modules read enum members from private module globals
+    # (see atlas.IdentityEnum); each must be the member of its name.
+    from k3atlas import atlas, degenerations, topology, validation
+
+    bound = 0
+    for module in (atlas, topology, degenerations, validation):
+        for name, value in vars(module).items():
+            if isinstance(value, atlas.IdentityEnum):
+                assert name == f"_{value.name}", (module.__name__, name)
+                bound += 1
+    assert bound  # the check found the globals
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """The modules a fresh interpreter loads while running ``code``."""
     script = (

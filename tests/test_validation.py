@@ -105,7 +105,7 @@ def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 24,075 to 24,580 calls on CPython 3.10 to 3.13.  It keeps
+    # pstats counts 22,863 to 23,180 calls on CPython 3.10 to 3.13.  It keeps
     # one entry per (file, line, name), so of the generated NamedTuple
     # __new__ methods, which share one label, only one is counted; but each
     # value built calls the builtin tuple.__new__, which counts every time.
