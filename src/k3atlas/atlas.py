@@ -14,6 +14,9 @@ every ``load_atlas`` call but parsed only once per distinct content, so an
 edit shows up on the next call and unchanged files give the same ``Atlas``
 object.  A file that cannot be read, decoded or parsed, or a record that
 lacks a field or has a bad value, raises ``CatalogError``.
+
+What ``degenerations.Derivation`` derives from an atlas is kept on that
+``Atlas`` and lives as long as it does; an edited catalog parses to a new one.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ class Atlas:
     """Immutable pair of class catalogs with exact-match lookups."""
 
     def __init__(self, classes: list[InvolutionClass]):
+        self._derivation = None  # its one Derivation, set by Derivation.of
         self._by_family: dict[Family, tuple[InvolutionClass, ...]] = {}
         self._by_key: dict[tuple, InvolutionClass] = {}
         self._by_index: dict[tuple[Family, str], InvolutionClass] = {}

@@ -13,9 +13,10 @@ of these degenerations is known to be realizable for every pair of end
 curves.
 
 ``degeneration_table``, ``correspondence_check`` and ``transition_graph``
-read outcomes and candidate lists through a ``Derivation``, which derives
-each on first request; ``validation.run_all_checks`` passes one to all
-three, so a call derives each outcome once and keeps nothing after it.
+read outcomes, candidate lists, table rows and the graph through the atlas's
+one ``Derivation`` (``Derivation.of``), which derives each on first request
+and keeps it as long as the atlas lives; ``validation.run_all_checks`` reads
+the same one.  Only derived data is kept: every check runs on every call.
 The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
@@ -180,17 +181,28 @@ def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
 
 
 class Derivation:
-    """The outcomes and candidate lists of one atlas, each derived on first
-    request and kept for this object's lifetime only.  The move tables, the
+    """The outcomes, candidate lists, move-table rows and transition graph of
+    one atlas, each derived on first request and kept while this object
+    lives; what it hands out is immutable.  The move tables, the
     correspondence check and the graph take one in place of an atlas."""
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
         self._outcomes: dict[tuple[tuple, Degeneration], DegenerationOutcome] = {}
+        self._rows: dict[TableSide, tuple[MoveTableRow, ...]] = {}
 
     @classmethod
     def of(cls, atlas: Atlas | Derivation | None) -> Derivation:
-        return atlas if isinstance(atlas, Derivation) else cls(atlas or load_atlas())
+        """A Derivation as given, else the one stored on the atlas (default
+        ``load_atlas()``), made on first request; ``Derivation(atlas)``
+        makes a new, unshared one."""
+        if isinstance(atlas, Derivation):
+            return atlas
+        atlas = atlas or load_atlas()
+        # Two threads may both make one; either serves, as both derive alike.
+        if atlas._derivation is None:
+            atlas._derivation = cls(atlas)
+        return atlas._derivation
 
     # Keyed by ``c.key``, a tuple hashed in C: its H part fixes the family, and
     # apply_degeneration and candidate_isotopy_types read nothing else of c.
@@ -202,23 +214,33 @@ class Derivation:
         return found
 
     @cached_property
-    def _full(self) -> dict[tuple, list[IsotopyType]]:
+    def _full(self) -> dict[tuple, tuple[IsotopyType, ...]]:
         return {
-            c.key: candidate_isotopy_types(c, include_degenerate=True)
-            for c in self.atlas.all_classes(Family.S311)
+            c.key: tuple(candidate_isotopy_types(c, include_degenerate=True))
+            for c in self.atlas.all_classes(_S311)
         }
 
     @cached_property
-    def _table(self) -> dict[tuple, list[IsotopyType]]:
-        return {key: [t for t in types if t.table_data] for key, types in self._full.items()}
+    def _table(self) -> dict[tuple, tuple[IsotopyType, ...]]:
+        return {key: tuple(t for t in types if t.table_data) for key, types in self._full.items()}
 
-    def candidates(self, c: InvolutionClass) -> list[IsotopyType]:
+    def candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
         """With the degenerate variants; the first request derives all 102."""
         return self._full[c.key]
 
-    def table_candidates(self, c: InvolutionClass) -> list[IsotopyType]:
-        """What ``candidate_isotopy_types(c)`` returns."""
+    def table_candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
+        """What ``candidate_isotopy_types(c)`` returns, as a tuple."""
         return self._table[c.key]
+
+    def _table_rows(self, side: TableSide) -> tuple[MoveTableRow, ...]:
+        rows = self._rows.get(side)
+        if rows is None:
+            rows = self._rows[side] = _derive_rows(self, side)
+        return rows
+
+    @cached_property
+    def _graph(self) -> TransitionGraph:
+        return _derive_graph(self)
 
 
 class TableSide(IdentityEnum):
@@ -247,9 +269,12 @@ def degeneration_table(
 
     The unprimed table lists every class with g >= 2, the primed table
     every class with k >= 1, each under its index on that side; the star
-    table holds the two self-conjunction rows.
+    table holds the two self-conjunction rows.  Each call returns a new list.
     """
-    derivation = Derivation.of(atlas)
+    return list(Derivation.of(atlas)._table_rows(side))
+
+
+def _derive_rows(derivation: Derivation, side: TableSide) -> tuple[MoveTableRow, ...]:
     atlas = derivation.atlas
     rows: list[MoveTableRow] = []
     if side is _STAR:
@@ -260,7 +285,7 @@ def degeneration_table(
             g, k = gk_invariants(c)
             cells = ((move, derivation.outcome(c, move).cell()),)
             rows.append(MoveTableRow(c.index, c.r, c.a, c.delta, g, k, cells))
-        return rows
+        return tuple(rows)
 
     primed = side is _PRIMED
     moves = PRIMED_MOVES if primed else UNPRIMED_MOVES
@@ -277,7 +302,7 @@ def degeneration_table(
         rows.append(MoveTableRow(index, c.r, c.a, c.delta, g, k, cells))
     # By the number in the label (17 for No.17'); a label without one goes last.
     rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row.index)) or 10**6))
-    return rows
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +390,10 @@ class TransitionGraph(NamedTuple):
 
 def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs, in atlas order."""
-    derivation = Derivation.of(atlas)
+    return Derivation.of(atlas)._graph
+
+
+def _derive_graph(derivation: Derivation) -> TransitionGraph:
     atlas = derivation.atlas
     edges = []
     for c in atlas.all_classes(_U):

@@ -309,6 +309,11 @@ def region_descriptor(
 ) -> RegionDescriptor:
     """Homeomorphism type of a region cut out by the real branch curve."""
     _check_oval_bounds(case, alpha, beta)
+    return _region(case, alpha, beta, region)
+
+
+def _region(case: TopCase, alpha: int, beta: int, region: Region) -> RegionDescriptor:
+    # region_descriptor on oval data its caller has already checked.
     if case is _NODE_STAR:
         if region is _A_PLUS:
             return RegionDescriptor((RegionPiece(PieceKind.PAIR_OF_PANTS),))
@@ -365,9 +370,9 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     The branch locus consists of circles, which carry no Euler
     characteristic, so the identity holds on both sides simultaneously.
     """
+    _check_oval_bounds(case, alpha, beta)  # once, for both regions
     for region in (_A_PLUS, _A_MINUS):
-        # region_descriptor checks the oval bounds before _surface_for runs.
-        region_piece = region_descriptor(case, alpha, beta, region)
+        region_piece = _region(case, alpha, beta, region)
         surface = _surface_for(case, alpha, beta, region)
         if surface.euler_characteristic != 2 * region_piece.euler_characteristic:
             return False

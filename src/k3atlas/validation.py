@@ -8,11 +8,12 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-One call builds one ``degenerations.Derivation`` and hands it to every
-section, so each degeneration outcome and each class's candidate list is
-derived once, on first request, whichever sections read it; the Euler
-identity is evaluated once per distinct (case, alpha, beta).  Nothing is
-kept between calls: each call pays for its own derivations.
+Every section reads the atlas's one ``degenerations.Derivation``
+(``Derivation.of``), so each degeneration outcome, candidate list, move-table
+row and the graph is derived once per atlas, on first request, and kept as
+long as the atlas lives.  No verdict is kept: every call builds fresh
+sections, compares against the shipped tables again and evaluates the Euler
+identity once per distinct (case, alpha, beta).
 
 The roundtrip section tests no component count, since ``IsotopyType`` caps
 alpha + beta (1 to 10 components, 2 to 11 for the isolated point), and no
@@ -289,7 +290,7 @@ def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:
         # A structurally damaged catalog already fails; the deeper checks
         # assume pairing partners and table rows exist.
         return ValidationSummary(report, [])
-    derivation = Derivation(atlas)
+    derivation = Derivation.of(atlas)
     sections = [
         _check_isotopy_tables(derivation),
         _check_move_tables(derivation),

@@ -324,6 +324,33 @@ def test_double_cover_examples():
     assert double_cover_euler_check(TopCase.NODE_STAR, 0, 0)
 
 
+def test_double_cover_checks_its_oval_data_once(monkeypatch):
+    from k3atlas import topology
+
+    calls = []
+    check = topology._check_oval_bounds
+
+    def counting(case, alpha, beta):
+        calls.append((case, alpha, beta))
+        return check(case, alpha, beta)
+
+    monkeypatch.setattr(topology, "_check_oval_bounds", counting)
+    for case, alpha, beta in ((TopCase.NODE1, 0, 8), (TopCase.NODE2, 1, 2), (TopCase.NODE_STAR, 0, 0)):
+        del calls[:]
+        assert double_cover_euler_check(case, alpha, beta)
+        assert calls == [(case, alpha, beta)]
+    # region_descriptor still checks, and bad data raises the same message
+    del calls[:]
+    region_descriptor(TopCase.NODE1, 0, 8, Region.A_PLUS)
+    assert len(calls) == 1
+    for bad in ((TopCase.NODE1, 5, 5), (TopCase.NODE2, -1, 0), ("Node (1)", 1, 2)):
+        with pytest.raises(InconsistentInput) as direct:
+            region_descriptor(*bad, Region.A_MINUS)
+        with pytest.raises(InconsistentInput) as via_euler:
+            double_cover_euler_check(*bad)
+        assert str(via_euler.value) == str(direct.value)
+
+
 def test_double_cover_exhaustive(atlas):
     for c in atlas.all_classes(Family.S311):
         for t in candidate_isotopy_types(c, include_degenerate=True):

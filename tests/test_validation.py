@@ -1,12 +1,24 @@
-"""``run_all_checks`` derives each fact once per call and reports as before."""
+"""``run_all_checks`` derives each fact once per atlas, runs every check on
+every call and reports as before."""
 
 import cProfile
+import gc
+import json
 import pstats
+import sys
+import threading
+import weakref
 
+from k3atlas import atlas as atlas_module
 from k3atlas import degenerations, tables, validation
-from k3atlas.atlas import Family, InvolutionClass, load_atlas
+from k3atlas.atlas import Atlas, Family, InvolutionClass, load_atlas
 from k3atlas.degenerations import Derivation, TableSide
 from k3atlas.topology import STAR_KEY_H0, STAR_KEY_Z2, TopCase, candidate_isotopy_types
+
+
+def _fresh_atlas() -> Atlas:
+    # Unlike load_atlas(), no other test can have derived anything on it.
+    return Atlas(atlas_module._embedded_classes())
 
 
 def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
@@ -26,13 +38,20 @@ def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
     # a direct call from validation would be counted too
     monkeypatch.setattr(validation, "apply_degeneration", counting_apply, raising=False)
     monkeypatch.setattr(validation, "double_cover_euler_check", counting_euler)
-    summary = validation.run_all_checks(load_atlas())
+    atlas = _fresh_atlas()
+    summary = validation.run_all_checks(atlas)
     assert summary.ok
     assert len(pairs) == len(set(pairs)) == 368
     assert len(triples) == len(set(triples)) == 201
-    # a second call derives everything again: nothing is kept between calls
-    validation.run_all_checks(load_atlas())
-    assert len(pairs) == 2 * 368 and len(triples) == 2 * 201
+    # a second call derives no outcome but evaluates every Euler triple again
+    del pairs[:], triples[:]
+    again = validation.run_all_checks(atlas)
+    assert again == summary and again is not summary
+    assert all(a is not b for a, b in zip(again.sections, summary.sections))
+    assert not pairs and len(triples) == len(set(triples)) == 201
+    # another atlas of the same records derives everything again
+    validation.run_all_checks(_fresh_atlas())
+    assert len(pairs) == len(set(pairs)) == 368
 
 
 def test_one_candidate_list_per_class(monkeypatch):
@@ -45,13 +64,16 @@ def test_one_candidate_list_per_class(monkeypatch):
         return candidates(c, include_degenerate)
 
     monkeypatch.setattr(degenerations, "candidate_isotopy_types", counting_candidates)
-    atlas = load_atlas()
+    atlas = _fresh_atlas()
     assert validation.run_all_checks(atlas).ok
     s311 = atlas.all_classes(Family.S311)
     assert calls == [(c, True) for c in s311]
-    # a second call derives every list again: nothing is kept between calls
+    # a second call derives no list; another atlas derives all 102 again
     validation.run_all_checks(atlas)
-    assert len(calls) == 2 * 102
+    assert len(calls) == 102
+    other = _fresh_atlas()
+    validation.run_all_checks(other)
+    assert calls[102:] == [(c, True) for c in other.all_classes(Family.S311)]
 
 
 def test_shared_table_lists_are_the_table_candidates():
@@ -59,15 +81,15 @@ def test_shared_table_lists_are_the_table_candidates():
     derivation = Derivation(atlas)
     s311 = atlas.all_classes(Family.S311)
     for c in s311:
-        assert derivation.candidates(c) == candidate_isotopy_types(c, include_degenerate=True)
-        assert derivation.table_candidates(c) == candidate_isotopy_types(c)
-        # each request returns the list derived once, not a new one
+        assert derivation.candidates(c) == tuple(candidate_isotopy_types(c, True))
+        assert derivation.table_candidates(c) == tuple(candidate_isotopy_types(c))
+        # each request returns the tuple derived once, not a new one
         assert derivation.candidates(c) is derivation.candidates(c)
         assert derivation.table_candidates(c) is derivation.table_candidates(c)
     for key in (STAR_KEY_H0, STAR_KEY_Z2):
         star = atlas.lookup(Family.S311, *key)
         assert any(t.case is TopCase.NODE_STAR for t in derivation.table_candidates(star))
-        assert derivation.table_candidates(star) == candidate_isotopy_types(star)
+        assert derivation.table_candidates(star) == tuple(candidate_isotopy_types(star))
 
 
 def test_shipped_star_real_part_is_checked(monkeypatch):
@@ -105,7 +127,9 @@ def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 22,863 to 23,180 calls on CPython 3.10 to 3.13.  It keeps
+    # pstats counts 13,649 to 14,050 calls on CPython 3.10 to 3.13 now that a
+    # warm call derives nothing (22,863 to 23,459 when every call derived its
+    # outcomes, candidate lists, move tables and graph afresh).  It keeps
     # one entry per (file, line, name), so of the generated NamedTuple
     # __new__ methods, which share one label, only one is counted; but each
     # value built calls the builtin tuple.__new__, which counts every time.
@@ -156,20 +180,28 @@ def test_each_public_call_derives_only_what_it_reads(monkeypatch):
         return candidates(c, include_degenerate)
 
     monkeypatch.setattr(degenerations, "candidate_isotopy_types", counting_candidates)
-    atlas = load_atlas()
+    # Each first call runs on an atlas of its own; a repeat derives nothing.
     for side, n in ((TableSide.UNPRIMED, 150), (TableSide.PRIMED, 150), (TableSide.STAR, 2)):
+        atlas = _fresh_atlas()
         del pairs[:]
         degenerations.degeneration_table(side, atlas)
         assert len(pairs) == len(set(pairs)) == n
+        degenerations.degeneration_table(side, atlas)
+        assert len(pairs) == n
     assert not lists
+    atlas = _fresh_atlas()
     del pairs[:]
     degenerations.transition_graph(atlas)
     assert len(pairs) == len(set(pairs)) == 368
-    assert not lists
+    assert degenerations.transition_graph(atlas) is degenerations.transition_graph(atlas)
+    assert len(pairs) == 368 and not lists
+    atlas = _fresh_atlas()
     del pairs[:]
     assert degenerations.correspondence_check(atlas).ok
     assert len(pairs) == len(set(pairs)) == 302
     assert lists == list(atlas.all_classes(Family.S311))
+    assert degenerations.correspondence_check(atlas).ok
+    assert len(pairs) == 302 and len(lists) == 102
 
 
 def test_one_derivation_shares_its_outcomes(monkeypatch):
@@ -187,3 +219,77 @@ def test_one_derivation_shares_its_outcomes(monkeypatch):
             degenerations.degeneration_table(side, derivation)
         degenerations.transition_graph(derivation)
     assert len(pairs) == 2 * 368 and len(set(pairs)) == 368
+
+
+def test_each_atlas_keeps_one_derivation_for_its_lifetime(tmp_path):
+    for family, name in ((Family.S311, "s311.json"), (Family.U, "u.json")):
+        (tmp_path / name).write_text(json.dumps(load_atlas().to_records(family)))
+    atlas_module._atlas_from_bytes.cache_clear()
+    atlas = load_atlas(str(tmp_path))
+    assert validation.run_all_checks(atlas).ok
+    derivation = Derivation.of(atlas)
+    assert Derivation.of(None) is Derivation.of(load_atlas())
+    assert Derivation.of(atlas) is derivation and derivation.atlas is atlas
+    assert Derivation(atlas) is not derivation
+    refs = weakref.ref(atlas), weakref.ref(derivation)
+    del atlas, derivation
+    # four other contents push the atlas out of the parse cache
+    text = (tmp_path / "u.json").read_text()
+    for n in range(1, 5):
+        (tmp_path / "u.json").write_text(text + " " * n)
+        load_atlas(str(tmp_path))
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_shared_derivation_hands_out_nothing_mutable():
+    atlas = _fresh_atlas()
+    rows = degenerations.degeneration_table(TableSide.UNPRIMED, atlas)
+    expected = list(rows)
+    rows[0] = None
+    del rows[1:]
+    assert degenerations.degeneration_table(TableSide.UNPRIMED, atlas) == expected
+    derivation = Derivation.of(atlas)
+    c = atlas.all_classes(Family.S311)[0]
+    assert type(derivation.candidates(c)) is type(derivation.table_candidates(c)) is tuple
+    graph = degenerations.transition_graph(atlas)
+    assert type(graph.nodes) is type(graph.edges) is tuple
+
+
+def _first_calls(atlas, turn: int) -> list:
+    calls = [
+        lambda: validation.run_all_checks(atlas),
+        lambda: degenerations.transition_graph(atlas),
+        *(lambda side=side: degenerations.degeneration_table(side, atlas) for side in TableSide),
+    ]
+    # Each thread starts with a different call, so each path can come first.
+    out = [None] * len(calls)
+    for i in range(len(calls)):
+        j = (i + turn) % len(calls)
+        out[j] = calls[j]()
+    return out
+
+
+def test_threads_making_the_first_calls_agree_with_serial_calls():
+    serial = _first_calls(_fresh_atlas(), 0)
+    assert serial[0].ok
+    atlas = _fresh_atlas()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(turn):
+        barrier.wait()
+        results[turn] = _first_calls(atlas, turn)
+
+    threads = [threading.Thread(target=work, args=(turn,)) for turn in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first derivations
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 4
