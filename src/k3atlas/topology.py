@@ -10,6 +10,8 @@ involutions; the closed forms here were checked cell by cell against the
 shipped tables, which remain authoritative.  The value types are immutable
 NamedTuples; ``IsotopyType`` and ``SurfaceDescriptor`` check their fields on
 every build, ``_replace``, ``_make``, copies and unpickling included.
+``region_descriptor`` and ``real_part_topology`` may return the same
+immutable descriptor object for equal inputs.
 
 Those bounds (alpha + beta <= 9 in group I, <= 8 in group II) keep the
 recovered a = 9, 10, 8 or 9 minus alpha + beta nonnegative, so
@@ -18,6 +20,7 @@ recovered a = 9, 10, 8 or 9 minus alpha + beta nonnegative, so
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import NamedTuple
 
@@ -112,18 +115,6 @@ class IsotopyType(_Checked, _IsotopyFields):
         if self.case is TopCase.NODE_STAR:
             return self.case.value
         return f"{self.case.value} ({self.alpha},{self.beta})"
-
-
-def component_count(case: TopCase, alpha: int, beta: int) -> int:
-    """Connected components of the real curve implied by a candidate."""
-    ovals = alpha + beta
-    if case is TopCase.NODE_STAR:
-        return 2
-    if case in (TopCase.NODE1, TopCase.CUSP1):
-        return 1 + ovals
-    # Group II and the isolated point each add a second component
-    # (the contractible singular one, or the isolated point itself).
-    return 2 + ovals
 
 
 def candidate_isotopy_types(
@@ -312,6 +303,9 @@ def region_descriptor(
     return _region(case, alpha, beta, region)
 
 
+# Memoised: every caller checks the oval data first, so each of the two memos
+# below holds at most 6 cases x 55 (alpha, beta) x 2 regions = 660 entries.
+@functools.cache
 def _region(case: TopCase, alpha: int, beta: int, region: Region) -> RegionDescriptor:
     # region_descriptor on oval data its caller has already checked.
     if case is _NODE_STAR:
@@ -330,6 +324,7 @@ def _region(case: TopCase, alpha: int, beta: int, region: Region) -> RegionDescr
     return RegionDescriptor(tuple(pieces))
 
 
+@functools.cache
 def _surface_for(case: TopCase, alpha: int, beta: int, region: Region) -> SurfaceDescriptor:
     # Real part of the involution whose image is the given region.
     if case is _NODE_STAR:

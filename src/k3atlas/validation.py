@@ -164,9 +164,9 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
                 )
                 continue
             for (move, cell), shipped in zip(row.cells, golden[6:]):
-                name = move.value
                 if cell == shipped:
                     continue
+                name = move.value
                 entry = whitelist.get((golden.index, name))
                 if entry and entry == (shipped, cell):
                     section.whitelisted.append(
@@ -209,11 +209,14 @@ def _check_euler(derivation: Derivation) -> CheckSection:
     section = CheckSection("double-cover Euler identity")
     holds: dict[tuple[TopCase, int, int], bool] = {}
     for c in derivation.atlas.all_classes(_S311):
-        for t in derivation.candidates(c):
-            section.checked += 1
-            if t.triple not in holds:
-                holds[t.triple] = double_cover_euler_check(*t.triple)
-            if not holds[t.triple]:
+        candidates = derivation.candidates(c)
+        section.checked += len(candidates)
+        for t in candidates:
+            triple = t[:3]  # t.triple without the property call
+            ok = holds.get(triple)
+            if ok is None:
+                ok = holds[triple] = double_cover_euler_check(*triple)
+            if not ok:
                 section.violations.append(f"{c.index} {t}: chi mismatch")
     return section
 

@@ -144,6 +144,16 @@ def test_gk_invariants_raises_both_special_messages(atlas):
         gk_invariants(odd)
 
 
+def test_gk_at_the_ends_of_the_ranges(atlas):
+    # r = 0 gives k = 0, and r + a = 22 gives g = 0; neither is a special class.
+    records = atlas.to_records(Family.U)
+    records.append(dict(records[0], index="X1", r=0, a=0, delta=0))
+    records.append(dict(records[0], index="X2", r=11, a=11, delta=1))
+    loaded = Atlas.from_records(records)
+    assert loaded.lookup_index(Family.U, "X1").gk == (11, 0)
+    assert loaded.lookup_index(Family.U, "X2").gk == (0, 0)
+
+
 def test_untabulated_class(atlas):
     # (10,10,1) is forced by the counts (49 classes with delta = 1 and 11
     # self-related ones) but has g = 1, k = 0: no table lists it.
@@ -195,6 +205,13 @@ def test_validate_detects_missing_partner(atlas):
     assert not report.ok
     assert any("related invariants" in v and "No.17'" in v for v in report.violations)
     assert any("grid cell (7, 7, 1)" in v for v in report.violations)
+
+
+def test_validate_detects_a_above_22_minus_r(atlas):
+    records = atlas.to_records(Family.S311) + atlas.to_records(Family.U)
+    records.append(dict(records[-1], index="X1", r=20, a=4, delta=1))
+    report = validate_atlas(Atlas.from_records(records))
+    assert "X1: a = 4 exceeds min(r, 22 - r)" in report.violations
 
 
 def test_validate_detects_duplicates(atlas):

@@ -3,8 +3,9 @@ import pickle
 
 import pytest
 
-from k3atlas import tables
+from k3atlas import tables, topology
 from k3atlas.atlas import Family, HInvariant, gk_invariants, load_atlas
+from k3atlas.degenerations import Derivation
 from k3atlas.errors import InconsistentInput, WrongFamily
 from k3atlas.topology import (
     Cover,
@@ -17,7 +18,6 @@ from k3atlas.topology import (
     TopCase,
     candidate_isotopy_types,
     closed_surface,
-    component_count,
     double_cover_euler_check,
     invariants_from_isotopy,
     real_part_topology,
@@ -310,6 +310,10 @@ def test_region_descriptors():
 
     r = region_descriptor(TopCase.NODE2, 1, 2, Region.A_PLUS)
     assert str(r) == "(annulus with 1 holes) u 3 disks"
+    # no disk, one disk (singular) and two disks
+    for beta, disks in ((0, ""), (1, " u disk"), (2, " u 2 disks")):
+        r = region_descriptor(TopCase.NODE1, 0, beta, Region.A_PLUS)
+        assert str(r) == "(annulus with 0 holes)" + disks
 
 
 def test_double_cover_examples():
@@ -325,8 +329,6 @@ def test_double_cover_examples():
 
 
 def test_double_cover_checks_its_oval_data_once(monkeypatch):
-    from k3atlas import topology
-
     calls = []
     check = topology._check_oval_bounds
 
@@ -357,14 +359,20 @@ def test_double_cover_exhaustive(atlas):
             assert double_cover_euler_check(t.case, t.alpha, t.beta)
 
 
-def test_component_count_bounds(atlas):
+def test_descriptor_memos_match_fresh_builds(atlas):
+    # Every (case, alpha, beta, region) the catalog reaches gets the
+    # descriptor a fresh build would give, and the same object each time.
+    derivation = Derivation(atlas)
     for c in atlas.all_classes(Family.S311):
-        for t in candidate_isotopy_types(c, include_degenerate=True):
-            n = component_count(t.case, t.alpha, t.beta)
-            if t.case is TopCase.ISOLATED:
-                assert 2 <= n <= 11
-            else:
-                assert 1 <= n <= 10
+        for t in derivation.candidates(c):
+            for region in Region:
+                args = (t.case, t.alpha, t.beta, region)
+                assert region_descriptor(*args) is topology._region(*args)
+                for build in (topology._region, topology._surface_for):
+                    assert build(*args) == build.__wrapped__(*args)
+                    assert build(*args) is build(*args)
+    for build in (topology._region, topology._surface_for):
+        assert build.cache_info().currsize <= 660
 
 
 def test_excluded_invariants_only_star(atlas):
