@@ -204,18 +204,13 @@ _ISOTOPY_HEADER = [
 
 
 def _isotopy_row(c, candidates) -> list:
-    from .atlas import gk_invariants
-    from .topology import Cover, TopCase, real_part_topology
+    from .topology import isotopy_row
 
-    g, k = gk_invariants(c)
-    cells = {t.case: t for t in candidates}
-    values: list = [c.index, c.r, c.a, c.delta, c.h.value, g, k]
-    for case in (TopCase.NODE1, TopCase.ISOLATED, TopCase.NODE2):
-        t = cells.get(case)
-        values.extend(["", ""] if t is None else [t.alpha, t.beta])
-    star = cells.get(TopCase.NODE_STAR)
-    values.append("" if star is None else str(real_part_topology(c, star, Cover.PHI)))
-    return values
+    # The row run_all_checks compares with the shipped tables, with H after
+    # delta and "" for no cell; a star cell is a nonempty real-part name.
+    row = isotopy_row(c, candidates)
+    cells = [x for cell in row[6:9] for x in (cell or ("", ""))]
+    return [*row[:4], c.h.value, row.g, row.k, *cells, row.node_star or ""]
 
 
 def _isotopy_json(c, candidates) -> dict:

@@ -13,10 +13,11 @@ of these degenerations is known to be realizable for every pair of end
 curves.
 
 ``degeneration_table``, ``correspondence_check`` and ``transition_graph``
-read outcomes, candidate lists, table rows and the graph through the atlas's
-one ``Derivation`` (``Derivation.of``), which derives each on first request
-and keeps it as long as the atlas lives; ``validation.run_all_checks`` reads
-the same one.  Only derived data is kept: every check runs on every call.
+read outcomes (also six per U class in one tuple), candidate lists, isotopy
+and move-table rows and the graph through the atlas's one ``Derivation``
+(``Derivation.of``), which derives each on first request and keeps it while
+the atlas lives; ``validation.run_all_checks`` reads the same one.  Only
+generator outputs are kept, never a verdict: every check runs on every call.
 The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
@@ -36,13 +37,15 @@ from .atlas import (
     load_atlas,
 )
 from .errors import MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
-from .tables import U_EXCLUDED_TRIPLES
+from .tables import U_EXCLUDED_TRIPLES, IsotopyRow
 from .topology import (
+    ISOTOPY_CELL_CASES,
     STAR_KEY_H0,
     STAR_KEY_Z2,
     IsotopyType,
     TopCase,
     candidate_isotopy_types,
+    isotopy_row,
 )
 
 # Module globals, read per call in place of class attributes: see IdentityEnum.
@@ -116,6 +119,7 @@ class Degeneration(IdentityEnum):
 UNPRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and not m.spec.primed)
 PRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and m.spec.primed)
 STAR_MOVES = tuple(m for m in Degeneration if m.spec.source)
+TABLE_MOVES = UNPRIMED_MOVES + PRIMED_MOVES  # the order of Derivation.outcomes
 
 
 class DegenerationOutcome(NamedTuple):
@@ -175,20 +179,24 @@ def apply_degeneration(
 
 
 def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
-    return UNPRIMED_MOVES + PRIMED_MOVES + tuple(
-        m for m in STAR_MOVES if m.spec.source == c.triple
-    )
+    return TABLE_MOVES + tuple(m for m in STAR_MOVES if m.spec.source == c.triple)
+
+
+# Each table move with the field of an IsotopyRow that holds its case's cell.
+_CELL_AT = tuple((m, 6 + ISOTOPY_CELL_CASES.index(m.spec.case)) for m in TABLE_MOVES)
+_UNPRIMED_PART, _PRIMED_PART = slice(0, 3), slice(3, 6)  # of TABLE_MOVES and _CELL_AT
 
 
 class Derivation:
-    """The outcomes, candidate lists, move-table rows and transition graph of
-    one atlas, each derived on first request and kept while this object
-    lives; what it hands out is immutable.  The move tables, the
-    correspondence check and the graph take one in place of an atlas."""
+    """The outcomes, candidate lists, isotopy rows, move-table rows and
+    transition graph of one atlas, each derived on first request and kept
+    while this object lives; what it hands out is immutable.  The move tables,
+    the correspondence check and the graph take one in place of an atlas."""
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
         self._outcomes: dict[tuple[tuple, Degeneration], DegenerationOutcome] = {}
+        self._by_class: dict[tuple, tuple[DegenerationOutcome, ...]] = {}
         self._rows: dict[TableSide, tuple[MoveTableRow, ...]] = {}
 
     @classmethod
@@ -213,6 +221,13 @@ class Derivation:
             found = self._outcomes[pair] = apply_degeneration(c, move, self.atlas)
         return found
 
+    def outcomes(self, c: InvolutionClass) -> tuple[DegenerationOutcome, ...]:
+        """The outcomes of ``TABLE_MOVES`` from the U class ``c``, in that order."""
+        found = self._by_class.get(c.key)
+        if found is None:
+            found = self._by_class[c.key] = tuple(self.outcome(c, m) for m in TABLE_MOVES)
+        return found
+
     @cached_property
     def _full(self) -> dict[tuple, tuple[IsotopyType, ...]]:
         return {
@@ -231,6 +246,15 @@ class Derivation:
     def table_candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
         """What ``candidate_isotopy_types(c)`` returns, as a tuple."""
         return self._table[c.key]
+
+    @cached_property
+    def _isotopy_rows(self) -> dict[tuple, IsotopyRow]:
+        table = self._table
+        return {c.key: isotopy_row(c, table[c.key]) for c in self.atlas.all_classes(_S311)}
+
+    def isotopy_row(self, c: InvolutionClass) -> IsotopyRow:
+        """``isotopy_row(c, self.table_candidates(c))``; the first request derives all 102."""
+        return self._isotopy_rows[c.key]
 
     def _table_rows(self, side: TableSide) -> tuple[MoveTableRow, ...]:
         rows = self._rows.get(side)
@@ -318,38 +342,34 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     atlas = derivation.atlas
     section = CheckSection("correspondence")
     for k in range(1, 51):
-        for label, moves in ((f"No.{k}", UNPRIMED_MOVES), (f"No.{k}'", PRIMED_MOVES)):
+        for label, side in ((f"No.{k}", _UNPRIMED_PART), (f"No.{k}'", _PRIMED_PART)):
             u_class = atlas.lookup_index(_U, label)
             s_class = atlas.lookup_index(_S311, label)
             if u_class is None or s_class is None:
                 section.violations.append(f"{label}: missing from one of the catalogs")
                 continue
-            candidates = {
-                t.case: (t.alpha, t.beta)
-                for t in derivation.table_candidates(s_class)
-                if t.case is not _NODE_STAR
-            }
-            for move in moves:
-                section.checked += 1
-                outcome = derivation.outcome(u_class, move)
-                case = move.spec.case
-                expected = candidates.get(case)
-                if outcome.impossible:
+            row = derivation.isotopy_row(s_class)
+            moves = _CELL_AT[side]
+            section.checked += len(moves)
+            for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[side]):
+                expected = row[at]
+                iso = outcome.iso
+                if iso is None:  # outcome.impossible, without the property call
                     if expected is not None:
                         section.violations.append(
-                            f"{label} {move.value}: impossible, but {case.value} "
-                            f"{expected} is a candidate"
+                            f"{label} {move.value}: impossible, but "
+                            f"{move.spec.case.value} {expected} is a candidate"
                         )
                     continue
+                cell = (iso.alpha, iso.beta)  # outcome.cell(): iso is no star case
                 if expected is None:
                     section.violations.append(
-                        f"{label} {move.value}: produced {outcome.cell()}, but "
-                        f"{case.value} is not a candidate of {label}"
+                        f"{label} {move.value}: produced {cell}, but "
+                        f"{move.spec.case.value} is not a candidate of {label}"
                     )
-                elif outcome.cell() != expected:
+                elif cell != expected:
                     section.violations.append(
-                        f"{label} {move.value}: produced {outcome.cell()}, "
-                        f"candidate is {expected}"
+                        f"{label} {move.value}: produced {cell}, candidate is {expected}"
                     )
                 if outcome.target is not s_class:
                     section.violations.append(
@@ -365,9 +385,7 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
             continue
         # The target is apply_degeneration's lookup of ``move.spec.star_target``.
         outcome = derivation.outcome(u_class, move)
-        if outcome.impossible or not any(
-            t.case is _NODE_STAR for t in derivation.table_candidates(outcome.target)
-        ):
+        if outcome.impossible or derivation.isotopy_row(outcome.target).node_star is None:
             section.violations.append(f"{triple} {move.value}: star outcome mismatch")
     return section
 

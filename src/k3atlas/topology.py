@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, WrongFamily
+from .tables import IsotopyRow
 
 
 class TopCase(IdentityEnum):
@@ -276,11 +277,7 @@ class RegionDescriptor(NamedTuple):
 
     @property
     def euler_characteristic(self) -> int:
-        total = 0
-        for piece in self.pieces:  # RegionPiece.euler_characteristic, inlined
-            base, per_hole = _PIECE_EULER[piece.kind]
-            total += base + per_hole * piece.holes
-        return total
+        return sum(piece.euler_characteristic for piece in self.pieces)
 
     def __str__(self) -> str:
         named: list[str] = []
@@ -359,6 +356,21 @@ def real_part_topology(
     return _surface_for(iso.case, iso.alpha, iso.beta, region)
 
 
+# The cases of an IsotopyRow's cells, fields 6 to 8.
+ISOTOPY_CELL_CASES = (_NODE1, _ISOLATED, _NODE2)
+
+
+def isotopy_row(c: InvolutionClass, candidates) -> IsotopyRow:
+    """The row of the S311 class ``c`` as the shipped isotopy tables write it,
+    from its ``candidates``: the Node (1), isolated-point and Node (2) cells
+    (None where no candidate), and the real part over a star candidate."""
+    found = {t.case: t for t in candidates}
+    cells = [None if t is None else (t.alpha, t.beta) for t in map(found.get, ISOTOPY_CELL_CASES)]
+    star = found.get(_NODE_STAR)
+    real_part = None if star is None else str(real_part_topology(c, star))
+    return IsotopyRow(c.index, c.r, c.a, c.delta, *gk_invariants(c), *cells, real_part)
+
+
 def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     """Branched double cover consistency: chi(real part) = 2 chi(region).
 
@@ -367,8 +379,12 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     """
     _check_oval_bounds(case, alpha, beta)  # once, for both regions
     for region in (_A_PLUS, _A_MINUS):
-        region_piece = _region(case, alpha, beta, region)
-        surface = _surface_for(case, alpha, beta, region)
-        if surface.euler_characteristic != 2 * region_piece.euler_characteristic:
+        # Both euler_characteristic properties inlined; chi(surface) / 2 = len - sum.
+        genera = _surface_for(case, alpha, beta, region).genera
+        chi = 0
+        for kind, holes in _region(case, alpha, beta, region).pieces:
+            base, per_hole = _PIECE_EULER[kind]
+            chi += base + per_hole * holes
+        if len(genera) - sum(genera) != chi:
             return False
     return True

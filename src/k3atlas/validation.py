@@ -8,12 +8,12 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-Every section reads the atlas's one ``degenerations.Derivation``
-(``Derivation.of``), so each degeneration outcome, candidate list, move-table
-row and the graph is derived once per atlas, on first request, and kept as
-long as the atlas lives.  No verdict is kept: every call builds fresh
-sections, compares against the shipped tables again and evaluates the Euler
-identity once per distinct (case, alpha, beta).
+Every section reads the atlas's one ``degenerations.Derivation``: each
+outcome, U class's six table-move outcomes, candidate list, isotopy row,
+move-table row and the graph is derived once per atlas and kept while it
+lives.  No verdict is kept: every call builds fresh sections, compares each
+derived row with its shipped row (naming the fields only on a mismatch) and
+evaluates the Euler identity once per distinct (case, alpha, beta).
 
 The roundtrip section tests no component count, since ``IsotopyType`` caps
 alpha + beta (1 to 10 components, 2 to 11 for the isolated point), and no
@@ -37,8 +37,7 @@ from .atlas import (
     validate_atlas,
 )
 from .degenerations import (
-    PRIMED_MOVES,
-    UNPRIMED_MOVES,
+    TABLE_MOVES,
     Derivation,
     TableSide,
     correspondence_check,
@@ -46,19 +45,17 @@ from .degenerations import (
     transition_graph,
 )
 from .topology import (
+    ISOTOPY_CELL_CASES,
     STAR_KEYS,
     Region,
     TopCase,
     double_cover_euler_check,
     invariants_from_isotopy,
-    real_part_topology,
 )
 
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
-_NODE1, _NODE2, _NODE_STAR, _ISOLATED = (
-    TopCase.NODE1, TopCase.NODE2, TopCase.NODE_STAR, TopCase.ISOLATED
-)
+_NODE2, _NODE_STAR = TopCase.NODE2, TopCase.NODE_STAR
 _A_PLUS, _A_MINUS = Region.A_PLUS, Region.A_MINUS
 
 
@@ -116,27 +113,20 @@ def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
             if c is None:
                 section.violations.append(f"row {row.index}: class missing from atlas")
                 continue
-            if c.index != row.index:
-                section.violations.append(
-                    f"row {row.index}: atlas carries index {c.index}"
-                )
-            if gk_invariants(c) != (row.g, row.k):
+            derived = derivation.isotopy_row(c)
+            if derived == row:
+                continue
+            # (index, r, a, delta) fixed the lookup; name the fields that differ.
+            if derived.index != row.index:
+                section.violations.append(f"row {row.index}: atlas carries index {derived.index}")
+            if derived[4:6] != row[4:6]:
                 section.violations.append(f"row {row.index}: (g,k) mismatch")
-            generated: dict[TopCase, tuple[int, int]] = {}
-            star = None
-            for t in derivation.table_candidates(c):
-                if t.case is _NODE_STAR:
-                    star = str(real_part_topology(c, t))
-                else:
-                    generated[t.case] = (t.alpha, t.beta)
-            expected = {_NODE1: row.node1, _ISOLATED: row.isolated, _NODE2: row.node2}
-            for case, cell in expected.items():
-                if generated.get(case) != cell:
+            for case, cell, shipped in zip(ISOTOPY_CELL_CASES, derived[6:9], row[6:9]):
+                if cell != shipped:
                     section.violations.append(
-                        f"row {row.index} {case.value}: generated "
-                        f"{generated.get(case)}, shipped {cell}"
+                        f"row {row.index} {case.value}: generated {cell}, shipped {shipped}"
                     )
-            if star != row.node_star:
+            if derived.node_star != row.node_star:
                 section.violations.append(f"row {row.index}: star cell mismatch")
     return section
 
@@ -188,12 +178,13 @@ def _check_roundtrips(derivation: Derivation) -> CheckSection:
     section = CheckSection("invariant roundtrips")
     for c in derivation.atlas.all_classes(_S311):
         covered = _A_MINUS if c.h is _ZERO else _A_PLUS
+        invariants = (c.r, c.a, c.h)
         for t in derivation.table_candidates(c):
             section.checked += 1
             if t.case is _NODE_STAR:
                 continue
             r, a, h = invariants_from_isotopy(t.case, t.alpha, t.beta, covered)
-            if (r, a, h) != (c.r, c.a, c.h):
+            if (r, a, h) != invariants:
                 section.violations.append(
                     f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"
                 )
@@ -248,10 +239,10 @@ def _check_monotonicity(derivation: Derivation) -> CheckSection:
             continue
         g, k = gk_invariants(c)
         before = (g - 1) + k
-        for move in UNPRIMED_MOVES + PRIMED_MOVES:
-            outcome = derivation.outcome(c, move)
-            section.checked += 1
-            if outcome.impossible:
+        section.checked += len(TABLE_MOVES)
+        for move, outcome in zip(TABLE_MOVES, derivation.outcomes(c)):
+            iso = outcome.iso
+            if iso is None:  # outcome.impossible, without the property call
                 # Impossibility criteria in terms of the pools.
                 pool, _other = move.spec.pools(g, k)
                 if pool >= move.spec.ovals:
@@ -259,7 +250,7 @@ def _check_monotonicity(derivation: Derivation) -> CheckSection:
                         f"{c.index} {move.value}: impossible despite {pool} ovals"
                     )
                 continue
-            after = outcome.iso.alpha + outcome.iso.beta
+            after = iso.alpha + iso.beta
             if before - after != move.spec.ovals:
                 section.violations.append(
                     f"{c.index} {move.value}: oval count dropped by {before - after}"

@@ -1,7 +1,6 @@
 """Shared helpers for exact-matrix tests."""
 
 import random
-from fractions import Fraction
 
 from k3atlas.lattices import discriminant_group
 
@@ -53,14 +52,21 @@ def delta_by_enumeration(lattice):
     a = len(gens)
     if a > 10:
         raise ValueError(f"2^{a} classes is too many for the reference walk")
+    # Each generator has order 2, so 2g is an integer vector: the products are
+    # taken in integers, four times x.y, and divided by 4 once per class.
+    doubled = [[2 * x for x in g] for g in gens]
+    if any(x.denominator != 1 for v in doubled for x in v):
+        raise ValueError("the reference walk needs a 2-elementary discriminant group")
+    vectors = [[int(x) for x in v] for v in doubled]
+    images = [[sum(gij * vj for gij, vj in zip(row, v)) for row in lattice.gram] for v in vectors]
+    prod = [[sum(x * y for x, y in zip(u, image)) for image in images] for u in vectors]
     # x_T.x_T for a subset T expands into single and pairwise products.
-    prod = [[lattice.pairing(gens[i], gens[j]) for j in range(a)] for i in range(a)]
     for mask in range(1, 1 << a):
         members = [i for i in range(a) if mask >> i & 1]
         norm = sum(prod[i][i] for i in members)
         norm += 2 * sum(
             prod[i][j] for idx, i in enumerate(members) for j in members[idx + 1 :]
         )
-        if Fraction(norm).denominator != 1:
+        if norm % 4:
             return 1
     return 0

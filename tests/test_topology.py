@@ -178,7 +178,8 @@ def test_invariants_from_isotopy(case, alpha, beta, covered, expected):
 
 
 def test_invariants_from_isotopy_rejects_star():
-    with pytest.raises(InconsistentInput):
+    keys = r"\(10,8,0,H=0\) and \(9,9,0,H=Z2\)$"
+    with pytest.raises(InconsistentInput, match=f"carries fixed invariants, {keys}"):
         invariants_from_isotopy(TopCase.NODE_STAR, 0, 0, Region.A_MINUS)
 
 

@@ -9,10 +9,12 @@ import sys
 import threading
 import weakref
 
+import pytest
+
 from k3atlas import atlas as atlas_module
 from k3atlas import degenerations, tables, topology, validation
-from k3atlas.atlas import Atlas, Family, InvolutionClass, load_atlas
-from k3atlas.degenerations import Derivation, TableSide
+from k3atlas.atlas import Atlas, Family, HInvariant, InvolutionClass, load_atlas
+from k3atlas.degenerations import TABLE_MOVES, Degeneration, Derivation, TableSide
 from k3atlas.topology import (
     STAR_KEY_H0,
     STAR_KEY_Z2,
@@ -98,6 +100,28 @@ def test_shared_table_lists_are_the_table_candidates():
         assert derivation.table_candidates(star) == tuple(candidate_isotopy_types(star))
 
 
+def test_derived_rows_are_the_generator_outputs():
+    atlas = _fresh_atlas()
+    derivation = Derivation.of(atlas)
+    shipped = {
+        (row.r, row.a, row.delta, h): row
+        for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2))
+        for row in rows
+    }
+    for c in atlas.all_classes(Family.S311):
+        row = derivation.isotopy_row(c)
+        assert row == shipped[c.key] and row is derivation.isotopy_row(c)
+        # the cusp variants have cells of their own, which a row leaves out
+        assert topology.isotopy_row(c, candidate_isotopy_types(c, True)) == row
+    for c in atlas.all_classes(Family.U):
+        if c.triple in tables.U_EXCLUDED_TRIPLES:
+            continue
+        outcomes = derivation.outcomes(c)
+        assert type(outcomes) is tuple and outcomes is derivation.outcomes(c)
+        assert outcomes == tuple(degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES)
+        assert all(o is derivation.outcome(c, m) for o, m in zip(outcomes, TABLE_MOVES))
+
+
 def test_shipped_star_real_part_is_checked(monkeypatch):
     rows = tuple(
         row._replace(node_star="Sigma_2") if row.index == "special-(10,8,0)" else row
@@ -108,6 +132,63 @@ def test_shipped_star_real_part_is_checked(monkeypatch):
     section = next(s for s in summary.sections if s.name == "isotopy tables")
     assert section.checked == 102
     assert summary.violations == ["isotopy tables: row special-(10,8,0): star cell mismatch"]
+
+
+@pytest.mark.parametrize(
+    "table, index, edits, expected",
+    [
+        ("ISOTOPY_H0", "No.17", {"index": "No.71"}, ["row No.71: atlas carries index No.17"]),
+        ("ISOTOPY_H0", "No.17", {"g": 5}, ["row No.17: (g,k) mismatch"]),
+        ("ISOTOPY_H0", "No.17", {"k": 1}, ["row No.17: (g,k) mismatch"]),
+        (
+            "ISOTOPY_H0", "No.17", {"node1": (1, 2)},
+            ["row No.17 Node (1): generated (0, 2), shipped (1, 2)"],
+        ),
+        (
+            "ISOTOPY_H0", "No.17", {"isolated": None},
+            ["row No.17 Isolated point: generated (0, 2), shipped None"],
+        ),
+        (
+            "ISOTOPY_Z2", "No.26'", {"node2": (0, 0)},
+            ["row No.26' Node (2): generated None, shipped (0, 0)"],
+        ),
+        ("ISOTOPY_H0", "No.17", {"node_star": "T^2"}, ["row No.17: star cell mismatch"]),
+        (
+            "ISOTOPY_Z2", "No.26'", {"index": "X", "g": 0, "node1": None, "node_star": "T^2"},
+            [
+                "row X: atlas carries index No.26'",
+                "row X: (g,k) mismatch",
+                "row X Node (1): generated (0, 0), shipped None",
+                "row X: star cell mismatch",
+            ],
+        ),
+    ],
+)
+def test_isotopy_section_names_each_edited_field(monkeypatch, table, index, edits, expected):
+    atlas = load_atlas()  # built from the shipped tables before they are edited
+    rows = tuple(
+        row._replace(**edits) if row.index == index else row for row in getattr(tables, table)
+    )
+    monkeypatch.setattr(tables, table, rows)
+    summary = validation.run_all_checks(atlas)
+    assert summary.violations == [f"isotopy tables: {v}" for v in expected]
+
+
+def test_graph_section_runs_only_after_a_passing_correspondence(monkeypatch):
+    names = [s.name for s in validation.run_all_checks(_fresh_atlas()).sections]
+    assert names[-2:] == ["correspondence", "transition graph"]
+    apply = degenerations.apply_degeneration
+
+    def misdirected(c, move, atlas=None):
+        outcome = apply(c, move, atlas)
+        if c.index == "No.5" and move is Degeneration.CONJ1:
+            return outcome._replace(target=None)
+        return outcome
+
+    monkeypatch.setattr(degenerations, "apply_degeneration", misdirected)
+    summary = validation.run_all_checks(_fresh_atlas())
+    assert summary.violations == ["correspondence: No.5 conj1: target None is not No.5"]
+    assert [s.name for s in summary.sections][-1] == "correspondence"
 
 
 def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
@@ -154,11 +235,12 @@ def test_shared_descriptors_keep_no_verdict(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 8,957 to 9,065 calls on CPython 3.10 to 3.13 now that a
-    # warm call derives nothing and shares each cover descriptor (13,649 to
-    # 14,050 when every call built its descriptors afresh; 22,863 to 23,459
-    # when it also derived its outcomes, candidate lists, move tables and
-    # graph afresh).  It keeps one entry per (file, line, name), so of the
+    # pstats counts 5,205 to 5,211 calls on CPython 3.10 to 3.13 now that the
+    # checks compare against the derived isotopy rows and per-class outcome
+    # tuples (8,957 to 9,065 when they rebuilt dicts and keys per call;
+    # 13,649 to 14,050 when every call also built its descriptors afresh;
+    # 22,863 to 23,459 when it also derived its outcomes, candidate lists,
+    # move tables and graph afresh).  It keeps one entry per (file, line, name), so of the
     # generated NamedTuple __new__ methods, which share one label, only one
     # is counted; but each value built calls the builtin tuple.__new__,
     # which counts every time.
@@ -168,7 +250,7 @@ def test_warm_call_stays_under_its_call_budget():
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert pstats.Stats(profile).total_calls <= 10_500
+    assert pstats.Stats(profile).total_calls <= 6_050
 
 
 def _calls_to(code, func, *args) -> int:
@@ -227,10 +309,12 @@ def test_each_public_call_derives_only_what_it_reads(monkeypatch):
     atlas = _fresh_atlas()
     del pairs[:]
     assert degenerations.correspondence_check(atlas).ok
-    assert len(pairs) == len(set(pairs)) == 302
+    # all six table moves of each of the 60 U classes it names, and the two
+    # self-conjunctions
+    assert len(pairs) == len(set(pairs)) == 362
     assert lists == list(atlas.all_classes(Family.S311))
     assert degenerations.correspondence_check(atlas).ok
-    assert len(pairs) == 302 and len(lists) == 102
+    assert len(pairs) == 362 and len(lists) == 102
 
 
 def test_one_derivation_shares_its_outcomes(monkeypatch):
