@@ -14,9 +14,9 @@ curves.
 
 ``degeneration_table``, ``correspondence_check`` and ``transition_graph``
 read outcomes (also six per U class in one tuple), candidate lists, isotopy
-and move-table rows and the graph through the atlas's one ``Derivation``
-(``Derivation.of``), which derives each on first request and keeps it while
-the atlas lives; ``validation.run_all_checks`` reads the same one.  Only
+and move-table rows, No.k / No.k' class pairs and the graph through the
+atlas's one ``Derivation`` (``Derivation.of``), which derives each on first
+request and keeps it while the atlas lives; ``validation`` reads it too.  Only
 generator outputs are kept, never a verdict: every check runs on every call.
 The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
@@ -188,10 +188,10 @@ _UNPRIMED_PART, _PRIMED_PART = slice(0, 3), slice(3, 6)  # of TABLE_MOVES and _C
 
 
 class Derivation:
-    """The outcomes, candidate lists, isotopy rows, move-table rows and
-    transition graph of one atlas, each derived on first request and kept
-    while this object lives; what it hands out is immutable.  The move tables,
-    the correspondence check and the graph take one in place of an atlas."""
+    """The outcomes, candidate lists, distinct Euler triples, isotopy rows,
+    No.k / No.k' class pairs, move-table rows and transition graph of one atlas,
+    each derived on first request and kept while this object lives; all immutable.
+    The move tables, the correspondence check and the graph take one for an atlas."""
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
@@ -248,6 +248,12 @@ class Derivation:
         return self._table[c.key]
 
     @cached_property
+    def euler_triples(self) -> tuple[tuple[tuple[TopCase, int, int], ...], int]:
+        """The distinct (case, alpha, beta) of all ``candidates``, first seen first, and the candidate count."""
+        lists = [self._full[c.key] for c in self.atlas.all_classes(_S311)]
+        return tuple(dict.fromkeys(t[:3] for ts in lists for t in ts)), sum(map(len, lists))
+
+    @cached_property
     def _isotopy_rows(self) -> dict[tuple, IsotopyRow]:
         table = self._table
         return {c.key: isotopy_row(c, table[c.key]) for c in self.atlas.all_classes(_S311)}
@@ -265,6 +271,13 @@ class Derivation:
     @cached_property
     def _graph(self) -> TransitionGraph:
         return _derive_graph(self)
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[str, slice, InvolutionClass | None, InvolutionClass | None], ...]:
+        # (label, side, U class, S311 class) of each No.k and No.k'; None for a missing class.
+        find, sides = self.atlas.lookup_index, (("", _UNPRIMED_PART), ("'", _PRIMED_PART))
+        labels = [(f"No.{k}{prime}", side) for k in range(1, 51) for prime, side in sides]
+        return tuple((label, side, find(_U, label), find(_S311, label)) for label, side in labels)
 
 
 class TableSide(IdentityEnum):
@@ -339,47 +352,43 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     derivation = Derivation.of(atlas)
-    atlas = derivation.atlas
     section = CheckSection("correspondence")
-    for k in range(1, 51):
-        for label, side in ((f"No.{k}", _UNPRIMED_PART), (f"No.{k}'", _PRIMED_PART)):
-            u_class = atlas.lookup_index(_U, label)
-            s_class = atlas.lookup_index(_S311, label)
-            if u_class is None or s_class is None:
-                section.violations.append(f"{label}: missing from one of the catalogs")
+    for label, side, u_class, s_class in derivation._pairs:
+        if u_class is None or s_class is None:
+            section.violations.append(f"{label}: missing from one of the catalogs")
+            continue
+        row = derivation.isotopy_row(s_class)
+        moves = _CELL_AT[side]
+        section.checked += len(moves)
+        for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[side]):
+            expected = row[at]
+            iso = outcome.iso
+            if iso is None:  # outcome.impossible, without the property call
+                if expected is not None:
+                    section.violations.append(
+                        f"{label} {move.value}: impossible, but "
+                        f"{move.spec.case.value} {expected} is a candidate"
+                    )
                 continue
-            row = derivation.isotopy_row(s_class)
-            moves = _CELL_AT[side]
-            section.checked += len(moves)
-            for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[side]):
-                expected = row[at]
-                iso = outcome.iso
-                if iso is None:  # outcome.impossible, without the property call
-                    if expected is not None:
-                        section.violations.append(
-                            f"{label} {move.value}: impossible, but "
-                            f"{move.spec.case.value} {expected} is a candidate"
-                        )
-                    continue
-                cell = (iso.alpha, iso.beta)  # outcome.cell(): iso is no star case
-                if expected is None:
-                    section.violations.append(
-                        f"{label} {move.value}: produced {cell}, but "
-                        f"{move.spec.case.value} is not a candidate of {label}"
-                    )
-                elif cell != expected:
-                    section.violations.append(
-                        f"{label} {move.value}: produced {cell}, candidate is {expected}"
-                    )
-                if outcome.target is not s_class:
-                    section.violations.append(
-                        f"{label} {move.value}: target {outcome.target} is not {label}"
-                    )
+            cell = (iso.alpha, iso.beta)  # outcome.cell(): iso is no star case
+            if expected is None:
+                section.violations.append(
+                    f"{label} {move.value}: produced {cell}, but "
+                    f"{move.spec.case.value} is not a candidate of {label}"
+                )
+            elif cell != expected:
+                section.violations.append(
+                    f"{label} {move.value}: produced {cell}, candidate is {expected}"
+                )
+            if outcome.target is not s_class:
+                section.violations.append(
+                    f"{label} {move.value}: target {outcome.target} is not {label}"
+                )
 
     for move in STAR_MOVES:
         section.checked += 1
         triple = move.spec.source
-        u_class = atlas.lookup(_U, *triple)
+        u_class = derivation.atlas.lookup(_U, *triple)
         if u_class is None:
             section.violations.append(f"{triple}: missing from the catalog")
             continue

@@ -171,6 +171,11 @@ def invariants_from_isotopy(
         keys = " and ".join("({},{},{},H={})".format(*k[:3], k[3].value) for k in STAR_KEYS)
         raise InconsistentInput(f"the non-contractible node case carries fixed invariants, {keys}")
     _check_oval_bounds(case, alpha, beta)
+    return _invariants(case, alpha, beta, covered)
+
+
+def _invariants(case: TopCase, alpha: int, beta: int, covered: Region) -> tuple[int, int, HInvariant]:
+    # invariants_from_isotopy on checked oval data of a case other than Node (*).
     lower = covered is _A_MINUS
     if case in CASE_I:
         if lower:
@@ -379,12 +384,19 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     """
     _check_oval_bounds(case, alpha, beta)  # once, for both regions
     for region in (_A_PLUS, _A_MINUS):
-        # Both euler_characteristic properties inlined; chi(surface) / 2 = len - sum.
+        # chi(surface) / 2 = len - sum; each piece equal to _DISK adds 1 to chi(region),
+        # counted in C, and the loop sums the others, which _region puts first.
         genera = _surface_for(case, alpha, beta, region).genera
-        chi = 0
-        for kind, holes in _region(case, alpha, beta, region).pieces:
-            base, per_hole = _PIECE_EULER[kind]
-            chi += base + per_hole * holes
+        pieces = _region(case, alpha, beta, region).pieces
+        chi = pieces.count(_DISK)
+        rest = len(pieces) - chi
+        for piece in pieces:
+            if not rest:
+                break
+            if piece != _DISK:
+                rest -= 1
+                base, per_hole = _PIECE_EULER[piece[0]]
+                chi += base + per_hole * piece[1]
         if len(genera) - sum(genera) != chi:
             return False
     return True

@@ -8,22 +8,23 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-Every section reads the atlas's one ``degenerations.Derivation``: each
-outcome, U class's six table-move outcomes, candidate list, isotopy row,
-move-table row and the graph is derived once per atlas and kept while it
-lives.  No verdict is kept: every call builds fresh sections, compares each
-derived row with its shipped row (naming the fields only on a mismatch) and
-evaluates the Euler identity once per distinct (case, alpha, beta).
+Every section reads the atlas's one ``degenerations.Derivation``, which
+derives each outcome, candidate list, isotopy and move-table row, No.k / No.k'
+class pair, distinct Euler triple and the graph once per atlas.  No verdict is
+kept: every call builds fresh sections, compares each derived row with its
+shipped one and evaluates the Euler identity once per distinct (case, alpha, beta).
 
-The roundtrip section tests no component count, since ``IsotopyType`` caps
-alpha + beta (1 to 10 components, 2 to 11 for the isolated point), and no
-star candidate's class: ``candidate_isotopy_types`` emits Node (*) only for
-the two ``STAR_KEYS`` classes.
+The roundtrip section calls the unchecked ``topology._invariants`` on
+``IsotopyType`` candidates, checked when built.  It tests no component count,
+since ``IsotopyType`` caps alpha + beta (1 to 10 components, 2 to 11 for the
+isolated point), and no star candidate's class: ``candidate_isotopy_types``
+emits Node (*) only for the two ``STAR_KEYS`` classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import starmap
 from typing import NamedTuple
 
 from . import tables
@@ -49,8 +50,8 @@ from .topology import (
     STAR_KEYS,
     Region,
     TopCase,
+    _invariants,
     double_cover_euler_check,
-    invariants_from_isotopy,
 )
 
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
@@ -179,11 +180,12 @@ def _check_roundtrips(derivation: Derivation) -> CheckSection:
     for c in derivation.atlas.all_classes(_S311):
         covered = _A_MINUS if c.h is _ZERO else _A_PLUS
         invariants = (c.r, c.a, c.h)
-        for t in derivation.table_candidates(c):
-            section.checked += 1
+        candidates = derivation.table_candidates(c)
+        section.checked += len(candidates)
+        for t in candidates:
             if t.case is _NODE_STAR:
                 continue
-            r, a, h = invariants_from_isotopy(t.case, t.alpha, t.beta, covered)
+            r, a, h = _invariants(t.case, t.alpha, t.beta, covered)
             if (r, a, h) != invariants:
                 section.violations.append(
                     f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"
@@ -198,17 +200,14 @@ def _check_roundtrips(derivation: Derivation) -> CheckSection:
 
 def _check_euler(derivation: Derivation) -> CheckSection:
     section = CheckSection("double-cover Euler identity")
-    holds: dict[tuple[TopCase, int, int], bool] = {}
-    for c in derivation.atlas.all_classes(_S311):
-        candidates = derivation.candidates(c)
-        section.checked += len(candidates)
-        for t in candidates:
-            triple = t[:3]  # t.triple without the property call
-            ok = holds.get(triple)
-            if ok is None:
-                ok = holds[triple] = double_cover_euler_check(*triple)
-            if not ok:
-                section.violations.append(f"{c.index} {t}: chi mismatch")
+    triples, section.checked = derivation.euler_triples
+    holds = starmap(double_cover_euler_check, triples)
+    failed = {triple for triple, ok in zip(triples, holds) if not ok}
+    if failed:  # name every carrier, by class and then by candidate
+        for c in derivation.atlas.all_classes(_S311):
+            for t in derivation.candidates(c):
+                if t[:3] in failed:
+                    section.violations.append(f"{c.index} {t}: chi mismatch")
     return section
 
 

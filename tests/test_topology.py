@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -358,6 +359,27 @@ def test_double_cover_exhaustive(atlas):
     for c in atlas.all_classes(Family.S311):
         for t in candidate_isotopy_types(c, include_degenerate=True):
             assert double_cover_euler_check(t.case, t.alpha, t.beta)
+
+
+def test_double_cover_region_chi_is_the_descriptor_chi(monkeypatch):
+    # Every tuple of up to three pieces, in every order, with topology._DISK
+    # and with disks equal to it but built afresh: the identity holds exactly
+    # against a surface whose chi is twice the region's.
+    pieces = [RegionPiece(kind, holes) for kind in PieceKind for holes in range(4)]
+    pieces.append(topology._DISK)
+    given = {}
+    monkeypatch.setattr(topology, "_region", lambda *args: given["region"])
+    monkeypatch.setattr(topology, "_surface_for", lambda *args: given["surface"])
+    # chi(S) / 2 = n for n spheres, and 1 - g for one surface of genus g
+    surfaces = {n: SurfaceDescriptor((0,) * n if n > 0 else (1 - n,)) for n in range(-13, 6)}
+    for size in range(4):
+        for combo in itertools.product(pieces, repeat=size):
+            given["region"] = region = RegionDescriptor(combo)
+            chi = region.euler_characteristic
+            given["surface"] = surfaces[chi]
+            assert double_cover_euler_check(TopCase.NODE1, 0, 0), combo
+            given["surface"] = surfaces[chi + 1]
+            assert not double_cover_euler_check(TopCase.NODE1, 0, 0), combo
 
 
 def test_descriptor_memos_match_fresh_builds(atlas):
