@@ -410,9 +410,60 @@ class TransitionEdge(NamedTuple):
     iso: IsotopyType
 
 
-class TransitionGraph(NamedTuple):
+class _GraphFields(NamedTuple):
     nodes: tuple[InvolutionClass, ...]
     edges: tuple[TransitionEdge, ...]
+
+
+class TransitionGraph(_GraphFields):
+    """The nodes and edges; the exports are formatted on first use and kept in
+    the instance ``__dict__``, which takes no other attribute."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r} of a TransitionGraph")
+
+    def __reduce__(self):  # copies and unpickled graphs format their own exports
+        return type(self), tuple(self)
+
+    @cached_property
+    def _dot(self) -> str:
+        quote = _Quoted()  # each label and move name is quoted once
+        move = {m: quote[m.value] for m in Degeneration}
+        lines = ["digraph degenerations {"]
+        lines += [f"  {quote[node.label]};" for node in self.nodes]
+        lines += [
+            f"  {quote[e.source.label]} -> {quote[e.target.label]} [label={move[e.move]}];"
+            for e in self.edges
+        ]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    @cached_property
+    def _records(self) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+        nodes = tuple(
+            {
+                "id": c.label,
+                "family": c.family.value,
+                "index": c.index,
+                "r": c.r,
+                "a": c.a,
+                "delta": c.delta,
+                "h": None if c.h is _NOT_APPLICABLE else c.h.value,
+            }
+            for c in self.nodes
+        )
+        edges = tuple(
+            {
+                "from": e.source.label,
+                "to": e.target.label,
+                "move": e.move.value,
+                "alpha": e.iso.alpha,
+                "beta": e.iso.beta,
+                "case": e.iso.case.value,
+            }
+            for e in self.edges
+        )
+        return nodes, edges
 
 
 def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
@@ -434,12 +485,6 @@ def _derive_graph(derivation: Derivation) -> TransitionGraph:
     return TransitionGraph(nodes, tuple(edges))
 
 
-def _values(*enums: type[IdentityEnum]) -> dict[IdentityEnum, str]:
-    """member -> ``member.value`` over ``enums``; an export looks values up
-    here rather than read the Python-level ``value`` property per use."""
-    return {member: member.value for enum in enums for member in enum}
-
-
 class _Quoted(dict):
     """string -> its DOT quoted form, made on first use."""
 
@@ -449,42 +494,12 @@ class _Quoted(dict):
 
 
 def graph_to_dot(graph: TransitionGraph) -> str:
-    quote = _Quoted()  # one per export: each label and move name is quoted once
-    move = {m: quote[m.value] for m in Degeneration}
-    lines = ["digraph degenerations {"]
-    lines += [f"  {quote[node.label]};" for node in graph.nodes]
-    lines += [
-        f"  {quote[e.source.label]} -> {quote[e.target.label]} [label={move[e.move]}];"
-        for e in graph.edges
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The graph as DOT text, formatted once per graph: later calls return the same str."""
+    return graph._dot
 
 
 def graph_to_json(graph: TransitionGraph) -> dict:
-    value = _values(Family, HInvariant, Degeneration, TopCase)
-    return {
-        "nodes": [
-            {
-                "id": c.label,
-                "family": value[c.family],
-                "index": c.index,
-                "r": c.r,
-                "a": c.a,
-                "delta": c.delta,
-                "h": None if c.h is _NOT_APPLICABLE else value[c.h],
-            }
-            for c in graph.nodes
-        ],
-        "edges": [
-            {
-                "from": e.source.label,
-                "to": e.target.label,
-                "move": value[e.move],
-                "alpha": e.iso.alpha,
-                "beta": e.iso.beta,
-                "case": value[e.iso.case],
-            }
-            for e in graph.edges
-        ],
-    }
+    """A fresh ``{"nodes": [...], "edges": [...]}`` payload on every call: new lists of
+    copies of record dicts built once per graph, whose values are str, int or None."""
+    nodes, edges = graph._records
+    return {"nodes": list(map(dict.copy, nodes)), "edges": list(map(dict.copy, edges))}

@@ -309,11 +309,66 @@ def test_dot_export_quotes_each_string_once(atlas):
     assert r'"U:say \"No.1\" (1,1,1)" -> "S:(1,1,1,0)" [label="conj1"];' in graph_to_dot(
         TransitionGraph((), (stray,))
     )
+    # a fresh graph: one already exported returns its text without quoting
+    assert _quote_calls(TransitionGraph(*graph)) == 165 + len(Degeneration)
+
+
+def _quote_calls(graph: TransitionGraph) -> int:
+    """``_Quoted.__missing__`` calls made by ``graph_to_dot(graph)``."""
     profile = cProfile.Profile()
     profile.runcall(graph_to_dot, graph)
     code = degenerations._Quoted.__missing__.__code__
-    quoted = sum(entry.callcount for entry in profile.getstats() if entry.code is code)
-    assert quoted == 165 + len(Degeneration)
+    return sum(entry.callcount for entry in profile.getstats() if entry.code is code)
+
+
+def test_dot_export_is_formatted_once_per_graph(atlas):
+    graph = TransitionGraph(*transition_graph(atlas))
+    first = graph_to_dot(graph)
+    assert _quote_calls(graph) == 0
+    assert graph_to_dot(graph) is first
+
+
+def test_json_payload_is_fresh_on_every_call(atlas):
+    graph = transition_graph(atlas)
+    first = graph_to_json(graph)
+    untouched = copy.deepcopy(first)
+    first["nodes"][0]["id"] = "edited"
+    first["edges"].pop()
+    first["nodes"].append({"id": "extra"})
+    second = graph_to_json(graph)
+    assert second == untouched
+    assert not _container_ids(first) & _container_ids(second)
+
+
+def _container_ids(payload: dict) -> set[int]:
+    return {id(x) for x in (payload, *payload.values(), *payload["nodes"], *payload["edges"])}
+
+
+def test_no_stale_export_across_graphs(atlas, tmp_path, monkeypatch):
+    graph = transition_graph(atlas)
+    graph_to_dot(graph)
+    graph_to_json(graph)
+    # a pickle, and so a copy, holds the fields only: it formats its own exports
+    assert pickle.dumps(graph) == pickle.dumps(TransitionGraph(*graph))
+    for other in (graph._replace(edges=graph.edges[:1]), TransitionGraph((), graph.edges)):
+        assert graph_to_dot(other) == _dot_quoting_every_use(other)
+        payload = graph_to_json(other)
+        assert [n["id"] for n in payload["nodes"]] == [c.label for c in other.nodes]
+        assert [(e["from"], e["move"]) for e in payload["edges"]] == [
+            (e.source.label, e.move.value) for e in other.edges
+        ]
+    # an edited external catalog parses to a new atlas, so a new graph and text
+    for family in Family:
+        (tmp_path / f"{family.value}.json").write_text(json.dumps(atlas.to_records(family)))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(tmp_path))
+    before = graph_to_dot(transition_graph())
+    assert before == graph_to_dot(graph)
+    records = atlas.to_records(Family.U)
+    (tmp_path / "u.json").write_text(json.dumps(records + records[:1]))
+    after = graph_to_dot(transition_graph())
+    assert after != before
+    assert (before.count("\n"), after.count("\n")) == (447, 451)
+    assert graph_to_dot(transition_graph()) == after
 
 
 def test_exports_do_not_depend_on_record_order(atlas, tmp_path, monkeypatch):

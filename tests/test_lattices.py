@@ -384,6 +384,40 @@ def test_parse_gram_text():
     assert lattice.gram == gram_S311().gram
 
 
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+_EXTRA = st.sampled_from(["", "", "\n", "   \n", "\t\n", "# a comment\n", "  # 1 2 3\n"])
+
+
+def _exactly(n, strategy):
+    return st.lists(strategy, min_size=n, max_size=n)
+
+
+@st.composite
+def gram_texts(draw):
+    """A symmetric integer matrix and Gram text for it, with comment lines,
+    blank lines and whitespace around and between the entries."""
+    n = draw(st.integers(1, 6))
+    upper = iter(draw(_exactly(n * (n + 1) // 2, st.integers(-(10**12), 10**12))))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(upper)
+    spaces = iter(draw(_exactly((n + 1) ** 2, _SPACE)))
+    extras = draw(_exactly(n + 2, _EXTRA))
+    text = "".join(
+        extra + "".join(next(spaces) + str(x) for x in line) + next(spaces) + "\n"
+        for extra, line in zip(extras, [(n,), *rows])
+    )
+    return tuple(map(tuple, rows)), text + extras[-1]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=gram_texts())
+def test_parse_gram_text_roundtrip(case):
+    gram, text = case
+    assert parse_gram_text(text).gram == gram
+
+
 @pytest.mark.parametrize(
     "text",
     [
