@@ -446,7 +446,7 @@ def cmd_lattice(args) -> tuple[int, str]:
     sig = signature(lattice)
     try:
         invariants = two_elementary_invariants(lattice)
-        orders: tuple[int, ...] = (2,) * invariants.a  # no second Smith normal form
+        orders: tuple[int, ...] = (2,) * invariants.a  # found over F_2, no Smith form
         inv_text = "({},{},{})".format(*invariants.triple)
         inv_json: dict | None = dict(zip(("r", "a", "delta"), invariants.triple))
     except NotTwoElementary as exc:

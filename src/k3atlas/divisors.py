@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SurfaceMismatch, UnsupportedSurface
-from .lattices import gram_PicY
+from .lattices import _integers, gram_PicY
 
 
 class Surface(Enum):
@@ -35,7 +35,7 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
+        object.__setattr__(self, "coords", _integers(self.coords))
         expected = len(_BASIS[self.surface])
         if len(self.coords) != expected:
             raise ValueError(

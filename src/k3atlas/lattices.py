@@ -3,24 +3,31 @@
 Gram matrices are immutable tuples of Python integers, and every derived
 quantity (determinant, Smith normal form, signature, discriminant group,
 the rank / 2-rank / delta triple) is computed with arbitrary-precision
-integers or exact rationals.  No floating point is involved anywhere, so
-classification decisions cannot be corrupted by rounding.
+integers or bit masks over F_2.  No floating point is involved anywhere,
+so classification decisions cannot be corrupted by rounding.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DegenerateLattice, GramParseError, NotTwoElementary
 
-Vector = Sequence[int | Fraction]
+
+def _integers(row: Iterable[int]) -> tuple[int, ...]:
+    row = tuple(row)
+    try:
+        # operator.index takes ints and bools but refuses a float or a string.
+        return tuple(map(operator.index, row))
+    except TypeError:
+        raise ValueError(f"entries must be integers: {row!r}") from None
 
 
 def _frozen_gram(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    gram = tuple(tuple(int(x) for x in row) for row in rows)
+    gram = tuple(map(_integers, rows))
     n = len(gram)
     for row in gram:
         if len(row) != n:
@@ -37,15 +44,9 @@ class IntegralLattice:
     """A finitely generated free abelian group with an integer pairing."""
 
     gram: tuple[tuple[int, ...], ...]
-    basis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gram", _frozen_gram(self.gram))
-        if self.basis_labels is not None:
-            labels = tuple(str(s) for s in self.basis_labels)
-            if len(labels) != len(self.gram):
-                raise ValueError("one basis label per basis vector")
-            object.__setattr__(self, "basis_labels", labels)
 
     @property
     def rank(self) -> int:
@@ -56,17 +57,6 @@ class IntegralLattice:
 
     def det(self) -> int:
         return _integer_determinant(self.gram)
-
-    def pairing(self, x: Vector, y: Vector) -> Fraction:
-        """Bilinear form x.y extended to the rational span of the lattice."""
-        if len(x) != self.rank or len(y) != self.rank:
-            raise ValueError("vector length must equal the rank")
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return total
 
 
 @dataclass(frozen=True)
@@ -90,21 +80,14 @@ class TwoElemInvariants:
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """Dual lattice modulo the lattice, as a product of cyclic groups.
-
-    ``generators[i]`` is a rational coordinate vector (in the basis of the
-    lattice) spanning the i-th cyclic factor, of order ``cyclic_orders[i]``.
-    """
+    """Dual lattice modulo the lattice, as a product of cyclic groups."""
 
     cyclic_orders: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         for prev, cur in zip(self.cyclic_orders, self.cyclic_orders[1:]):
             if cur % prev:
                 raise ValueError("cyclic orders must form a divisibility chain")
-        if len(self.cyclic_orders) != len(self.generators):
-            raise ValueError("one generator per cyclic factor")
 
     @property
     def order(self) -> int:
@@ -162,7 +145,7 @@ def smith_normal_form(
     operations run on one bordered matrix ``[[mat, 1], [1, 0]]``, so each
     is written once and carries ``u`` and ``v`` along with ``d``.
     """
-    a = [[int(x) for x in row] for row in mat]
+    a = [list(_integers(row)) for row in mat]
     n = len(a)
     m = len(a[0]) if n else 0
     if any(len(row) != m for row in a):
@@ -237,37 +220,54 @@ def smith_normal_form(
 
 
 def discriminant_group(l: IntegralLattice) -> DiscriminantGroup:
-    """Dual modulo lattice, with generators as rational coordinate vectors."""
-    n = l.rank
-    d, _u, v = smith_normal_form(l.gram)
-    if any(d[i][i] == 0 for i in range(n)):
+    """Dual modulo lattice: the invariant factors above 1 of the Gram matrix."""
+    d, _u, _v = smith_normal_form(l.gram)
+    factors = [d[i][i] for i in range(l.rank)]
+    if 0 in factors:
         raise DegenerateLattice("discriminant group needs a nondegenerate pairing")
-    orders = []
-    generators = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            orders.append(di)
-            generators.append(tuple(Fraction(v[r][i], di) for r in range(n)))
-    return DiscriminantGroup(tuple(orders), tuple(generators))
+    return DiscriminantGroup(tuple(x for x in factors if x > 1))
+
+
+def _kernel_mod_2(gram: Sequence[Sequence[int]]) -> list[int]:
+    # A basis of ker(gram mod 2) for a symmetric gram, as bit masks: each row
+    # that reduces to zero on bit-mask rows yields the rows it was summed from
+    # (bit i for row i).  pivots maps a kept row's lowest bit to (row, sources).
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for i, row in enumerate(gram):
+        bits, sources = sum(1 << j for j, x in enumerate(row) if x & 1), 1 << i
+        while bits and (bits & -bits) in pivots:
+            pivot_bits, pivot_sources = pivots[bits & -bits]
+            bits, sources = bits ^ pivot_bits, sources ^ pivot_sources
+        if bits:
+            pivots[bits & -bits] = (bits, sources)
+        else:
+            kernel.append(sources)
+    return kernel
 
 
 def two_elementary_invariants(l: IntegralLattice) -> TwoElemInvariants:
     """The (r, a, delta) triple of an even lattice with 2-elementary dual quotient.
 
-    delta is 0 exactly when x.x is an integer for every element x of the
-    discriminant group, which holds exactly when it holds for the generators.
+    The 2-torsion of L*/L is {y/2 : Gy = 0 mod 2} modulo L (Nikulin, Math.
+    USSR Izv. 14 (1980), section 1), so its 2-rank is a = dim ker(G mod 2)
+    and L is 2-elementary exactly when |det G| = 2^a.  delta is 0 exactly
+    when every x = y/2 has an integral square y^T G y / 4; as 2 x.x' is an
+    integer, x.x mod 1 is additive and a kernel basis decides it.  The
+    Smith normal form runs only for a lattice that is not 2-elementary, to
+    name its factors (or to report a degenerate one).
     """
     if not l.is_even():
         raise NotTwoElementary("lattice is odd (some basis vector has odd square)")
-    group = discriminant_group(l)
-    bad = [o for o in group.cyclic_orders if o != 2]
-    if bad:
+    gram = l.gram
+    kernel = _kernel_mod_2(gram)
+    if abs(l.det()) != 1 << len(kernel):
+        bad = [o for o in discriminant_group(l).cyclic_orders if o != 2]
         raise NotTwoElementary(f"discriminant group has cyclic factors {bad}")
-    # (x+y).(x+y) = x.x + y.y + 2 x.y, and 2 x.y is an integer when 2x lies in
-    # the lattice, so x.x mod 1 is additive and vanishes if it does on generators.
-    delta = int(any(l.pairing(g, g).denominator != 1 for g in group.generators))
-    return TwoElemInvariants(l.rank, len(group.cyclic_orders), delta)
+    # y^T G y for each kernel vector y, lifted to 0/1 entries.
+    supports = ([i for i in range(l.rank) if y >> i & 1] for y in kernel)
+    delta = int(any(sum(gram[i][j] for i in s for j in s) % 4 for s in supports))
+    return TwoElemInvariants(l.rank, len(kernel), delta)
 
 
 def signature(l: IntegralLattice) -> tuple[int, int]:
@@ -320,10 +320,7 @@ def direct_sum(l1: IntegralLattice, l2: IntegralLattice) -> IntegralLattice:
         rows.append(tuple(l1.gram[i]) + (0,) * n2)
     for i in range(n2):
         rows.append((0,) * n1 + tuple(l2.gram[i]))
-    labels = None
-    if l1.basis_labels is not None and l2.basis_labels is not None:
-        labels = l1.basis_labels + l2.basis_labels
-    return IntegralLattice(tuple(rows), labels)
+    return IntegralLattice(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -332,28 +329,22 @@ def direct_sum(l1: IntegralLattice, l2: IntegralLattice) -> IntegralLattice:
 
 def gram_U() -> IntegralLattice:
     """The even unimodular hyperbolic plane."""
-    return IntegralLattice(((0, 1), (1, 0)), ("u1", "u2"))
+    return IntegralLattice(((0, 1), (1, 0)))
 
 
 def gram_minus2() -> IntegralLattice:
     """Rank-one lattice spanned by a (-2)-vector."""
-    return IntegralLattice(((-2,),), ("v",))
+    return IntegralLattice(((-2,),))
 
 
 def gram_S311() -> IntegralLattice:
     """Pairing of the classes E, F, A0 on the double-cover side."""
-    return IntegralLattice(
-        ((-2, 2, 1), (2, -2, 0), (1, 0, -2)),
-        ("E", "F", "A0"),
-    )
+    return IntegralLattice(((-2, 2, 1), (2, -2, 0), (1, 0, -2)))
 
 
 def gram_PicY() -> IntegralLattice:
     """Pairing of the classes e, f, A0 on the quotient surface."""
-    return IntegralLattice(
-        ((-1, 1, 1), (1, -1, 0), (1, 0, -4)),
-        ("e", "f", "A0"),
-    )
+    return IntegralLattice(((-1, 1, 1), (1, -1, 0), (1, 0, -4)))
 
 
 def gram_E8_minus() -> IntegralLattice:
@@ -369,7 +360,7 @@ def gram_E8_minus() -> IntegralLattice:
         (0, 0, 0, 0, 0, 0, -1, 2),
     )
     rows = tuple(tuple(-x for x in row) for row in cartan)
-    return IntegralLattice(rows, tuple(f"e{i}" for i in range(1, 9)))
+    return IntegralLattice(rows)
 
 
 def gram_LK3() -> IntegralLattice:

@@ -2,7 +2,7 @@
 
 import random
 
-from k3atlas.lattices import discriminant_group
+from k3atlas.lattices import smith_normal_form
 
 
 def matmul(a, b):
@@ -47,18 +47,20 @@ def shear_conjugate(gram, rng: random.Random, steps: int = 25):
 
 def delta_by_enumeration(lattice):
     """Reference delta: 1 when some x in the 2-elementary discriminant group
-    has a non-integral square, found by walking all 2^a classes (a <= 10)."""
-    gens = discriminant_group(lattice).generators
-    a = len(gens)
+    has a non-integral square, found by walking all 2^a classes (a <= 10).
+
+    With u G v = d in Smith form, the factors d_i = 2 are spanned by
+    x_i = v_i / 2 for the columns v_i of v, so the products are taken in
+    integers on the v_i, four times x.y, and divided by 4 once per class."""
+    d, _u, v = smith_normal_form(lattice.gram)
+    factors = [d[i][i] for i in range(lattice.rank)]
+    if any(f not in (1, 2) for f in factors):
+        raise ValueError("the reference walk needs a 2-elementary discriminant group")
+    vectors = [[row[i] for row in v] for i, f in enumerate(factors) if f == 2]
+    a = len(vectors)
     if a > 10:
         raise ValueError(f"2^{a} classes is too many for the reference walk")
-    # Each generator has order 2, so 2g is an integer vector: the products are
-    # taken in integers, four times x.y, and divided by 4 once per class.
-    doubled = [[2 * x for x in g] for g in gens]
-    if any(x.denominator != 1 for v in doubled for x in v):
-        raise ValueError("the reference walk needs a 2-elementary discriminant group")
-    vectors = [[int(x) for x in v] for v in doubled]
-    images = [[sum(gij * vj for gij, vj in zip(row, v)) for row in lattice.gram] for v in vectors]
+    images = [[sum(gij * wj for gij, wj in zip(row, w)) for row in lattice.gram] for w in vectors]
     prod = [[sum(x * y for x, y in zip(u, image)) for image in images] for u in vectors]
     # x_T.x_T for a subset T expands into single and pairwise products.
     for mask in range(1, 1 << a):

@@ -351,8 +351,11 @@ def test_lattice_not_utf8(capsys, tmp_path):
     assert err == f"atlas: {bad}: not UTF-8: invalid start byte at byte 0\n"
 
 
-@pytest.mark.parametrize("gram", ["lk3", "picy"])
-def test_lattice_computes_one_smith_normal_form(capsys, monkeypatch, gram):
+# Smith normal forms per `atlas lattice` run: none for a 2-elementary file,
+# one to name the factors when the F_2 route does not apply (odd), and two
+# for an even file that is not 2-elementary (its message and its orders).
+@pytest.mark.parametrize("gram, expected", [("lk3", 0), ("picy", 1), ("six", 2)])
+def test_lattice_counts_smith_normal_forms(capsys, monkeypatch, tmp_path, gram, expected):
     calls = []
     snf = lattices.smith_normal_form
 
@@ -360,9 +363,11 @@ def test_lattice_computes_one_smith_normal_form(capsys, monkeypatch, gram):
         calls.append(m)
         return snf(m)
 
+    (tmp_path / "six.gram").write_text("1\n6\n")
+    path = tmp_path / "six.gram" if gram == "six" else os.path.join(GRAMS, f"{gram}.gram")
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
-    code, _, _ = run(capsys, "lattice", os.path.join(GRAMS, f"{gram}.gram"))
-    assert code == 0 and len(calls) == 1
+    code, _, _ = run(capsys, "lattice", str(path))
+    assert code == 0 and len(calls) == expected
 
 
 def test_lattice_degenerate_exit(capsys, tmp_path):

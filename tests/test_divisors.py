@@ -15,7 +15,6 @@ from k3atlas.divisors import (
     y_class,
 )
 from k3atlas.errors import SurfaceMismatch, UnsupportedSurface
-from k3atlas.lattices import gram_PicY
 
 
 BRANCH = f4_class(12, 3)  # the trigonal curve class
@@ -80,19 +79,24 @@ def test_coordinate_validation():
         DivisorClass(Surface.Y, (1, 2))
 
 
+@pytest.mark.parametrize("coords", [(1.9, 2), (1, "2"), (1.0, 2)])
+def test_coordinates_must_be_integers(coords):
+    # A float is not truncated and a string is not parsed: both raise.
+    with pytest.raises(ValueError, match="must be integers"):
+        DivisorClass(Surface.F4, coords)
+    assert DivisorClass(Surface.F4, (True, 2)).coords == (1, 2)
+
+
 def _canonical_class_y():
     # Adjunction pins K on the blow-up: e and f are rational (-1)-curves
     # and A0 is rational with square -4, giving K.e = K.f = -1, K.A0 = 2.
     # Solve the three linear conditions exactly.
-    gram = gram_PicY()
-    targets = {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): 2}
+    targets = {y_class(1, 0, 0): -1, y_class(0, 1, 0): -1, y_class(0, 0, 1): 2}
     for x in range(-8, 9):
         for y in range(-8, 9):
             for z in range(-4, 5):
-                if all(
-                    gram.pairing((x, y, z), basis) == value
-                    for basis, value in targets.items()
-                ):
+                k = y_class(x, y, z)
+                if all(intersect(k, basis) == value for basis, value in targets.items()):
                     return (x, y, z)
     raise AssertionError("no canonical class found")
 
@@ -100,8 +104,7 @@ def _canonical_class_y():
 def test_branch_curve_class_on_blowup():
     k_y = _canonical_class_y()
     assert k_y == (-6, -5, -2)
-    gram = gram_PicY()
-    assert gram.pairing(k_y, k_y) == 7  # 8 - 1 for the one blow-up
+    assert intersect(y_class(*k_y), y_class(*k_y)) == 7  # 8 - 1 for the one blow-up
     # A = A0 + A1 is anti-bicanonical, so A1 = -2K - A0.
     a1 = y_class(-2 * k_y[0], -2 * k_y[1], -2 * k_y[2] - 1)
     assert a1.coords == (12, 10, 3)

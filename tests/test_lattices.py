@@ -1,6 +1,5 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import delta_by_enumeration, int_det, matmul, shear_conjugate, transpose
+from k3atlas import lattices
 from k3atlas.errors import DegenerateLattice, GramParseError, NotTwoElementary
 from k3atlas.lattices import (
     IntegralLattice,
@@ -37,30 +37,37 @@ def test_lattice_validation():
         IntegralLattice(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
         IntegralLattice(((0, 1),))
-    with pytest.raises(ValueError):
-        IntegralLattice(((2,),), basis_labels=("a", "b"))
     empty = IntegralLattice(())
     assert empty.rank == 0 and empty.det() == 1 and signature(empty) == (0, 0)
 
 
+@pytest.mark.parametrize("entry", [-2.9, 2.0, "2", None])
+def test_lattice_refuses_non_integer_entries(entry):
+    # A float is not truncated and a string is not parsed: both raise.
+    with pytest.raises(ValueError, match="must be integers"):
+        IntegralLattice(((entry,),))
+    assert IntegralLattice(((True, 0), (0, -2))).gram == ((1, 0), (0, -2))
+
+
 def test_fixture_pairings():
-    s = gram_S311()
-    assert s.basis_labels == ("E", "F", "A0")
-    # E.E = -2, E.F = 2, E.A0 = 1, F.F = -2, F.A0 = 0, A0.A0 = -2
-    assert s.pairing((1, 0, 0), (1, 0, 0)) == -2
-    assert s.pairing((1, 0, 0), (0, 1, 0)) == 2
-    assert s.pairing((1, 0, 0), (0, 0, 1)) == 1
-    assert s.pairing((0, 1, 0), (0, 0, 1)) == 0
-    y = gram_PicY()
-    assert y.pairing((1, 0, 0), (1, 0, 0)) == -1
-    assert y.pairing((1, 0, 0), (0, 1, 0)) == 1
-    assert y.pairing((0, 0, 1), (0, 0, 1)) == -4
+    # In the basis (E, F, A0): E.E = -2, E.F = 2, E.A0 = 1, F.F = -2,
+    # F.A0 = 0, A0.A0 = -2.
+    assert gram_S311().gram == ((-2, 2, 1), (2, -2, 0), (1, 0, -2))
+    # In the basis (e, f, A0): e.e = -1, e.f = 1, e.A0 = 1, f.f = -1,
+    # f.A0 = 0, A0.A0 = -4.
+    assert gram_PicY().gram == ((-1, 1, 1), (1, -1, 0), (1, 0, -4))
 
 
 def test_snf_identity():
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     d, u, v = smith_normal_form(eye)
     assert d == eye and matmul(matmul(u, eye), v) == d
+
+
+@pytest.mark.parametrize("entry", [2.7, "2"])
+def test_snf_refuses_non_integer_entries(entry):
+    with pytest.raises(ValueError, match="must be integers"):
+        smith_normal_form([[entry]])
 
 
 def test_snf_diag22():
@@ -187,9 +194,8 @@ def test_discriminant_group_examples():
     group = discriminant_group(gram_S311())
     assert group.cyclic_orders == (2,)
     assert group.order == abs(gram_S311().det()) == 2
-    # The generator really has order 2: doubling it lands in the lattice.
-    gen = group.generators[0]
-    assert all((2 * x).denominator == 1 for x in gen)
+    six = discriminant_group(direct_sum(scaled(gram_U(), 2), IntegralLattice(((6,),))))
+    assert six.cyclic_orders == (2, 2, 6) and six.order == 24
     with pytest.raises(DegenerateLattice):
         discriminant_group(IntegralLattice(((0,),)))
 
@@ -201,15 +207,20 @@ def test_two_elementary_examples():
     assert e8.det() == 1
     assert two_elementary_invariants(e8).triple == (8, 0, 0)
     assert two_elementary_invariants(gram_minus2()).triple == (1, 1, 1)
+    assert two_elementary_invariants(IntegralLattice(())).triple == (0, 0, 0)
 
 
 def test_two_elementary_errors():
     with pytest.raises(NotTwoElementary, match="odd"):
         two_elementary_invariants(gram_PicY())
-    with pytest.raises(NotTwoElementary, match=r"\[4\]"):
-        two_elementary_invariants(IntegralLattice(((-4,),)))
-    with pytest.raises(DegenerateLattice):
-        two_elementary_invariants(IntegralLattice(((0, 0), (0, 0))))
+    for entry, bad in ((-4, "[4]"), (6, "[6]")):
+        with pytest.raises(NotTwoElementary) as info:
+            two_elementary_invariants(IntegralLattice(((entry,),)))
+        assert str(info.value) == f"discriminant group has cyclic factors {bad}"
+    # Even and singular: det 0 is never 2^a, and the Smith form reports it.
+    for gram in (((0, 0), (0, 0)), ((2, 2), (2, 2))):
+        with pytest.raises(DegenerateLattice, match="nondegenerate pairing"):
+            two_elementary_invariants(IntegralLattice(gram))
 
 
 def test_signature_examples():
@@ -287,9 +298,9 @@ def test_delta_uses_full_group():
     # square -1; one class with a non-integral square already makes delta 1.
     lattice = direct_sum(gram_minus2(), gram_minus2())
     assert two_elementary_invariants(lattice).triple == (2, 2, 1)
-    group = discriminant_group(lattice)
-    total = tuple(a + b for a, b in zip(*group.generators))
-    assert lattice.pairing(total, total) == Fraction(-1)
+    assert delta_by_enumeration(lattice) == 1
+    # y = (1, 1) lies in ker(G mod 2) with y^T G y = -4, so x = y/2 has x.x = -1.
+    assert sum(lattice.gram[i][j] for i in range(2) for j in range(2)) == -4
 
 
 def scaled(lattice, k):
@@ -310,18 +321,22 @@ def test_delta_for_twenty_generators():
     assert two_elementary_invariants(mixed).triple == (20, 20, 1)
 
 
-def test_delta_reads_each_generator_once(monkeypatch):
-    calls = []
-    pairing = IntegralLattice.pairing
+def test_two_elementary_route_runs_no_smith_normal_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a 2-elementary lattice needs no Smith normal form")
 
-    def counting(self, x, y):
-        calls.append(1)
-        return pairing(self, x, y)
-
-    monkeypatch.setattr(IntegralLattice, "pairing", counting)
+    monkeypatch.setattr(lattices, "smith_normal_form", refuse)
+    monkeypatch.setattr(lattices, "discriminant_group", refuse)
+    rng = random.Random(20)
+    for name, (block, a, delta, _sig) in BLOCKS.items():
+        changed = IntegralLattice(shear_conjugate(block.gram, rng)) if block.rank > 1 else block
+        assert two_elementary_invariants(changed).triple == (block.rank, a, delta), name
     u2 = scaled(gram_U(), 2)
-    assert two_elementary_invariants(block_sum([u2] * 5)).triple == (10, 10, 0)
-    assert len(calls) <= 10
+    assert two_elementary_invariants(block_sum([u2] * 10)).triple == (20, 20, 0)
+    assert two_elementary_invariants(block_sum([u2] * 9 + [gram_minus2()] * 2)).triple == (20, 20, 1)
+    assert two_elementary_invariants(gram_S311()).triple == (3, 1, 1)
+    assert two_elementary_invariants(gram_LK3()).triple == (22, 0, 0)
+    assert two_elementary_invariants(IntegralLattice(())).triple == (0, 0, 0)
 
 
 D4_MINUS = IntegralLattice(
@@ -366,6 +381,8 @@ def test_conjugated_block_sums_match_closed_form(names, rng):
     assert invariants.triple == (base.rank, a, max(deltas))
     assert signature(changed) == (sum(p for p, _ in signatures), sum(n for _, n in signatures))
     assert abs(changed.det()) == 2**a
+    # The Smith normal form is the oracle for a, and for delta when a <= 10.
+    assert discriminant_group(changed).cyclic_orders == (2,) * a
     if a <= 10:
         assert invariants.delta == delta_by_enumeration(changed)
 
