@@ -10,9 +10,11 @@ the text to ``--out`` or stdout and the one-line error to stderr.
 Exit codes: 0 success, 1 validation violations, 2 bad, unknown or missing
 flags (also conflicting selectors and an unwritable ``--out``), 3 class
 not found, 4 class without the requested structure, 5 Gram-file parse
-error, 6 degenerate Gram matrix, 7 unreadable or malformed external
-catalog.  An error gets its code from ``EXIT_CODES``, looked up along the
-exception's class hierarchy; any other ``AtlasError`` exits 1.
+error (also an entry past Python's int-string digit limit), 6 degenerate
+Gram matrix, 7 unreadable or malformed external catalog, 8 a result too
+long to print (past that limit).  An error gets its code from
+``EXIT_CODES``, looked up along the exception's class hierarchy; any
+other ``AtlasError`` exits 1.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class UsageError(AtlasError):
     """A flag or selector is unknown, missing, malformed or conflicts with another."""
 
 
+class DigitLimit(AtlasError):
+    """A result has more digits than Python's int-string limit lets it print."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # the subcommand parsers are _Parsers too
         raise UsageError(message)
@@ -62,6 +68,7 @@ EXIT_CODES = {
     GramParseError: 5,
     DegenerateLattice: 6,
     CatalogError: 7,
+    DigitLimit: 8,
 }
 
 
@@ -448,33 +455,34 @@ def cmd_lattice(args) -> tuple[int, str]:
         invariants = two_elementary_invariants(lattice)
         orders: tuple[int, ...] = (2,) * invariants.a  # found over F_2, no Smith form
         inv_text = "({},{},{})".format(*invariants.triple)
-        inv_json: dict | None = dict(zip(("r", "a", "delta"), invariants.triple))
+        inv_json: dict | None = invariants._asdict()
     except NotTwoElementary as exc:
         orders = discriminant_group(lattice).cyclic_orders
         inv_text = f"not applicable: {exc}"
         inv_json = None
-    group_text = " x ".join(f"Z/{d}" for d in orders) if orders else "trivial"
-    if args.format == "json":
-        payload = {
-            "rank": lattice.rank,
-            "signature": list(sig),
-            "det": det,
-            "even": lattice.is_even(),
-            "discriminant_group": list(orders),
-            "two_elementary": inv_json,
-        }
-        text = _json_text(payload)
-    else:
+    try:  # str() and json refuse an int with more digits than Python's limit
+        if args.format == "json":
+            payload = {
+                "rank": lattice.rank,
+                "signature": list(sig),
+                "det": det,
+                "even": lattice.is_even(),
+                "discriminant_group": list(orders),
+                "two_elementary": inv_json,
+            }
+            return EXIT_OK, _json_text(payload)
         lines = [
             f"rank: {lattice.rank}",
             f"signature: ({sig[0]},{sig[1]})",
             f"det: {det}",
             f"even: {'yes' if lattice.is_even() else 'no'}",
-            f"discriminant group: {group_text}",
+            f"discriminant group: {' x '.join(f'Z/{d}' for d in orders) or 'trivial'}",
             f"invariants (r,a,delta): {inv_text}",
         ]
-        text = "\n".join(lines) + "\n"
-    return EXIT_OK, text
+        return EXIT_OK, "\n".join(lines) + "\n"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimit(f"a result has over {limit} digits, Python's int-string limit") from None
 
 
 def cmd_divisor(args) -> tuple[int, str]:

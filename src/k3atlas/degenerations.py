@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
+from ._checked import Checked
 from .atlas import (
     Atlas,
     CheckSection,
@@ -415,15 +416,9 @@ class _GraphFields(NamedTuple):
     edges: tuple[TransitionEdge, ...]
 
 
-class TransitionGraph(_GraphFields):
+class TransitionGraph(Checked, _GraphFields):
     """The nodes and edges; the exports are formatted on first use and kept in
-    the instance ``__dict__``, which takes no other attribute."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot set {name!r} of a TransitionGraph")
-
-    def __reduce__(self):  # copies and unpickled graphs format their own exports
-        return type(self), tuple(self)
+    the instance ``__dict__``, so copies and unpickled graphs format their own."""
 
     @cached_property
     def _dot(self) -> str:

@@ -9,9 +9,10 @@ to -6c - 2s, the unique divisor class doubling to -(12c + 4s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from ._checked import Checked
 from .errors import SurfaceMismatch, UnsupportedSurface
 from .lattices import _integers, gram_PicY
 
@@ -29,18 +30,22 @@ _PAIRINGS = {
 _BASIS = {Surface.F4: ("c", "s"), Surface.Y: ("e", "f", "A0")}
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorFields(NamedTuple):
     surface: Surface
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _integers(self.coords))
-        expected = len(_BASIS[self.surface])
-        if len(self.coords) != expected:
-            raise ValueError(
-                f"{self.surface.value} classes take {expected} coordinates"
-            )
+
+class DivisorClass(Checked, _DivisorFields):
+    """Coordinates of a class in the fixed basis of its surface."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface: Surface, coords):
+        coords = _integers(coords)
+        expected = len(_BASIS[surface])
+        if len(coords) != expected:
+            raise ValueError(f"{surface.value} classes take {expected} coordinates")
+        return tuple.__new__(cls, (surface, coords))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.surface is not other.surface:
@@ -57,6 +62,9 @@ class DivisorClass:
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(self.surface, tuple(scalar * a for a in self.coords))
+
+    def __mul__(self, other):  # n * d scales; d * n raises instead of repeating
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -88,15 +96,9 @@ SECTION = f4_class(0, 1)
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number of two divisor classes on the same surface."""
     if d1.surface is not d2.surface:
-        raise SurfaceMismatch(
-            f"classes live on {d1.surface.value} and {d2.surface.value}"
-        )
+        raise SurfaceMismatch(f"classes live on {d1.surface.value} and {d2.surface.value}")
     gram = _PAIRINGS[d1.surface]
-    return sum(
-        xi * gram[i][j] * yj
-        for i, xi in enumerate(d1.coords)
-        for j, yj in enumerate(d2.coords)
-    )
+    return sum(x * gram[i][j] * y for i, x in enumerate(d1.coords) for j, y in enumerate(d2.coords))
 
 
 def canonical_class(surface: Surface) -> DivisorClass:

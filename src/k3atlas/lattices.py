@@ -5,15 +5,23 @@ quantity (determinant, Smith normal form, signature, discriminant group,
 the rank / 2-rank / delta triple) is computed with arbitrary-precision
 integers or bit masks over F_2.  No floating point is involved anywhere,
 so classification decisions cannot be corrupted by rounding.
+
+The value types are validated NamedTuples: every build checks its fields,
+``_replace``, ``_make``, copies and unpickling included.  A lattice keeps
+what it computes on first use: one symmetric Bareiss elimination, which
+gives both its determinant and its signature, and its Smith invariant
+factors.  A copy or an unpickled lattice computes its own.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Sequence
+import sys
+from functools import cached_property, reduce
+from math import prod
+from typing import Iterable, NamedTuple, Sequence
 
+from ._checked import Checked
 from .errors import DegenerateLattice, GramParseError, NotTwoElementary
 
 
@@ -29,24 +37,23 @@ def _integers(row: Iterable[int]) -> tuple[int, ...]:
 def _frozen_gram(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     gram = tuple(map(_integers, rows))
     n = len(gram)
-    for row in gram:
-        if len(row) != n:
-            raise ValueError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(i):
-            if gram[i][j] != gram[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
+    if any(len(row) != n for row in gram):
+        raise ValueError("Gram matrix must be square")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix must be symmetric")
     return gram
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
-    """A finitely generated free abelian group with an integer pairing."""
-
+class _LatticeFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "gram", _frozen_gram(self.gram))
+
+class IntegralLattice(Checked, _LatticeFields):
+    """A finitely generated free abelian group with an integer pairing; it
+    keeps its elimination (pos, neg, det) and invariant factors once computed."""
+
+    def __new__(cls, gram):
+        return tuple.__new__(cls, (_frozen_gram(gram),))
 
     @property
     def rank(self) -> int:
@@ -56,67 +63,95 @@ class IntegralLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def det(self) -> int:
-        return _integer_determinant(self.gram)
+        return self._elimination[2]
+
+    @cached_property
+    def _elimination(self) -> tuple[int, int, int]:
+        return _symmetric_bareiss(self.gram)
+
+    @cached_property
+    def _invariant_factors(self) -> tuple[int, ...]:
+        d, _u, _v = smith_normal_form(self.gram)
+        return tuple(d[i][i] for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class TwoElemInvariants:
-    """The (r, a, delta) triple of an even 2-elementary lattice."""
-
+class _TwoElemFields(NamedTuple):
     r: int
     a: int
     delta: int
 
-    def __post_init__(self):
-        if not 0 <= self.a <= self.r:
+
+class TwoElemInvariants(Checked, _TwoElemFields):
+    """The (r, a, delta) triple of an even 2-elementary lattice."""
+
+    __slots__ = ()
+
+    def __new__(cls, r, a, delta):
+        if not 0 <= a <= r:
             raise ValueError("need 0 <= a <= r")
-        if self.delta not in (0, 1):
+        if delta not in (0, 1):
             raise ValueError("delta is 0 or 1")
+        return tuple.__new__(cls, (r, a, delta))
 
     @property
     def triple(self) -> tuple[int, int, int]:
-        return (self.r, self.a, self.delta)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """Dual lattice modulo the lattice, as a product of cyclic groups."""
-
+class _GroupFields(NamedTuple):
     cyclic_orders: tuple[int, ...]
 
-    def __post_init__(self):
-        for prev, cur in zip(self.cyclic_orders, self.cyclic_orders[1:]):
-            if cur % prev:
-                raise ValueError("cyclic orders must form a divisibility chain")
+
+class DiscriminantGroup(Checked, _GroupFields):
+    """Dual lattice modulo the lattice, as a product of cyclic groups."""
+
+    __slots__ = ()
+
+    def __new__(cls, cyclic_orders):
+        orders = tuple(cyclic_orders)
+        if any(cur % prev for prev, cur in zip(orders, orders[1:])):
+            raise ValueError("cyclic orders must form a divisibility chain")
+        return tuple.__new__(cls, (orders,))
 
     @property
     def order(self) -> int:
-        total = 1
-        for d in self.cyclic_orders:
-            total *= d
-        return total
+        return prod(self.cyclic_orders)
 
 
-def _integer_determinant(gram: Sequence[Sequence[int]]) -> int:
-    # Fraction-free Bareiss elimination; every intermediate value is an integer.
-    n = len(gram)
-    if n == 0:
-        return 1
-    a = [list(row) for row in gram]
-    sign = 1
+def _symmetric_bareiss(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    # (pos, neg, det) in one fraction-free symmetric pass (Bareiss, Math.
+    # Comp. 22, 1968).  Each pivot d is a nonzero diagonal entry; it leaves
+    # with its row and column c, and the rest becomes (d*x - c_i*c_j) // prev.
+    # Every entry is a minor of a unimodular congruent of the gram, so the
+    # division is exact, and the pivots are its leading principal minors:
+    # d is a positive square when its sign is prev's (Jacobi).  det is the
+    # last pivot, or 0 once the rest is all zero.
+    m = [list(row) for row in gram]
+    pos = neg = 0
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    while m:
+        n = len(m)
+        p = next((i for i in range(n) if m[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+            if pair is None:
+                return pos, neg, 0
+            p, j = pair
+            # Isotropic diagonal: e_p += e_j makes m[p][p] = 2 m[p][j] != 0.
+            m[p] = [x + y for x, y in zip(m[p], m[j])]
+            for row in m:
+                row[p] += row[j]
+        c = m.pop(p)
+        d = c.pop(p)
+        for row in m:
+            del row[p]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        m = [[(d * x - ci * cj) // prev for x, cj in zip(row, c)] for row, ci in zip(m, c)]
+        prev = d
+    return pos, neg, prev
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -162,8 +197,7 @@ def smith_normal_form(
             bi[k] += c * bj[k]
 
     def move_smallest_pivot(t):
-        pivot = None
-        best = None
+        pivot = best = None
         for i in range(t, n):
             for j in range(t, m):
                 value = abs(b[i][j])
@@ -200,14 +234,8 @@ def smith_normal_form(
             if dirty:
                 move_smallest_pivot(t)
                 continue
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, n)
-                    if any(b[i][j] % p for j in range(t + 1, m))
-                ),
-                None,
-            )
+            tail = range(t + 1, m)
+            offender = next((i for i in range(t + 1, n) if any(b[i][j] % p for j in tail)), None)
             if offender is None:
                 break
             # Pull the offending row up so the next pivot divides it too.
@@ -221,8 +249,7 @@ def smith_normal_form(
 
 def discriminant_group(l: IntegralLattice) -> DiscriminantGroup:
     """Dual modulo lattice: the invariant factors above 1 of the Gram matrix."""
-    d, _u, _v = smith_normal_form(l.gram)
-    factors = [d[i][i] for i in range(l.rank)]
+    factors = l._invariant_factors
     if 0 in factors:
         raise DegenerateLattice("discriminant group needs a nondegenerate pairing")
     return DiscriminantGroup(tuple(x for x in factors if x > 1))
@@ -271,56 +298,17 @@ def two_elementary_invariants(l: IntegralLattice) -> TwoElemInvariants:
 
 
 def signature(l: IntegralLattice) -> tuple[int, int]:
-    """Counts of positive and negative squares, by fraction-free symmetric reduction.
-
-    Each pivot d = m[p][p] leaves with its row and column c, and the rest S
-    becomes (d*S - c c^T) / (sign(d) * gcd of its entries), a positive
-    multiple of S - c c^T / d with integer entries and the same signature.
-    p + n can fall short of the rank only for a degenerate pairing.
-    """
-    m = [list(row) for row in l.gram]
-    pos = neg = 0
-    while m:
-        n = len(m)
-        p = next((i for i in range(n) if m[i][i]), None)
-        if p is None:
-            pair = next(
-                ((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]),
-                None,
-            )
-            if pair is None:
-                break
-            i, j = pair
-            # Isotropic diagonal: e_i += e_j makes m[i][i] = 2 m[i][j] != 0.
-            m[i] = [x + y for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] += row[j]
-            continue
-        c = m.pop(p)
-        d = c.pop(p)
-        for row in m:
-            del row[p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        m = [[d * x - ci * cj for x, cj in zip(row, c)] for row, ci in zip(m, c)]
-        g = gcd(*(x for row in m for x in row))
-        if g:
-            g = g if d > 0 else -g
-            m = [[x // g for x in row] for row in m]
+    """Counts of positive and negative squares; p + n < rank only when degenerate."""
+    pos, neg, _det = l._elimination
     return pos, neg
 
 
 def direct_sum(l1: IntegralLattice, l2: IntegralLattice) -> IntegralLattice:
     """Orthogonal direct sum; Gram matrices go block diagonal."""
     n1, n2 = l1.rank, l2.rank
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(l1.gram[i]) + (0,) * n2)
-    for i in range(n2):
-        rows.append((0,) * n1 + tuple(l2.gram[i]))
-    return IntegralLattice(tuple(rows))
+    return IntegralLattice(
+        [row + (0,) * n2 for row in l1.gram] + [(0,) * n1 + row for row in l2.gram]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +353,7 @@ def gram_E8_minus() -> IntegralLattice:
 
 def gram_LK3() -> IntegralLattice:
     """Reference form of the K3 lattice: three hyperbolic planes plus two E8(-1)."""
-    lattice = gram_U()
-    for _ in range(2):
-        lattice = direct_sum(lattice, gram_U())
-    for _ in range(2):
-        lattice = direct_sum(lattice, gram_E8_minus())
-    return lattice
+    return reduce(direct_sum, [gram_U()] * 3 + [gram_E8_minus()] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +362,8 @@ def gram_LK3() -> IntegralLattice:
 
 
 def parse_gram_text(text: str) -> IntegralLattice:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
     if not lines:
         raise GramParseError("empty Gram file")
     try:
@@ -400,8 +380,13 @@ def parse_gram_text(text: str) -> IntegralLattice:
         if len(parts) != n:
             raise GramParseError(f"row {k} has {len(parts)} entries, expected {n}")
         try:
-            rows.append(tuple(int(p) for p in parts))
+            rows.append(tuple(map(int, parts)))
         except ValueError:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            digits = (p.lstrip("+-").replace("_", "") for p in parts)
+            if limit and any(d.isdecimal() and len(d) > limit for d in digits):
+                problem = f"an integer over Python's {limit}-digit int-string limit"
+                raise GramParseError(f"row {k} contains {problem}") from None
             raise GramParseError(f"row {k} contains a non-integer entry") from None
     try:
         return IntegralLattice(tuple(rows))

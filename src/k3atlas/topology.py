@@ -24,6 +24,7 @@ import functools
 import operator
 from typing import NamedTuple
 
+from ._checked import Checked
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, WrongFamily
 from .tables import IsotopyRow
@@ -81,16 +82,6 @@ def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
         raise InconsistentInput(message)
 
 
-class _Checked:
-    """Makes ``_make`` (so ``_replace``) and pickling call the class's ``__new__``."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-
 class _IsotopyFields(NamedTuple):
     case: TopCase
     alpha: int
@@ -99,7 +90,7 @@ class _IsotopyFields(NamedTuple):
     conjectured_nonrealizable: bool
 
 
-class IsotopyType(_Checked, _IsotopyFields):
+class IsotopyType(Checked, _IsotopyFields):
     """A topological case with oval counts in the regions R1 and R2."""
 
     __slots__ = ()
@@ -198,7 +189,7 @@ class _SurfaceFields(NamedTuple):
     genera: tuple[int, ...]
 
 
-class SurfaceDescriptor(_Checked, _SurfaceFields):
+class SurfaceDescriptor(Checked, _SurfaceFields):
     """Disjoint union of closed orientable surfaces; genus 0 means a sphere."""
 
     __slots__ = ()

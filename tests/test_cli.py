@@ -352,9 +352,10 @@ def test_lattice_not_utf8(capsys, tmp_path):
 
 
 # Smith normal forms per `atlas lattice` run: none for a 2-elementary file,
-# one to name the factors when the F_2 route does not apply (odd), and two
-# for an even file that is not 2-elementary (its message and its orders).
-@pytest.mark.parametrize("gram, expected", [("lk3", 0), ("picy", 1), ("six", 2)])
+# and one when the F_2 route does not apply (odd, or even and not
+# 2-elementary): the lattice keeps its invariant factors, so the message and
+# the printed orders share it.
+@pytest.mark.parametrize("gram, expected", [("lk3", 0), ("picy", 1), ("six", 1)])
 def test_lattice_counts_smith_normal_forms(capsys, monkeypatch, tmp_path, gram, expected):
     calls = []
     snf = lattices.smith_normal_form
@@ -368,6 +369,38 @@ def test_lattice_counts_smith_normal_forms(capsys, monkeypatch, tmp_path, gram, 
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
     code, _, _ = run(capsys, "lattice", str(path))
     assert code == 0 and len(calls) == expected
+
+
+def test_lattice_runs_one_elimination(capsys, monkeypatch):
+    # det, signature and (r, a, delta) all read the lattice's one elimination.
+    calls = []
+    eliminate = lattices._symmetric_bareiss
+    monkeypatch.setattr(lattices, "_symmetric_bareiss", lambda m: calls.append(m) or eliminate(m))
+    code, out, _ = run(capsys, "lattice", os.path.join(GRAMS, "lk3.gram"))
+    assert code == 0 and "signature: (3,19)" in out and "det: -1" in out
+    assert len(calls) == 1
+
+
+def test_lattice_entry_over_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    long = tmp_path / "long.gram"
+    long.write_text(f"1\n{'7' * (limit + 1)}\n")
+    code, out, err = run(capsys, "lattice", str(long))
+    assert (code, out) == (5, "")
+    assert err == f"atlas: row 1 contains an integer over Python's {limit}-digit int-string limit\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lattice_result_over_the_digit_limit(capsys, tmp_path, fmt):
+    # Each entry of diag(2 * 10^k) has k + 1 digits, within the limit; the
+    # determinant 4 * 10^(2k) has 2k + 1, past it.
+    limit = sys.get_int_max_str_digits()
+    entry = 2 * 10 ** (limit // 2 + 1)
+    huge = tmp_path / "huge.gram"
+    huge.write_text(f"2\n{entry} 0\n0 {entry}\n")
+    code, out, err = run(capsys, "lattice", str(huge), "--format", fmt)
+    assert (code, out) == (8, "")
+    assert err == f"atlas: a result has over {limit} digits, Python's int-string limit\n"
 
 
 def test_lattice_degenerate_exit(capsys, tmp_path):

@@ -45,6 +45,14 @@ def test_anti_bicanonical():
         canonical_class(Surface.Y)
 
 
+def test_classes_scale_on_the_left_only():
+    assert 2 * BRANCH == f4_class(24, 6)
+    # a DivisorClass is a tuple, but d * n must not repeat it
+    for other in (2, BRANCH):
+        with pytest.raises(TypeError):
+            BRANCH * other
+
+
 def test_arithmetic_genus():
     assert intersect(BRANCH, BRANCH) == 36
     assert intersect(BRANCH, canonical_class(Surface.F4)) == -18

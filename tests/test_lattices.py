@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -6,12 +8,16 @@ import numpy as np
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import delta_by_enumeration, int_det, matmul, shear_conjugate, transpose
 from k3atlas import lattices
+from k3atlas.divisors import f4_class
 from k3atlas.errors import DegenerateLattice, GramParseError, NotTwoElementary
 from k3atlas.lattices import (
+    DiscriminantGroup,
     IntegralLattice,
+    TwoElemInvariants,
     direct_sum,
     discriminant_group,
     gram_E8_minus,
@@ -234,6 +240,76 @@ def test_signature_examples():
     assert signature(IntegralLattice(((2, 0), (0, 0)))) == (1, 0)
 
 
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def descartes_signature(mat):
+    """(pos, neg) by Descartes' rule of signs on the exact characteristic
+    polynomial, highest degree first: the rule counts roots exactly when all
+    of them are real, as for a symmetric matrix.  neg counts the positive
+    roots of p(-x)."""
+    n = len(mat)
+    coeffs = DomainMatrix([[sympy.ZZ(x) for x in row] for row in mat], (n, n), sympy.ZZ).charpoly()
+    flipped = [c if (n - k) % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return _sign_changes(coeffs), _sign_changes(flipped)
+
+
+def symmetric_matrix(n, kind, rng):
+    """A symmetric integer matrix of size n, half its entries 0, plain, with a
+    zero diagonal, or singular (row and column i copied from j)."""
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = rng.choice((0, 0, 0, 0, -1, 1, -2, 3, -4))
+    if kind == "zero diagonal":
+        for i in range(n):
+            mat[i][i] = 0
+    if kind == "singular" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        mat[i] = list(mat[j])
+        for row in mat:
+            row[i] = row[j]
+    return mat
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    kind=st.sampled_from(["plain", "zero diagonal", "singular"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_det_and_signature_match_independent_oracles(n, kind, rng):
+    # Neither oracle runs k3atlas code: cofactor expansion for det, and
+    # Descartes' rule on sympy's characteristic polynomial for the signature.
+    mat = symmetric_matrix(n, kind, rng)
+    lattice = IntegralLattice(mat)
+    assert lattice.det() == int_det(mat)
+    assert signature(lattice) == descartes_signature(mat)
+
+
+def test_lattice_keeps_one_elimination_and_one_smith_form(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(lattices, name)
+        return lambda m: calls.append(name) or original(m)
+
+    for name in ("_symmetric_bareiss", "smith_normal_form"):
+        monkeypatch.setattr(lattices, name, counted(name))
+    six = IntegralLattice(((6, 0), (0, 2)))
+    assert (six.det(), signature(six), six.det()) == (12, (2, 0), 12)
+    with pytest.raises(NotTwoElementary, match=r"\[6\]"):
+        two_elementary_invariants(six)
+    assert discriminant_group(six).cyclic_orders == (2, 6)
+    assert calls == ["_symmetric_bareiss", "smith_normal_form"]
+    # a copy or an unpickled lattice carries the gram alone and computes its own
+    assert pickle.dumps(six) == pickle.dumps(IntegralLattice(six.gram))
+    assert copy.copy(six).det() == 12
+    assert calls[2:] == ["_symmetric_bareiss"]
+
+
 @pytest.mark.parametrize("trial", range(30))
 def test_signature_numpy_crosscheck(trial):
     rng = random.Random(2000 + trial)
@@ -450,3 +526,57 @@ def test_parse_gram_text_roundtrip(case):
 def test_parse_gram_errors(text):
     with pytest.raises(GramParseError):
         parse_gram_text(text)
+
+
+# One value of each lattice-half value type: the repr it had as a frozen
+# dataclass, an edit of its protocol-0 pickle (the last occurrence of the
+# first bytes becomes the second) that makes it invalid, and a _replace that
+# its constructor refuses.
+LATTICE_VALUES = {
+    "IntegralLattice": (
+        IntegralLattice(((0, 1), (1, 0))),
+        "IntegralLattice(gram=((0, 1), (1, 0)))",
+        (b"I1\n", b"I2\n"),
+        {"gram": ((0, 1), (2, 0))},
+    ),
+    "TwoElemInvariants": (
+        TwoElemInvariants(3, 1, 1),
+        "TwoElemInvariants(r=3, a=1, delta=1)",
+        (b"I1\n", b"I2\n"),
+        {"delta": 2},
+    ),
+    "DiscriminantGroup": (
+        DiscriminantGroup((2, 6)),
+        "DiscriminantGroup(cyclic_orders=(2, 6))",
+        (b"I6\n", b"I9\n"),
+        {"cyclic_orders": (4, 6)},
+    ),
+    "DivisorClass": (
+        f4_class(12, 3),
+        "DivisorClass(surface=<Surface.F4: 'f4'>, coords=(12, 3))",
+        (b"I3\n", b"F3.5\n"),
+        {"coords": (1, 2, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_VALUES))
+def test_lattice_value_type_contract(name):
+    value, text, (old, new), bad = LATTICE_VALUES[name]
+    assert type(value).__name__ == name
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, next(iter(bad)), None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+    head, found, tail = pickle.dumps(value, 0).rpartition(old)
+    assert found
+    with pytest.raises(ValueError):
+        pickle.loads(head + new + tail)
+    with pytest.raises(ValueError):
+        value._replace(**bad)

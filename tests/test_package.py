@@ -10,6 +10,7 @@ import pytest
 import k3atlas
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+GRAMS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "grams")
 UNUSED_BY_CATALOG = ("k3atlas.lattices", "k3atlas.divisors", "k3atlas.validation")
 
 
@@ -90,6 +91,17 @@ def test_loading_the_atlas_loads_no_lattice_or_json_code():
     loaded = _modules_loaded_by("import k3atlas; k3atlas.load_atlas()")
     assert "k3atlas.atlas" in loaded
     assert not loaded & {*UNUSED_BY_CATALOG, "json"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice", os.path.join(GRAMS, "lk3.gram")], ["divisor", "--class", "12,3"]],
+    ids=["lattice", "divisor"],
+)
+def test_lattice_half_loads_no_dataclasses(argv):
+    loaded = _modules_loaded_by(f"from k3atlas.cli import main\nassert main({argv!r}) == 0")
+    assert "k3atlas.lattices" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
