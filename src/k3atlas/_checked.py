@@ -1,11 +1,11 @@
-"""The base of the package's validated, immutable NamedTuples."""
+"""The base of the package's validated, immutable value types."""
 
 
 class Checked:
-    """Base of ``class V(Checked, _VFields)``, whose ``__new__`` checks the fields:
-    ``_make`` (so ``_replace``), copies and unpickling call it, and no attribute
-    can be set.  A ``V`` without ``__slots__`` keeps its ``cached_property``
-    values in its ``__dict__``, which copies and pickles do not carry."""
+    """Base of ``class V(Checked, _VFields)``, a NamedTuple checked in ``__new__``, and of
+    the slotted ``InvolutionClass``: ``_make``, copies and unpickling rebuild from ``tuple(self)``
+    through the check, and no attribute can be set or deleted.  A ``V`` without ``__slots__``
+    keeps its ``cached_property`` values in its ``__dict__``, which copies do not carry."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
@@ -15,3 +15,6 @@ class Checked:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")

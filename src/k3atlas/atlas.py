@@ -24,11 +24,12 @@ from __future__ import annotations
 import bisect
 import os
 import reprlib
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import tables
+from ._checked import Checked
 from .errors import CatalogError, NotInAtlas, SpecialClass
 from .tables import U_EXCLUDED_TRIPLES, U_UNTABULATED_TRIPLES
 
@@ -67,41 +68,47 @@ _S311, _U = Family.S311, Family.U  # module globals: see IdentityEnum
 _ZERO, _Z2, _NOT_APPLICABLE = HInvariant.ZERO, HInvariant.Z2, HInvariant.NOT_APPLICABLE
 
 
-@dataclass(frozen=True)
-class InvolutionClass:
-    family: Family
-    r: int
-    a: int
-    delta: int
-    h: HInvariant
-    index: str
-    # Built once per class: the checks and the graph exports read them per use.
-    key: tuple[int, int, int, HInvariant] = field(init=False, repr=False, compare=False)
-    triple: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    label: str = field(init=False, repr=False, compare=False)
-    gk: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+class InvolutionClass(Checked):
+    """A class of its family: the invariants (r, a, delta, H) and a catalog index.
+    ``key``, ``triple``, ``label`` and ``gk`` are built with it, as the checks and the
+    graph exports read them per use.  Slots: a NamedTuple field reads slower."""
 
-    def __post_init__(self):
-        if self.delta not in (0, 1):
+    __slots__ = ("family", "r", "a", "delta", "h", "index", "key", "triple", "label", "gk")
+
+    def __init__(self, family: Family, r: int, a: int, delta: int, h: HInvariant, index: str):
+        if delta not in (0, 1):
             raise ValueError("delta is 0 or 1")
-        if self.r < 0 or self.a < 0:
+        if r < 0 or a < 0:
             raise ValueError("r and a are nonnegative")
-        if self.family is _U and self.h is not _NOT_APPLICABLE:
+        if family is _U and h is not _NOT_APPLICABLE:
             raise ValueError("the nonsingular-curve family carries no H invariant")
-        if self.family is _S311 and self.h is _NOT_APPLICABLE:
+        if family is _S311 and h is _NOT_APPLICABLE:
             raise ValueError("classes of this family need H = 0 or H = Z/2")
-        object.__setattr__(self, "triple", (self.r, self.a, self.delta))
-        object.__setattr__(self, "key", self.triple + (self.h,))
-        if self.family is _U:
-            label = f"U:{self.index} ({self.r},{self.a},{self.delta})"
+        triple = (r, a, delta)
+        if family is _U:
+            label = f"U:{index} ({r},{a},{delta})"
         else:
-            label = f"S:({self.r},{self.a},{self.delta},{self.h.value})"
-        object.__setattr__(self, "label", label)
+            label = f"S:({r},{a},{delta},{h.value})"
         # gk_invariants' value, or None where it raises.
-        g2, k2 = 22 - self.r - self.a, self.r - self.a
-        excluded = self.family is _U and self.triple in U_EXCLUDED_TRIPLES
+        g2, k2 = 22 - r - a, r - a
+        excluded = family is _U and triple in U_EXCLUDED_TRIPLES
         gk = None if excluded or g2 < 0 or k2 < 0 or g2 % 2 or k2 % 2 else (g2 // 2, k2 // 2)
-        object.__setattr__(self, "gk", gk)
+        values = (family, r, a, delta, h, index, triple + (h,), triple, label, gk)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __iter__(self):  # the six fields, which ==, hash, repr, copies and pickles read
+        return iter((self.family, self.r, self.a, self.delta, self.h, self.index))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        fields = "family={!r}, r={!r}, a={!r}, delta={!r}, h={!r}, index={!r}"
+        return f"InvolutionClass({fields.format(*self)})"
 
     def __str__(self) -> str:
         return self.label
@@ -192,10 +199,7 @@ class Atlas:
     def to_records(self, family: Family) -> list[dict]:
         records = []
         for c in self.all_classes(family):
-            try:
-                g, k = gk_invariants(c)
-            except SpecialClass:
-                g = k = None
+            g, k = c.gk or (None, None)
             records.append(
                 {
                     "family": c.family.value,
@@ -348,47 +352,43 @@ def load_atlas(data_dir: str | None = None) -> Atlas:
 # Validation
 
 
-@dataclass
-class CheckSection:
-    """One group of checks: how many ran, the violations, the whitelisted
-    discrepancies and, for the catalog audit, the class counts."""
+class CheckSection(NamedTuple):
+    """One group of checks, built when it is done: how many ran, the violations,
+    the whitelisted discrepancies and, for the catalog audit, the class counts."""
 
     name: str
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    whitelisted: list[str] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    checked: int
+    violations: list[str]
+    whitelisted: list[str]
+    counts: dict[str, int]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def expect(self, condition: bool, message: str) -> None:
-        if not condition:
-            self.violations.append(message)
 
 
 def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
     """Check uniqueness, the pairing, the grid consistency, the counts and
     the (r, a) ranges, reporting violations in that order."""
     atlas = atlas or load_atlas()
-    report = CheckSection("catalogs")
+    violations: list[str] = []
     s311 = atlas.all_classes(_S311)
     u = atlas.all_classes(_U)
-
-    report.counts["s311"] = len(s311)
-    report.counts["s311 H=0"] = sum(c.h is _ZERO for c in s311)
-    report.counts["s311 H=Z2"] = sum(c.h is _Z2 for c in s311)
-    report.counts["u"] = len(u)
-    report.counts["u delta=0"] = sum(c.delta == 0 for c in u)
-    report.counts["u delta=1"] = sum(c.delta == 1 for c in u)
+    counts = {
+        "s311": len(s311),
+        "s311 H=0": sum(c.h is _ZERO for c in s311),
+        "s311 H=Z2": sum(c.h is _Z2 for c in s311),
+        "u": len(u),
+        "u delta=0": sum(c.delta == 0 for c in u),
+        "u delta=1": sum(c.delta == 1 for c in u),
+    }
 
     for family, members in ((_S311, s311), (_U, u)):
         seen: dict[tuple, str] = {}
         for c in members:
             if c.key in seen:
                 h = "" if family is _U else f" (H={c.h.value})"
-                report.violations.append(
+                violations.append(
                     f"{family.value}: duplicate invariants {c.triple}{h} ({seen[c.key]} and {c.index})"
                 )
             seen[c.key] = c.index
@@ -402,50 +402,43 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
         for c in members:
             partner = atlas.lookup(family, *related_key(c))
             if partner is None:
-                report.violations.append(
+                violations.append(
                     f"{c.index}: related invariants {related_key(c)[:3]} missing from {family.value}"
                 )
             fixed += partner is c
-        report.expect(
-            fixed == expected_fixed,
-            f"{family.value}: {fixed} self-related classes, expected {expected_fixed}",
-        )
-        quotient = (len(members) - fixed) // 2 + fixed
-        report.counts[f"{family.value} quotient"] = quotient
+        if fixed != expected_fixed:
+            message = f"{family.value}: {fixed} self-related classes, expected {expected_fixed}"
+            violations.append(message)
+        counts[f"{family.value} quotient"] = (len(members) - fixed) // 2 + fixed
 
     # Grid <-> row-list consistency, both directions.
     for h, grid in ((_ZERO, tables.GRID_H0), (_Z2, tables.GRID_Z2)):
         cells = {(r, a, d) for (r, a), deltas in grid.items() for d in deltas}
         rows = {c.triple for c in s311 if c.h is h}
         for missing in sorted(cells - rows):
-            report.violations.append(f"grid cell {missing} (H={h.value}) has no catalog row")
+            violations.append(f"grid cell {missing} (H={h.value}) has no catalog row")
         for extra in sorted(rows - cells):
-            report.violations.append(f"catalog row {extra} (H={h.value}) is not a grid cell")
+            violations.append(f"catalog row {extra} (H={h.value}) is not a grid cell")
 
-    counts = report.counts
-    report.expect(len(s311) == 102, f"expected 102 classes, found {len(s311)}")
-    report.expect(
-        counts["s311 H=0"] == 51 and counts["s311 H=Z2"] == 51,
-        "expected a 51 + 51 split across the H invariant",
+    expectations = (
+        (len(s311) == 102, f"expected 102 classes, found {len(s311)}"),
+        (
+            counts["s311 H=0"] == 51 and counts["s311 H=Z2"] == 51,
+            "expected a 51 + 51 split across the H invariant",
+        ),
+        (len(u) == 63, f"expected 63 classes, found {len(u)}"),
+        (counts["u delta=0"] == 14 and counts["u delta=1"] == 49, "expected a 14 / 49 delta split"),
+        (counts["s311 quotient"] == 51, "expected 51 classes after identifying related pairs"),
+        (counts["u quotient"] == 37, "expected 37 classes after identifying related pairs"),
     )
-    report.expect(len(u) == 63, f"expected 63 classes, found {len(u)}")
-    report.expect(
-        counts["u delta=0"] == 14 and counts["u delta=1"] == 49,
-        "expected a 14 / 49 delta split",
-    )
-    report.expect(
-        counts["s311 quotient"] == 51, "expected 51 classes after identifying related pairs"
-    )
-    report.expect(
-        counts["u quotient"] == 37, "expected 37 classes after identifying related pairs"
-    )
+    violations += [message for holds, message in expectations if not holds]
 
     # 2-rank bounds: a is a 2-rank of both the fixed and anti-fixed parts.
     # Parity: r - a and 22 - r - a are even for every class of both families.
     for c in s311 + u:
         if c.a > c.r or c.a > 22 - c.r:
-            report.violations.append(f"{c.index}: a = {c.a} exceeds min(r, 22 - r)")
+            violations.append(f"{c.index}: a = {c.a} exceeds min(r, 22 - r)")
         if (c.r - c.a) % 2:
-            report.violations.append(f"{c.index}: r - a is odd")
+            violations.append(f"{c.index}: r - a is odd")
 
-    return report
+    return CheckSection("catalogs", 0, violations, [], counts)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from .errors import (
     AtlasError,
@@ -52,6 +53,16 @@ class UsageError(AtlasError):
 
 class DigitLimit(AtlasError):
     """A result has more digits than Python's int-string limit lets it print."""
+
+
+@contextmanager
+def _printable():
+    """Raises DigitLimit for the ValueError of str() or json on an int past that limit."""
+    try:
+        yield
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimit(f"a result has over {limit} digits, Python's int-string limit") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -413,21 +424,12 @@ def cmd_validate(args) -> tuple[int, str]:
         }
         text = _json_text(payload)
     else:
-        lines = []
-        counts = summary.atlas_report.counts
-        lines.append(
-            "catalogs: s311={} ({}+{} by H), u={} (delta split {}/{}), "
-            "quotients {}/{}".format(
-                counts.get("s311"),
-                counts.get("s311 H=0"),
-                counts.get("s311 H=Z2"),
-                counts.get("u"),
-                counts.get("u delta=0"),
-                counts.get("u delta=1"),
-                counts.get("s311 quotient"),
-                counts.get("u quotient"),
+        lines = [
+            "catalogs: s311={s311} ({s311 H=0}+{s311 H=Z2} by H), u={u} (delta split "
+            "{u delta=0}/{u delta=1}), quotients {s311 quotient}/{u quotient}".format_map(
+                summary.atlas_report.counts
             )
-        )
+        ]
         for section in summary.sections:
             mark = "ok" if section.ok else "FAIL"
             extra = f", {len(section.whitelisted)} whitelisted" if section.whitelisted else ""
@@ -460,7 +462,7 @@ def cmd_lattice(args) -> tuple[int, str]:
         orders = discriminant_group(lattice).cyclic_orders
         inv_text = f"not applicable: {exc}"
         inv_json = None
-    try:  # str() and json refuse an int with more digits than Python's limit
+    with _printable():
         if args.format == "json":
             payload = {
                 "rank": lattice.rank,
@@ -480,9 +482,6 @@ def cmd_lattice(args) -> tuple[int, str]:
             f"invariants (r,a,delta): {inv_text}",
         ]
         return EXIT_OK, "\n".join(lines) + "\n"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise DigitLimit(f"a result has over {limit} digits, Python's int-string limit") from None
 
 
 def cmd_divisor(args) -> tuple[int, str]:
@@ -497,33 +496,34 @@ def cmd_divisor(args) -> tuple[int, str]:
         other = None if args.intersect is None else DivisorClass(surface, _ints(args.intersect))
     except ValueError as exc:  # a wrong number of coordinates
         raise UsageError(str(exc)) from None
-    lines = [f"class: {d} on {surface.value}", f"self-intersection: {intersect(d, d)}"]
-    payload: dict = {
-        "surface": surface.value,
-        "coords": list(d.coords),
-        "self_intersection": intersect(d, d),
-    }
-    try:
-        k = canonical_class(surface)
-        lines.append(f"K: {k}; d.K = {intersect(d, k)}")
-        payload["K"] = list(k.coords)
-        payload["d_dot_K"] = intersect(d, k)
-        genus = arithmetic_genus(d)
-        lines.append(f"arithmetic genus: {genus}")
-        payload["arithmetic_genus"] = genus
-        anti = anti_bicanonical(surface)
-        lines.append(f"anti-bicanonical class: {anti}")
-        payload["anti_bicanonical"] = list(anti.coords)
-    except UnsupportedSurface:
-        lines.append("canonical data: not modelled on this surface")
-        payload["K"] = None
-    if other is not None:
-        lines.append(f"pairing with {other}: {intersect(d, other)}")
-        payload["pairing_with"] = list(other.coords)
-        payload["pairing"] = intersect(d, other)
-    if args.format == "json":
-        return EXIT_OK, _json_text(payload)
-    return EXIT_OK, "\n".join(lines) + "\n"
+    with _printable():
+        lines = [f"class: {d} on {surface.value}", f"self-intersection: {intersect(d, d)}"]
+        payload: dict = {
+            "surface": surface.value,
+            "coords": list(d.coords),
+            "self_intersection": intersect(d, d),
+        }
+        try:
+            k = canonical_class(surface)
+            lines.append(f"K: {k}; d.K = {intersect(d, k)}")
+            payload["K"] = list(k.coords)
+            payload["d_dot_K"] = intersect(d, k)
+            genus = arithmetic_genus(d)
+            lines.append(f"arithmetic genus: {genus}")
+            payload["arithmetic_genus"] = genus
+            anti = anti_bicanonical(surface)
+            lines.append(f"anti-bicanonical class: {anti}")
+            payload["anti_bicanonical"] = list(anti.coords)
+        except UnsupportedSurface:
+            lines.append("canonical data: not modelled on this surface")
+            payload["K"] = None
+        if other is not None:
+            lines.append(f"pairing with {other}: {intersect(d, other)}")
+            payload["pairing_with"] = list(other.coords)
+            payload["pairing"] = intersect(d, other)
+        if args.format == "json":
+            return EXIT_OK, _json_text(payload)
+        return EXIT_OK, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

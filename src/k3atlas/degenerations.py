@@ -353,51 +353,51 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     derivation = Derivation.of(atlas)
-    section = CheckSection("correspondence")
+    checked, violations = 0, []
     for label, side, u_class, s_class in derivation._pairs:
         if u_class is None or s_class is None:
-            section.violations.append(f"{label}: missing from one of the catalogs")
+            violations.append(f"{label}: missing from one of the catalogs")
             continue
         row = derivation.isotopy_row(s_class)
         moves = _CELL_AT[side]
-        section.checked += len(moves)
+        checked += len(moves)
         for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[side]):
             expected = row[at]
             iso = outcome.iso
             if iso is None:  # outcome.impossible, without the property call
                 if expected is not None:
-                    section.violations.append(
+                    violations.append(
                         f"{label} {move.value}: impossible, but "
                         f"{move.spec.case.value} {expected} is a candidate"
                     )
                 continue
             cell = (iso.alpha, iso.beta)  # outcome.cell(): iso is no star case
             if expected is None:
-                section.violations.append(
+                violations.append(
                     f"{label} {move.value}: produced {cell}, but "
                     f"{move.spec.case.value} is not a candidate of {label}"
                 )
             elif cell != expected:
-                section.violations.append(
+                violations.append(
                     f"{label} {move.value}: produced {cell}, candidate is {expected}"
                 )
             if outcome.target is not s_class:
-                section.violations.append(
+                violations.append(
                     f"{label} {move.value}: target {outcome.target} is not {label}"
                 )
 
     for move in STAR_MOVES:
-        section.checked += 1
+        checked += 1
         triple = move.spec.source
         u_class = derivation.atlas.lookup(_U, *triple)
         if u_class is None:
-            section.violations.append(f"{triple}: missing from the catalog")
+            violations.append(f"{triple}: missing from the catalog")
             continue
         # The target is apply_degeneration's lookup of ``move.spec.star_target``.
         outcome = derivation.outcome(u_class, move)
         if outcome.impossible or derivation.isotopy_row(outcome.target).node_star is None:
-            section.violations.append(f"{triple} {move.value}: star outcome mismatch")
-    return section
+            violations.append(f"{triple} {move.value}: star outcome mismatch")
+    return CheckSection("correspondence", checked, violations, [], {})
 
 
 # ---------------------------------------------------------------------------

@@ -106,34 +106,34 @@ class ValidationSummary(NamedTuple):
 
 def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
     atlas = derivation.atlas
-    section = CheckSection("isotopy tables")
+    checked, violations = 0, []
     for h, rows in ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)):
         for row in rows:
             c = atlas.lookup(_S311, row.r, row.a, row.delta, h)
-            section.checked += 1
+            checked += 1
             if c is None:
-                section.violations.append(f"row {row.index}: class missing from atlas")
+                violations.append(f"row {row.index}: class missing from atlas")
                 continue
             derived = derivation.isotopy_row(c)
             if derived == row:
                 continue
             # (index, r, a, delta) fixed the lookup; name the fields that differ.
             if derived.index != row.index:
-                section.violations.append(f"row {row.index}: atlas carries index {derived.index}")
+                violations.append(f"row {row.index}: atlas carries index {derived.index}")
             if derived[4:6] != row[4:6]:
-                section.violations.append(f"row {row.index}: (g,k) mismatch")
+                violations.append(f"row {row.index}: (g,k) mismatch")
             for case, cell, shipped in zip(ISOTOPY_CELL_CASES, derived[6:9], row[6:9]):
                 if cell != shipped:
-                    section.violations.append(
+                    violations.append(
                         f"row {row.index} {case.value}: generated {cell}, shipped {shipped}"
                     )
             if derived.node_star != row.node_star:
-                section.violations.append(f"row {row.index}: star cell mismatch")
-    return section
+                violations.append(f"row {row.index}: star cell mismatch")
+    return CheckSection("isotopy tables", checked, violations, [], {})
 
 
 def _check_move_tables(derivation: Derivation) -> CheckSection:
-    section = CheckSection("degeneration tables")
+    checked, violations, whitelisted = 0, [], []
     whitelist = {(idx, move): (shipped, derived) for idx, move, shipped, derived in tables.WHITELISTED_CELLS}
     for side, golden_rows in (
         (TableSide.UNPRIMED, tables.MOVES_UNPRIMED),
@@ -141,16 +141,16 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
     ):
         rows = degeneration_table(side, derivation)
         if len(rows) != len(golden_rows):
-            section.violations.append(
+            violations.append(
                 f"{side.value} table has {len(rows)} rows, shipped {len(golden_rows)}"
             )
             continue
         for row, golden in zip(rows, golden_rows):
-            section.checked += 1
+            checked += 1
             # Both row types start with (index, r, a, delta, g, k); the
             # shipped cells follow in the order of the derived ones.
             if row[:6] != golden[:6]:
-                section.violations.append(
+                violations.append(
                     f"{side.value} row {golden.index}: head columns mismatch"
                 )
                 continue
@@ -160,59 +160,59 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
                 name = move.value
                 entry = whitelist.get((golden.index, name))
                 if entry and entry == (shipped, cell):
-                    section.whitelisted.append(
+                    whitelisted.append(
                         f"row {golden.index} {name}: shipped {shipped}, derived {cell}"
                     )
                 else:
-                    section.violations.append(
+                    violations.append(
                         f"row {golden.index} {name}: derived {cell}, shipped {shipped}"
                     )
     star_rows = degeneration_table(TableSide.STAR, derivation)
     got_stars = tuple(r[:6] + (r.cells[0][0].spec.case.value,) for r in star_rows)
-    section.checked += len(tables.MOVES_STAR)
+    checked += len(tables.MOVES_STAR)
     if got_stars != tables.MOVES_STAR:
-        section.violations.append("star table mismatch")
-    return section
+        violations.append("star table mismatch")
+    return CheckSection("degeneration tables", checked, violations, whitelisted, {})
 
 
 def _check_roundtrips(derivation: Derivation) -> CheckSection:
-    section = CheckSection("invariant roundtrips")
+    checked, violations = 0, []
     for c in derivation.atlas.all_classes(_S311):
         covered = _A_MINUS if c.h is _ZERO else _A_PLUS
         invariants = (c.r, c.a, c.h)
         candidates = derivation.table_candidates(c)
-        section.checked += len(candidates)
+        checked += len(candidates)
         for t in candidates:
             if t.case is _NODE_STAR:
                 continue
             r, a, h = _invariants(t.case, t.alpha, t.beta, covered)
             if (r, a, h) != invariants:
-                section.violations.append(
+                violations.append(
                     f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"
                 )
             # Oval-sum rules on the H = 0 side.
             if c.h is _ZERO:
                 expected_sum = 8 - c.a if t.case is _NODE2 else 9 - c.a
                 if t.alpha + t.beta != expected_sum:
-                    section.violations.append(f"{c.index} {t}: oval sum violated")
-    return section
+                    violations.append(f"{c.index} {t}: oval sum violated")
+    return CheckSection("invariant roundtrips", checked, violations, [], {})
 
 
 def _check_euler(derivation: Derivation) -> CheckSection:
-    section = CheckSection("double-cover Euler identity")
-    triples, section.checked = derivation.euler_triples
+    triples, checked = derivation.euler_triples
+    violations = []
     holds = starmap(double_cover_euler_check, triples)
     failed = {triple for triple, ok in zip(triples, holds) if not ok}
     if failed:  # name every carrier, by class and then by candidate
         for c in derivation.atlas.all_classes(_S311):
             for t in derivation.candidates(c):
                 if t[:3] in failed:
-                    section.violations.append(f"{c.index} {t}: chi mismatch")
-    return section
+                    violations.append(f"{c.index} {t}: chi mismatch")
+    return CheckSection("double-cover Euler identity", checked, violations, [], {})
 
 
 def _check_exclusions(derivation: Derivation) -> CheckSection:
-    section = CheckSection("exclusions")
+    checked, violations = 0, []
     # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its candidates are the star case
@@ -220,60 +220,59 @@ def _check_exclusions(derivation: Derivation) -> CheckSection:
     for c in derivation.atlas.all_classes(_S311):
         if c.h is not _ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
             continue
-        section.checked += 1
+        checked += 1
         cases = {t.case for t in derivation.table_candidates(c)}
         if cases - {_NODE_STAR}:
-            section.violations.append(
+            violations.append(
                 f"{c.index}: case I/II candidates emitted for excluded invariants"
             )
-    return section
+    return CheckSection("exclusions", checked, violations, [], {})
 
 
 def _check_monotonicity(derivation: Derivation) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
-    section = CheckSection("oval-count monotonicity")
+    checked, violations = 0, []
     for c in derivation.atlas.all_classes(_U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
         before = (g - 1) + k
-        section.checked += len(TABLE_MOVES)
+        checked += len(TABLE_MOVES)
         for move, outcome in zip(TABLE_MOVES, derivation.outcomes(c)):
             iso = outcome.iso
             if iso is None:  # outcome.impossible, without the property call
                 # Impossibility criteria in terms of the pools.
                 pool, _other = move.spec.pools(g, k)
                 if pool >= move.spec.ovals:
-                    section.violations.append(
+                    violations.append(
                         f"{c.index} {move.value}: impossible despite {pool} ovals"
                     )
                 continue
             after = iso.alpha + iso.beta
             if before - after != move.spec.ovals:
-                section.violations.append(
+                violations.append(
                     f"{c.index} {move.value}: oval count dropped by {before - after}"
                 )
-    return section
+    return CheckSection("oval-count monotonicity", checked, violations, [], {})
 
 
 def _check_graph(derivation: Derivation) -> CheckSection:
-    section = CheckSection("transition graph")
-    section.checked += 1
+    checked, violations = 1, []
     graph = transition_graph(derivation)
     if len(graph.nodes) != 165:
-        section.violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
+        violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
     indegree = Counter(edge.target.key for edge in graph.edges)
     for c in derivation.atlas.all_classes(_S311):
-        section.checked += 1
+        checked += 1
         if not indegree[c.key]:
-            section.violations.append(f"{c.index}: no incoming degeneration edge")
+            violations.append(f"{c.index}: no incoming degeneration edge")
     for key in STAR_KEYS:
-        section.checked += 1
+        checked += 1
         if indegree[key] != 1:
             star = derivation.atlas.lookup(_S311, *key)
-            section.violations.append(f"{star.index}: in-degree != 1")
-    return section
+            violations.append(f"{star.index}: in-degree != 1")
+    return CheckSection("transition graph", checked, violations, [], {})
 
 
 def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import os
 import pickle
@@ -11,6 +10,7 @@ from k3atlas import atlas as atlas_module
 from k3atlas import tables
 from k3atlas.atlas import (
     Atlas,
+    CheckSection,
     Family,
     HInvariant,
     InvolutionClass,
@@ -115,7 +115,7 @@ def test_gk_examples(atlas):
 def test_gk_is_built_with_the_class(atlas):
     c = atlas.lookup_index(Family.U, "No.27")
     assert c.gk == gk_invariants(c) == (6, 5)
-    assert dataclasses.replace(c, r=12).gk == (5, 6)
+    assert InvolutionClass(c.family, 12, c.a, c.delta, c.h, c.index).gk == (5, 6)
     twins = [copy.copy(c), copy.deepcopy(c)]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         twins.append(pickle.loads(pickle.dumps(c, protocol)))
@@ -128,6 +128,57 @@ def test_gk_is_built_with_the_class(atlas):
         "InvolutionClass(family=<Family.U: 'u'>, r=10, a=0, delta=0, "
         "h=<HInvariant.NOT_APPLICABLE: 'NA'>, index='No.27')"
     )
+
+
+# The catalog half's two value types: one value, the repr each had as a
+# dataclass, a field, and whether the value is hashable (a section holds lists).
+CATALOG_VALUES = {
+    "InvolutionClass": (
+        InvolutionClass(Family.U, 10, 0, 0, HInvariant.NOT_APPLICABLE, "No.27"),
+        "InvolutionClass(family=<Family.U: 'u'>, r=10, a=0, delta=0, "
+        "h=<HInvariant.NOT_APPLICABLE: 'NA'>, index='No.27')",
+        "r",
+        True,
+    ),
+    "CheckSection": (
+        CheckSection("degeneration tables", 2, ["row 1: x"], ["row 2: y"], {}),
+        "CheckSection(name='degeneration tables', checked=2, violations=['row 1: x'], "
+        "whitelisted=['row 2: y'], counts={})",
+        "checked",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG_VALUES))
+def test_catalog_value_type_contract(name):
+    value, text, field, hashable = CATALOG_VALUES[name]
+    assert type(value).__name__ == name and repr(value) == text
+    for change in (
+        lambda: setattr(value, field, 0),
+        lambda: delattr(value, field),
+        lambda: setattr(value, "extra", 0),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(value) == text
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(value) and other == value and repr(other) == text
+        assert not hashable or hash(other) == hash(value)
+
+
+def test_unpickling_a_class_runs_its_checks():
+    # The pickle holds the six fields, delta last of the ints; loading it
+    # rebuilds the class, derived values included, through the constructor.
+    c = CATALOG_VALUES["InvolutionClass"][0]
+    head, found, tail = pickle.dumps(c, 0).rpartition(b"I0\n")
+    assert found
+    edited = pickle.loads(head + b"I1\n" + tail)
+    assert (edited.delta, edited.triple, edited.label) == (1, (10, 0, 1), "U:No.27 (10,0,1)")
+    with pytest.raises(ValueError, match="delta is 0 or 1"):
+        pickle.loads(head + b"I2\n" + tail)
 
 
 def test_gk_invariants_raises_both_special_messages(atlas):

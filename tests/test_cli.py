@@ -403,6 +403,17 @@ def test_lattice_result_over_the_digit_limit(capsys, tmp_path, fmt):
     assert err == f"atlas: a result has over {limit} digits, Python's int-string limit\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_divisor_result_over_the_digit_limit(capsys, fmt):
+    # The coordinate 10^k has k + 1 digits, within the limit; the
+    # self-intersection -4 * 10^(2k) of 10^k s has 2k + 1, past it.
+    limit = sys.get_int_max_str_digits()
+    cls = f"0,{10 ** (limit // 2 + 1)}"
+    code, out, err = run(capsys, "divisor", "--class", cls, "--format", fmt)
+    assert (code, out) == (8, "")
+    assert err == f"atlas: a result has over {limit} digits, Python's int-string limit\n"
+
+
 def test_lattice_degenerate_exit(capsys, tmp_path):
     degenerate = tmp_path / "degenerate.gram"
     degenerate.write_text("2\n1 1\n1 1\n")

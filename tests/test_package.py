@@ -93,14 +93,23 @@ def test_loading_the_atlas_loads_no_lattice_or_json_code():
     assert not loaded & {*UNUSED_BY_CATALOG, "json"}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["lattice", os.path.join(GRAMS, "lk3.gram")], ["divisor", "--class", "12,3"]],
-    ids=["lattice", "divisor"],
-)
-def test_lattice_half_loads_no_dataclasses(argv):
+# Each subcommand with the module that does its work.
+SUBCOMMANDS = {
+    "classes": (["classes", "--family", "u"], "k3atlas.atlas"),
+    "isotopy": (["isotopy", "--index", "No.17"], "k3atlas.topology"),
+    "degenerate": (["degenerate", "--side", "primed"], "k3atlas.degenerations"),
+    "graph": (["graph"], "k3atlas.degenerations"),
+    "validate": (["validate"], "k3atlas.validation"),
+    "lattice": (["lattice", os.path.join(GRAMS, "lk3.gram")], "k3atlas.lattices"),
+    "divisor": (["divisor", "--class", "12,3"], "k3atlas.divisors"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_no_subcommand_loads_dataclasses(name):
+    argv, worker = SUBCOMMANDS[name]
     loaded = _modules_loaded_by(f"from k3atlas.cli import main\nassert main({argv!r}) == 0")
-    assert "k3atlas.lattices" in loaded
+    assert worker in loaded
     assert not loaded & {"dataclasses", "inspect"}
 
 
