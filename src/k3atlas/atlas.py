@@ -15,8 +15,9 @@ edit shows up on the next call and unchanged files give the same ``Atlas``
 object.  A file that cannot be read, decoded or parsed, or a record that
 lacks a field or has a bad value, raises ``CatalogError``.
 
-What ``degenerations.Derivation`` derives from an atlas is kept on that
-``Atlas`` and lives as long as it does; an edited catalog parses to a new one.
+What ``degenerations.Derivation`` derives from an atlas, and the related partners
+``validate_atlas`` reads (lookups, never a verdict), are kept on that ``Atlas`` and
+live as long as it does; an edited catalog parses to a new one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import bisect
 import os
 import reprlib
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import is_
 from typing import NamedTuple
 
 from . import tables
@@ -165,6 +167,11 @@ class Atlas:
 
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
         return self._by_family[family]
+
+    @cached_property
+    def _partners(self) -> dict[Family, tuple[InvolutionClass | None, ...]]:
+        get = self._by_key.get  # a plain lookup per member, None for a missing partner
+        return {f: tuple(get((f,) + related_key(c)) for c in cs) for f, cs in self._by_family.items()}
 
     def lookup(
         self,
@@ -374,38 +381,40 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
     violations: list[str] = []
     s311 = atlas.all_classes(_S311)
     u = atlas.all_classes(_U)
+    hs, deltas = [c.h for c in s311], [c.delta for c in u]
     counts = {
         "s311": len(s311),
-        "s311 H=0": sum(c.h is _ZERO for c in s311),
-        "s311 H=Z2": sum(c.h is _Z2 for c in s311),
+        "s311 H=0": hs.count(_ZERO),
+        "s311 H=Z2": hs.count(_Z2),
         "u": len(u),
-        "u delta=0": sum(c.delta == 0 for c in u),
-        "u delta=1": sum(c.delta == 1 for c in u),
+        "u delta=0": deltas.count(0),
+        "u delta=1": deltas.count(1),
     }
 
-    for family, members in ((_S311, s311), (_U, u)):
-        seen: dict[tuple, str] = {}
-        for c in members:
-            if c.key in seen:
-                h = "" if family is _U else f" (H={c.h.value})"
-                violations.append(
-                    f"{family.value}: duplicate invariants {c.triple}{h} ({seen[c.key]} and {c.index})"
-                )
-            seen[c.key] = c.index
+    if len(atlas._by_key) < len(s311) + len(u):  # some class shadows another of its key
+        for family, members in ((_S311, s311), (_U, u)):
+            seen: dict[tuple, str] = {}
+            for c in members:
+                if c.key in seen:
+                    h = "" if family is _U else f" (H={c.h.value})"
+                    violations.append(
+                        f"{family.value}: duplicate invariants {c.triple}{h} ({seen[c.key]} and {c.index})"
+                    )
+                seen[c.key] = c.index
 
     # related_key keeps delta, is an involution on keys, sends U's (g, k) to
     # (k+1, g-1) and S311's H = 0 (r, a) to (19-r, a+1) with H = Z/2; so only
     # a missing partner and the fixed points (hence the quotient counts) are
     # checked.  A plain lookup: related_class also refuses a shadowed duplicate.
     for family, members, expected_fixed in ((_S311, s311, 0), (_U, u, 11)):
-        fixed = 0
-        for c in members:
-            partner = atlas.lookup(family, *related_key(c))
-            if partner is None:
-                violations.append(
-                    f"{c.index}: related invariants {related_key(c)[:3]} missing from {family.value}"
-                )
-            fixed += partner is c
+        partners = atlas._partners[family]
+        if not all(partners):  # a class is always true, a missing partner None
+            violations += [
+                f"{c.index}: related invariants {related_key(c)[:3]} missing from {family.value}"
+                for c, partner in zip(members, partners)
+                if partner is None
+            ]
+        fixed = sum(map(is_, partners, members))
         if fixed != expected_fixed:
             message = f"{family.value}: {fixed} self-related classes, expected {expected_fixed}"
             violations.append(message)

@@ -13,17 +13,19 @@ of these degenerations is known to be realizable for every pair of end
 curves.
 
 ``degeneration_table``, ``correspondence_check`` and ``transition_graph``
-read outcomes (also six per U class in one tuple), candidate lists, isotopy
-and move-table rows, No.k / No.k' class pairs and the graph through the
-atlas's one ``Derivation`` (``Derivation.of``), which derives each on first
-request and keeps it while the atlas lives; ``validation`` reads it too.  Only
-generator outputs are kept, never a verdict: every check runs on every call.
+read outcomes (also six per U class in one tuple, and their cells and targets
+per side), candidate lists, isotopy and move-table rows (also as flat tuples),
+No.k / No.k' class pairs and the graph through the atlas's one ``Derivation``
+(``Derivation.of``), which derives each on first request and keeps it while the
+atlas lives; ``validation`` reads it too.  Only generator outputs are kept, never
+a verdict: every check runs on every call, comparing one tuple per class or row.
 The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from ._checked import Checked
@@ -183,21 +185,24 @@ def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
     return TABLE_MOVES + tuple(m for m in STAR_MOVES if m.spec.source == c.triple)
 
 
-# Each table move with the field of an IsotopyRow that holds its case's cell.
+# Each table move with the field of an IsotopyRow that holds its case's cell;
+# per side (unprimed, primed), its part of both and the getter of those fields.
 _CELL_AT = tuple((m, 6 + ISOTOPY_CELL_CASES.index(m.spec.case)) for m in TABLE_MOVES)
-_UNPRIMED_PART, _PRIMED_PART = slice(0, 3), slice(3, 6)  # of TABLE_MOVES and _CELL_AT
+_PARTS = slice(0, 3), slice(3, 6)
+_ROW_CELLS = tuple(itemgetter(*(at for _m, at in _CELL_AT[part])) for part in _PARTS)
 
 
 class Derivation:
-    """The outcomes, candidate lists, distinct Euler triples, isotopy rows,
-    No.k / No.k' class pairs, move-table rows and transition graph of one atlas,
-    each derived on first request and kept while this object lives; all immutable.
+    """The outcomes (also as cells and targets), candidate lists, distinct Euler triples,
+    isotopy rows, No.k / No.k' class pairs, move-table rows (also flat) and transition
+    graph of one atlas, each derived on first request and kept while it lives; all immutable.
     The move tables, the correspondence check and the graph take one for an atlas."""
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
         self._outcomes: dict[tuple[tuple, Degeneration], DegenerationOutcome] = {}
         self._by_class: dict[tuple, tuple[DegenerationOutcome, ...]] = {}
+        self._cells: dict[tuple, tuple[tuple[tuple, tuple], ...]] = {}
         self._rows: dict[TableSide, tuple[MoveTableRow, ...]] = {}
 
     @classmethod
@@ -227,6 +232,17 @@ class Derivation:
         found = self._by_class.get(c.key)
         if found is None:
             found = self._by_class[c.key] = tuple(self.outcome(c, m) for m in TABLE_MOVES)
+        return found
+
+    def outcome_cells(self, c: InvolutionClass) -> tuple[tuple[tuple, tuple], ...]:
+        """Per side of ``outcomes(c)``: their cells and the targets of the possible ones."""
+        found = self._cells.get(c.key)
+        if found is None:
+            parts = map(self.outcomes(c).__getitem__, _PARTS)
+            found = self._cells[c.key] = tuple(
+                (tuple(o.cell() for o in p), tuple(o.target for o in p if o.iso is not None))
+                for p in parts
+            )
         return found
 
     @cached_property
@@ -270,14 +286,22 @@ class Derivation:
         return rows
 
     @cached_property
+    def flat_rows(self) -> dict[TableSide, tuple[tuple, ...]]:
+        """Each unprimed and primed table row as (index, r, a, delta, g, k, cell, ...)."""
+        return {
+            side: tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in self._table_rows(side))
+            for side in (TableSide.UNPRIMED, _PRIMED)
+        }
+
+    @cached_property
     def _graph(self) -> TransitionGraph:
         return _derive_graph(self)
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[str, slice, InvolutionClass | None, InvolutionClass | None], ...]:
-        # (label, side, U class, S311 class) of each No.k and No.k'; None for a missing class.
-        find, sides = self.atlas.lookup_index, (("", _UNPRIMED_PART), ("'", _PRIMED_PART))
-        labels = [(f"No.{k}{prime}", side) for k in range(1, 51) for prime, side in sides]
+    def _pairs(self) -> tuple[tuple[str, int, InvolutionClass | None, InvolutionClass | None], ...]:
+        # (label, side: 0 or 1, U class, S311 class) of each No.k and No.k'; None if missing.
+        find, sides = self.atlas.lookup_index, ((0, ""), (1, "'"))
+        labels = [(f"No.{k}{prime}", side) for k in range(1, 51) for side, prime in sides]
         return tuple((label, side, find(_U, label), find(_S311, label)) for label, side in labels)
 
 
@@ -359,19 +383,21 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
             violations.append(f"{label}: missing from one of the catalogs")
             continue
         row = derivation.isotopy_row(s_class)
-        moves = _CELL_AT[side]
+        moves = _CELL_AT[_PARTS[side]]
         checked += len(moves)
-        for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[side]):
+        cells, targets = derivation.outcome_cells(u_class)[side]
+        if cells == _ROW_CELLS[side](row) and targets == (s_class,) * len(targets):
+            continue
+        for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[_PARTS[side]]):
             expected = row[at]
-            iso = outcome.iso
-            if iso is None:  # outcome.impossible, without the property call
+            if outcome.impossible:
                 if expected is not None:
                     violations.append(
                         f"{label} {move.value}: impossible, but "
                         f"{move.spec.case.value} {expected} is a candidate"
                     )
                 continue
-            cell = (iso.alpha, iso.beta)  # outcome.cell(): iso is no star case
+            cell = outcome.cell()  # a table move has no star case
             if expected is None:
                 violations.append(
                     f"{label} {move.value}: produced {cell}, but "

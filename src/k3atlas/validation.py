@@ -10,9 +10,11 @@ everything else must match exactly.
 
 Every section reads the atlas's one ``degenerations.Derivation``, which
 derives each outcome, candidate list, isotopy and move-table row, No.k / No.k'
-class pair, distinct Euler triple and the graph once per atlas.  No verdict is
-kept: every call builds fresh sections, compares each derived row with its
-shipped one and evaluates the Euler identity once per distinct (case, alpha, beta).
+class pair, distinct Euler triple and the graph once per atlas, with each U
+class's cells and targets and each move-table row as flat tuples; the catalog
+audit reads the related partners the ``Atlas`` keeps.  No verdict is kept: every
+call builds fresh sections, compares one tuple per class or row (walking it only
+to word a mismatch) and evaluates the Euler identity once per distinct triple.
 
 The roundtrip section calls the unchecked ``topology._invariants`` on
 ``IsotopyType`` candidates, checked when built.  It tests no component count,
@@ -145,10 +147,12 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
                 f"{side.value} table has {len(rows)} rows, shipped {len(golden_rows)}"
             )
             continue
-        for row, golden in zip(rows, golden_rows):
-            checked += 1
-            # Both row types start with (index, r, a, delta, g, k); the
-            # shipped cells follow in the order of the derived ones.
+        checked += len(rows)
+        # Both row types start with (index, r, a, delta, g, k); the shipped
+        # cells follow in the order of the derived ones, as in each flat row.
+        for row, flat, golden in zip(rows, derivation.flat_rows[side], golden_rows):
+            if flat == golden:
+                continue
             if row[:6] != golden[:6]:
                 violations.append(
                     f"{side.value} row {golden.index}: head columns mismatch"

@@ -13,11 +13,26 @@ import pytest
 
 from k3atlas import atlas as atlas_module
 from k3atlas import degenerations, tables, topology, validation
-from k3atlas.atlas import Atlas, Family, HInvariant, InvolutionClass, load_atlas
-from k3atlas.degenerations import TABLE_MOVES, Degeneration, Derivation, TableSide
+from k3atlas.atlas import (
+    Atlas,
+    Family,
+    HInvariant,
+    InvolutionClass,
+    load_atlas,
+    related_key,
+    validate_atlas,
+)
+from k3atlas.degenerations import (
+    TABLE_MOVES,
+    Degeneration,
+    DegenerationOutcome,
+    Derivation,
+    TableSide,
+)
 from k3atlas.topology import (
     STAR_KEY_H0,
     STAR_KEY_Z2,
+    IsotopyType,
     PieceKind,
     Region,
     RegionDescriptor,
@@ -124,6 +139,67 @@ def test_derived_rows_are_the_generator_outputs():
         assert type(outcomes) is tuple and outcomes is derivation.outcomes(c)
         assert outcomes == tuple(degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES)
         assert all(o is derivation.outcome(c, m) for o, m in zip(outcomes, TABLE_MOVES))
+        # per side, the cells of the outcomes and the targets of the possible ones
+        kept = derivation.outcome_cells(c)
+        assert kept is derivation.outcome_cells(c)
+        assert kept == tuple(
+            (tuple(o.cell() for o in part), tuple(o.target for o in part if not o.impossible))
+            for part in (outcomes[:3], outcomes[3:])
+        )
+    for side in (TableSide.UNPRIMED, TableSide.PRIMED):
+        flat = derivation.flat_rows[side]
+        assert flat is derivation.flat_rows[side]
+        rows = degenerations.degeneration_table(side, atlas)
+        assert flat == tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in rows)
+        assert all(type(row) is tuple for row in flat)
+
+
+@pytest.mark.parametrize(
+    "label, move, damage, expected",
+    [
+        (
+            "No.5",
+            Degeneration.CONJ2,
+            lambda o: o._replace(iso=IsotopyType(o.iso.case, o.iso.alpha + 1, o.iso.beta - 1)),
+            [
+                "degeneration tables: row No.5 conj2: derived (2, 5), shipped (1, 6)",
+                "correspondence: No.5 conj2: produced (2, 5), candidate is (1, 6)",
+            ],
+        ),
+        (
+            "No.5",
+            Degeneration.CONJ2,
+            lambda o: DegenerationOutcome(o.move, None, None),
+            [
+                "degeneration tables: row No.5 conj2: derived None, shipped (1, 6)",
+                "oval-count monotonicity: No.5 conj2: impossible despite 8 ovals",
+                "correspondence: No.5 conj2: impossible, but Node (2) (1, 6) is a candidate",
+            ],
+        ),
+        (
+            "No.5'",
+            Degeneration.CONTR3P,
+            lambda o: o._replace(target=None),
+            ["correspondence: No.5' contr3p: target None is not No.5'"],
+        ),
+    ],
+    ids=["wrong cell", "impossible", "primed target"],
+)
+def test_a_damaged_outcome_is_worded_move_by_move_on_every_call(
+    monkeypatch, label, move, damage, expected
+):
+    # The one-tuple comparisons pass over a class or row only when no move differs.
+    apply = degenerations.apply_degeneration
+    key = load_atlas().lookup_index(Family.U, label).key
+
+    def damaged(c, m, atlas=None):
+        outcome = apply(c, m, atlas)
+        return damage(outcome) if (c.key, m) == (key, move) else outcome
+
+    monkeypatch.setattr(degenerations, "apply_degeneration", damaged)
+    atlas = _fresh_atlas()
+    assert validation.run_all_checks(atlas).violations == expected
+    assert validation.run_all_checks(atlas).violations == expected
 
 
 def test_shipped_star_real_part_is_checked(monkeypatch):
@@ -285,6 +361,38 @@ def test_euler_triples_are_the_distinct_candidate_triples():
     assert derivation.euler_triples is derivation.euler_triples
 
 
+def _partners_are_lookups(atlas):
+    for family in Family:
+        members = atlas.all_classes(family)
+        partners = atlas._partners[family]
+        assert len(partners) == len(members)
+        assert all(p is atlas.lookup(family, *related_key(c)) for c, p in zip(members, partners))
+
+
+def test_kept_partners_hide_no_damage():
+    records = load_atlas().to_records(Family.S311) + load_atlas().to_records(Family.U)
+    dropped = Atlas.from_records(
+        [rec for rec in records if (rec["family"], rec["index"]) != ("s311", "No.17")]
+    )
+    missing = ["No.17': related invariants (7, 7, 1) missing from s311"]
+    first = validate_atlas(dropped)
+    assert [v for v in first.violations if "missing from" in v] == missing
+    assert validate_atlas(dropped) == first
+    summary = validation.run_all_checks(dropped)
+    assert [v for v in summary.violations if "missing from" in v] == missing
+    assert validation.run_all_checks(dropped) == summary
+    _partners_are_lookups(dropped)
+
+    duplicated = Atlas.from_records(records + records[:1])
+    line = "s311: duplicate invariants (1, 1, 0) (H=Z2) (No.50' and No.50')"
+    for _ in range(2):
+        violations = validate_atlas(duplicated).violations
+        assert line in violations and not any("missing from" in v for v in violations)
+        assert validation.run_all_checks(duplicated).violations == violations
+    _partners_are_lookups(duplicated)
+    _partners_are_lookups(_fresh_atlas())
+
+
 def test_missing_correspondence_class_is_reported_on_every_call():
     # "²" is no decimal digit, so the U class No.1 is missing under its label.
     records = [
@@ -299,9 +407,13 @@ def test_missing_correspondence_class_is_reported_on_every_call():
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 4,766 to 4,772 calls on CPython 3.10 to 3.13 now that the
-    # Euler identity runs once per distinct triple of the derivation and the
-    # roundtrips skip the oval check of candidates checked when built (5,205
+    # pstats counts 4,041 to 4,050 calls on CPython 3.10 to 3.13 now that the
+    # catalog audit reads the partners its atlas keeps and the move-table and
+    # correspondence sections compare one kept tuple per row or class pair
+    # (4,761 to 4,769 when they walked every class and move; 4,766 to 4,772
+    # when the classes and sections were still dataclasses),
+    # with the Euler identity run once per distinct triple of the derivation and the
+    # roundtrips skipping the oval check of candidates checked when built (5,205
     # to 5,211 when they did neither; 8,957 to 9,065 when the checks also
     # rebuilt dicts and keys per call instead of comparing derived rows;
     # 13,649 to 14,050 when every call also built its descriptors afresh;
@@ -316,7 +428,7 @@ def test_warm_call_stays_under_its_call_budget():
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert pstats.Stats(profile).total_calls <= 5_540
+    assert pstats.Stats(profile).total_calls <= 4_650
 
 
 def _calls_to(code, func, *args) -> int:
