@@ -12,20 +12,22 @@ are all derived from these specs.  Every outcome is a candidate only: none
 of these degenerations is known to be realizable for every pair of end
 curves.
 
-``degeneration_table``, ``correspondence_check`` and ``transition_graph``
-read outcomes (also six per U class in one tuple, and their cells and targets
-per side), candidate lists, isotopy and move-table rows (also as flat tuples),
-No.k / No.k' class pairs and the graph through the atlas's one ``Derivation``
-(``Derivation.of``), which derives each on first request and keeps it while the
-atlas lives; ``validation`` reads it too.  Only generator outputs are kept, never
-a verdict: every check runs on every call, comparing one tuple per class or row.
-The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
+``degeneration_table``, ``correspondence_check``, ``transition_graph`` and ``validation``
+read outcomes (also six per U class in one tuple, their cells and targets per side and
+the alpha + beta each leaves), candidate lists (also each one's roundtrip (r, a, H) and
+oval sum), isotopy and move-table rows (also flat), No.k / No.k' class pairs and the graph
+(with each node's in-degree) through the atlas's one ``Derivation`` (``Derivation.of``),
+which derives each on first request and keeps it while the atlas lives.  Only generator
+outputs are kept, never a verdict: every check runs on every call, comparing one tuple per
+class or row.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._checked import Checked
@@ -46,13 +48,15 @@ from .topology import (
     STAR_KEY_H0,
     STAR_KEY_Z2,
     IsotopyType,
+    Region,
     TopCase,
+    _invariants,
     candidate_isotopy_types,
     isotopy_row,
 )
 
 # Module globals, read per call in place of class attributes: see IdentityEnum.
-_S311, _U, _NODE_STAR = Family.S311, Family.U, TopCase.NODE_STAR
+_S311, _U, _NODE_STAR, _NODE2 = Family.S311, Family.U, TopCase.NODE_STAR, TopCase.NODE2
 _ZERO, _Z2, _NOT_APPLICABLE = HInvariant.ZERO, HInvariant.Z2, HInvariant.NOT_APPLICABLE
 
 
@@ -193,10 +197,10 @@ _ROW_CELLS = tuple(itemgetter(*(at for _m, at in _CELL_AT[part])) for part in _P
 
 
 class Derivation:
-    """The outcomes (also as cells and targets), candidate lists, distinct Euler triples,
-    isotopy rows, No.k / No.k' class pairs, move-table rows (also flat) and transition
-    graph of one atlas, each derived on first request and kept while it lives; all immutable.
-    The move tables, the correspondence check and the graph take one for an atlas."""
+    """The outcomes (also as cells and targets, and oval counts), candidate lists (also as
+    roundtrips), distinct Euler triples, isotopy rows, No.k / No.k' class pairs, move-table rows
+    (also flat) and graph of one atlas, each derived on first request and kept while it lives;
+    all immutable. The move tables, the correspondence check and the graph take one for an atlas."""
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
@@ -265,6 +269,25 @@ class Derivation:
         return self._table[c.key]
 
     @cached_property
+    def roundtrips(self) -> MappingProxyType:
+        """Per S311 class: its ``table_candidates``, then for each non-star one the (r, a, H)
+        that ``_invariants`` recovers and alpha + beta, plus one for Node (2)."""
+        out = {}
+        for c in self.atlas.all_classes(_S311):
+            covered = Region.A_MINUS if c.h is _ZERO else Region.A_PLUS
+            ts = [t for t in self._table[c.key] if t.case is not _NODE_STAR]
+            sums = tuple(t.alpha + t.beta + (t.case is _NODE2) for t in ts)
+            out[c.key] = self._table[c.key], tuple(_invariants(*t[:3], covered) for t in ts), sums
+        return MappingProxyType(out)
+
+    @cached_property
+    def ovals_after(self) -> MappingProxyType:
+        """Per U class with moves: alpha + beta after each of its ``outcomes``, None where impossible."""
+        moving = (c for c in self.atlas.all_classes(_U) if c.triple not in U_EXCLUDED_TRIPLES)
+        after = {c.key: tuple(o.iso and o.iso.alpha + o.iso.beta for o in self.outcomes(c)) for c in moving}
+        return MappingProxyType(after)
+
+    @cached_property
     def euler_triples(self) -> tuple[tuple[tuple[TopCase, int, int], ...], int]:
         """The distinct (case, alpha, beta) of all ``candidates``, first seen first, and the candidate count."""
         lists = [self._full[c.key] for c in self.atlas.all_classes(_S311)]
@@ -286,12 +309,12 @@ class Derivation:
         return rows
 
     @cached_property
-    def flat_rows(self) -> dict[TableSide, tuple[tuple, ...]]:
+    def flat_rows(self) -> MappingProxyType:
         """Each unprimed and primed table row as (index, r, a, delta, g, k, cell, ...)."""
-        return {
+        return MappingProxyType({
             side: tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in self._table_rows(side))
             for side in (TableSide.UNPRIMED, _PRIMED)
-        }
+        })
 
     @cached_property
     def _graph(self) -> TransitionGraph:
@@ -458,6 +481,12 @@ class TransitionGraph(Checked, _GraphFields):
         ]
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+    @cached_property
+    def in_degree(self) -> MappingProxyType:
+        """node key -> the number of edges into that node, read-only."""
+        into = Counter(e.target.key for e in self.edges)
+        return MappingProxyType({n.key: into[n.key] for n in self.nodes})
 
     @cached_property
     def _records(self) -> tuple[tuple[dict, ...], tuple[dict, ...]]:

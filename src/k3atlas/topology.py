@@ -11,7 +11,8 @@ shipped tables, which remain authoritative.  The value types are immutable
 NamedTuples; ``IsotopyType`` and ``SurfaceDescriptor`` check their fields on
 every build, ``_replace``, ``_make``, copies and unpickling included.
 ``region_descriptor`` and ``real_part_topology`` may return the same
-immutable descriptor object for equal inputs.
+immutable descriptor object for equal inputs; a descriptor keeps its Euler
+characteristic once read, and its copies and pickles carry only its fields.
 
 Those bounds (alpha + beta <= 9 in group I, <= 8 in group II) keep the
 recovered a = 9, 10, 8 or 9 minus alpha + beta nonnegative, so
@@ -192,8 +193,6 @@ class _SurfaceFields(NamedTuple):
 class SurfaceDescriptor(Checked, _SurfaceFields):
     """Disjoint union of closed orientable surfaces; genus 0 means a sphere."""
 
-    __slots__ = ()
-
     def __new__(cls, genera):
         genera = tuple(genera)
         try:
@@ -205,7 +204,7 @@ class SurfaceDescriptor(Checked, _SurfaceFields):
             raise ValueError("genus is nonnegative")
         return tuple.__new__(cls, (ordered,))
 
-    @property
+    @functools.cached_property
     def euler_characteristic(self) -> int:
         return 2 * len(self.genera) - 2 * sum(self.genera)
 
@@ -266,12 +265,14 @@ _ANNULUS_WITH_HOLES = PieceKind.ANNULUS_WITH_HOLES
 _MOEBIUS_COMPOSITE = PieceKind.MOEBIUS_COMPOSITE
 
 
-class RegionDescriptor(NamedTuple):
-    """A region of the quotient torus as a disjoint union of pieces."""
-
+class _RegionFields(NamedTuple):
     pieces: tuple[RegionPiece, ...]
 
-    @property
+
+class RegionDescriptor(Checked, _RegionFields):
+    """A region of the quotient torus as a disjoint union of pieces."""
+
+    @functools.cached_property
     def euler_characteristic(self) -> int:
         return sum(piece.euler_characteristic for piece in self.pieces)
 
@@ -375,19 +376,7 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     """
     _check_oval_bounds(case, alpha, beta)  # once, for both regions
     for region in (_A_PLUS, _A_MINUS):
-        # chi(surface) / 2 = len - sum; each piece equal to _DISK adds 1 to chi(region),
-        # counted in C, and the loop sums the others, which _region puts first.
-        genera = _surface_for(case, alpha, beta, region).genera
-        pieces = _region(case, alpha, beta, region).pieces
-        chi = pieces.count(_DISK)
-        rest = len(pieces) - chi
-        for piece in pieces:
-            if not rest:
-                break
-            if piece != _DISK:
-                rest -= 1
-                base, per_hole = _PIECE_EULER[piece[0]]
-                chi += base + per_hole * piece[1]
-        if len(genera) - sum(genera) != chi:
+        surface_chi = _surface_for(case, alpha, beta, region).euler_characteristic
+        if surface_chi != 2 * _region(case, alpha, beta, region).euler_characteristic:
             return False
     return True

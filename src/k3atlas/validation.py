@@ -8,25 +8,26 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-Every section reads the atlas's one ``degenerations.Derivation``, which
-derives each outcome, candidate list, isotopy and move-table row, No.k / No.k'
-class pair, distinct Euler triple and the graph once per atlas, with each U
-class's cells and targets and each move-table row as flat tuples; the catalog
-audit reads the related partners the ``Atlas`` keeps.  No verdict is kept: every
-call builds fresh sections, compares one tuple per class or row (walking it only
-to word a mismatch) and evaluates the Euler identity once per distinct triple.
+Every section reads the atlas's one ``degenerations.Derivation``, which derives each
+outcome, candidate list, isotopy and move-table row, No.k / No.k' class pair, distinct
+Euler triple and the graph once per atlas, with each move-table row and, per class, the
+cells, targets and oval counts of its moves or its roundtrip results as flat tuples, and
+each graph node's in-degree; the catalog audit reads the related partners the ``Atlas``
+keeps.  No verdict is kept: every call builds fresh sections, compares one tuple per class
+or row (walking it only to word a mismatch) and evaluates the Euler identity once per
+distinct triple, from the Euler characteristic each of its descriptors keeps.
 
-The roundtrip section calls the unchecked ``topology._invariants`` on
-``IsotopyType`` candidates, checked when built.  It tests no component count,
-since ``IsotopyType`` caps alpha + beta (1 to 10 components, 2 to 11 for the
-isolated point), and no star candidate's class: ``candidate_isotopy_types``
-emits Node (*) only for the two ``STAR_KEYS`` classes.
+The roundtrip section compares what the unchecked ``topology._invariants`` recovered from
+each ``IsotopyType`` candidate (checked when built) when the ``Derivation`` derived it, and
+calls it again only to word a mismatch.  It tests no component count, since ``IsotopyType``
+caps alpha + beta (1 to 10 components, 2 to 11 for the isolated point), and no star
+candidate's class: ``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS``
+classes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import starmap
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import tables
@@ -60,6 +61,7 @@ from .topology import (
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
 _NODE2, _NODE_STAR = TopCase.NODE2, TopCase.NODE_STAR
 _A_PLUS, _A_MINUS = Region.A_PLUS, Region.A_MINUS
+_DROPS = tuple((m.spec.primed, m.spec.ovals) for m in TABLE_MOVES)  # (pool: g-1 or k, ovals used)
 
 
 class ValidationSummary(NamedTuple):
@@ -181,11 +183,14 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
 
 def _check_roundtrips(derivation: Derivation) -> CheckSection:
     checked, violations = 0, []
+    kept = derivation.roundtrips
     for c in derivation.atlas.all_classes(_S311):
-        covered = _A_MINUS if c.h is _ZERO else _A_PLUS
-        invariants = (c.r, c.a, c.h)
-        candidates = derivation.table_candidates(c)
+        candidates, found, sums = kept[c.key]
         checked += len(candidates)
+        invariants, n = (c.r, c.a, c.h), len(found)
+        if found == (invariants,) * n and (c.h is not _ZERO or sums == (9 - c.a,) * n):
+            continue
+        covered = _A_MINUS if c.h is _ZERO else _A_PLUS
         for t in candidates:
             if t.case is _NODE_STAR:
                 continue
@@ -205,8 +210,7 @@ def _check_roundtrips(derivation: Derivation) -> CheckSection:
 def _check_euler(derivation: Derivation) -> CheckSection:
     triples, checked = derivation.euler_triples
     violations = []
-    holds = starmap(double_cover_euler_check, triples)
-    failed = {triple for triple, ok in zip(triples, holds) if not ok}
+    failed = {triple for triple in triples if not double_cover_euler_check(*triple)}
     if failed:  # name every carrier, by class and then by candidate
         for c in derivation.atlas.all_classes(_S311):
             for t in derivation.candidates(c):
@@ -237,12 +241,15 @@ def _check_monotonicity(derivation: Derivation) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
     checked, violations = 0, []
+    kept = derivation.ovals_after
     for c in derivation.atlas.all_classes(_U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
-        before = (g - 1) + k
+        before, pools = (g - 1) + k, (g - 1, k)
         checked += len(TABLE_MOVES)
+        if kept[c.key] == tuple([before - n if pools[p] >= n else None for p, n in _DROPS]):
+            continue
         for move, outcome in zip(TABLE_MOVES, derivation.outcomes(c)):
             iso = outcome.iso
             if iso is None:  # outcome.impossible, without the property call
@@ -266,14 +273,13 @@ def _check_graph(derivation: Derivation) -> CheckSection:
     graph = transition_graph(derivation)
     if len(graph.nodes) != 165:
         violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
-    indegree = Counter(edge.target.key for edge in graph.edges)
-    for c in derivation.atlas.all_classes(_S311):
-        checked += 1
-        if not indegree[c.key]:
-            violations.append(f"{c.index}: no incoming degeneration edge")
+    indegree, classes = graph.in_degree, derivation.atlas.all_classes(_S311)
+    checked += len(classes)
+    if not all(map(indegree.get, map(attrgetter("key"), classes))):
+        violations += [f"{c.index}: no incoming degeneration edge" for c in classes if not indegree.get(c.key)]
     for key in STAR_KEYS:
         checked += 1
-        if indegree[key] != 1:
+        if indegree.get(key) != 1:
             star = derivation.atlas.lookup(_S311, *key)
             violations.append(f"{star.index}: in-degree != 1")
     return CheckSection("transition graph", checked, violations, [], {})

@@ -382,6 +382,38 @@ def test_double_cover_region_chi_is_the_descriptor_chi(monkeypatch):
             assert not double_cover_euler_check(TopCase.NODE1, 0, 0), combo
 
 
+@pytest.mark.parametrize(
+    "fields, text, chi",
+    [
+        ((RegionDescriptor, ((RegionPiece(PieceKind.ANNULUS_WITH_HOLES, 1), RegionPiece(PieceKind.DISK)),)),
+         "(annulus with 1 holes) u disk", 0),
+        ((SurfaceDescriptor, ((2, 0),)), "Sigma_2 u S^2", 0),
+    ],
+    ids=["RegionDescriptor", "SurfaceDescriptor"],
+)
+def test_descriptor_value_type_contract(fields, text, chi):
+    # A descriptor keeps its chi in its __dict__ once read, and behaves as the
+    # plain NamedTuple of its fields otherwise; copies carry only the fields.
+    cls, values = fields
+    d = cls(*values)
+    assert tuple(d) == values and d == values and hash(d) == hash(values)
+    assert repr(d) == f"{cls.__name__}({cls._fields[0]}={values[0]!r})" and str(d) == text
+    assert "euler_characteristic" not in vars(d)
+    assert d.euler_characteristic == chi and vars(d) == {"euler_characteristic": chi}
+    for name in (cls._fields[0], "euler_characteristic", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert d.euler_characteristic == chi
+    copies = [copy.copy(d), copy.deepcopy(d)]
+    copies += [pickle.loads(pickle.dumps(d, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is cls and other == d and hash(other) == hash(d)
+        assert other is not d and not vars(other)
+        assert other.euler_characteristic == chi
+
+
 def test_descriptor_memos_match_fresh_builds(atlas):
     # Every (case, alpha, beta, region) the catalog reaches gets the
     # descriptor a fresh build would give, and the same object each time.
@@ -394,6 +426,15 @@ def test_descriptor_memos_match_fresh_builds(atlas):
                 for build in (topology._region, topology._surface_for):
                     assert build(*args) == build.__wrapped__(*args)
                     assert build(*args) is build(*args)
+                # the kept chi is that of a fresh build, summed over its pieces or genera
+                pieces = topology._region.__wrapped__(*args).pieces
+                genera = topology._surface_for.__wrapped__(*args).genera
+                assert topology._region(*args).euler_characteristic == sum(
+                    p.euler_characteristic for p in pieces
+                )
+                assert topology._surface_for(*args).euler_characteristic == (
+                    2 * len(genera) - 2 * sum(genera)
+                )
     for build in (topology._region, topology._surface_for):
         assert build.cache_info().currsize <= 660
 

@@ -152,6 +152,33 @@ def test_derived_rows_are_the_generator_outputs():
         rows = degenerations.degeneration_table(side, atlas)
         assert flat == tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in rows)
         assert all(type(row) is tuple for row in flat)
+    # per S311 class: the table candidates, then per non-star one what _invariants
+    # recovers and its oval sum, plus one for Node (2)
+    roundtrips = derivation.roundtrips
+    assert roundtrips is derivation.roundtrips and len(roundtrips) == 102
+    for c in atlas.all_classes(Family.S311):
+        covered = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
+        plain = [t for t in candidate_isotopy_types(c) if t.case is not TopCase.NODE_STAR]
+        assert roundtrips[c.key] == (
+            tuple(candidate_isotopy_types(c)),
+            tuple(topology._invariants(t.case, t.alpha, t.beta, covered) for t in plain),
+            tuple(t.alpha + t.beta + (t.case is TopCase.NODE2) for t in plain),
+        )
+        assert roundtrips[c.key][0] is derivation.table_candidates(c)
+    # per U class with moves: alpha + beta after each table move, None where impossible
+    after = derivation.ovals_after
+    assert after is derivation.ovals_after and len(after) == 61
+    for c in atlas.all_classes(Family.U):
+        if c.triple in tables.U_EXCLUDED_TRIPLES:
+            assert c.key not in after
+            continue
+        fresh = [degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES]
+        assert after[c.key] == tuple(None if o.impossible else o.iso.alpha + o.iso.beta for o in fresh)
+    # per graph node: the number of edges into it
+    graph = degenerations.transition_graph(atlas)
+    indegree = graph.in_degree
+    assert indegree is graph.in_degree and list(indegree) == [n.key for n in graph.nodes]
+    assert dict(indegree) == {n.key: [e.target for e in graph.edges].count(n) for n in graph.nodes}
 
 
 @pytest.mark.parametrize(
@@ -200,6 +227,101 @@ def test_a_damaged_outcome_is_worded_move_by_move_on_every_call(
     atlas = _fresh_atlas()
     assert validation.run_all_checks(atlas).violations == expected
     assert validation.run_all_checks(atlas).violations == expected
+
+
+def _twice(atlas) -> list:
+    first = validation.run_all_checks(atlas).violations
+    assert validation.run_all_checks(atlas).violations == first
+    return first
+
+
+def _patch_invariants(monkeypatch, replace: dict) -> None:
+    # every module that binds _invariants gets the same patched function
+    invariants = topology._invariants
+
+    def patched(case, alpha, beta, covered):
+        return replace.get((case, alpha, beta, covered)) or invariants(case, alpha, beta, covered)
+
+    for module in (topology, degenerations, validation):
+        if hasattr(module, "_invariants"):
+            monkeypatch.setattr(module, "_invariants", patched)
+
+
+def test_a_damaged_roundtrip_is_worded_candidate_by_candidate_on_every_call(monkeypatch):
+    # The kept (r, a, H) of each class are compared as one tuple; a mismatch walks its candidates.
+    node2 = TopCase.NODE2, 1, 6
+    _patch_invariants(monkeypatch, {
+        node2 + (Region.A_MINUS,): (4, 1, HInvariant.ZERO),
+        node2 + (Region.A_PLUS,): (17, 2, HInvariant.Z2),
+    })
+    assert _twice(_fresh_atlas()) == [
+        "invariant roundtrips: No.5 Node (2) (1,6): roundtrip gave (4,1,H=0)",
+        "invariant roundtrips: No.5' Node (2) (1,6): roundtrip gave (17,2,H=Z2)",
+    ]
+
+
+def test_a_damaged_oval_sum_is_worded_on_every_call(monkeypatch):
+    # No.17 (7, 7, 1, H=0) gets the Node (1) candidate (2, 6), which no H = 0 class has, in
+    # place of (0, 2), and the roundtrip is made to recover (7, 7, H=0) from it: of the
+    # roundtrip checks, only the oval-sum rule sees it.
+    candidates = degenerations.candidate_isotopy_types
+    key = load_atlas().lookup_index(Family.S311, "No.17").key
+
+    def shifted(c, include_degenerate=False):
+        out = candidates(c, include_degenerate)
+        if c.key != key:
+            return out
+        return [t._replace(alpha=2, beta=6) if t.case is TopCase.NODE1 else t for t in out]
+
+    monkeypatch.setattr(degenerations, "candidate_isotopy_types", shifted)
+    _patch_invariants(monkeypatch, {(TopCase.NODE1, 2, 6, Region.A_MINUS): key[:2] + key[3:]})
+    assert _twice(_fresh_atlas()) == [
+        "isotopy tables: row No.17 Node (1): generated (2, 6), shipped (0, 2)",
+        "invariant roundtrips: No.17 Node (1) (2,6): oval sum violated",
+        "correspondence: No.17 conj1: produced (0, 2), candidate is (2, 6)",
+    ]
+
+
+def test_an_extra_oval_is_worded_move_by_move_on_every_call(monkeypatch):
+    # The kept oval counts of each U class are compared as one tuple with the specs.
+    apply = degenerations.apply_degeneration
+    key = load_atlas().lookup_index(Family.U, "No.5").key
+
+    def one_oval_too_many(c, m, atlas=None):
+        outcome = apply(c, m, atlas)
+        if (c.key, m) != (key, Degeneration.CONTR3):
+            return outcome
+        return outcome._replace(iso=outcome.iso._replace(alpha=outcome.iso.alpha + 1))
+
+    monkeypatch.setattr(degenerations, "apply_degeneration", one_oval_too_many)
+    assert _twice(_fresh_atlas()) == [
+        "degeneration tables: row No.5 contr3: derived (2, 7), shipped (1, 7)",
+        "oval-count monotonicity: No.5 contr3: oval count dropped by 0",
+        "correspondence: No.5 contr3: produced (2, 7), candidate is (1, 7)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "index, expected",
+    [
+        ("No.17", ["No.17: no incoming degeneration edge"]),
+        (
+            "special-(10,8,0)",
+            ["special-(10,8,0): no incoming degeneration edge", "special-(10,8,0): in-degree != 1"],
+        ),
+    ],
+)
+def test_a_class_without_incoming_edges_is_named_on_every_call(monkeypatch, index, expected):
+    # The kept in-degrees are read for all classes at once; a zero walks the classes.
+    derive = degenerations._derive_graph
+
+    def without_edges_into(derivation):
+        graph = derive(derivation)
+        edges = tuple(e for e in graph.edges if e.target.index != index)
+        return degenerations.TransitionGraph(graph.nodes, edges)
+
+    monkeypatch.setattr(degenerations, "_derive_graph", without_edges_into)
+    assert _twice(_fresh_atlas()) == [f"transition graph: {v}" for v in expected]
 
 
 def test_shipped_star_real_part_is_checked(monkeypatch):
@@ -407,9 +529,12 @@ def test_missing_correspondence_class_is_reported_on_every_call():
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 4,041 to 4,050 calls on CPython 3.10 to 3.13 now that the
-    # catalog audit reads the partners its atlas keeps and the move-table and
-    # correspondence sections compare one kept tuple per row or class pair
+    # pstats counts 1,660 to 1,730 calls on CPython 3.10 to 3.13 now that each
+    # descriptor keeps its Euler characteristic and the roundtrip, oval-count and
+    # graph sections compare one kept tuple per class (4,041 to 4,050 when they
+    # walked every candidate, move and edge), the catalog audit reads the partners
+    # its atlas keeps and the move-table and correspondence sections compare one
+    # kept tuple per row or class pair
     # (4,761 to 4,769 when they walked every class and move; 4,766 to 4,772
     # when the classes and sections were still dataclasses),
     # with the Euler identity run once per distinct triple of the derivation and the
@@ -428,7 +553,7 @@ def test_warm_call_stays_under_its_call_budget():
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert pstats.Stats(profile).total_calls <= 4_650
+    assert pstats.Stats(profile).total_calls <= 2_000
 
 
 def _calls_to(code, func, *args) -> int:
@@ -553,6 +678,13 @@ def test_shared_derivation_hands_out_nothing_mutable():
     assert type(derivation.candidates(c)) is type(derivation.table_candidates(c)) is tuple
     graph = degenerations.transition_graph(atlas)
     assert type(graph.nodes) is type(graph.edges) is tuple
+    # the kept maps the checks compare against are read-only
+    for kept in (derivation.flat_rows, derivation.roundtrips, derivation.ovals_after, graph.in_degree):
+        key = next(iter(kept))
+        with pytest.raises(TypeError):
+            kept[key] = ()
+        with pytest.raises(TypeError):
+            del kept[key]
 
 
 def _first_calls(atlas, turn: int) -> list:
