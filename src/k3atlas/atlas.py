@@ -15,9 +15,9 @@ edit shows up on the next call and unchanged files give the same ``Atlas``
 object.  A file that cannot be read, decoded or parsed, or a record that
 lacks a field or has a bad value, raises ``CatalogError``.
 
-What ``degenerations.Derivation`` derives from an atlas, and the related partners
-``validate_atlas`` reads (lookups, never a verdict), are kept on that ``Atlas`` and
-live as long as it does; an edited catalog parses to a new one.
+What ``degenerations.Derivation`` derives from an atlas, and the related partners and the
+grid per H that ``validate_atlas`` reads (lookups and cells, never a verdict), are kept on
+that ``Atlas`` and live as long as it does; an edited catalog parses to a new one.
 """
 
 from __future__ import annotations
@@ -172,6 +172,15 @@ class Atlas:
     def _partners(self) -> dict[Family, tuple[InvolutionClass | None, ...]]:
         get = self._by_key.get  # a plain lookup per member, None for a missing partner
         return {f: tuple(get((f,) + related_key(c)) for c in cs) for f, cs in self._by_family.items()}
+
+    @cached_property
+    def _grid(self) -> dict[HInvariant, dict[tuple[int, int], tuple[int, ...]]]:
+        # Per H: {(r, a): sorted deltas} like tables.GRID_H0; a duplicate class repeats its delta.
+        grid: dict = {_ZERO: {}, _Z2: {}}
+        for c in self._by_family[_S311]:  # sorted by (r, a, delta)
+            cells = grid[c.h]
+            cells[c.r, c.a] = cells.get((c.r, c.a), ()) + (c.delta,)
+        return grid
 
     def lookup(
         self,
@@ -420,8 +429,10 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
             violations.append(message)
         counts[f"{family.value} quotient"] = (len(members) - fixed) // 2 + fixed
 
-    # Grid <-> row-list consistency, both directions.
+    # Grid <-> row-list consistency, both directions; equal dicts have equal cell sets.
     for h, grid in ((_ZERO, tables.GRID_H0), (_Z2, tables.GRID_Z2)):
+        if atlas._grid[h] == grid:
+            continue
         cells = {(r, a, d) for (r, a), deltas in grid.items() for d in deltas}
         rows = {c.triple for c in s311 if c.h is h}
         for missing in sorted(cells - rows):

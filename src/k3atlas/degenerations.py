@@ -14,12 +14,12 @@ curves.
 
 ``degeneration_table``, ``correspondence_check``, ``transition_graph`` and ``validation``
 read outcomes (also six per U class in one tuple, their cells and targets per side and
-the alpha + beta each leaves), candidate lists (also each one's roundtrip (r, a, H) and
-oval sum), isotopy and move-table rows (also flat), No.k / No.k' class pairs and the graph
-(with each node's in-degree) through the atlas's one ``Derivation`` (``Derivation.of``),
-which derives each on first request and keeps it while the atlas lives.  Only generator
-outputs are kept, never a verdict: every check runs on every call, comparing one tuple per
-class or row.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
+the alpha + beta each leaves), candidate lists (also each one's roundtrip (r, a, H) and oval
+sum), isotopy rows (also per shipped row), move-table rows (also flat), No.k / No.k' class
+pairs (also their cells) and the graph (with each node's in-degree) through the atlas's one
+``Derivation`` (``Derivation.of``), which derives each on first request and keeps it while the
+atlas lives.  Only generator outputs are kept, never a verdict: every check runs on every call,
+comparing whole tuples.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import tables
 from ._checked import Checked
 from .atlas import (
     Atlas,
@@ -198,9 +199,9 @@ _ROW_CELLS = tuple(itemgetter(*(at for _m, at in _CELL_AT[part])) for part in _P
 
 class Derivation:
     """The outcomes (also as cells and targets, and oval counts), candidate lists (also as
-    roundtrips), distinct Euler triples, isotopy rows, No.k / No.k' class pairs, move-table rows
-    (also flat) and graph of one atlas, each derived on first request and kept while it lives;
-    all immutable. The move tables, the correspondence check and the graph take one for an atlas."""
+    roundtrips), distinct Euler triples, isotopy rows (also per shipped row), No.k / No.k' pairs
+    (also as cells), move-table rows (also flat) and graph of one atlas, each derived on first
+    request and kept while it lives; all immutable. The tables, correspondence and graph take one."""
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
@@ -302,6 +303,13 @@ class Derivation:
         """``isotopy_row(c, self.table_candidates(c))``; the first request derives all 102."""
         return self._isotopy_rows[c.key]
 
+    @cached_property
+    def isotopy_parts(self) -> tuple[tuple[IsotopyRow | None, ...], ...]:
+        """Per part of the shipped isotopy table (H = 0, then Z/2), as it read when first
+        requested: the ``isotopy_row`` of each row's (r, a, delta, H), None where no class has it."""
+        rows, parts = self._isotopy_rows, ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2))
+        return tuple(tuple([rows.get(row[1:4] + (h,)) for row in shipped]) for h, shipped in parts)
+
     def _table_rows(self, side: TableSide) -> tuple[MoveTableRow, ...]:
         rows = self._rows.get(side)
         if rows is None:
@@ -326,6 +334,17 @@ class Derivation:
         find, sides = self.atlas.lookup_index, ((0, ""), (1, "'"))
         labels = [(f"No.{k}{prime}", side) for k in range(1, 51) for side, prime in sides]
         return tuple((label, side, find(_U, label), find(_S311, label)) for label, side in labels)
+
+    @cached_property
+    def pair_cells(self) -> tuple[tuple, tuple] | None:
+        """Per No.k / No.k' pair, or None if a class is missing: the ``outcome_cells`` of its U
+        class on its side, then its S311 class's isotopy-row cells with that class per target."""
+        if not all([u and s for _label, _side, u, s in self._pairs]):
+            return None
+        u_side = tuple([self.outcome_cells(u)[side] for _label, side, u, _s in self._pairs])
+        s_rows = [(_ROW_CELLS[side](self._isotopy_rows[s.key]), s) for _label, side, _u, s in self._pairs]
+        s_side = [(cells, (s,) * len(targets)) for (cells, s), (_c, targets) in zip(s_rows, u_side)]
+        return u_side, tuple(s_side)
 
 
 class TableSide(IdentityEnum):
@@ -400,8 +419,10 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     derivation = Derivation.of(atlas)
-    checked, violations = 0, []
-    for label, side, u_class, s_class in derivation._pairs:
+    kept = derivation.pair_cells  # None when a class is missing
+    walk = () if kept and kept[0] == kept[1] else derivation._pairs  # only to word a mismatch
+    checked, violations = (0 if walk else 3 * len(kept[0])), []  # three moves per pair
+    for label, side, u_class, s_class in walk:
         if u_class is None or s_class is None:
             violations.append(f"{label}: missing from one of the catalogs")
             continue

@@ -10,12 +10,12 @@ everything else must match exactly.
 
 Every section reads the atlas's one ``degenerations.Derivation``, which derives each
 outcome, candidate list, isotopy and move-table row, No.k / No.k' class pair, distinct
-Euler triple and the graph once per atlas, with each move-table row and, per class, the
-cells, targets and oval counts of its moves or its roundtrip results as flat tuples, and
-each graph node's in-degree; the catalog audit reads the related partners the ``Atlas``
-keeps.  No verdict is kept: every call builds fresh sections, compares one tuple per class
-or row (walking it only to word a mismatch) and evaluates the Euler identity once per
-distinct triple, from the Euler characteristic each of its descriptors keeps.
+Euler triple and the graph once per atlas, with their cells, targets, oval counts and
+roundtrip results as flat tuples, and each graph node's in-degree; the catalog audit reads
+the related partners and the grid the ``Atlas`` keeps.  No verdict is kept: every call builds
+fresh sections, compares the grid, the isotopy-table parts, the move tables and the class
+pairs whole, other data one tuple per class (walking it only to word a mismatch), and evaluates
+the Euler identity once per distinct triple, from the descriptors' kept Euler characteristic.
 
 The roundtrip section compares what the unchecked ``topology._invariants`` recovered from
 each ``IsotopyType`` candidate (checked when built) when the ``Derivation`` derived it, and
@@ -111,7 +111,12 @@ class ValidationSummary(NamedTuple):
 def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
     atlas = derivation.atlas
     checked, violations = 0, []
-    for h, rows in ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)):
+    # Part by part: one comparison of the parts joined would miss a row moved across.
+    parts = zip((_ZERO, _Z2), (tables.ISOTOPY_H0, tables.ISOTOPY_Z2), derivation.isotopy_parts)
+    for h, rows, derived_rows in parts:
+        if derived_rows == rows:
+            checked += len(rows)
+            continue
         for row in rows:
             c = atlas.lookup(_S311, row.r, row.a, row.delta, h)
             checked += 1
@@ -143,6 +148,9 @@ def _check_move_tables(derivation: Derivation) -> CheckSection:
         (TableSide.UNPRIMED, tables.MOVES_UNPRIMED),
         (TableSide.PRIMED, tables.MOVES_PRIMED),
     ):
+        if derivation.flat_rows[side] == golden_rows:
+            checked += len(golden_rows)
+            continue
         rows = degeneration_table(side, derivation)
         if len(rows) != len(golden_rows):
             violations.append(
