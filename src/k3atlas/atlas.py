@@ -15,9 +15,9 @@ edit shows up on the next call and unchanged files give the same ``Atlas``
 object.  A file that cannot be read, decoded or parsed, or a record that
 lacks a field or has a bad value, raises ``CatalogError``.
 
-What ``degenerations.Derivation`` derives from an atlas, and the related partners and the
-grid per H that ``validate_atlas`` reads (lookups and cells, never a verdict), are kept on
-that ``Atlas`` and live as long as it does; an edited catalog parses to a new one.
+An ``Atlas`` keeps its one ``degenerations.Derivation`` (whose docstring states what it
+keeps) and the related partners and grid per H that ``validate_atlas`` reads, while it
+lives; an edited catalog parses to a new one.
 """
 
 from __future__ import annotations
@@ -381,6 +381,21 @@ class CheckSection(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def compared(name: str, checked: int, parts, whitelisted: list[str] | None = None) -> CheckSection:
+    """The section ``name`` from its parts, each (keys, derived items, expected items, word):
+    a part whose two sides are equal passes whole; otherwise ``word(key, derived, expected)``
+    names what differs in each item whose two sides differ, in order."""
+    violations = [
+        message
+        for keys, derived, expected, word in parts
+        if derived != expected
+        for key, d, e in zip(keys, derived, expected)
+        if d != e
+        for message in word(key, d, e)
+    ]
+    return CheckSection(name, checked, violations, whitelisted or [], {})
 
 
 def validate_atlas(atlas: Atlas | None = None) -> CheckSection:

@@ -13,13 +13,8 @@ of these degenerations is known to be realizable for every pair of end
 curves.
 
 ``degeneration_table``, ``correspondence_check``, ``transition_graph`` and ``validation``
-read outcomes (also six per U class in one tuple, their cells and targets per side and
-the alpha + beta each leaves), candidate lists (also each one's roundtrip (r, a, H) and oval
-sum), isotopy rows (also per shipped row), move-table rows (also flat), No.k / No.k' class
-pairs (also their cells) and the graph (with each node's in-degree) through the atlas's one
-``Derivation`` (``Derivation.of``), which derives each on first request and keeps it while the
-atlas lives.  Only generator outputs are kept, never a verdict: every check runs on every call,
-comparing whole tuples.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
+read what they need through the atlas's one ``Derivation``, whose docstring states what it
+keeps.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -27,10 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
-from . import tables
 from ._checked import Checked
 from .atlas import (
     Atlas,
@@ -39,8 +33,10 @@ from .atlas import (
     HInvariant,
     IdentityEnum,
     InvolutionClass,
+    compared,
     gk_invariants,
     load_atlas,
+    related_key,
 )
 from .errors import MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
 from .tables import U_EXCLUDED_TRIPLES, IsotopyRow
@@ -57,7 +53,7 @@ from .topology import (
 )
 
 # Module globals, read per call in place of class attributes: see IdentityEnum.
-_S311, _U, _NODE_STAR, _NODE2 = Family.S311, Family.U, TopCase.NODE_STAR, TopCase.NODE2
+_S311, _U, _NODE_STAR = Family.S311, Family.U, TopCase.NODE_STAR
 _ZERO, _Z2, _NOT_APPLICABLE = HInvariant.ZERO, HInvariant.Z2, HInvariant.NOT_APPLICABLE
 
 
@@ -190,25 +186,45 @@ def applicable_moves(c: InvolutionClass) -> tuple[Degeneration, ...]:
     return TABLE_MOVES + tuple(m for m in STAR_MOVES if m.spec.source == c.triple)
 
 
-# Each table move with the field of an IsotopyRow that holds its case's cell;
-# per side (unprimed, primed), its part of both and the getter of those fields.
-_CELL_AT = tuple((m, 6 + ISOTOPY_CELL_CASES.index(m.spec.case)) for m in TABLE_MOVES)
-_PARTS = slice(0, 3), slice(3, 6)
-_ROW_CELLS = tuple(itemgetter(*(at for _m, at in _CELL_AT[part])) for part in _PARTS)
+# The No.k / No.k' labels the correspondence pairs, each with its side: 0 unprimed, 1 primed.
+_PAIR_LABELS = tuple((f"No.{k}{p}", side) for k in range(1, 51) for side, p in ((0, ""), (1, "'")))
+# Per side, its table moves and the getter of the IsotopyRow fields that hold their cases' cells.
+_SIDES = tuple(
+    (moves, itemgetter(*(6 + ISOTOPY_CELL_CASES.index(m.spec.case) for m in moves)))
+    for moves in (UNPRIMED_MOVES, PRIMED_MOVES)
+)
 
 
 class Derivation:
-    """The outcomes (also as cells and targets, and oval counts), candidate lists (also as
-    roundtrips), distinct Euler triples, isotopy rows (also per shipped row), No.k / No.k' pairs
-    (also as cells), move-table rows (also flat) and graph of one atlas, each derived on first
-    request and kept while it lives; all immutable. The tables, correspondence and graph take one."""
+    """What the tables, the graph and the checks read of one atlas, derived in one pass per
+    family on first use and kept while it lives; ``Derivation.of(atlas)`` is the atlas's one.
+
+    The U pass (``_u``) calls ``apply_degeneration`` once for each applicable (class, move)
+    of the classes with moves, 368 times, and keeps ``outcome`` ((c.key, move) -> outcome),
+    ``by_class`` (c.key -> the outcomes of ``TABLE_MOVES``), ``flat`` (the unprimed and the
+    primed move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)),
+    ``rows`` (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows),
+    ``moves`` ((class, move) of each table move) with ``after`` (the alpha + beta it leaves,
+    None where impossible) and ``pools`` (its pool, the other pool, the ovals it uses),
+    ``pairs`` (per No.k / No.k' label, the cells of the moves of its side and the targets of
+    the possible ones; None for a missing class, whose label is in ``unpaired``) and ``graph``.
+
+    The S311 pass (``_s``) calls ``candidate_isotopy_types`` once per class and keeps
+    ``full`` and ``table`` (c.key -> its candidates with and without the degenerate variants),
+    ``rows`` (H -> (r, a, delta) -> its isotopy row), ``roundtrips`` ((class, candidate) of
+    each non-star table candidate) with ``found`` (the (r, a, H) that ``topology._invariants``
+    recovers from it, and its alpha + beta), ``euler`` (the distinct (case, alpha, beta) of
+    all candidates, first seen first, and the candidate count) and ``pairs`` (per label, the
+    cells of its isotopy row in the order of those moves, and the S311 class once per cell
+    that is not None; () for a missing class, whose label is in ``unpaired``).
+
+    All are tuples, or dicts whose values are immutable.  Only generator outputs are kept,
+    never a verdict: every check compares them with its expected side on every call, through
+    ``atlas.compared``, and walks them only to word a mismatch.
+    """
 
     def __init__(self, atlas: Atlas):
         self.atlas = atlas
-        self._outcomes: dict[tuple[tuple, Degeneration], DegenerationOutcome] = {}
-        self._by_class: dict[tuple, tuple[DegenerationOutcome, ...]] = {}
-        self._cells: dict[tuple, tuple[tuple[tuple, tuple], ...]] = {}
-        self._rows: dict[TableSide, tuple[MoveTableRow, ...]] = {}
 
     @classmethod
     def of(cls, atlas: Atlas | Derivation | None) -> Derivation:
@@ -223,128 +239,112 @@ class Derivation:
             atlas._derivation = cls(atlas)
         return atlas._derivation
 
-    # Keyed by ``c.key``, a tuple hashed in C: its H part fixes the family, and
-    # apply_degeneration and candidate_isotopy_types read nothing else of c.
+    @cached_property
+    def _u(self) -> SimpleNamespace:
+        return _u_pass(self.atlas)
+
+    @cached_property
+    def _s(self) -> SimpleNamespace:
+        return _s311_pass(self.atlas)
+
+    # Keyed by ``c.key``, a tuple hashed in C: its H part fixes the family.
     def outcome(self, c: InvolutionClass, move: Degeneration) -> DegenerationOutcome:
-        pair = c.key, move
-        found = self._outcomes.get(pair)
-        if found is None:
-            found = self._outcomes[pair] = apply_degeneration(c, move, self.atlas)
-        return found
+        """As ``apply_degeneration`` gives it, and raises it for a class without moves."""
+        return self._u.outcome.get((c.key, move)) or apply_degeneration(c, move, self.atlas)
 
     def outcomes(self, c: InvolutionClass) -> tuple[DegenerationOutcome, ...]:
         """The outcomes of ``TABLE_MOVES`` from the U class ``c``, in that order."""
-        found = self._by_class.get(c.key)
-        if found is None:
-            found = self._by_class[c.key] = tuple(self.outcome(c, m) for m in TABLE_MOVES)
-        return found
-
-    def outcome_cells(self, c: InvolutionClass) -> tuple[tuple[tuple, tuple], ...]:
-        """Per side of ``outcomes(c)``: their cells and the targets of the possible ones."""
-        found = self._cells.get(c.key)
-        if found is None:
-            parts = map(self.outcomes(c).__getitem__, _PARTS)
-            found = self._cells[c.key] = tuple(
-                (tuple(o.cell() for o in p), tuple(o.target for o in p if o.iso is not None))
-                for p in parts
-            )
-        return found
-
-    @cached_property
-    def _full(self) -> dict[tuple, tuple[IsotopyType, ...]]:
-        return {
-            c.key: tuple(candidate_isotopy_types(c, include_degenerate=True))
-            for c in self.atlas.all_classes(_S311)
-        }
-
-    @cached_property
-    def _table(self) -> dict[tuple, tuple[IsotopyType, ...]]:
-        return {key: tuple(t for t in types if t.table_data) for key, types in self._full.items()}
+        return self._u.by_class.get(c.key) or tuple([self.outcome(c, m) for m in TABLE_MOVES])
 
     def candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
         """With the degenerate variants; the first request derives all 102."""
-        return self._full[c.key]
+        return self._s.full[c.key]
 
     def table_candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
         """What ``candidate_isotopy_types(c)`` returns, as a tuple."""
-        return self._table[c.key]
-
-    @cached_property
-    def roundtrips(self) -> MappingProxyType:
-        """Per S311 class: its ``table_candidates``, then for each non-star one the (r, a, H)
-        that ``_invariants`` recovers and alpha + beta, plus one for Node (2)."""
-        out = {}
-        for c in self.atlas.all_classes(_S311):
-            covered = Region.A_MINUS if c.h is _ZERO else Region.A_PLUS
-            ts = [t for t in self._table[c.key] if t.case is not _NODE_STAR]
-            sums = tuple(t.alpha + t.beta + (t.case is _NODE2) for t in ts)
-            out[c.key] = self._table[c.key], tuple(_invariants(*t[:3], covered) for t in ts), sums
-        return MappingProxyType(out)
-
-    @cached_property
-    def ovals_after(self) -> MappingProxyType:
-        """Per U class with moves: alpha + beta after each of its ``outcomes``, None where impossible."""
-        moving = (c for c in self.atlas.all_classes(_U) if c.triple not in U_EXCLUDED_TRIPLES)
-        after = {c.key: tuple(o.iso and o.iso.alpha + o.iso.beta for o in self.outcomes(c)) for c in moving}
-        return MappingProxyType(after)
-
-    @cached_property
-    def euler_triples(self) -> tuple[tuple[tuple[TopCase, int, int], ...], int]:
-        """The distinct (case, alpha, beta) of all ``candidates``, first seen first, and the candidate count."""
-        lists = [self._full[c.key] for c in self.atlas.all_classes(_S311)]
-        return tuple(dict.fromkeys(t[:3] for ts in lists for t in ts)), sum(map(len, lists))
-
-    @cached_property
-    def _isotopy_rows(self) -> dict[tuple, IsotopyRow]:
-        table = self._table
-        return {c.key: isotopy_row(c, table[c.key]) for c in self.atlas.all_classes(_S311)}
+        return self._s.table[c.key]
 
     def isotopy_row(self, c: InvolutionClass) -> IsotopyRow:
         """``isotopy_row(c, self.table_candidates(c))``; the first request derives all 102."""
-        return self._isotopy_rows[c.key]
+        return self._s.rows[c.h][c.triple]
 
-    @cached_property
-    def isotopy_parts(self) -> tuple[tuple[IsotopyRow | None, ...], ...]:
-        """Per part of the shipped isotopy table (H = 0, then Z/2), as it read when first
-        requested: the ``isotopy_row`` of each row's (r, a, delta, H), None where no class has it."""
-        rows, parts = self._isotopy_rows, ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2))
-        return tuple(tuple([rows.get(row[1:4] + (h,)) for row in shipped]) for h, shipped in parts)
 
-    def _table_rows(self, side: TableSide) -> tuple[MoveTableRow, ...]:
-        rows = self._rows.get(side)
-        if rows is None:
-            rows = self._rows[side] = _derive_rows(self, side)
-        return rows
+def _u_pass(atlas: Atlas) -> SimpleNamespace:
+    u = SimpleNamespace(atlas=atlas, outcome={}, by_class={}, moves=[], after=[], pools=[], edges=[])
+    flat, sides = ([], []), {}
+    for c in atlas.all_classes(_U):
+        if c.triple in U_EXCLUDED_TRIPLES:
+            continue
+        g, k = gk_invariants(c)
+        head = c.r, c.a, c.delta, g, k
+        for move in applicable_moves(c):
+            outcome = u.outcome[c.key, move] = apply_degeneration(c, move, atlas)
+            if outcome.iso is not None:
+                u.edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
+        outcomes = u.by_class[c.key] = tuple([u.outcome[c.key, m] for m in TABLE_MOVES])
+        for move, o in zip(TABLE_MOVES, outcomes):
+            u.moves.append((c, move))
+            u.after.append(o.iso and o.iso.alpha + o.iso.beta)
+            u.pools.append(move.spec.pools(g, k) + (move.spec.ovals,))
+        unprimed, primed = sides[c.key] = [
+            (tuple([o.cell() for o in part]), tuple([o.target for o in part if o.iso is not None]))
+            for part in (outcomes[:3], outcomes[3:])
+        ]
+        if g >= 2:
+            flat[0].append((c.index, *head, *unprimed[0]))
+        # The primed table labels a class after its related partner (a plain lookup, so that
+        # a shadowed duplicate is labelled too); whenever k >= 1 the partner has g = k + 1 >= 2
+        # and hence an unprimed label.
+        if k >= 1:
+            partner = atlas.lookup(_U, *related_key(c)) or atlas.related_class(c)  # raises if missing
+            flat[1].append((f"{partner.index}'", *head, *primed[0]))
+    for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
+        rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
+    u.flat, u.moves, u.after, u.pools = tuple(map(tuple, flat)), *map(tuple, (u.moves, u.after, u.pools))
+    u.rows = {
+        side: tuple([MoveTableRow(*row[:6], tuple(zip(moves, row[6:]))) for row in rows])
+        for side, (moves, _getter), rows in zip((TableSide.UNPRIMED, _PRIMED), _SIDES, u.flat)
+    }
+    u.rows[_STAR] = tuple([
+        MoveTableRow(c.index, c.r, c.a, c.delta, *c.gk, ((m, u.outcome[c.key, m].cell()),))
+        for m in STAR_MOVES
+        if (c := atlas.lookup(_U, *m.spec.source))
+    ])
+    found, u.unpaired = _resolve(atlas, _U)  # None also for a class without moves
+    u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in found])
+    u.graph = _derive_graph(u)
+    return u
 
-    @cached_property
-    def flat_rows(self) -> MappingProxyType:
-        """Each unprimed and primed table row as (index, r, a, delta, g, k, cell, ...)."""
-        return MappingProxyType({
-            side: tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in self._table_rows(side))
-            for side in (TableSide.UNPRIMED, _PRIMED)
-        })
 
-    @cached_property
-    def _graph(self) -> TransitionGraph:
-        return _derive_graph(self)
+def _s311_pass(atlas: Atlas) -> SimpleNamespace:
+    s = SimpleNamespace(full={}, table={}, rows={_ZERO: {}, _Z2: {}}, roundtrips=[], found=[])
+    classes = atlas.all_classes(_S311)
+    for c in classes:
+        full = s.full[c.key] = tuple(candidate_isotopy_types(c, include_degenerate=True))
+        table = s.table[c.key] = tuple([t for t in full if t.table_data])
+        s.rows[c.h][c.triple] = isotopy_row(c, table)
+        covered = Region.A_MINUS if c.h is _ZERO else Region.A_PLUS
+        for t in table:
+            if t.case is not _NODE_STAR:
+                s.roundtrips.append((c, t))
+                s.found.append(_invariants(*t[:3], covered) + (t.alpha + t.beta,))
+    s.roundtrips, s.found = tuple(s.roundtrips), tuple(s.found)
+    lists = [s.full[c.key] for c in classes]
+    s.euler = tuple(dict.fromkeys(t[:3] for ts in lists for t in ts)), sum(map(len, lists))
+    found, s.unpaired = _resolve(atlas, _S311)
+    rows = [(c, c and _SIDES[side][1](s.rows[c.h][c.triple])) for c, side in found]
+    s.pairs = tuple([
+        () if c is None else (cells, tuple([c for cell in cells if cell is not None]))
+        for c, cells in rows
+    ])
+    return s
 
-    @cached_property
-    def _pairs(self) -> tuple[tuple[str, int, InvolutionClass | None, InvolutionClass | None], ...]:
-        # (label, side: 0 or 1, U class, S311 class) of each No.k and No.k'; None if missing.
-        find, sides = self.atlas.lookup_index, ((0, ""), (1, "'"))
-        labels = [(f"No.{k}{prime}", side) for k in range(1, 51) for side, prime in sides]
-        return tuple((label, side, find(_U, label), find(_S311, label)) for label, side in labels)
 
-    @cached_property
-    def pair_cells(self) -> tuple[tuple, tuple] | None:
-        """Per No.k / No.k' pair, or None if a class is missing: the ``outcome_cells`` of its U
-        class on its side, then its S311 class's isotopy-row cells with that class per target."""
-        if not all([u and s for _label, _side, u, s in self._pairs]):
-            return None
-        u_side = tuple([self.outcome_cells(u)[side] for _label, side, u, _s in self._pairs])
-        s_rows = [(_ROW_CELLS[side](self._isotopy_rows[s.key]), s) for _label, side, _u, s in self._pairs]
-        s_side = [(cells, (s,) * len(targets)) for (cells, s), (_c, targets) in zip(s_rows, u_side)]
-        return u_side, tuple(s_side)
+def _resolve(atlas: Atlas, family: Family) -> tuple[list, frozenset[str]]:
+    # The class of ``family`` under each pair label (None where missing) with the label's
+    # side, and the labels of the missing ones.
+    found = [(atlas.lookup_index(family, label), side) for label, side in _PAIR_LABELS]
+    return found, frozenset([label for (label, _side), (c, _s) in zip(_PAIR_LABELS, found) if c is None])
 
 
 class TableSide(IdentityEnum):
@@ -375,38 +375,7 @@ def degeneration_table(
     every class with k >= 1, each under its index on that side; the star
     table holds the two self-conjunction rows.  Each call returns a new list.
     """
-    return list(Derivation.of(atlas)._table_rows(side))
-
-
-def _derive_rows(derivation: Derivation, side: TableSide) -> tuple[MoveTableRow, ...]:
-    atlas = derivation.atlas
-    rows: list[MoveTableRow] = []
-    if side is _STAR:
-        for move in STAR_MOVES:
-            c = atlas.lookup(_U, *move.spec.source)
-            if c is None:
-                continue
-            g, k = gk_invariants(c)
-            cells = ((move, derivation.outcome(c, move).cell()),)
-            rows.append(MoveTableRow(c.index, c.r, c.a, c.delta, g, k, cells))
-        return tuple(rows)
-
-    primed = side is _PRIMED
-    moves = PRIMED_MOVES if primed else UNPRIMED_MOVES
-    for c in atlas.all_classes(_U):
-        if c.triple in U_EXCLUDED_TRIPLES:
-            continue
-        g, k = gk_invariants(c)
-        if not ((k >= 1) if primed else (g >= 2)):
-            continue
-        # The primed table labels a class after its related partner; whenever
-        # k >= 1 the partner has g = k + 1 >= 2 and hence an unprimed label.
-        index = atlas.related_class(c).index + "'" if primed else c.index
-        cells = tuple((move, derivation.outcome(c, move).cell()) for move in moves)
-        rows.append(MoveTableRow(index, c.r, c.a, c.delta, g, k, cells))
-    # By the number in the label (17 for No.17'); a label without one goes last.
-    rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row.index)) or 10**6))
-    return tuple(rows)
+    return list(Derivation.of(atlas)._u.rows[side])
 
 
 # ---------------------------------------------------------------------------
@@ -419,55 +388,50 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     derivation = Derivation.of(atlas)
-    kept = derivation.pair_cells  # None when a class is missing
-    walk = () if kept and kept[0] == kept[1] else derivation._pairs  # only to word a mismatch
-    checked, violations = (0 if walk else 3 * len(kept[0])), []  # three moves per pair
-    for label, side, u_class, s_class in walk:
-        if u_class is None or s_class is None:
-            violations.append(f"{label}: missing from one of the catalogs")
-            continue
-        row = derivation.isotopy_row(s_class)
-        moves = _CELL_AT[_PARTS[side]]
-        checked += len(moves)
-        cells, targets = derivation.outcome_cells(u_class)[side]
-        if cells == _ROW_CELLS[side](row) and targets == (s_class,) * len(targets):
-            continue
-        for (move, at), outcome in zip(moves, derivation.outcomes(u_class)[_PARTS[side]]):
-            expected = row[at]
-            if outcome.impossible:
-                if expected is not None:
-                    violations.append(
-                        f"{label} {move.value}: impossible, but "
-                        f"{move.spec.case.value} {expected} is a candidate"
-                    )
-                continue
-            cell = outcome.cell()  # a table move has no star case
-            if expected is None:
-                violations.append(
-                    f"{label} {move.value}: produced {cell}, but "
-                    f"{move.spec.case.value} is not a candidate of {label}"
-                )
-            elif cell != expected:
-                violations.append(
-                    f"{label} {move.value}: produced {cell}, candidate is {expected}"
-                )
-            if outcome.target is not s_class:
-                violations.append(
-                    f"{label} {move.value}: target {outcome.target} is not {label}"
-                )
+    u, s, atlas = derivation._u, derivation._s, derivation.atlas
 
-    for move in STAR_MOVES:
-        checked += 1
-        triple = move.spec.source
-        u_class = derivation.atlas.lookup(_U, *triple)
-        if u_class is None:
-            violations.append(f"{triple}: missing from the catalog")
-            continue
-        # The target is apply_degeneration's lookup of ``move.spec.star_target``.
-        outcome = derivation.outcome(u_class, move)
-        if outcome.impossible or derivation.isotopy_row(outcome.target).node_star is None:
-            violations.append(f"{triple} {move.value}: star outcome mismatch")
-    return CheckSection("correspondence", checked, violations, [], {})
+    def word_pair(key, u_side, s_side) -> list[str]:
+        label, side = key
+        if u_side is None or s_side == ():
+            if u_class := atlas.lookup_index(_U, label):
+                derivation.outcomes(u_class)  # a class without moves raises as apply_degeneration does
+            return [f"{label}: missing from one of the catalogs"]
+        s_class, targets, out = atlas.lookup_index(_S311, label), iter(u_side[1]), []
+        for move, cell, expected in zip(_SIDES[side][0], u_side[0], s_side[0]):
+            name, case = f"{label} {move.value}", move.spec.case.value
+            if cell is None:  # impossible: a table move has no star case
+                if expected is not None:
+                    out.append(f"{name}: impossible, but {case} {expected} is a candidate")
+                continue
+            if expected is None:
+                out.append(f"{name}: produced {cell}, but {case} is not a candidate of {label}")
+            elif cell != expected:
+                out.append(f"{name}: produced {cell}, candidate is {expected}")
+            if (target := next(targets)) is not s_class:
+                out.append(f"{name}: target {target} is not {label}")
+        return out
+
+    # Each self-conjunction lands on a star class: its target is apply_degeneration's
+    # lookup of ``move.spec.star_target``, whose isotopy row has a star real part.
+    # None where the source class is missing.
+    outcomes = [u.outcome.get((move.spec.source + (_NOT_APPLICABLE,), move)) for move in STAR_MOVES]
+    stars = tuple([
+        None if o is None
+        else o.iso is not None and derivation.isotopy_row(o.target).node_star is not None
+        for o in outcomes
+    ])
+
+    def word_star(move, found, _expected) -> list[str]:
+        if found is None:
+            return [f"{move.spec.source}: missing from the catalog"]
+        return [f"{move.spec.source} {move.value}: star outcome mismatch"]
+
+    checked = 3 * (len(u.pairs) - len(u.unpaired | s.unpaired)) + len(STAR_MOVES)  # three moves a pair
+    parts = [
+        (_PAIR_LABELS, u.pairs, s.pairs, word_pair),
+        (STAR_MOVES, stars, (True,) * len(stars), word_star),
+    ]
+    return compared("correspondence", checked, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +503,12 @@ class TransitionGraph(Checked, _GraphFields):
 
 def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs, in atlas order."""
-    return Derivation.of(atlas)._graph
+    return Derivation.of(atlas)._u.graph
 
 
-def _derive_graph(derivation: Derivation) -> TransitionGraph:
-    atlas = derivation.atlas
-    edges = []
-    for c in atlas.all_classes(_U):
-        if c.triple in U_EXCLUDED_TRIPLES:
-            continue
-        for move in applicable_moves(c):
-            outcome = derivation.outcome(c, move)
-            if not outcome.impossible:
-                edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
-    nodes = atlas.all_classes(_S311) + atlas.all_classes(_U)
-    return TransitionGraph(nodes, tuple(edges))
+def _derive_graph(u: SimpleNamespace) -> TransitionGraph:
+    # The U pass's edges over both catalogs' classes; the last step of that pass.
+    return TransitionGraph(u.atlas.all_classes(_S311) + u.atlas.all_classes(_U), tuple(u.edges))
 
 
 class _Quoted(dict):

@@ -8,26 +8,20 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-Every section reads the atlas's one ``degenerations.Derivation``, which derives each
-outcome, candidate list, isotopy and move-table row, No.k / No.k' class pair, distinct
-Euler triple and the graph once per atlas, with their cells, targets, oval counts and
-roundtrip results as flat tuples, and each graph node's in-degree; the catalog audit reads
-the related partners and the grid the ``Atlas`` keeps.  No verdict is kept: every call builds
-fresh sections, compares the grid, the isotopy-table parts, the move tables and the class
-pairs whole, other data one tuple per class (walking it only to word a mismatch), and evaluates
-the Euler identity once per distinct triple, from the descriptors' kept Euler characteristic.
-
-The roundtrip section compares what the unchecked ``topology._invariants`` recovered from
-each ``IsotopyType`` candidate (checked when built) when the ``Derivation`` derived it, and
-calls it again only to word a mismatch.  It tests no component count, since ``IsotopyType``
-caps alpha + beta (1 to 10 components, 2 to 11 for the isolated point), and no star
-candidate's class: ``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS``
-classes.
+Every section reads the atlas's one ``degenerations.Derivation`` (its docstring states what
+it keeps) and declares its derived items, its expected items, read from ``tables`` or a closed
+form on every call, and one wording function per item; ``atlas.compared`` compares the two
+sides whole and words only the items that differ.  No verdict is kept.  The Euler identity is
+evaluated once per distinct (case, alpha, beta), from the descriptors' kept Euler characteristic.
+The roundtrip section tests no component count, since ``IsotopyType`` caps alpha + beta (1 to
+10 components, 2 to 11 for the isolated point), and no star candidate's class:
+``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS`` classes.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from functools import partial
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import tables
@@ -36,32 +30,26 @@ from .atlas import (
     CheckSection,
     Family,
     HInvariant,
-    gk_invariants,
+    compared,
     load_atlas,
     validate_atlas,
 )
 from .degenerations import (
-    TABLE_MOVES,
+    PRIMED_MOVES,
+    UNPRIMED_MOVES,
     Derivation,
     TableSide,
     correspondence_check,
-    degeneration_table,
     transition_graph,
 )
-from .topology import (
-    ISOTOPY_CELL_CASES,
-    STAR_KEYS,
-    Region,
-    TopCase,
-    _invariants,
-    double_cover_euler_check,
-)
+from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, double_cover_euler_check
 
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
 _NODE2, _NODE_STAR = TopCase.NODE2, TopCase.NODE_STAR
-_A_PLUS, _A_MINUS = Region.A_PLUS, Region.A_MINUS
-_DROPS = tuple((m.spec.primed, m.spec.ovals) for m in TABLE_MOVES)  # (pool: g-1 or k, ovals used)
+_TRIPLE = itemgetter(slice(1, 4))  # (r, a, delta) of a shipped row
+_TABLE_SIDES, _STAR = (TableSide.UNPRIMED, TableSide.PRIMED), TableSide.STAR
+_SIDE_MOVES = UNPRIMED_MOVES, PRIMED_MOVES
 
 
 class ValidationSummary(NamedTuple):
@@ -109,188 +97,158 @@ class ValidationSummary(NamedTuple):
 
 
 def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
-    atlas = derivation.atlas
-    checked, violations = 0, []
-    # Part by part: one comparison of the parts joined would miss a row moved across.
-    parts = zip((_ZERO, _Z2), (tables.ISOTOPY_H0, tables.ISOTOPY_Z2), derivation.isotopy_parts)
-    for h, rows, derived_rows in parts:
-        if derived_rows == rows:
-            checked += len(rows)
-            continue
-        for row in rows:
-            c = atlas.lookup(_S311, row.r, row.a, row.delta, h)
-            checked += 1
-            if c is None:
-                violations.append(f"row {row.index}: class missing from atlas")
-                continue
-            derived = derivation.isotopy_row(c)
-            if derived == row:
-                continue
-            # (index, r, a, delta) fixed the lookup; name the fields that differ.
-            if derived.index != row.index:
-                violations.append(f"row {row.index}: atlas carries index {derived.index}")
-            if derived[4:6] != row[4:6]:
-                violations.append(f"row {row.index}: (g,k) mismatch")
-            for case, cell, shipped in zip(ISOTOPY_CELL_CASES, derived[6:9], row[6:9]):
-                if cell != shipped:
-                    violations.append(
-                        f"row {row.index} {case.value}: generated {cell}, shipped {shipped}"
-                    )
-            if derived.node_star != row.node_star:
-                violations.append(f"row {row.index}: star cell mismatch")
-    return CheckSection("isotopy tables", checked, violations, [], {})
+    # Part by part, each row with the generated row of its (r, a, delta) and H: one
+    # comparison of the parts joined would miss a row moved across.
+    rows, parts, checked = derivation._s.rows, [], 0
+    for h, shipped in ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)):
+        checked += len(shipped)
+        derived = tuple(map(rows[h].get, map(_TRIPLE, shipped)))
+        parts.append((shipped, derived, shipped, _word_isotopy_row))
+    return compared("isotopy tables", checked, parts)
+
+
+def _word_isotopy_row(row, derived, _shipped) -> list[str]:
+    if derived is None:
+        return [f"row {row.index}: class missing from atlas"]
+    # (r, a, delta) fixed the lookup; name the fields that differ.
+    out = [f"row {row.index}: atlas carries index {derived.index}"] if derived.index != row.index else []
+    if derived[4:6] != row[4:6]:
+        out.append(f"row {row.index}: (g,k) mismatch")
+    for case, cell, shipped in zip(ISOTOPY_CELL_CASES, derived[6:9], row[6:9]):
+        if cell != shipped:
+            out.append(f"row {row.index} {case.value}: generated {cell}, shipped {shipped}")
+    if derived.node_star != row.node_star:
+        out.append(f"row {row.index}: star cell mismatch")
+    return out
 
 
 def _check_move_tables(derivation: Derivation) -> CheckSection:
-    checked, violations, whitelisted = 0, [], []
-    whitelist = {(idx, move): (shipped, derived) for idx, move, shipped, derived in tables.WHITELISTED_CELLS}
-    for side, golden_rows in (
-        (TableSide.UNPRIMED, tables.MOVES_UNPRIMED),
-        (TableSide.PRIMED, tables.MOVES_PRIMED),
-    ):
-        if derivation.flat_rows[side] == golden_rows:
-            checked += len(golden_rows)
+    u, parts, whitelisted, checked = derivation._u, [], [], len(tables.MOVES_STAR)
+    shipped_tables = tables.MOVES_UNPRIMED, tables.MOVES_PRIMED
+    for side, moves, flat, shipped in zip(_TABLE_SIDES, _SIDE_MOVES, u.flat, shipped_tables):
+        if len(flat) != len(shipped):
+            parts.append(((side,), (len(flat),), (len(shipped),), _word_row_count))
             continue
-        rows = degeneration_table(side, derivation)
-        if len(rows) != len(golden_rows):
-            violations.append(
-                f"{side.value} table has {len(rows)} rows, shipped {len(golden_rows)}"
-            )
+        checked += len(shipped)
+        expected = _whitelisted(moves, shipped, flat, whitelisted)
+        parts.append((shipped, flat, expected, partial(_word_move_row, side, moves)))
+    stars = tuple([row[:6] + (row.cells[0][0].spec.case.value,) for row in u.rows[_STAR]])
+    parts.append(((_STAR,), (stars,), (tables.MOVES_STAR,), lambda *_: ["star table mismatch"]))
+    return compared("degeneration tables", checked, parts, whitelisted)
+
+
+def _whitelisted(moves, shipped, flat, lines: list[str]) -> tuple:
+    """``shipped`` with each whitelisted cell of ``moves`` that still holds its shipped value
+    set to its derived value; a line in ``lines`` for each such cell that ``flat`` derives."""
+    rows, names, indices = list(shipped), [m.value for m in moves], [row.index for row in shipped]
+    for index, name, was, derived in tables.WHITELISTED_CELLS:
+        if name not in names or index not in indices:
             continue
-        checked += len(rows)
-        # Both row types start with (index, r, a, delta, g, k); the shipped
-        # cells follow in the order of the derived ones, as in each flat row.
-        for row, flat, golden in zip(rows, derivation.flat_rows[side], golden_rows):
-            if flat == golden:
-                continue
-            if row[:6] != golden[:6]:
-                violations.append(
-                    f"{side.value} row {golden.index}: head columns mismatch"
-                )
-                continue
-            for (move, cell), shipped in zip(row.cells, golden[6:]):
-                if cell == shipped:
-                    continue
-                name = move.value
-                entry = whitelist.get((golden.index, name))
-                if entry and entry == (shipped, cell):
-                    whitelisted.append(
-                        f"row {golden.index} {name}: shipped {shipped}, derived {cell}"
-                    )
-                else:
-                    violations.append(
-                        f"row {golden.index} {name}: derived {cell}, shipped {shipped}"
-                    )
-    star_rows = degeneration_table(TableSide.STAR, derivation)
-    got_stars = tuple(r[:6] + (r.cells[0][0].spec.case.value,) for r in star_rows)
-    checked += len(tables.MOVES_STAR)
-    if got_stars != tables.MOVES_STAR:
-        violations.append("star table mismatch")
-    return CheckSection("degeneration tables", checked, violations, whitelisted, {})
+        at, column = indices.index(index), 6 + names.index(name)
+        if rows[at][column] == was:
+            rows[at] = rows[at][:column] + (derived,) + rows[at][column + 1 :]
+            if flat[at][:6] == rows[at][:6] and flat[at][column] == derived:
+                lines.append(f"row {index} {name}: shipped {was}, derived {derived}")
+    return tuple(rows)
+
+
+def _word_row_count(side, derived, shipped) -> list[str]:
+    return [f"{side.value} table has {derived} rows, shipped {shipped}"]
+
+
+def _word_move_row(side, moves, shipped, flat, expected) -> list[str]:
+    # Both rows start with (index, r, a, delta, g, k); the cells follow in move order.
+    if flat[:6] != expected[:6]:
+        return [f"{side.value} row {shipped.index}: head columns mismatch"]
+    return [
+        f"row {shipped.index} {move.value}: derived {cell}, shipped {was}"
+        for move, cell, want, was in zip(moves, flat[6:], expected[6:], shipped[6:])
+        if cell != want
+    ]
 
 
 def _check_roundtrips(derivation: Derivation) -> CheckSection:
-    checked, violations = 0, []
-    kept = derivation.roundtrips
-    for c in derivation.atlas.all_classes(_S311):
-        candidates, found, sums = kept[c.key]
-        checked += len(candidates)
-        invariants, n = (c.r, c.a, c.h), len(found)
-        if found == (invariants,) * n and (c.h is not _ZERO or sums == (9 - c.a,) * n):
-            continue
-        covered = _A_MINUS if c.h is _ZERO else _A_PLUS
-        for t in candidates:
-            if t.case is _NODE_STAR:
-                continue
-            r, a, h = _invariants(t.case, t.alpha, t.beta, covered)
-            if (r, a, h) != invariants:
-                violations.append(
-                    f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"
-                )
-            # Oval-sum rules on the H = 0 side.
-            if c.h is _ZERO:
-                expected_sum = 8 - c.a if t.case is _NODE2 else 9 - c.a
-                if t.alpha + t.beta != expected_sum:
-                    violations.append(f"{c.index} {t}: oval sum violated")
-    return CheckSection("invariant roundtrips", checked, violations, [], {})
+    s = derivation._s
+    # The oval-sum rule, on the H = 0 side only: alpha + beta is 9 - a, and 8 - a for Node (2).
+    expected = tuple([
+        (c.r, c.a, c.h, 9 - c.a - (t.case is _NODE2) if c.h is _ZERO else found[3])
+        for (c, t), found in zip(s.roundtrips, s.found)
+    ])
+    checked = sum(map(len, s.table.values()))  # the star candidates too
+    part = s.roundtrips, s.found, expected, _word_roundtrip
+    return compared("invariant roundtrips", checked, [part])
+
+
+def _word_roundtrip(key, derived, expected) -> list[str]:
+    (c, t), (r, a, h, ovals) = key, derived
+    out = [f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"] if derived[:3] != expected[:3] else []
+    if ovals != expected[3]:
+        out.append(f"{c.index} {t}: oval sum violated")
+    return out
 
 
 def _check_euler(derivation: Derivation) -> CheckSection:
-    triples, checked = derivation.euler_triples
-    violations = []
+    triples, checked = derivation._s.euler
     failed = {triple for triple in triples if not double_cover_euler_check(*triple)}
-    if failed:  # name every carrier, by class and then by candidate
-        for c in derivation.atlas.all_classes(_S311):
-            for t in derivation.candidates(c):
-                if t[:3] in failed:
-                    violations.append(f"{c.index} {t}: chi mismatch")
-    return CheckSection("double-cover Euler identity", checked, violations, [], {})
+
+    def carriers(*_) -> list[str]:  # by class, then by candidate
+        pairs = [(c, t) for c in derivation.atlas.all_classes(_S311) for t in derivation.candidates(c)]
+        return [f"{c.index} {t}: chi mismatch" for c, t in pairs if t[:3] in failed]
+
+    return compared("double-cover Euler identity", checked, [((None,), (failed,), (set(),), carriers)])
 
 
 def _check_exclusions(derivation: Derivation) -> CheckSection:
-    checked, violations = 0, []
     # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its candidates are the star case
     # alone; no (10,10,0) class with H = 0 exists to check.
-    for c in derivation.atlas.all_classes(_S311):
-        if c.h is not _ZERO or c.triple not in tables.U_EXCLUDED_TRIPLES:
-            continue
-        checked += 1
-        cases = {t.case for t in derivation.table_candidates(c)}
-        if cases - {_NODE_STAR}:
-            violations.append(
-                f"{c.index}: case I/II candidates emitted for excluded invariants"
-            )
-    return CheckSection("exclusions", checked, violations, [], {})
+    classes = derivation.atlas.all_classes(_S311)
+    excluded = [c for c in classes if c.h is _ZERO and c.triple in tables.U_EXCLUDED_TRIPLES]
+    candidates = map(derivation.table_candidates, excluded)
+    cases = [[t.case for t in ts if t.case is not _NODE_STAR] for ts in candidates]
+    message = "{}: case I/II candidates emitted for excluded invariants"
+    part = excluded, cases, [[]] * len(excluded), lambda c, *_: [message.format(c.index)]
+    return compared("exclusions", len(excluded), [part])
 
 
 def _check_monotonicity(derivation: Derivation) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
-    checked, violations = 0, []
-    kept = derivation.ovals_after
-    for c in derivation.atlas.all_classes(_U):
-        if c.triple in tables.U_EXCLUDED_TRIPLES:
-            continue
-        g, k = gk_invariants(c)
-        before, pools = (g - 1) + k, (g - 1, k)
-        checked += len(TABLE_MOVES)
-        if kept[c.key] == tuple([before - n if pools[p] >= n else None for p, n in _DROPS]):
-            continue
-        for move, outcome in zip(TABLE_MOVES, derivation.outcomes(c)):
-            iso = outcome.iso
-            if iso is None:  # outcome.impossible, without the property call
-                # Impossibility criteria in terms of the pools.
-                pool, _other = move.spec.pools(g, k)
-                if pool >= move.spec.ovals:
-                    violations.append(
-                        f"{c.index} {move.value}: impossible despite {pool} ovals"
-                    )
-                continue
-            after = iso.alpha + iso.beta
-            if before - after != move.spec.ovals:
-                violations.append(
-                    f"{c.index} {move.value}: oval count dropped by {before - after}"
-                )
-    return CheckSection("oval-count monotonicity", checked, violations, [], {})
+    u = derivation._u
+    expected = tuple([pool + other - n if pool >= n else None for pool, other, n in u.pools])
+    part = u.moves, u.after, expected, _word_ovals
+    return compared("oval-count monotonicity", len(u.moves), [part])
+
+
+def _word_ovals(key, after, _expected) -> list[str]:
+    c, move = key
+    pool, other = move.spec.pools(*c.gk)
+    if after is None:
+        return [f"{c.index} {move.value}: impossible despite {pool} ovals"]
+    dropped = pool + other - after
+    if dropped == move.spec.ovals:  # a pool too small, but the move made anyway, drops as many
+        return []
+    return [f"{c.index} {move.value}: oval count dropped by {dropped}"]
 
 
 def _check_graph(derivation: Derivation) -> CheckSection:
-    checked, violations = 1, []
-    graph = transition_graph(derivation)
-    if len(graph.nodes) != 165:
-        violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
-    indegree, classes = graph.in_degree, derivation.atlas.all_classes(_S311)
-    checked += len(classes)
-    if not all(map(indegree.get, map(attrgetter("key"), classes))):
-        violations += [f"{c.index}: no incoming degeneration edge" for c in classes if not indegree.get(c.key)]
-    for key in STAR_KEYS:
-        checked += 1
-        if indegree.get(key) != 1:
-            star = derivation.atlas.lookup(_S311, *key)
-            violations.append(f"{star.index}: in-degree != 1")
-    return CheckSection("transition graph", checked, violations, [], {})
+    graph, atlas = transition_graph(derivation), derivation.atlas
+    indegree, classes = graph.in_degree, atlas.all_classes(_S311)
+    reached = all(map(indegree.get, map(attrgetter("key"), classes)))
+
+    def unreached(*_) -> list[str]:
+        return [f"{c.index}: no incoming degeneration edge" for c in classes if not indegree.get(c.key)]
+
+    parts = [
+        ((None,), (len(graph.nodes),), (165,), lambda _k, n, _e: [f"{n} nodes, expected 63 + 102"]),
+        ((None,), (reached,), (True,), unreached),
+        (
+            STAR_KEYS, tuple(map(indegree.get, STAR_KEYS)), (1,) * len(STAR_KEYS),
+            lambda key, *_: [f"{atlas.lookup(_S311, *key).index}: in-degree != 1"],
+        ),
+    ]
+    return compared("transition graph", 1 + len(classes) + len(STAR_KEYS), parts)
 
 
 def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:

@@ -20,6 +20,7 @@ from k3atlas.atlas import (
     Family,
     HInvariant,
     InvolutionClass,
+    gk_invariants,
     load_atlas,
     related_key,
     validate_atlas,
@@ -137,6 +138,10 @@ def test_derived_rows_are_the_generator_outputs():
         assert row == shipped[c.key] and row is derivation.isotopy_row(c)
         # the cusp variants have cells of their own, which a row leaves out
         assert topology.isotopy_row(c, candidate_isotopy_types(c, True)) == row
+    u, s = derivation._u, derivation._s
+    assert all(type(kept) is tuple for kept in (u.flat, u.moves, u.after, u.pools, u.pairs, s.pairs))
+    assert all(type(kept) is tuple for kept in (s.roundtrips, s.found, s.euler))
+    moves, after, pools = [], [], []
     for c in atlas.all_classes(Family.U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
@@ -144,72 +149,43 @@ def test_derived_rows_are_the_generator_outputs():
         assert type(outcomes) is tuple and outcomes is derivation.outcomes(c)
         assert outcomes == tuple(degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES)
         assert all(o is derivation.outcome(c, m) for o, m in zip(outcomes, TABLE_MOVES))
-        # per side, the cells of the outcomes and the targets of the possible ones
-        kept = derivation.outcome_cells(c)
-        assert kept is derivation.outcome_cells(c)
-        assert kept == tuple(
-            (tuple(o.cell() for o in part), tuple(o.target for o in part if not o.impossible))
-            for part in (outcomes[:3], outcomes[3:])
-        )
-    for side in (TableSide.UNPRIMED, TableSide.PRIMED):
-        flat = derivation.flat_rows[side]
-        assert flat is derivation.flat_rows[side]
+        # per table move: alpha + beta after it, None where impossible, and its pools and ovals
+        moves += [(c, m) for m in TABLE_MOVES]
+        after += [None if o.impossible else o.iso.alpha + o.iso.beta for o in outcomes]
+        pools += [m.spec.pools(*gk_invariants(c)) + (m.spec.ovals,) for m in TABLE_MOVES]
+    assert (u.moves, u.after, u.pools) == (tuple(moves), tuple(after), tuple(pools)) and len(moves) == 366
+    # one form of each move-table row: the flat tuple, and the MoveTableRow built from it
+    for side, flat in zip((TableSide.UNPRIMED, TableSide.PRIMED), u.flat):
         rows = degenerations.degeneration_table(side, atlas)
         assert flat == tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in rows)
         assert all(type(row) is tuple for row in flat)
-    # per S311 class: the table candidates, then per non-star one what _invariants
-    # recovers and its oval sum, plus one for Node (2)
-    roundtrips = derivation.roundtrips
-    assert roundtrips is derivation.roundtrips and len(roundtrips) == 102
+        assert rows == list(u.rows[side]) and rows is not degenerations.degeneration_table(side, atlas)
+    # per non-star table candidate of each S311 class: what _invariants recovers and alpha + beta
+    keys, found = [], []
     for c in atlas.all_classes(Family.S311):
         covered = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
         plain = [t for t in candidate_isotopy_types(c) if t.case is not TopCase.NODE_STAR]
-        assert roundtrips[c.key] == (
-            tuple(candidate_isotopy_types(c)),
-            tuple(topology._invariants(t.case, t.alpha, t.beta, covered) for t in plain),
-            tuple(t.alpha + t.beta + (t.case is TopCase.NODE2) for t in plain),
-        )
-        assert roundtrips[c.key][0] is derivation.table_candidates(c)
-    # per U class with moves: alpha + beta after each table move, None where impossible
-    after = derivation.ovals_after
-    assert after is derivation.ovals_after and len(after) == 61
-    for c in atlas.all_classes(Family.U):
-        if c.triple in tables.U_EXCLUDED_TRIPLES:
-            assert c.key not in after
-            continue
-        fresh = [degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES]
-        assert after[c.key] == tuple(None if o.impossible else o.iso.alpha + o.iso.beta for o in fresh)
+        keys += [(c, t) for t in plain]
+        found += [topology._invariants(t.case, t.alpha, t.beta, covered) + (t.alpha + t.beta,) for t in plain]
+    assert (s.roundtrips, s.found) == (tuple(keys), tuple(found)) and len(keys) == 280
     # per graph node: the number of edges into it
     graph = degenerations.transition_graph(atlas)
     indegree = graph.in_degree
     assert indegree is graph.in_degree and list(indegree) == [n.key for n in graph.nodes]
     assert dict(indegree) == {n.key: [e.target for e in graph.edges].count(n) for n in graph.nodes}
-    # per part of the shipped isotopy table: the row generated for each shipped row's class
-    parts = derivation.isotopy_parts
-    assert parts is derivation.isotopy_parts and all(type(part) is tuple for part in parts)
-    assert parts == tuple(
-        tuple(topology.isotopy_row(c, candidate_isotopy_types(c)) for c in map(find, rows))
-        for rows, find in (
-            (tables.ISOTOPY_H0, lambda row: atlas.lookup(Family.S311, *row[1:4], HInvariant.ZERO)),
-            (tables.ISOTOPY_Z2, lambda row: atlas.lookup(Family.S311, *row[1:4], HInvariant.Z2)),
-        )
-    )
-    # per No.k / No.k' pair: the U class's cells and targets on its side, and the S311
-    # class's isotopy-row cells with that class once per possible move
-    u_side, s_side = derivation.pair_cells
-    assert derivation.pair_cells is derivation.pair_cells
+    # per No.k / No.k' pair: the cells of the moves of its side and the targets of the possible
+    # ones, and the S311 class's isotopy-row cells with that class once per cell that is not None
     fresh_u, fresh_s = [], []
     for k in range(1, 51):
         for side, moves in enumerate((degenerations.UNPRIMED_MOVES, degenerations.PRIMED_MOVES)):
             label = f"No.{k}" + "'" * side
-            u, s = atlas.lookup_index(Family.U, label), atlas.lookup_index(Family.S311, label)
-            fresh = [degenerations.apply_degeneration(u, m, atlas) for m in moves]
-            targets = tuple(o.target for o in fresh if not o.impossible)
-            fresh_u.append((tuple(o.cell() for o in fresh), targets))
-            row = topology.isotopy_row(s, candidate_isotopy_types(s))
+            uc, sc = atlas.lookup_index(Family.U, label), atlas.lookup_index(Family.S311, label)
+            fresh = [degenerations.apply_degeneration(uc, m, atlas) for m in moves]
+            fresh_u.append((tuple(o.cell() for o in fresh), tuple(o.target for o in fresh if not o.impossible)))
+            row = topology.isotopy_row(sc, candidate_isotopy_types(sc))
             cells = tuple(row[6 + topology.ISOTOPY_CELL_CASES.index(m.spec.case)] for m in moves)
-            fresh_s.append((cells, (s,) * len(targets)))
-    assert (u_side, s_side) == (tuple(fresh_u), tuple(fresh_s)) and u_side == s_side
+            fresh_s.append((cells, tuple(sc for cell in cells if cell is not None)))
+    assert (u.pairs, s.pairs) == (tuple(fresh_u), tuple(fresh_s)) and u.pairs == s.pairs
     # per H, the (r, a) cells of the S311 classes with their deltas in order
     grid = atlas._grid
     assert grid is atlas._grid
@@ -270,6 +246,16 @@ def test_a_damaged_outcome_is_worded_move_by_move_on_every_call(
     assert validation.run_all_checks(atlas).violations == expected
 
 
+def test_a_damaged_self_conjunction_is_named_on_every_call(monkeypatch):
+    apply = degenerations.apply_degeneration
+
+    def impossible(c, m, atlas=None):
+        return DegenerationOutcome(m, None, None) if m is Degeneration.CONJ4 else apply(c, m, atlas)
+
+    monkeypatch.setattr(degenerations, "apply_degeneration", impossible)
+    assert _twice(_fresh_atlas()) == ["correspondence: (9, 9, 1) conj4: star outcome mismatch"]
+
+
 def _twice(atlas) -> list:
     first = validation.run_all_checks(atlas).violations
     assert validation.run_all_checks(atlas).violations == first
@@ -320,6 +306,19 @@ def test_a_damaged_oval_sum_is_worded_on_every_call(monkeypatch):
         "isotopy tables: row No.17 Node (1): generated (2, 6), shipped (0, 2)",
         "invariant roundtrips: No.17 Node (1) (2,6): oval sum violated",
         "correspondence: No.17 conj1: produced (0, 2), candidate is (2, 6)",
+    ]
+    # Likewise its Node (2) candidate (0, 1), whose sum is 8 - a, not 9 - a, in place of
+    # (2, 5), which no H = 0 class has either.
+    def node2_shifted(c, include_degenerate=False):
+        out = candidates(c, include_degenerate)
+        return [t._replace(alpha=2, beta=5) if c.key == key and t.case is TopCase.NODE2 else t for t in out]
+
+    monkeypatch.setattr(degenerations, "candidate_isotopy_types", node2_shifted)
+    _patch_invariants(monkeypatch, {(TopCase.NODE2, 2, 5, Region.A_MINUS): key[:2] + key[3:]})
+    assert _twice(_fresh_atlas()) == [
+        "isotopy tables: row No.17 Node (2): generated (2, 5), shipped (0, 1)",
+        "invariant roundtrips: No.17 Node (2) (2,5): oval sum violated",
+        "correspondence: No.17 conj2: produced (0, 1), candidate is (2, 5)",
     ]
 
 
@@ -539,10 +538,10 @@ def test_euler_triples_are_the_distinct_candidate_triples():
     atlas = _fresh_atlas()
     derivation = Derivation.of(atlas)
     lists = [candidate_isotopy_types(c, True) for c in atlas.all_classes(Family.S311)]
-    triples, count = derivation.euler_triples
+    triples, count = derivation._s.euler
     assert triples == tuple(dict.fromkeys(t[:3] for ts in lists for t in ts))
     assert (len(triples), count) == (201, 461) and count == sum(map(len, lists))
-    assert derivation.euler_triples is derivation.euler_triples
+    assert derivation._s is derivation._s
 
 
 def _partners_are_lookups(atlas):
@@ -612,6 +611,42 @@ def test_whole_comparisons_hide_no_damage(monkeypatch, table, edit, expected):
     assert validation.run_all_checks(fresh).violations == first
 
 
+def test_a_damaged_whitelisted_cell_is_a_violation_on_every_call(monkeypatch):
+    # The whitelist names No.16' contr3p as shipped (1, 2) and derived (1, 3); a line is
+    # whitelisted only while both still hold, on a first and on a warm call alike.
+    apply = degenerations.apply_degeneration
+    key = load_atlas().lookup_index(Family.U, "No.16'").key  # No.43, labelled No.16' on that side
+
+    def one_oval_more(c, m, atlas=None):
+        outcome = apply(c, m, atlas)
+        if (c.key, m) != (key, Degeneration.CONTR3P):
+            return outcome
+        return outcome._replace(iso=outcome.iso._replace(alpha=outcome.iso.alpha + 1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(degenerations, "apply_degeneration", one_oval_more)
+        atlas = _fresh_atlas()
+        for _ in range(2):
+            summary = validation.run_all_checks(atlas)
+            assert summary.whitelisted == [] and summary.violations == [
+                "degeneration tables: row No.16' contr3p: derived (2, 3), shipped (1, 2)",
+                "oval-count monotonicity: No.43 contr3p: oval count dropped by 0",
+                "correspondence: No.16' contr3p: produced (2, 3), candidate is (1, 3)",
+            ]
+    warm, fresh = _fresh_atlas(), _fresh_atlas()
+    for _ in range(2):  # undamaged, on a first and a warm call
+        summary = validation.run_all_checks(warm)
+        assert summary.ok and summary.whitelisted == [
+            "degeneration tables: row No.16' contr3p: shipped (1, 2), derived (1, 3)"
+        ]
+    rows = tuple(row._replace(contr3=(0, 3)) if row.index == "No.16'" else row for row in tables.MOVES_PRIMED)
+    monkeypatch.setattr(tables, "MOVES_PRIMED", rows)
+    for atlas in (warm, warm, fresh, fresh):
+        summary = validation.run_all_checks(atlas)
+        assert summary.whitelisted == []
+        assert summary.violations == ["degeneration tables: row No.16' contr3p: derived (1, 3), shipped (0, 3)"]
+
+
 def test_missing_correspondence_class_is_reported_on_every_call():
     # "²" is no decimal digit, so the U class No.1 is missing under its label.
     records = [
@@ -623,57 +658,46 @@ def test_missing_correspondence_class_is_reported_on_every_call():
     cold = validation.run_all_checks(atlas).violations
     warm = validation.run_all_checks(atlas).violations
     assert message in cold and warm == cold
-    assert Derivation.of(atlas).pair_cells is None  # so the pairs are walked on every call
+    # a missing class never matches, so the pairs are walked on every call
+    u, s = Derivation.of(atlas)._u, Derivation.of(atlas)._s
+    assert (u.pairs[0], s.pairs[0][1][0]) == (None, atlas.lookup_index(Family.S311, "No.1"))
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 836 to 910 calls on CPython 3.10 to 3.13 now that the catalog grid,
-    # the isotopy tables, the move tables and the class pairs of the correspondence are
-    # each compared whole (1,652 to 1,730 when they were compared row by row or pair by
-    # pair), each descriptor keeps its Euler characteristic and the roundtrip, oval-count
-    # and graph sections compare one kept tuple per class (4,041 to 4,050 when they
-    # walked every candidate, move and edge), the catalog audit reads the partners
-    # its atlas keeps and the move-table and correspondence sections compare one
-    # kept tuple per row or class pair
-    # (4,761 to 4,769 when they walked every class and move; 4,766 to 4,772
-    # when the classes and sections were still dataclasses),
-    # with the Euler identity run once per distinct triple of the derivation and the
-    # roundtrips skipping the oval check of candidates checked when built (5,205
-    # to 5,211 when they did neither; 8,957 to 9,065 when the checks also
-    # rebuilt dicts and keys per call instead of comparing derived rows;
-    # 13,649 to 14,050 when every call also built its descriptors afresh;
-    # 22,863 to 23,459 when it also derived its outcomes, candidate lists,
-    # move tables and graph afresh).  It keeps one entry per (file, line, name), so of the
-    # generated NamedTuple __new__ methods, which share one label, only one
-    # is counted; but each value built calls the builtin tuple.__new__,
-    # which counts every time.
-    # With frozen dataclasses, whose generated __init__ methods also share
-    # one label, the count was 22,597 to 22,998, and the call was slower.
+    # pstats counts 523 to 551 calls on CPython 3.10 to 3.13 (836 to 910 with a kept
+    # structure beside a walker per section, 22,597 to 23,459 when every call derived
+    # afresh).  It keeps one entry per (file, line, name), so the generated NamedTuple
+    # methods, which share one label, count as one.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert pstats.Stats(profile).total_calls <= 1_050
+    assert pstats.Stats(profile).total_calls <= 650
 
 
 def test_cold_call_stays_under_its_call_budget():
-    # The first call on a loaded atlas derives its outcomes, candidate lists, rows, graph
-    # and descriptors: pstats counts 27,342 to 29,567 calls on CPython 3.10 to 3.13
-    # (27,920 to 29,858 when the four whole comparisons above were row-by-row loops).
+    # The first call on a loaded atlas runs both family passes and builds the descriptors:
+    # 24,041 to 26,570 calls on CPython 3.10 to 3.13 (29,889 to 32,014 with one derivation
+    # per kept structure).  Counted from cProfile's entries, not pstats', which keeps one
+    # entry per (file, line, name): which NamedTuple method it keeps varies between runs.
     script = (
-        "import cProfile, pstats\n"
+        "import cProfile\n"
         "from k3atlas import load_atlas, run_all_checks\n"
         "atlas = load_atlas()\n"
         "profile = cProfile.Profile()\n"
         "assert profile.runcall(run_all_checks, atlas).ok\n"
-        "print(pstats.Stats(profile).total_calls)\n"
+        "print(sum(entry.callcount for entry in profile.getstats()))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "ATLAS_DATA_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
-    assert int(done.stdout) <= 34_000
+    counts = []
+    for seed in ("0", "1"):  # the count depends on no hash seed
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(env, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        counts.append(int(done.stdout))
+    assert counts[0] == counts[1] <= 29_000
 
 
 def _calls_to(code, func, *args) -> int:
@@ -722,14 +746,17 @@ def test_each_public_call_derives_only_what_it_reads(monkeypatch):
         return candidates(c, include_degenerate)
 
     monkeypatch.setattr(degenerations, "candidate_isotopy_types", counting_candidates)
-    # Each first call runs on an atlas of its own; a repeat derives nothing.
-    for side, n in ((TableSide.UNPRIMED, 150), (TableSide.PRIMED, 150), (TableSide.STAR, 2)):
+    # Each first call runs on an atlas of its own; a repeat derives nothing.  Any table or
+    # the graph derives the U family's 368 outcomes at once, and no candidate list.
+    for side in TableSide:
         atlas = _fresh_atlas()
         del pairs[:]
         degenerations.degeneration_table(side, atlas)
-        assert len(pairs) == len(set(pairs)) == n
-        degenerations.degeneration_table(side, atlas)
-        assert len(pairs) == n
+        assert len(pairs) == len(set(pairs)) == 368
+        for other in TableSide:
+            degenerations.degeneration_table(other, atlas)
+        degenerations.transition_graph(atlas)
+        assert len(pairs) == 368
     assert not lists
     atlas = _fresh_atlas()
     del pairs[:]
@@ -740,12 +767,11 @@ def test_each_public_call_derives_only_what_it_reads(monkeypatch):
     atlas = _fresh_atlas()
     del pairs[:]
     assert degenerations.correspondence_check(atlas).ok
-    # all six table moves of each of the 60 U classes it names, and the two
-    # self-conjunctions
-    assert len(pairs) == len(set(pairs)) == 362
+    # both families: the U family's 368 outcomes and the 102 candidate lists
+    assert len(pairs) == len(set(pairs)) == 368
     assert lists == list(atlas.all_classes(Family.S311))
     assert degenerations.correspondence_check(atlas).ok
-    assert len(pairs) == 362 and len(lists) == 102
+    assert len(pairs) == 368 and len(lists) == 102
 
 
 def test_one_derivation_shares_its_outcomes(monkeypatch):
@@ -798,13 +824,15 @@ def test_shared_derivation_hands_out_nothing_mutable():
     assert type(derivation.candidates(c)) is type(derivation.table_candidates(c)) is tuple
     graph = degenerations.transition_graph(atlas)
     assert type(graph.nodes) is type(graph.edges) is tuple
-    # the kept maps the checks compare against are read-only
-    for kept in (derivation.flat_rows, derivation.roundtrips, derivation.ovals_after, graph.in_degree):
-        key = next(iter(kept))
+    # what the checks compare against is read-only: tuples, and a read-only map
+    u, s = derivation._u, derivation._s
+    for kept in (u.flat, u.after, u.pools, u.pairs, s.found, s.pairs, graph.in_degree):
+        key = next(iter(kept.keys() if hasattr(kept, "keys") else range(len(kept))))
         with pytest.raises(TypeError):
             kept[key] = ()
         with pytest.raises(TypeError):
             del kept[key]
+    assert all(type(v) is tuple for v in (*u.by_class.values(), *u.rows.values(), *s.full.values()))
 
 
 def _first_calls(atlas, turn: int) -> list:
