@@ -9,11 +9,12 @@ involution and its composition with the reflection fixing the sublattice.
 Setting the environment variable ``ATLAS_DATA_DIR`` to a directory that
 contains ``s311.json`` and ``u.json`` (records in the export schema of
 ``Atlas.to_records``) replaces the embedded catalogs; ``validate_atlas``
-then reports any damage in the external data.  Both files are read on
-every ``load_atlas`` call but parsed only once per distinct content, so an
-edit shows up on the next call and unchanged files give the same ``Atlas``
-object.  A file that cannot be read, decoded or parsed, or a record that
-lacks a field or has a bad value, raises ``CatalogError``.
+then reports any damage in the external data.  Both files are read
+(unbuffered) on every ``load_atlas`` call and compared byte for byte, not
+hashed, with the four newest distinct contents parsed: an edit shows up on
+the next call and unchanged files give the same ``Atlas``.  A file that
+cannot be read, decoded or parsed, or a record that lacks a field or has a
+bad value, raises ``CatalogError`` (and is not kept).
 
 An ``Atlas`` keeps its one ``degenerations.Derivation`` (whose docstring states what it
 keeps) and the related partners and grid per H that ``validate_atlas`` reads, while it
@@ -305,14 +306,14 @@ def _embedded_atlas() -> Atlas:
 _CATALOG_FILES = ("s311.json", "u.json")
 
 
-@lru_cache(maxsize=4)
-def _atlas_from_bytes(*contents: bytes) -> Atlas:
-    """The atlas in the contents of ``_CATALOG_FILES``.
+# The four newest distinct (contents, atlas) pairs, newest first.  A lookup compares the
+# contents with ``==``: equal bytes are one memcmp and unequal ones of the same length stop at
+# the first differing byte, while a dict or lru_cache would hash both fresh files first.
+_PARSED: list[tuple[tuple[bytes, ...], Atlas]] = []
 
-    The cache key is the bytes themselves, so any edit is a miss; lru_cache
-    stores no exception, so a failed parse is retried on the next call.
-    Errors name each file by its base name.
-    """
+
+def _atlas_from_bytes(*contents: bytes) -> Atlas:
+    """The atlas in the contents of ``_CATALOG_FILES``; errors name each file by its base name."""
     import json  # here, so that the embedded catalog never loads it
 
     records: list = []
@@ -338,18 +339,28 @@ def _atlas_from_bytes(*contents: bytes) -> Atlas:
 
 
 def _atlas_from_dir(path: str) -> Atlas:
+    global _PARSED
     contents = []
     for name in _CATALOG_FILES:
         file = os.path.join(path, name)
         try:
-            with open(file, "rb") as handle:
+            # Unbuffered: one read into a buffer sized by fstat, and no isatty probe.
+            with open(file, "rb", buffering=0) as handle:
                 contents.append(handle.read())
         except OSError as exc:
             raise CatalogError(f"cannot read: {exc.strerror or exc}", file) from None
+    key = tuple(contents)
+    for kept, atlas in _PARSED:
+        if kept == key:
+            return atlas
     try:
-        return _atlas_from_bytes(*contents)
+        atlas = _atlas_from_bytes(*key)
     except CatalogError as exc:
         raise CatalogError(exc.problem, os.path.join(path, exc.file), exc.record) from None
+    # Only a parse that succeeded is kept, so a failed one is retried on the next call.  The
+    # list is replaced, never changed in place, so a scan in another thread reads a whole one.
+    _PARSED = [(key, atlas), *_PARSED[:3]]
+    return atlas
 
 
 def load_atlas(data_dir: str | None = None) -> Atlas:

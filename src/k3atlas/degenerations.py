@@ -199,7 +199,7 @@ class Derivation:
     """What the tables, the graph and the checks read of one atlas, derived in one pass per
     family on first use and kept while it lives; ``Derivation.of(atlas)`` is the atlas's one.
 
-    The U pass (``_u``) calls ``apply_degeneration`` once for each applicable (class, move)
+    The U pass (``_pass``) calls ``apply_degeneration`` once for each applicable (class, move)
     of the classes with moves, 368 times, and keeps ``outcome`` ((c.key, move) -> outcome),
     ``by_class`` (c.key -> the outcomes of ``TABLE_MOVES``), ``flat`` (the unprimed and the
     primed move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)),
@@ -208,6 +208,11 @@ class Derivation:
     None where impossible) and ``pools`` (its pool, the other pool, the ovals it uses),
     ``pairs`` (per No.k / No.k' label, the cells of the moves of its side and the targets of
     the possible ones; None for a missing class, whose label is in ``unpaired``) and ``graph``.
+    ``missing`` keeps, per reader (a ``TableSide`` or ``"graph"``), the first ``NotInAtlas``
+    among what it reads: an outcome whose target is missing or, for the primed table, a missing
+    partner.  ``degeneration_table`` and ``transition_graph`` raise their reader's only, ``_u``
+    (the pass as the checks read it) the first of all, and ``outcome`` and ``outcomes`` the
+    one of the outcome asked for.
 
     The S311 pass (``_s``) calls ``candidate_isotopy_types`` once per class and keeps
     ``full`` and ``table`` (c.key -> its candidates with and without the degenerate variants),
@@ -240,8 +245,16 @@ class Derivation:
         return atlas._derivation
 
     @cached_property
-    def _u(self) -> SimpleNamespace:
+    def _pass(self) -> SimpleNamespace:
         return _u_pass(self.atlas)
+
+    @cached_property
+    def _u(self) -> SimpleNamespace:
+        """The U pass for the checks, which read every outcome: raises the first ``NotInAtlas``."""
+        u = self._pass
+        if u.missing:
+            raise next(iter(u.missing.values())).with_traceback(None)
+        return u
 
     @cached_property
     def _s(self) -> SimpleNamespace:
@@ -250,11 +263,11 @@ class Derivation:
     # Keyed by ``c.key``, a tuple hashed in C: its H part fixes the family.
     def outcome(self, c: InvolutionClass, move: Degeneration) -> DegenerationOutcome:
         """As ``apply_degeneration`` gives it, and raises it for a class without moves."""
-        return self._u.outcome.get((c.key, move)) or apply_degeneration(c, move, self.atlas)
+        return self._pass.outcome.get((c.key, move)) or apply_degeneration(c, move, self.atlas)
 
     def outcomes(self, c: InvolutionClass) -> tuple[DegenerationOutcome, ...]:
         """The outcomes of ``TABLE_MOVES`` from the U class ``c``, in that order."""
-        return self._u.by_class.get(c.key) or tuple([self.outcome(c, m) for m in TABLE_MOVES])
+        return self._pass.by_class.get(c.key) or tuple([self.outcome(c, m) for m in TABLE_MOVES])
 
     def candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
         """With the degenerate variants; the first request derives all 102."""
@@ -271,17 +284,25 @@ class Derivation:
 
 def _u_pass(atlas: Atlas) -> SimpleNamespace:
     u = SimpleNamespace(atlas=atlas, outcome={}, by_class={}, moves=[], after=[], pools=[], edges=[])
-    flat, sides = ([], []), {}
+    flat, sides, u.missing = ([], []), {}, {}
     for c in atlas.all_classes(_U):
         if c.triple in U_EXCLUDED_TRIPLES:
             continue
         g, k = gk_invariants(c)
         head = c.r, c.a, c.delta, g, k
+        # move -> its outcome, and move -> the NotInAtlas of one whose target is missing
+        got, lost = {}, {}
         for move in applicable_moves(c):
-            outcome = u.outcome[c.key, move] = apply_degeneration(c, move, atlas)
+            try:
+                outcome = got[move] = u.outcome[c.key, move] = apply_degeneration(c, move, atlas)
+            except NotInAtlas as exc:
+                lost[move] = exc.with_traceback(None)
+                # Stands in, unkept, in rows that raise before they are read.
+                got[move] = DegenerationOutcome(move, None, None)
+                continue
             if outcome.iso is not None:
                 u.edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
-        outcomes = u.by_class[c.key] = tuple([u.outcome[c.key, m] for m in TABLE_MOVES])
+        outcomes = tuple([got[m] for m in TABLE_MOVES])
         for move, o in zip(TABLE_MOVES, outcomes):
             u.moves.append((c, move))
             u.after.append(o.iso and o.iso.alpha + o.iso.beta)
@@ -296,24 +317,43 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
         # a shadowed duplicate is labelled too); whenever k >= 1 the partner has g = k + 1 >= 2
         # and hence an unprimed label.
         if k >= 1:
-            partner = atlas.lookup(_U, *related_key(c)) or atlas.related_class(c)  # raises if missing
-            flat[1].append((f"{partner.index}'", *head, *primed[0]))
+            try:  # related_class raises for a missing partner
+                partner = atlas.lookup(_U, *related_key(c)) or atlas.related_class(c)
+            except NotInAtlas as exc:
+                u.missing.setdefault(_PRIMED, exc.with_traceback(None))
+            else:
+                flat[1].append((f"{partner.index}'", *head, *primed[0]))
+        if lost:  # each reader keeps the first NotInAtlas among the outcomes it reads
+            _keep_lost(u.missing, "graph", lost, lost)
+            _keep_lost(u.missing, _STAR, lost, STAR_MOVES)
+            _keep_lost(u.missing, _UNPRIMED, lost, UNPRIMED_MOVES if g >= 2 else ())
+            _keep_lost(u.missing, _PRIMED, lost, PRIMED_MOVES if k >= 1 else ())
+        else:
+            u.by_class[c.key] = outcomes
     for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
         rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
     u.flat, u.moves, u.after, u.pools = tuple(map(tuple, flat)), *map(tuple, (u.moves, u.after, u.pools))
     u.rows = {
         side: tuple([MoveTableRow(*row[:6], tuple(zip(moves, row[6:]))) for row in rows])
-        for side, (moves, _getter), rows in zip((TableSide.UNPRIMED, _PRIMED), _SIDES, u.flat)
+        for side, (moves, _getter), rows in zip((_UNPRIMED, _PRIMED), _SIDES, u.flat)
     }
     u.rows[_STAR] = tuple([
-        MoveTableRow(c.index, c.r, c.a, c.delta, *c.gk, ((m, u.outcome[c.key, m].cell()),))
+        MoveTableRow(c.index, c.r, c.a, c.delta, *c.gk, ((m, outcome.cell()),))
         for m in STAR_MOVES
-        if (c := atlas.lookup(_U, *m.spec.source))
+        if (c := atlas.lookup(_U, *m.spec.source)) and (outcome := u.outcome.get((c.key, m)))
     ])
     found, u.unpaired = _resolve(atlas, _U)  # None also for a class without moves
     u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in found])
     u.graph = _derive_graph(u)
     return u
+
+
+def _keep_lost(missing: dict, reader, lost: dict, moves) -> None:
+    # The NotInAtlas of the first of ``moves`` in ``lost``, kept for ``reader`` unless it has one.
+    for move in moves:
+        if move in lost:
+            missing.setdefault(reader, lost[move])
+            return
 
 
 def _s311_pass(atlas: Atlas) -> SimpleNamespace:
@@ -353,7 +393,7 @@ class TableSide(IdentityEnum):
     STAR = "star"
 
 
-_PRIMED, _STAR = TableSide.PRIMED, TableSide.STAR
+_UNPRIMED, _PRIMED, _STAR = TableSide.UNPRIMED, TableSide.PRIMED, TableSide.STAR
 
 
 class MoveTableRow(NamedTuple):
@@ -375,7 +415,10 @@ def degeneration_table(
     every class with k >= 1, each under its index on that side; the star
     table holds the two self-conjunction rows.  Each call returns a new list.
     """
-    return list(Derivation.of(atlas)._u.rows[side])
+    u = Derivation.of(atlas)._pass
+    if side in u.missing:
+        raise u.missing[side].with_traceback(None)
+    return list(u.rows[side])
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +546,10 @@ class TransitionGraph(Checked, _GraphFields):
 
 def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs, in atlas order."""
-    return Derivation.of(atlas)._u.graph
+    u = Derivation.of(atlas)._pass
+    if "graph" in u.missing:
+        raise u.missing["graph"].with_traceback(None)
+    return u.graph
 
 
 def _derive_graph(u: SimpleNamespace) -> TransitionGraph:

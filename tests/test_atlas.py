@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -414,8 +416,10 @@ def catalog_dir(atlas, tmp_path):
     return tmp_path
 
 
-def test_external_atlas_parsed_once(catalog_dir, monkeypatch):
-    atlas_module._atlas_from_bytes.cache_clear()
+@pytest.fixture
+def parses(monkeypatch):
+    """The record count of each ``Atlas.from_records`` call, from an empty parse cache on."""
+    atlas_module._PARSED.clear()
     calls = []
     original = Atlas.from_records.__func__
 
@@ -424,9 +428,109 @@ def test_external_atlas_parsed_once(catalog_dir, monkeypatch):
         return original(cls, records)
 
     monkeypatch.setattr(Atlas, "from_records", classmethod(counting))
+    return calls
+
+
+def test_external_atlas_parsed_once(catalog_dir, parses):
     first = load_atlas(str(catalog_dir))
+    assert parses == [165]
+    del parses[:]
+    for _ in range(3):
+        assert load_atlas(str(catalog_dir)) is first
+    assert parses == []
+
+
+def test_external_atlas_reads_both_files_on_every_call(catalog_dir, monkeypatch):
+    opened = []
+
+    def recording(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(atlas_module, "open", recording, raising=False)
+    for _ in range(3):
+        load_atlas(str(catalog_dir))
+    assert opened == ["s311.json", "u.json"] * 3
+
+
+def test_parse_cache_keeps_the_four_newest_contents(catalog_dir, parses):
+    path = catalog_dir / "u.json"
+    text = path.read_text()
+
+    def load(n):  # the n-th distinct content: trailing whitespace, the same records
+        path.write_text(text + " " * n)
+        return load_atlas(str(catalog_dir))
+
+    atlases = [load(n) for n in range(5)]
+    assert len(parses) == 5 and len(set(map(id, atlases))) == 5
+    assert len(atlas_module._PARSED) == 4
+    del parses[:]
+    for n in range(1, 5):  # the four newest still hit
+        assert load(n) is atlases[n]
+    assert parses == []
+    reparsed = load(0)  # the oldest was evicted by the fifth
+    assert parses == [165] and reparsed is not atlases[0]
+    assert reparsed.all_classes(Family.U) == atlases[0].all_classes(Family.U)
+    assert [atlas for _, atlas in atlas_module._PARSED] == [reparsed] + atlases[4:1:-1]
+
+
+def test_failed_parse_leaves_the_kept_contents(catalog_dir, parses):
+    path = catalog_dir / "s311.json"
+    good = path.read_text()
+    first = load_atlas(str(catalog_dir))
+    path.write_text(good + "\n")
+    second = load_atlas(str(catalog_dir))
+    kept = list(atlas_module._PARSED)
+    for bad in ("[{", "{}", good.replace('"r": 7', '"r": "7"', 1)):
+        path.write_text(bad)
+        with pytest.raises(CatalogError):
+            load_atlas(str(catalog_dir))
+        assert list(map(id, atlas_module._PARSED)) == list(map(id, kept))  # the same pairs
+    del parses[:]
+    path.write_text(good)
     assert load_atlas(str(catalog_dir)) is first
-    assert calls == [165]
+    path.write_text(good + "\n")
+    assert load_atlas(str(catalog_dir)) is second
+    assert parses == []
+
+
+def test_threads_loading_several_catalogs_each_get_their_own(catalog_dir, tmp_path):
+    # Six contents, more than are kept, loaded by more threads than cores: each load must
+    # return the atlas of the files it read, and at most four contents stay kept.
+    text = (catalog_dir / "s311.json").read_text()
+    dirs = []
+    for n in range(6):
+        path = tmp_path / f"c{n}"
+        path.mkdir()
+        (path / "s311.json").write_text(text.replace('"No.17"', f'"X{n}"', 1))
+        (path / "u.json").write_text((catalog_dir / "u.json").read_text())
+        dirs.append(str(path))
+    wrong = []
+    barrier = threading.Barrier(4)
+
+    def work(turn):
+        barrier.wait()
+        for i in range(12):
+            n = (i * (turn + 1)) % 6
+            if load_atlas(dirs[n]).lookup_index(Family.S311, f"X{n}") is None:
+                wrong.append((turn, n))
+
+    threads = [threading.Thread(target=work, args=(turn,)) for turn in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(atlas_module._PARSED) <= 4
+    for (s311, _u), atlas in atlas_module._PARSED:
+        index = next(f"X{n}" for n in range(6) if f'"X{n}"'.encode() in s311)
+        assert atlas.lookup_index(Family.S311, index) is not None
 
 
 def test_external_atlas_sees_edit_with_same_size_and_mtime(catalog_dir):

@@ -659,6 +659,32 @@ def test_exit_codes_of_library_errors(exported_catalogs, capsys, monkeypatch):
     assert code == 1
 
 
+def test_data_dir_missing_target_fails_only_what_reads_it(exported_catalogs, capsys, monkeypatch):
+    # s311 No.17' (12,8,1) is the target of primed moves only: the unprimed and star tables
+    # never read those outcomes and print as on the embedded catalog.
+    embedded = {side: run(capsys, "degenerate", "--side", side) for side in ("unprimed", "star")}
+    path = exported_catalogs / "s311.json"
+    path.write_text(json.dumps([rec for rec in json.loads(path.read_text()) if rec["index"] != "No.17'"]))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    missing = "atlas: no class with invariants (12, 8, 1) and H=Z2 exists\n"
+    for _call in range(2):  # a first and a warm call on the same atlas
+        for side in ("unprimed", "star"):
+            assert run(capsys, "degenerate", "--side", side) == embedded[side]
+        for argv in (["degenerate", "--side", "primed"], ["graph"]):
+            assert run(capsys, *argv) == (3, "", missing)
+        code, out, err = run(capsys, "validate")
+        assert (code, err) == (1, "")
+        assert out.endswith("summary: 101/50, 63/37, 5 violations, 0 whitelisted discrepancies\n")
+
+
+def test_data_dir_catalog_file_that_is_a_directory(exported_catalogs, capsys, monkeypatch):
+    path = exported_catalogs / "s311.json"
+    path.unlink()
+    path.mkdir()
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    assert run(capsys, "validate") == (7, "", f"atlas: {path}: cannot read: Is a directory\n")
+
+
 # Line and paragraph separators and control characters are left out: the
 # messages echo the selector, and a line break in it would split the line.
 _SELECTOR_CHARS = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"))

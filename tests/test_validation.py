@@ -5,7 +5,6 @@ import cProfile
 import gc
 import json
 import os
-import pstats
 import subprocess
 import sys
 import threading
@@ -664,15 +663,15 @@ def test_missing_correspondence_class_is_reported_on_every_call():
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # pstats counts 523 to 551 calls on CPython 3.10 to 3.13 (836 to 910 with a kept
-    # structure beside a walker per section, 22,597 to 23,459 when every call derived
-    # afresh).  It keeps one entry per (file, line, name), so the generated NamedTuple
-    # methods, which share one label, count as one.
+    # 556 calls on CPython 3.10.13 and 3.11.7 and 532 on 3.12.1 and 3.13.0 under either hash
+    # seed (pstats, which folds same-label entries, read 523 to 551 and varied between runs;
+    # 836 to 910 with a kept structure beside a walker per section, 22,597 to 23,459 when
+    # every call derived afresh).  Counted from cProfile's entries, as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert pstats.Stats(profile).total_calls <= 650
+    assert sum(entry.callcount for entry in profile.getstats()) <= 650
 
 
 def test_cold_call_stays_under_its_call_budget():
@@ -794,7 +793,7 @@ def test_one_derivation_shares_its_outcomes(monkeypatch):
 def test_each_atlas_keeps_one_derivation_for_its_lifetime(tmp_path):
     for family, name in ((Family.S311, "s311.json"), (Family.U, "u.json")):
         (tmp_path / name).write_text(json.dumps(load_atlas().to_records(family)))
-    atlas_module._atlas_from_bytes.cache_clear()
+    atlas_module._PARSED.clear()
     atlas = load_atlas(str(tmp_path))
     assert validation.run_all_checks(atlas).ok
     derivation = Derivation.of(atlas)
