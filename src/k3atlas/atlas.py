@@ -154,6 +154,7 @@ class Atlas:
         for c in classes:
             self._by_key.setdefault((c.family,) + c.key, c)
             self._by_index.setdefault((c.family, c.index), c)
+        self._labels = len(self._by_index)  # the distinct (family, label) pairs, before the aliases
         for c in classes:
             # "No.k'" names the related class of "No.k"; register the alias
             # for classes whose canonical label comes from the other table.
@@ -426,16 +427,25 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
         "u delta=1": deltas.count(1),
     }
 
-    if len(atlas._by_key) < len(s311) + len(u):  # some class shadows another of its key
+    n = counts["s311"] + counts["u"]
+    if len(atlas._by_key) < n or atlas._labels < n:  # some class shadows another of its key or label
         for family, members in ((_S311, s311), (_U, u)):
             seen: dict[tuple, str] = {}
+            named: dict[str, list[str]] = {}  # label -> the invariants of the classes it names
             for c in members:
+                h = "" if family is _U else f" (H={c.h.value})"
                 if c.key in seen:
-                    h = "" if family is _U else f" (H={c.h.value})"
                     violations.append(
                         f"{family.value}: duplicate invariants {c.triple}{h} ({seen[c.key]} and {c.index})"
                     )
+                else:
+                    named.setdefault(c.index, []).append(f"{c.triple}{h}")
                 seen[c.key] = c.index
+            violations += [
+                f"{family.value}: label {label} names {' and '.join(found)}"
+                for label, found in named.items()
+                if len(found) > 1
+            ]
 
     # related_key keeps delta, is an involution on keys, sends U's (g, k) to
     # (k+1, g-1) and S311's H = 0 (r, a) to (19-r, a+1) with H = Z/2; so only

@@ -208,11 +208,9 @@ class Derivation:
     None where impossible) and ``pools`` (its pool, the other pool, the ovals it uses),
     ``pairs`` (per No.k / No.k' label, the cells of the moves of its side and the targets of
     the possible ones; None for a missing class, whose label is in ``unpaired``) and ``graph``.
-    ``missing`` keeps, per reader (a ``TableSide`` or ``"graph"``), the first ``NotInAtlas``
-    among what it reads: an outcome whose target is missing or, for the primed table, a missing
-    partner.  ``degeneration_table`` and ``transition_graph`` raise their reader's only, ``_u``
-    (the pass as the checks read it) the first of all, and ``outcome`` and ``outcomes`` the
-    one of the outcome asked for.
+    ``missing`` keeps the first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing
+    target under its move's table and ``"graph"``, a missing partner under the primed table, and
+    either under ``None``, the reader of the whole pass (``_u``, as the checks read it).
 
     The S311 pass (``_s``) calls ``candidate_isotopy_types`` once per class and keeps
     ``full`` and ``table`` (c.key -> its candidates with and without the degenerate variants),
@@ -248,13 +246,15 @@ class Derivation:
     def _pass(self) -> SimpleNamespace:
         return _u_pass(self.atlas)
 
-    @cached_property
-    def _u(self) -> SimpleNamespace:
-        """The U pass for the checks, which read every outcome: raises the first ``NotInAtlas``."""
+    def _read(self, reader=None):
+        """The rows of ``reader`` (a ``TableSide``), the graph (``"graph"``) or the whole pass
+        (``None``), or the ``NotInAtlas`` that ``missing`` keeps for that reader, raised."""
         u = self._pass
-        if u.missing:
-            raise next(iter(u.missing.values())).with_traceback(None)
-        return u
+        if reader in u.missing:
+            raise u.missing[reader].with_traceback(None)
+        return u if reader is None else u.graph if reader == "graph" else u.rows[reader]
+
+    _u = cached_property(_read)  # the pass as the checks, which read every outcome, read it
 
     @cached_property
     def _s(self) -> SimpleNamespace:
@@ -290,15 +290,24 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
             continue
         g, k = gk_invariants(c)
         head = c.r, c.a, c.delta, g, k
-        # move -> its outcome, and move -> the NotInAtlas of one whose target is missing
-        got, lost = {}, {}
+        # The primed table labels a class after its related partner (a plain lookup, so that
+        # a shadowed duplicate is labelled too); whenever k >= 1 the partner has g = k + 1 >= 2
+        # and hence an unprimed label.
+        if k >= 1:
+            try:  # related_class raises for a missing partner
+                partner = atlas.lookup(_U, *related_key(c)) or atlas.related_class(c)
+            except NotInAtlas as exc:
+                for reader in (_PRIMED, None):
+                    u.missing.setdefault(reader, exc.with_traceback(None))
+        got, whole = {}, True  # move -> its outcome; whole while no target is missing
         for move in applicable_moves(c):
             try:
                 outcome = got[move] = u.outcome[c.key, move] = apply_degeneration(c, move, atlas)
             except NotInAtlas as exc:
-                lost[move] = exc.with_traceback(None)
+                for reader in (_TABLE_OF[move], "graph", None):
+                    u.missing.setdefault(reader, exc.with_traceback(None))
                 # Stands in, unkept, in rows that raise before they are read.
-                got[move] = DegenerationOutcome(move, None, None)
+                got[move], whole = DegenerationOutcome(move, None, None), False
                 continue
             if outcome.iso is not None:
                 u.edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
@@ -313,22 +322,9 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
         ]
         if g >= 2:
             flat[0].append((c.index, *head, *unprimed[0]))
-        # The primed table labels a class after its related partner (a plain lookup, so that
-        # a shadowed duplicate is labelled too); whenever k >= 1 the partner has g = k + 1 >= 2
-        # and hence an unprimed label.
-        if k >= 1:
-            try:  # related_class raises for a missing partner
-                partner = atlas.lookup(_U, *related_key(c)) or atlas.related_class(c)
-            except NotInAtlas as exc:
-                u.missing.setdefault(_PRIMED, exc.with_traceback(None))
-            else:
-                flat[1].append((f"{partner.index}'", *head, *primed[0]))
-        if lost:  # each reader keeps the first NotInAtlas among the outcomes it reads
-            _keep_lost(u.missing, "graph", lost, lost)
-            _keep_lost(u.missing, _STAR, lost, STAR_MOVES)
-            _keep_lost(u.missing, _UNPRIMED, lost, UNPRIMED_MOVES if g >= 2 else ())
-            _keep_lost(u.missing, _PRIMED, lost, PRIMED_MOVES if k >= 1 else ())
-        else:
+        if k >= 1 and _PRIMED not in u.missing:  # else no primed row is read
+            flat[1].append((f"{partner.index}'", *head, *primed[0]))
+        if whole:
             u.by_class[c.key] = outcomes
     for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
         rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
@@ -346,14 +342,6 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in found])
     u.graph = _derive_graph(u)
     return u
-
-
-def _keep_lost(missing: dict, reader, lost: dict, moves) -> None:
-    # The NotInAtlas of the first of ``moves`` in ``lost``, kept for ``reader`` unless it has one.
-    for move in moves:
-        if move in lost:
-            missing.setdefault(reader, lost[move])
-            return
 
 
 def _s311_pass(atlas: Atlas) -> SimpleNamespace:
@@ -394,6 +382,8 @@ class TableSide(IdentityEnum):
 
 
 _UNPRIMED, _PRIMED, _STAR = TableSide.UNPRIMED, TableSide.PRIMED, TableSide.STAR
+# The table that reads each move's outcomes.
+_TABLE_OF = {m: side for side, ms in zip(TableSide, (UNPRIMED_MOVES, PRIMED_MOVES, STAR_MOVES)) for m in ms}
 
 
 class MoveTableRow(NamedTuple):
@@ -415,10 +405,7 @@ def degeneration_table(
     every class with k >= 1, each under its index on that side; the star
     table holds the two self-conjunction rows.  Each call returns a new list.
     """
-    u = Derivation.of(atlas)._pass
-    if side in u.missing:
-        raise u.missing[side].with_traceback(None)
-    return list(u.rows[side])
+    return list(Derivation.of(atlas)._read(side))
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +533,7 @@ class TransitionGraph(Checked, _GraphFields):
 
 def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs, in atlas order."""
-    u = Derivation.of(atlas)._pass
-    if "graph" in u.missing:
-        raise u.missing["graph"].with_traceback(None)
-    return u.graph
+    return Derivation.of(atlas)._read("graph")
 
 
 def _derive_graph(u: SimpleNamespace) -> TransitionGraph:

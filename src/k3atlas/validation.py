@@ -40,7 +40,6 @@ from .degenerations import (
     Derivation,
     TableSide,
     correspondence_check,
-    transition_graph,
 )
 from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, double_cover_euler_check
 
@@ -233,7 +232,7 @@ def _word_ovals(key, after, _expected) -> list[str]:
 
 
 def _check_graph(derivation: Derivation) -> CheckSection:
-    graph, atlas = transition_graph(derivation), derivation.atlas
+    graph, atlas = derivation._u.graph, derivation.atlas
     indegree, classes = graph.in_degree, atlas.all_classes(_S311)
     reached = all(map(indegree.get, map(attrgetter("key"), classes)))
 

@@ -659,22 +659,52 @@ def test_exit_codes_of_library_errors(exported_catalogs, capsys, monkeypatch):
     assert code == 1
 
 
-def test_data_dir_missing_target_fails_only_what_reads_it(exported_catalogs, capsys, monkeypatch):
-    # s311 No.17' (12,8,1) is the target of primed moves only: the unprimed and star tables
-    # never read those outcomes and print as on the embedded catalog.
-    embedded = {side: run(capsys, "degenerate", "--side", side) for side in ("unprimed", "star")}
+@pytest.mark.parametrize(
+    "index, failing, invariants",
+    [
+        ("No.17'", "primed", "(12, 8, 1) and H=Z2"),  # the target of primed moves only
+        ("No.17", "unprimed", "(7, 7, 1) and H=0"),  # the target of unprimed moves only
+        ("special-(10,8,0)", "star", "(10, 8, 0) and H=0"),  # the target of conj4 only
+    ],
+    ids=["primed", "unprimed", "star"],
+)
+def test_data_dir_missing_target_fails_only_what_reads_it(
+    exported_catalogs, capsys, monkeypatch, index, failing, invariants
+):
+    # An s311 class that only one table's moves land on: the other tables never read those
+    # outcomes and print as on the embedded catalog.
+    sides = [side.value for side in TableSide if side.value != failing]
+    embedded = {side: run(capsys, "degenerate", "--side", side) for side in sides}
     path = exported_catalogs / "s311.json"
-    path.write_text(json.dumps([rec for rec in json.loads(path.read_text()) if rec["index"] != "No.17'"]))
+    path.write_text(json.dumps([rec for rec in json.loads(path.read_text()) if rec["index"] != index]))
     monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
-    missing = "atlas: no class with invariants (12, 8, 1) and H=Z2 exists\n"
+    missing = f"atlas: no class with invariants {invariants} exists\n"
     for _call in range(2):  # a first and a warm call on the same atlas
-        for side in ("unprimed", "star"):
+        for side in sides:
             assert run(capsys, "degenerate", "--side", side) == embedded[side]
-        for argv in (["degenerate", "--side", "primed"], ["graph"]):
+        for argv in (["degenerate", "--side", failing], ["graph"]):
             assert run(capsys, *argv) == (3, "", missing)
         code, out, err = run(capsys, "validate")
         assert (code, err) == (1, "")
         assert out.endswith("summary: 101/50, 63/37, 5 violations, 0 whitelisted discrepancies\n")
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["after", "first"])
+def test_data_dir_one_label_on_two_classes(exported_catalogs, capsys, monkeypatch, first):
+    # (10,8,0) also carries the label No.5 of (3,1,1): in either record order the catalog audit
+    # names the label, and the deeper checks, which look classes up by label, do not run.
+    path = exported_catalogs / "u.json"
+    records = json.loads(path.read_text())
+    relabelled = next(rec for rec in records if rec["index"] == "special-(10,8,0)")
+    relabelled["index"] = "No.5"
+    if first:
+        records = [relabelled] + [rec for rec in records if rec is not relabelled]
+    path.write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, err = run(capsys, "validate")
+    assert (code, err) == (1, "")
+    assert "  ! u: label No.5 names (3, 1, 1) and (10, 8, 0)\n" in out
+    assert out.endswith("summary: 102/51, 63/37, 1 violations, 0 whitelisted discrepancies\n")
 
 
 def test_data_dir_catalog_file_that_is_a_directory(exported_catalogs, capsys, monkeypatch):

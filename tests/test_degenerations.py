@@ -23,7 +23,7 @@ from k3atlas.degenerations import (
     graph_to_json,
     transition_graph,
 )
-from k3atlas.errors import MoveNotApplicable, SpecialClass, WrongFamily
+from k3atlas.errors import MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
 from k3atlas.topology import (
     PieceKind,
     Region,
@@ -440,6 +440,37 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
     excluded = atlas.lookup(Family.U, 10, 8, 0)
     with pytest.raises(SpecialClass, match="no oval bookkeeping"):
         derivation.outcome(excluded, Degeneration.CONJ1)
+
+
+@pytest.mark.parametrize(
+    "family, index, failing, error, lost",
+    [
+        # the target of the primed moves from U:No.17' (13,7,1) only
+        (Family.S311, "No.17'", {TableSide.PRIMED, "graph"}, r"\(12, 8, 1\) and H=Z2", (13, 7, 1)),
+        # the target of conj4 only, and no correspondence pair
+        (Family.S311, "special-(10,8,0)", {TableSide.STAR, "graph"}, r"\(10, 8, 0\) and H=0", None),
+        # the partner that labels U:No.43 (13,5,1) in the primed table
+        (Family.U, "No.16", {TableSide.PRIMED}, r"related invariants of U:No.43 \(13,5,1\)", None),
+    ],
+    ids=["s311-No.17'", "s311-special-(10,8,0)", "u-No.16"],
+)
+def test_a_missing_class_fails_only_what_reads_it(atlas, family, index, failing, error, lost):
+    records = [rec for f in Family for rec in atlas.to_records(f) if (f, rec["index"]) != (family, index)]
+    derivation = Derivation(Atlas.from_records(records))
+    readers = {side: lambda d, side=side: degeneration_table(side, d) for side in TableSide}
+    readers["graph"] = transition_graph
+    for _call in range(2):  # a first and a warm call
+        for reader, read in readers.items():
+            if reader in failing:
+                with pytest.raises(NotInAtlas, match=error):
+                    read(derivation)
+            else:
+                assert read(derivation)
+        with pytest.raises(NotInAtlas, match=error):  # the checks read every outcome and row
+            derivation._u
+    if lost:  # no impossible outcome stands in for the missing target
+        with pytest.raises(NotInAtlas, match=error):
+            derivation.outcomes(derivation.atlas.lookup(Family.U, *lost))
 
 
 # One instance of each catalog value type, with the repr it had when the types

@@ -663,7 +663,7 @@ def test_missing_correspondence_class_is_reported_on_every_call():
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 556 calls on CPython 3.10.13 and 3.11.7 and 532 on 3.12.1 and 3.13.0 under either hash
+    # 551 calls on CPython 3.10.13 and 3.11.7 and 527 on 3.12.1 and 3.13.0 under either hash
     # seed (pstats, which folds same-label entries, read 523 to 551 and varied between runs;
     # 836 to 910 with a kept structure beside a walker per section, 22,597 to 23,459 when
     # every call derived afresh).  Counted from cProfile's entries, as the cold call is.
@@ -676,7 +676,7 @@ def test_warm_call_stays_under_its_call_budget():
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 24,041 to 26,570 calls on CPython 3.10 to 3.13 (29,889 to 32,014 with one derivation
+    # 24,035 to 26,572 calls on CPython 3.10 to 3.13 (29,889 to 32,014 with one derivation
     # per kept structure).  Counted from cProfile's entries, not pstats', which keeps one
     # entry per (file, line, name): which NamedTuple method it keeps varies between runs.
     script = (
