@@ -47,6 +47,7 @@ _EXPORTS = {
     "validation": ("ValidationSummary", "run_all_checks"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_LOADED: dict = {}  # submodule name -> the module import_module returned
 
 __all__ = list(_MODULE_OF)
 
@@ -57,7 +58,10 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    loaded = _LOADED.get(module)
+    if loaded is None:  # kept once import_module returns: no thread reads a half-imported module
+        loaded = _LOADED[module] = import_module(f"{__name__}.{module}")
+    return getattr(loaded, name)
 
 
 def __dir__() -> list[str]:

@@ -154,7 +154,8 @@ class Atlas:
         for c in classes:
             self._by_key.setdefault((c.family,) + c.key, c)
             self._by_index.setdefault((c.family, c.index), c)
-        self._labels = len(self._by_index)  # the distinct (family, label) pairs, before the aliases
+        self._labels = len(self._by_index)  # the distinct (family, label) pairs, less the held aliases
+        self._held: list[tuple[str, InvolutionClass]] = []  # (alias, its partner) a canonical label holds
         for c in classes:
             # "No.k'" names the related class of "No.k"; register the alias
             # for classes whose canonical label comes from the other table.
@@ -164,8 +165,10 @@ class Atlas:
                 and not c.index.endswith("'")
             ):
                 partner = self._by_key.get((Family.U,) + related_key(c))
-                if partner is not None:
-                    self._by_index.setdefault((Family.U, c.index + "'"), partner)
+                alias = c.index + "'"
+                if partner is not None and self._by_index.setdefault((_U, alias), partner) is not partner:
+                    self._held.append((alias, partner))
+        self._labels -= len(self._held)
 
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
         return self._by_family[family]
@@ -305,6 +308,7 @@ def _embedded_atlas() -> Atlas:
 
 
 _CATALOG_FILES = ("s311.json", "u.json")
+_DATA_DIR_KEY = os.environ.encodekey("ATLAS_DATA_DIR")
 
 
 # The four newest distinct (contents, atlas) pairs, newest first.  A lookup compares the
@@ -367,12 +371,15 @@ def _atlas_from_dir(path: str) -> Atlas:
 def load_atlas(data_dir: str | None = None) -> Atlas:
     """The embedded atlas, or the one under data_dir / $ATLAS_DATA_DIR.
 
-    An external catalog is read on every call and parsed once per distinct
-    content of its two files; see the module docstring.
+    $ATLAS_DATA_DIR is read on every call, raising no KeyError when unset;
+    empty means embedded.  An external catalog is read on every call and
+    parsed once per distinct content of its two files; see the module docstring.
     """
-    path = data_dir if data_dir is not None else os.environ.get("ATLAS_DATA_DIR")
-    if path:
-        return _atlas_from_dir(path)
+    if data_dir is None:  # os.environ's own mapping answers an unset variable without a KeyError
+        data_dir = os.environ._data.get(_DATA_DIR_KEY)
+        data_dir = data_dir and os.environ.decodevalue(data_dir)
+    if data_dir:
+        return _atlas_from_dir(data_dir)
     return _embedded_atlas()
 
 
@@ -441,6 +448,8 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
                 else:
                     named.setdefault(c.index, []).append(f"{c.triple}{h}")
                 seen[c.key] = c.index
+            for alias, partner in atlas._held if family is _U else ():
+                named.setdefault(alias, []).append(str(partner.triple))
             violations += [
                 f"{family.value}: label {label} names {' and '.join(found)}"
                 for label, found in named.items()

@@ -280,6 +280,20 @@ def test_validate_detects_duplicates(atlas):
         assert not any("related invariants" in v for v in report.violations)
 
 
+def test_validate_names_a_label_that_holds_an_alias(atlas):
+    # "No.5'" is the alias of No.49 (17, 1, 1), the partner of No.5; relabelled so, (10, 8, 0)
+    # holds it, so looking up "No.5'" finds (10, 8, 0) and the audit names the label.
+    records = atlas.to_records(Family.S311) + [
+        dict(rec, index="No.5'") if rec["index"] == "special-(10,8,0)" else rec
+        for rec in atlas.to_records(Family.U)
+    ]
+    relabelled = Atlas.from_records(records)
+    assert relabelled.lookup_index(Family.U, "No.5'").triple == (10, 8, 0)
+    assert (atlas._labels, relabelled._labels) == (165, 164)
+    report = validate_atlas(relabelled)
+    assert report.violations == ["u: label No.5' names (10, 8, 0) and (17, 1, 1)"]
+
+
 def test_records_roundtrip(atlas, tmp_path):
     s311 = atlas.to_records(Family.S311)
     u = atlas.to_records(Family.U)
@@ -552,6 +566,48 @@ def test_empty_data_dir_is_embedded(atlas, catalog_dir, monkeypatch):
     assert load_atlas(data_dir="") is atlas
     monkeypatch.delenv("ATLAS_DATA_DIR")
     assert load_atlas() is atlas
+
+
+def _read_with_environ_get() -> Atlas:
+    """What ``load_atlas()`` returns when it reads the variable with ``os.environ.get``."""
+    return load_atlas(os.environ.get("ATLAS_DATA_DIR") or "")
+
+
+def test_load_atlas_follows_every_change_of_the_variable(atlas, catalog_dir, monkeypatch):
+    monkeypatch.delenv("ATLAS_DATA_DIR", raising=False)  # restored afterwards, writes below too
+    external = load_atlas(str(catalog_dir))
+    assert external is not atlas
+    changes = [
+        (lambda: os.environ.__setitem__("ATLAS_DATA_DIR", str(catalog_dir)), external),
+        (lambda: os.environ.__setitem__("ATLAS_DATA_DIR", ""), atlas),
+        (lambda: monkeypatch.setenv("ATLAS_DATA_DIR", str(catalog_dir)), external),
+        (lambda: os.environ.pop("ATLAS_DATA_DIR"), atlas),
+        (lambda: monkeypatch.setenv("ATLAS_DATA_DIR", str(catalog_dir)), external),
+        (lambda: monkeypatch.setenv("ATLAS_DATA_DIR", ""), atlas),
+        (lambda: monkeypatch.setenv("ATLAS_DATA_DIR", str(catalog_dir)), external),
+        (lambda: monkeypatch.delenv("ATLAS_DATA_DIR"), atlas),
+    ]
+    for change, expected in changes:
+        change()
+        assert load_atlas() is expected
+        assert _read_with_environ_get() is expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a POSIX name may be any bytes")
+def test_non_utf8_data_dir_is_read_as_environ_get_reads_it(atlas, catalog_dir, tmp_path, monkeypatch):
+    directory = os.path.join(str(tmp_path), os.fsdecode(b"catalogs-\xff"))  # surrogate-escaped
+    os.mkdir(directory)
+    monkeypatch.setenv("ATLAS_DATA_DIR", directory)
+    with pytest.raises(CatalogError) as expected:
+        _read_with_environ_get()
+    with pytest.raises(CatalogError) as found:
+        load_atlas()
+    assert found.value.file == expected.value.file == os.path.join(directory, "s311.json")
+    assert str(found.value) == str(expected.value)
+    for name in ("s311.json", "u.json"):
+        with open(os.path.join(directory, name), "wb") as f:
+            f.write((catalog_dir / name).read_bytes())
+    assert load_atlas() is _read_with_environ_get() is load_atlas(str(catalog_dir))
 
 
 def test_corrupt_catalog_is_not_cached(catalog_dir):
