@@ -203,22 +203,8 @@ def cmd_classes(args) -> tuple[int, str]:
 # isotopy
 
 
-_ISOTOPY_HEADER = [
-    "index",
-    "r",
-    "a",
-    "delta",
-    "H",
-    "g",
-    "k",
-    "node1_a",
-    "node1_b",
-    "iso_a",
-    "iso_b",
-    "node2_a",
-    "node2_b",
-    "node_star",
-]
+_ISOTOPY_HEADER = ["index", "r", "a", "delta", "H", "g", "k"]
+_ISOTOPY_HEADER += [f"{cell}_{x}" for cell in ("node1", "iso", "node2") for x in "ab"] + ["node_star"]
 
 
 def _isotopy_row(c, candidates) -> list:

@@ -357,8 +357,8 @@ def gram_LK3() -> IntegralLattice:
 
 
 # ---------------------------------------------------------------------------
-# Gram-matrix file format: line one holds n, then n rows of n integers.
-# Lines whose first non-blank character is '#' are comments.  UTF-8, LF.
+# Gram-matrix file format: line one holds n, then n rows of n integers, each an optional
+# '-' then ASCII digits.  Lines whose first non-blank character is '#' are comments.  UTF-8, LF.
 
 
 def parse_gram_text(text: str) -> IntegralLattice:
@@ -366,6 +366,12 @@ def parse_gram_text(text: str) -> IntegralLattice:
     lines = [line for line in lines if line and not line.startswith("#")]
     if not lines:
         raise GramParseError("empty Gram file")
+    body = "".join(lines)
+    if not body.isascii() or "+" in body or "_" in body:  # int() reads these; is one in an entry?
+        for k, line in enumerate(lines):
+            for bad in (t for t in line.split() if not t.isascii() or "+" in t or "_" in t):
+                where = f"row {k}" if k else "the size line"
+                raise GramParseError(f"{where} has {bad!r}: an integer is an optional '-' then ASCII digits")
     try:
         n = int(lines[0])
     except ValueError:
@@ -383,8 +389,7 @@ def parse_gram_text(text: str) -> IntegralLattice:
             rows.append(tuple(map(int, parts)))
         except ValueError:
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-            digits = (p.lstrip("+-").replace("_", "") for p in parts)
-            if limit and any(d.isdecimal() and len(d) > limit for d in digits):
+            if limit and any(p.lstrip("-").isdigit() and len(p.lstrip("-")) > limit for p in parts):
                 problem = f"an integer over Python's {limit}-digit int-string limit"
                 raise GramParseError(f"row {k} contains {problem}") from None
             raise GramParseError(f"row {k} contains a non-integer entry") from None

@@ -4,11 +4,14 @@ This module is pure data.  Everything else in the package either derives
 its catalogs from these tables or is validated against them cell by cell;
 the tables, not the closed-form generators, are the final arbiter.
 
-Cell conventions: an (alpha, beta) pair is a tuple, an empty or
-"impossible" cell is None.  Real-part strings use the canonical ASCII
-rendering of closed surfaces ("Sigma_g", "T^2", "S^2", joined by " u ").
+The isotopy and move tables are text in whitespace columns, as printed:
+index, r, a, delta ("d"), g, k, then the cells.  A cell "a,b" is the
+(alpha, beta) pair (a, b), "-" an empty or "impossible" cell (None).  The
+last isotopy column, a Node (*) real part, runs to the end of its line in
+the canonical ASCII rendering ("Sigma_g", "T^2", "S^2", joined by " u ").
 """
 
+from functools import cache
 from typing import NamedTuple
 
 
@@ -45,6 +48,24 @@ class StarRow(NamedTuple):
     g: int
     k: int
     result: str
+
+
+@cache
+def _cell(text: str):
+    """A cell's value, parsed once per distinct text: a pair for "a,b", None for "-", an int
+    for digits, else the text (a real part)."""
+    if "," in text:
+        return tuple(map(int, text.split(",")))
+    return None if text == "-" else int(text) if text.isdigit() else text
+
+
+def _rows(row: type, text: str) -> tuple:
+    """One ``row`` per line of ``text``: the index, then each field's cell."""
+    rows = []
+    for line in text.strip().split("\n"):
+        index, *fields = line.split(None, len(row._fields) - 1)  # a real part may hold spaces
+        rows.append(row(index, *map(_cell, fields)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -85,244 +106,233 @@ GRID_Z2: dict[tuple[int, int], tuple[int, ...]] = {
 
 # ---------------------------------------------------------------------------
 # Isotopy candidate tables (one real nondegenerate double point), H = 0 side.
-
-ISOTOPY_H0: tuple[IsotopyRow, ...] = tuple(
-    IsotopyRow(*row)
-    for row in (
-        ("No.1", 1, 1, 1, 10, 0, (0, 8), (0, 8), (0, 7), None),
-        ("No.2", 2, 0, 0, 10, 1, (1, 8), (1, 8), (1, 7), None),
-        ("No.3", 2, 2, 0, 9, 0, (0, 7), (0, 7), (0, 6), None),
-        ("No.4", 2, 2, 1, 9, 0, (0, 7), (0, 7), (0, 6), None),
-        ("No.5", 3, 1, 1, 9, 1, (1, 7), (1, 7), (1, 6), None),
-        ("No.6", 3, 3, 1, 8, 0, (0, 6), (0, 6), (0, 5), None),
-        ("No.7", 4, 2, 1, 8, 1, (1, 6), (1, 6), (1, 5), None),
-        ("No.8", 4, 4, 1, 7, 0, (0, 5), (0, 5), (0, 4), None),
-        ("No.9", 5, 3, 1, 7, 1, (1, 5), (1, 5), (1, 4), None),
-        ("No.10", 5, 5, 1, 6, 0, (0, 4), (0, 4), (0, 3), None),
-        ("No.11", 6, 2, 0, 7, 2, (2, 5), (2, 5), (2, 4), None),
-        ("No.12", 6, 4, 0, 6, 1, (1, 4), (1, 4), (1, 3), None),
-        ("No.13", 6, 4, 1, 6, 1, (1, 4), (1, 4), (1, 3), None),
-        ("No.14", 6, 6, 1, 5, 0, (0, 3), (0, 3), (0, 2), None),
-        ("No.15", 7, 3, 1, 6, 2, (2, 4), (2, 4), (2, 3), None),
-        ("No.16", 7, 5, 1, 5, 1, (1, 3), (1, 3), (1, 2), None),
-        ("No.17", 7, 7, 1, 4, 0, (0, 2), (0, 2), (0, 1), None),
-        ("No.18", 8, 2, 1, 6, 3, (3, 4), (3, 4), (3, 3), None),
-        ("No.19", 8, 4, 1, 5, 2, (2, 3), (2, 3), (2, 2), None),
-        ("No.20", 8, 6, 1, 4, 1, (1, 2), (1, 2), (1, 1), None),
-        ("No.21", 8, 8, 1, 3, 0, (0, 1), (0, 1), (0, 0), None),
-        ("No.22", 9, 1, 1, 6, 4, (4, 4), (4, 4), (4, 3), None),
-        ("No.23", 9, 3, 1, 5, 3, (3, 3), (3, 3), (3, 2), None),
-        ("No.24", 9, 5, 1, 4, 2, (2, 2), (2, 2), (2, 1), None),
-        ("No.25", 9, 7, 1, 3, 1, (1, 1), (1, 1), (1, 0), None),
-        ("No.26", 9, 9, 1, 2, 0, (0, 0), (0, 0), None, None),
-        ("No.27", 10, 0, 0, 6, 5, (5, 4), (5, 4), (5, 3), None),
-        ("No.28", 10, 2, 0, 5, 4, (4, 3), (4, 3), (4, 2), None),
-        ("No.29", 10, 2, 1, 5, 4, (4, 3), (4, 3), (4, 2), None),
-        ("No.30", 10, 4, 0, 4, 3, (3, 2), (3, 2), (3, 1), None),
-        ("No.31", 10, 4, 1, 4, 3, (3, 2), (3, 2), (3, 1), None),
-        ("No.32", 10, 6, 0, 3, 2, (2, 1), (2, 1), (2, 0), None),
-        ("No.33", 10, 6, 1, 3, 2, (2, 1), (2, 1), (2, 0), None),
-        ("special-(10,8,0)", 10, 8, 0, 2, 1, None, None, None, "T^2 u T^2"),
-        ("No.34", 10, 8, 1, 2, 1, (1, 0), (1, 0), None, None),
-        ("No.35", 11, 1, 1, 5, 5, (5, 3), (5, 3), (5, 2), None),
-        ("No.36", 11, 3, 1, 4, 4, (4, 2), (4, 2), (4, 1), None),
-        ("No.37", 11, 5, 1, 3, 3, (3, 1), (3, 1), (3, 0), None),
-        ("No.38", 11, 7, 1, 2, 2, (2, 0), (2, 0), None, None),
-        ("No.39", 12, 2, 1, 4, 5, (5, 2), (5, 2), (5, 1), None),
-        ("No.40", 12, 4, 1, 3, 4, (4, 1), (4, 1), (4, 0), None),
-        ("No.41", 12, 6, 1, 2, 3, (3, 0), (3, 0), None, None),
-        ("No.42", 13, 3, 1, 3, 5, (5, 1), (5, 1), (5, 0), None),
-        ("No.43", 13, 5, 1, 2, 4, (4, 0), (4, 0), None, None),
-        ("No.44", 14, 2, 0, 3, 6, (6, 1), (6, 1), (6, 0), None),
-        ("No.45", 14, 4, 0, 2, 5, (5, 0), (5, 0), None, None),
-        ("No.46", 14, 4, 1, 2, 5, (5, 0), (5, 0), None, None),
-        ("No.47", 15, 3, 1, 2, 6, (6, 0), (6, 0), None, None),
-        ("No.48", 16, 2, 1, 2, 7, (7, 0), (7, 0), None, None),
-        ("No.49", 17, 1, 1, 2, 8, (8, 0), (8, 0), None, None),
-        ("No.50", 18, 0, 0, 2, 9, (9, 0), (9, 0), None, None),
-    )
-)
+# index            r  a  d  g  k  node1 isol. node2 star
+ISOTOPY_H0: tuple[IsotopyRow, ...] = _rows(IsotopyRow, """
+No.1               1  1  1 10  0  0,8   0,8   0,7   -
+No.2               2  0  0 10  1  1,8   1,8   1,7   -
+No.3               2  2  0  9  0  0,7   0,7   0,6   -
+No.4               2  2  1  9  0  0,7   0,7   0,6   -
+No.5               3  1  1  9  1  1,7   1,7   1,6   -
+No.6               3  3  1  8  0  0,6   0,6   0,5   -
+No.7               4  2  1  8  1  1,6   1,6   1,5   -
+No.8               4  4  1  7  0  0,5   0,5   0,4   -
+No.9               5  3  1  7  1  1,5   1,5   1,4   -
+No.10              5  5  1  6  0  0,4   0,4   0,3   -
+No.11              6  2  0  7  2  2,5   2,5   2,4   -
+No.12              6  4  0  6  1  1,4   1,4   1,3   -
+No.13              6  4  1  6  1  1,4   1,4   1,3   -
+No.14              6  6  1  5  0  0,3   0,3   0,2   -
+No.15              7  3  1  6  2  2,4   2,4   2,3   -
+No.16              7  5  1  5  1  1,3   1,3   1,2   -
+No.17              7  7  1  4  0  0,2   0,2   0,1   -
+No.18              8  2  1  6  3  3,4   3,4   3,3   -
+No.19              8  4  1  5  2  2,3   2,3   2,2   -
+No.20              8  6  1  4  1  1,2   1,2   1,1   -
+No.21              8  8  1  3  0  0,1   0,1   0,0   -
+No.22              9  1  1  6  4  4,4   4,4   4,3   -
+No.23              9  3  1  5  3  3,3   3,3   3,2   -
+No.24              9  5  1  4  2  2,2   2,2   2,1   -
+No.25              9  7  1  3  1  1,1   1,1   1,0   -
+No.26              9  9  1  2  0  0,0   0,0   -     -
+No.27             10  0  0  6  5  5,4   5,4   5,3   -
+No.28             10  2  0  5  4  4,3   4,3   4,2   -
+No.29             10  2  1  5  4  4,3   4,3   4,2   -
+No.30             10  4  0  4  3  3,2   3,2   3,1   -
+No.31             10  4  1  4  3  3,2   3,2   3,1   -
+No.32             10  6  0  3  2  2,1   2,1   2,0   -
+No.33             10  6  1  3  2  2,1   2,1   2,0   -
+special-(10,8,0)  10  8  0  2  1  -     -     -     T^2 u T^2
+No.34             10  8  1  2  1  1,0   1,0   -     -
+No.35             11  1  1  5  5  5,3   5,3   5,2   -
+No.36             11  3  1  4  4  4,2   4,2   4,1   -
+No.37             11  5  1  3  3  3,1   3,1   3,0   -
+No.38             11  7  1  2  2  2,0   2,0   -     -
+No.39             12  2  1  4  5  5,2   5,2   5,1   -
+No.40             12  4  1  3  4  4,1   4,1   4,0   -
+No.41             12  6  1  2  3  3,0   3,0   -     -
+No.42             13  3  1  3  5  5,1   5,1   5,0   -
+No.43             13  5  1  2  4  4,0   4,0   -     -
+No.44             14  2  0  3  6  6,1   6,1   6,0   -
+No.45             14  4  0  2  5  5,0   5,0   -     -
+No.46             14  4  1  2  5  5,0   5,0   -     -
+No.47             15  3  1  2  6  6,0   6,0   -     -
+No.48             16  2  1  2  7  7,0   7,0   -     -
+No.49             17  1  1  2  8  8,0   8,0   -     -
+No.50             18  0  0  2  9  9,0   9,0   -     -
+""")
 
 
 # Isotopy candidate table, H = Z/2 side.
-
-ISOTOPY_Z2: tuple[IsotopyRow, ...] = tuple(
-    IsotopyRow(*row)
-    for row in (
-        ("No.1'", 18, 2, 1, 1, 8, (0, 8), (0, 8), (0, 7), None),
-        ("No.2'", 17, 1, 0, 2, 8, (1, 8), (1, 8), (1, 7), None),
-        ("No.3'", 17, 3, 0, 1, 7, (0, 7), (0, 7), (0, 6), None),
-        ("No.4'", 17, 3, 1, 1, 7, (0, 7), (0, 7), (0, 6), None),
-        ("No.5'", 16, 2, 1, 2, 7, (1, 7), (1, 7), (1, 6), None),
-        ("No.6'", 16, 4, 1, 1, 6, (0, 6), (0, 6), (0, 5), None),
-        ("No.7'", 15, 3, 1, 2, 6, (1, 6), (1, 6), (1, 5), None),
-        ("No.8'", 15, 5, 1, 1, 5, (0, 5), (0, 5), (0, 4), None),
-        ("No.9'", 14, 4, 1, 2, 5, (1, 5), (1, 5), (1, 4), None),
-        ("No.10'", 14, 6, 1, 1, 4, (0, 4), (0, 4), (0, 3), None),
-        ("No.11'", 13, 3, 0, 3, 5, (2, 5), (2, 5), (2, 4), None),
-        ("No.12'", 13, 5, 0, 2, 4, (1, 4), (1, 4), (1, 3), None),
-        ("No.13'", 13, 5, 1, 2, 4, (1, 4), (1, 4), (1, 3), None),
-        ("No.14'", 13, 7, 1, 1, 3, (0, 3), (0, 3), (0, 2), None),
-        ("No.15'", 12, 4, 1, 3, 4, (2, 4), (2, 4), (2, 3), None),
-        ("No.16'", 12, 6, 1, 2, 3, (1, 3), (1, 3), (1, 2), None),
-        ("No.17'", 12, 8, 1, 1, 2, (0, 2), (0, 2), (0, 1), None),
-        ("No.18'", 11, 3, 1, 4, 4, (3, 4), (3, 4), (3, 3), None),
-        ("No.19'", 11, 5, 1, 3, 3, (2, 3), (2, 3), (2, 2), None),
-        ("No.20'", 11, 7, 1, 2, 2, (1, 2), (1, 2), (1, 1), None),
-        ("No.21'", 11, 9, 1, 1, 1, (0, 1), (0, 1), (0, 0), None),
-        ("No.22'", 10, 2, 1, 5, 4, (4, 4), (4, 4), (4, 3), None),
-        ("No.23'", 10, 4, 1, 4, 3, (3, 3), (3, 3), (3, 2), None),
-        ("No.24'", 10, 6, 1, 3, 2, (2, 2), (2, 2), (2, 1), None),
-        ("No.25'", 10, 8, 1, 2, 1, (1, 1), (1, 1), (1, 0), None),
-        ("No.26'", 10, 10, 1, 1, 0, (0, 0), (0, 0), None, None),
-        ("No.27'", 9, 1, 0, 6, 4, (5, 4), (5, 4), (5, 3), None),
-        ("No.28'", 9, 3, 0, 5, 3, (4, 3), (4, 3), (4, 2), None),
-        ("No.29'", 9, 3, 1, 5, 3, (4, 3), (4, 3), (4, 2), None),
-        ("No.30'", 9, 5, 0, 4, 2, (3, 2), (3, 2), (3, 1), None),
-        ("No.31'", 9, 5, 1, 4, 2, (3, 2), (3, 2), (3, 1), None),
-        ("No.32'", 9, 7, 0, 3, 1, (2, 1), (2, 1), (2, 0), None),
-        ("No.33'", 9, 7, 1, 3, 1, (2, 1), (2, 1), (2, 0), None),
-        ("special-(9,9,0)", 9, 9, 0, 2, 0, (1, 0), (1, 0), None, "Sigma_2"),
-        ("No.34'", 9, 9, 1, 2, 0, (1, 0), (1, 0), None, None),
-        ("No.35'", 8, 2, 1, 6, 3, (5, 3), (5, 3), (5, 2), None),
-        ("No.36'", 8, 4, 1, 5, 2, (4, 2), (4, 2), (4, 1), None),
-        ("No.37'", 8, 6, 1, 4, 1, (3, 1), (3, 1), (3, 0), None),
-        ("No.38'", 8, 8, 1, 3, 0, (2, 0), (2, 0), None, None),
-        ("No.39'", 7, 3, 1, 6, 2, (5, 2), (5, 2), (5, 1), None),
-        ("No.40'", 7, 5, 1, 5, 1, (4, 1), (4, 1), (4, 0), None),
-        ("No.41'", 7, 7, 1, 4, 0, (3, 0), (3, 0), None, None),
-        ("No.42'", 6, 4, 1, 6, 1, (5, 1), (5, 1), (5, 0), None),
-        ("No.43'", 6, 6, 1, 5, 0, (4, 0), (4, 0), None, None),
-        ("No.44'", 5, 3, 0, 7, 1, (6, 1), (6, 1), (6, 0), None),
-        ("No.45'", 5, 5, 0, 6, 0, (5, 0), (5, 0), None, None),
-        ("No.46'", 5, 5, 1, 6, 0, (5, 0), (5, 0), None, None),
-        ("No.47'", 4, 4, 1, 7, 0, (6, 0), (6, 0), None, None),
-        ("No.48'", 3, 3, 1, 8, 0, (7, 0), (7, 0), None, None),
-        ("No.49'", 2, 2, 1, 9, 0, (8, 0), (8, 0), None, None),
-        ("No.50'", 1, 1, 0, 10, 0, (9, 0), (9, 0), None, None),
-    )
-)
+# index            r  a  d  g  k  node1 isol. node2 star
+ISOTOPY_Z2: tuple[IsotopyRow, ...] = _rows(IsotopyRow, """
+No.1'             18  2  1  1  8  0,8   0,8   0,7   -
+No.2'             17  1  0  2  8  1,8   1,8   1,7   -
+No.3'             17  3  0  1  7  0,7   0,7   0,6   -
+No.4'             17  3  1  1  7  0,7   0,7   0,6   -
+No.5'             16  2  1  2  7  1,7   1,7   1,6   -
+No.6'             16  4  1  1  6  0,6   0,6   0,5   -
+No.7'             15  3  1  2  6  1,6   1,6   1,5   -
+No.8'             15  5  1  1  5  0,5   0,5   0,4   -
+No.9'             14  4  1  2  5  1,5   1,5   1,4   -
+No.10'            14  6  1  1  4  0,4   0,4   0,3   -
+No.11'            13  3  0  3  5  2,5   2,5   2,4   -
+No.12'            13  5  0  2  4  1,4   1,4   1,3   -
+No.13'            13  5  1  2  4  1,4   1,4   1,3   -
+No.14'            13  7  1  1  3  0,3   0,3   0,2   -
+No.15'            12  4  1  3  4  2,4   2,4   2,3   -
+No.16'            12  6  1  2  3  1,3   1,3   1,2   -
+No.17'            12  8  1  1  2  0,2   0,2   0,1   -
+No.18'            11  3  1  4  4  3,4   3,4   3,3   -
+No.19'            11  5  1  3  3  2,3   2,3   2,2   -
+No.20'            11  7  1  2  2  1,2   1,2   1,1   -
+No.21'            11  9  1  1  1  0,1   0,1   0,0   -
+No.22'            10  2  1  5  4  4,4   4,4   4,3   -
+No.23'            10  4  1  4  3  3,3   3,3   3,2   -
+No.24'            10  6  1  3  2  2,2   2,2   2,1   -
+No.25'            10  8  1  2  1  1,1   1,1   1,0   -
+No.26'            10 10  1  1  0  0,0   0,0   -     -
+No.27'             9  1  0  6  4  5,4   5,4   5,3   -
+No.28'             9  3  0  5  3  4,3   4,3   4,2   -
+No.29'             9  3  1  5  3  4,3   4,3   4,2   -
+No.30'             9  5  0  4  2  3,2   3,2   3,1   -
+No.31'             9  5  1  4  2  3,2   3,2   3,1   -
+No.32'             9  7  0  3  1  2,1   2,1   2,0   -
+No.33'             9  7  1  3  1  2,1   2,1   2,0   -
+special-(9,9,0)    9  9  0  2  0  1,0   1,0   -     Sigma_2
+No.34'             9  9  1  2  0  1,0   1,0   -     -
+No.35'             8  2  1  6  3  5,3   5,3   5,2   -
+No.36'             8  4  1  5  2  4,2   4,2   4,1   -
+No.37'             8  6  1  4  1  3,1   3,1   3,0   -
+No.38'             8  8  1  3  0  2,0   2,0   -     -
+No.39'             7  3  1  6  2  5,2   5,2   5,1   -
+No.40'             7  5  1  5  1  4,1   4,1   4,0   -
+No.41'             7  7  1  4  0  3,0   3,0   -     -
+No.42'             6  4  1  6  1  5,1   5,1   5,0   -
+No.43'             6  6  1  5  0  4,0   4,0   -     -
+No.44'             5  3  0  7  1  6,1   6,1   6,0   -
+No.45'             5  5  0  6  0  5,0   5,0   -     -
+No.46'             5  5  1  6  0  5,0   5,0   -     -
+No.47'             4  4  1  7  0  6,0   6,0   -     -
+No.48'             3  3  1  8  0  7,0   7,0   -     -
+No.49'             2  2  1  9  0  8,0   8,0   -     -
+No.50'             1  1  0 10  0  9,0   9,0   -     -
+""")
 
 
 # ---------------------------------------------------------------------------
 # Degeneration tables for the nonsingular-curve family.  Unprimed moves
 # consume the (g-1) empty ovals, primed moves the k empty ovals; None
 # marks an "impossible" cell.
-
-MOVES_UNPRIMED: tuple[MoveRow, ...] = tuple(
-    MoveRow(*row)
-    for row in (
-        ("No.1", 1, 1, 1, 10, 0, (0, 8), (0, 7), (0, 8)),
-        ("No.2", 2, 0, 0, 10, 1, (1, 8), (1, 7), (1, 8)),
-        ("No.3", 2, 2, 0, 9, 0, (0, 7), (0, 6), (0, 7)),
-        ("No.4", 2, 2, 1, 9, 0, (0, 7), (0, 6), (0, 7)),
-        ("No.5", 3, 1, 1, 9, 1, (1, 7), (1, 6), (1, 7)),
-        ("No.6", 3, 3, 1, 8, 0, (0, 6), (0, 5), (0, 6)),
-        ("No.7", 4, 2, 1, 8, 1, (1, 6), (1, 5), (1, 6)),
-        ("No.8", 4, 4, 1, 7, 0, (0, 5), (0, 4), (0, 5)),
-        ("No.9", 5, 3, 1, 7, 1, (1, 5), (1, 4), (1, 5)),
-        ("No.10", 5, 5, 1, 6, 0, (0, 4), (0, 3), (0, 4)),
-        ("No.11", 6, 2, 0, 7, 2, (2, 5), (2, 4), (2, 5)),
-        ("No.12", 6, 4, 0, 6, 1, (1, 4), (1, 3), (1, 4)),
-        ("No.13", 6, 4, 1, 6, 1, (1, 4), (1, 3), (1, 4)),
-        ("No.14", 6, 6, 1, 5, 0, (0, 3), (0, 2), (0, 3)),
-        ("No.15", 7, 3, 1, 6, 2, (2, 4), (2, 3), (2, 4)),
-        ("No.16", 7, 5, 1, 5, 1, (1, 3), (1, 2), (1, 3)),
-        ("No.17", 7, 7, 1, 4, 0, (0, 2), (0, 1), (0, 2)),
-        ("No.18", 8, 2, 1, 6, 3, (3, 4), (3, 3), (3, 4)),
-        ("No.19", 8, 4, 1, 5, 2, (2, 3), (2, 2), (2, 3)),
-        ("No.20", 8, 6, 1, 4, 1, (1, 2), (1, 1), (1, 2)),
-        ("No.21", 8, 8, 1, 3, 0, (0, 1), (0, 0), (0, 1)),
-        ("No.22", 9, 1, 1, 6, 4, (4, 4), (4, 3), (4, 4)),
-        ("No.23", 9, 3, 1, 5, 3, (3, 3), (3, 2), (3, 3)),
-        ("No.24", 9, 5, 1, 4, 2, (2, 2), (2, 1), (2, 2)),
-        ("No.25", 9, 7, 1, 3, 1, (1, 1), (1, 0), (1, 1)),
-        ("No.26", 9, 9, 1, 2, 0, (0, 0), None, (0, 0)),
-        ("No.27", 10, 0, 0, 6, 5, (5, 4), (5, 3), (5, 4)),
-        ("No.28", 10, 2, 0, 5, 4, (4, 3), (4, 2), (4, 3)),
-        ("No.29", 10, 2, 1, 5, 4, (4, 3), (4, 2), (4, 3)),
-        ("No.30", 10, 4, 0, 4, 3, (3, 2), (3, 1), (3, 2)),
-        ("No.31", 10, 4, 1, 4, 3, (3, 2), (3, 1), (3, 2)),
-        ("No.32", 10, 6, 0, 3, 2, (2, 1), (2, 0), (2, 1)),
-        ("No.33", 10, 6, 1, 3, 2, (2, 1), (2, 0), (2, 1)),
-        ("No.34", 10, 8, 1, 2, 1, (1, 0), None, (1, 0)),
-        ("No.35", 11, 1, 1, 5, 5, (5, 3), (5, 2), (5, 3)),
-        ("No.36", 11, 3, 1, 4, 4, (4, 2), (4, 1), (4, 2)),
-        ("No.37", 11, 5, 1, 3, 3, (3, 1), (3, 0), (3, 1)),
-        ("No.38", 11, 7, 1, 2, 2, (2, 0), None, (2, 0)),
-        ("No.39", 12, 2, 1, 4, 5, (5, 2), (5, 1), (5, 2)),
-        ("No.40", 12, 4, 1, 3, 4, (4, 1), (4, 0), (4, 1)),
-        ("No.41", 12, 6, 1, 2, 3, (3, 0), None, (3, 0)),
-        ("No.42", 13, 3, 1, 3, 5, (5, 1), (5, 0), (5, 1)),
-        ("No.43", 13, 5, 1, 2, 4, (4, 0), None, (4, 0)),
-        ("No.44", 14, 2, 0, 3, 6, (6, 1), (6, 0), (6, 1)),
-        ("No.45", 14, 4, 0, 2, 5, (5, 0), None, (5, 0)),
-        ("No.46", 14, 4, 1, 2, 5, (5, 0), None, (5, 0)),
-        ("No.47", 15, 3, 1, 2, 6, (6, 0), None, (6, 0)),
-        ("No.48", 16, 2, 1, 2, 7, (7, 0), None, (7, 0)),
-        ("No.49", 17, 1, 1, 2, 8, (8, 0), None, (8, 0)),
-        ("No.50", 18, 0, 0, 2, 9, (9, 0), None, (9, 0)),
-    )
-)
+# index            r  a  d  g  k  conj1 conj2 contr3
+MOVES_UNPRIMED: tuple[MoveRow, ...] = _rows(MoveRow, """
+No.1               1  1  1 10  0  0,8   0,7   0,8
+No.2               2  0  0 10  1  1,8   1,7   1,8
+No.3               2  2  0  9  0  0,7   0,6   0,7
+No.4               2  2  1  9  0  0,7   0,6   0,7
+No.5               3  1  1  9  1  1,7   1,6   1,7
+No.6               3  3  1  8  0  0,6   0,5   0,6
+No.7               4  2  1  8  1  1,6   1,5   1,6
+No.8               4  4  1  7  0  0,5   0,4   0,5
+No.9               5  3  1  7  1  1,5   1,4   1,5
+No.10              5  5  1  6  0  0,4   0,3   0,4
+No.11              6  2  0  7  2  2,5   2,4   2,5
+No.12              6  4  0  6  1  1,4   1,3   1,4
+No.13              6  4  1  6  1  1,4   1,3   1,4
+No.14              6  6  1  5  0  0,3   0,2   0,3
+No.15              7  3  1  6  2  2,4   2,3   2,4
+No.16              7  5  1  5  1  1,3   1,2   1,3
+No.17              7  7  1  4  0  0,2   0,1   0,2
+No.18              8  2  1  6  3  3,4   3,3   3,4
+No.19              8  4  1  5  2  2,3   2,2   2,3
+No.20              8  6  1  4  1  1,2   1,1   1,2
+No.21              8  8  1  3  0  0,1   0,0   0,1
+No.22              9  1  1  6  4  4,4   4,3   4,4
+No.23              9  3  1  5  3  3,3   3,2   3,3
+No.24              9  5  1  4  2  2,2   2,1   2,2
+No.25              9  7  1  3  1  1,1   1,0   1,1
+No.26              9  9  1  2  0  0,0   -     0,0
+No.27             10  0  0  6  5  5,4   5,3   5,4
+No.28             10  2  0  5  4  4,3   4,2   4,3
+No.29             10  2  1  5  4  4,3   4,2   4,3
+No.30             10  4  0  4  3  3,2   3,1   3,2
+No.31             10  4  1  4  3  3,2   3,1   3,2
+No.32             10  6  0  3  2  2,1   2,0   2,1
+No.33             10  6  1  3  2  2,1   2,0   2,1
+No.34             10  8  1  2  1  1,0   -     1,0
+No.35             11  1  1  5  5  5,3   5,2   5,3
+No.36             11  3  1  4  4  4,2   4,1   4,2
+No.37             11  5  1  3  3  3,1   3,0   3,1
+No.38             11  7  1  2  2  2,0   -     2,0
+No.39             12  2  1  4  5  5,2   5,1   5,2
+No.40             12  4  1  3  4  4,1   4,0   4,1
+No.41             12  6  1  2  3  3,0   -     3,0
+No.42             13  3  1  3  5  5,1   5,0   5,1
+No.43             13  5  1  2  4  4,0   -     4,0
+No.44             14  2  0  3  6  6,1   6,0   6,1
+No.45             14  4  0  2  5  5,0   -     5,0
+No.46             14  4  1  2  5  5,0   -     5,0
+No.47             15  3  1  2  6  6,0   -     6,0
+No.48             16  2  1  2  7  7,0   -     7,0
+No.49             17  1  1  2  8  8,0   -     8,0
+No.50             18  0  0  2  9  9,0   -     9,0
+""")
 
 
-MOVES_PRIMED: tuple[MoveRow, ...] = tuple(
-    MoveRow(*row)
-    for row in (
-        ("No.1'", 19, 1, 1, 1, 9, (0, 8), (0, 7), (0, 8)),
-        ("No.2'", 18, 0, 0, 2, 9, (1, 8), (1, 7), (1, 8)),
-        ("No.3'", 18, 2, 0, 1, 8, (0, 7), (0, 6), (0, 7)),
-        ("No.4'", 18, 2, 1, 1, 8, (0, 7), (0, 6), (0, 7)),
-        ("No.5'", 17, 1, 1, 2, 8, (1, 7), (1, 6), (1, 7)),
-        ("No.6'", 17, 3, 1, 1, 7, (0, 6), (0, 5), (0, 6)),
-        ("No.7'", 16, 2, 1, 2, 7, (1, 6), (1, 5), (1, 6)),
-        ("No.8'", 16, 4, 1, 1, 6, (0, 5), (0, 4), (0, 5)),
-        ("No.9'", 15, 3, 1, 2, 6, (1, 5), (1, 4), (1, 5)),
-        ("No.10'", 15, 5, 1, 1, 5, (0, 4), (0, 3), (0, 4)),
-        ("No.11'", 14, 2, 0, 3, 6, (2, 5), (2, 4), (2, 5)),
-        ("No.12'", 14, 4, 0, 2, 5, (1, 4), (1, 3), (1, 4)),
-        ("No.13'", 14, 4, 1, 2, 5, (1, 4), (1, 3), (1, 4)),
-        ("No.14'", 14, 6, 1, 1, 4, (0, 3), (0, 2), (0, 3)),
-        ("No.15'", 13, 3, 1, 3, 5, (2, 4), (2, 3), (2, 4)),
-        # The contraction cell below is shipped exactly as printed, (1, 2);
-        # the generator derives (1, 3).  Validators whitelist this one cell.
-        ("No.16'", 13, 5, 1, 2, 4, (1, 3), (1, 2), (1, 2)),
-        ("No.17'", 13, 7, 1, 1, 3, (0, 2), (0, 1), (0, 2)),
-        ("No.18'", 12, 2, 1, 4, 5, (3, 4), (3, 3), (3, 4)),
-        ("No.19'", 12, 4, 1, 3, 4, (2, 3), (2, 2), (2, 3)),
-        ("No.20'", 12, 6, 1, 2, 3, (1, 2), (1, 1), (1, 2)),
-        ("No.21'", 12, 8, 1, 1, 2, (0, 1), (0, 0), (0, 1)),
-        ("No.22'", 11, 1, 1, 5, 5, (4, 4), (4, 3), (4, 4)),
-        ("No.23'", 11, 3, 1, 4, 4, (3, 3), (3, 2), (3, 3)),
-        ("No.24'", 11, 5, 1, 3, 3, (2, 2), (2, 1), (2, 2)),
-        ("No.25'", 11, 7, 1, 2, 2, (1, 1), (1, 0), (1, 1)),
-        ("No.26'", 11, 9, 1, 1, 1, (0, 0), None, (0, 0)),
-        ("No.27'", 10, 0, 0, 6, 5, (5, 4), (5, 3), (5, 4)),
-        ("No.28'", 10, 2, 0, 5, 4, (4, 3), (4, 2), (4, 3)),
-        ("No.29'", 10, 2, 1, 5, 4, (4, 3), (4, 2), (4, 3)),
-        ("No.30'", 10, 4, 0, 4, 3, (3, 2), (3, 1), (3, 2)),
-        ("No.31'", 10, 4, 1, 4, 3, (3, 2), (3, 1), (3, 2)),
-        ("No.32'", 10, 6, 0, 3, 2, (2, 1), (2, 0), (2, 1)),
-        ("No.33'", 10, 6, 1, 3, 2, (2, 1), (2, 0), (2, 1)),
-        ("No.34'", 10, 8, 1, 2, 1, (1, 0), None, (1, 0)),
-        ("No.35'", 9, 1, 1, 6, 4, (5, 3), (5, 2), (5, 3)),
-        ("No.36'", 9, 3, 1, 5, 3, (4, 2), (4, 1), (4, 2)),
-        ("No.37'", 9, 5, 1, 4, 2, (3, 1), (3, 0), (3, 1)),
-        ("No.38'", 9, 7, 1, 3, 1, (2, 0), None, (2, 0)),
-        ("No.39'", 8, 2, 1, 6, 3, (5, 2), (5, 1), (5, 2)),
-        ("No.40'", 8, 4, 1, 5, 2, (4, 1), (4, 0), (4, 1)),
-        ("No.41'", 8, 6, 1, 4, 1, (3, 0), None, (3, 0)),
-        ("No.42'", 7, 3, 1, 6, 2, (5, 1), (5, 0), (5, 1)),
-        ("No.43'", 7, 5, 1, 5, 1, (4, 0), None, (4, 0)),
-        ("No.44'", 6, 2, 0, 7, 2, (6, 1), (6, 0), (6, 1)),
-        ("No.45'", 6, 4, 0, 6, 1, (5, 0), None, (5, 0)),
-        ("No.46'", 6, 4, 1, 6, 1, (5, 0), None, (5, 0)),
-        ("No.47'", 5, 3, 1, 7, 1, (6, 0), None, (6, 0)),
-        ("No.48'", 4, 2, 1, 8, 1, (7, 0), None, (7, 0)),
-        ("No.49'", 3, 1, 1, 9, 1, (8, 0), None, (8, 0)),
-        ("No.50'", 2, 0, 0, 10, 1, (9, 0), None, (9, 0)),
-    )
-)
+# The contraction cell of No.16' is shipped exactly as printed, (1, 2); the
+# generator derives (1, 3).  Validators whitelist this one cell.
+# index            r  a  d  g  k  conj1 conj2 contr3
+MOVES_PRIMED: tuple[MoveRow, ...] = _rows(MoveRow, """
+No.1'             19  1  1  1  9  0,8   0,7   0,8
+No.2'             18  0  0  2  9  1,8   1,7   1,8
+No.3'             18  2  0  1  8  0,7   0,6   0,7
+No.4'             18  2  1  1  8  0,7   0,6   0,7
+No.5'             17  1  1  2  8  1,7   1,6   1,7
+No.6'             17  3  1  1  7  0,6   0,5   0,6
+No.7'             16  2  1  2  7  1,6   1,5   1,6
+No.8'             16  4  1  1  6  0,5   0,4   0,5
+No.9'             15  3  1  2  6  1,5   1,4   1,5
+No.10'            15  5  1  1  5  0,4   0,3   0,4
+No.11'            14  2  0  3  6  2,5   2,4   2,5
+No.12'            14  4  0  2  5  1,4   1,3   1,4
+No.13'            14  4  1  2  5  1,4   1,3   1,4
+No.14'            14  6  1  1  4  0,3   0,2   0,3
+No.15'            13  3  1  3  5  2,4   2,3   2,4
+No.16'            13  5  1  2  4  1,3   1,2   1,2
+No.17'            13  7  1  1  3  0,2   0,1   0,2
+No.18'            12  2  1  4  5  3,4   3,3   3,4
+No.19'            12  4  1  3  4  2,3   2,2   2,3
+No.20'            12  6  1  2  3  1,2   1,1   1,2
+No.21'            12  8  1  1  2  0,1   0,0   0,1
+No.22'            11  1  1  5  5  4,4   4,3   4,4
+No.23'            11  3  1  4  4  3,3   3,2   3,3
+No.24'            11  5  1  3  3  2,2   2,1   2,2
+No.25'            11  7  1  2  2  1,1   1,0   1,1
+No.26'            11  9  1  1  1  0,0   -     0,0
+No.27'            10  0  0  6  5  5,4   5,3   5,4
+No.28'            10  2  0  5  4  4,3   4,2   4,3
+No.29'            10  2  1  5  4  4,3   4,2   4,3
+No.30'            10  4  0  4  3  3,2   3,1   3,2
+No.31'            10  4  1  4  3  3,2   3,1   3,2
+No.32'            10  6  0  3  2  2,1   2,0   2,1
+No.33'            10  6  1  3  2  2,1   2,0   2,1
+No.34'            10  8  1  2  1  1,0   -     1,0
+No.35'             9  1  1  6  4  5,3   5,2   5,3
+No.36'             9  3  1  5  3  4,2   4,1   4,2
+No.37'             9  5  1  4  2  3,1   3,0   3,1
+No.38'             9  7  1  3  1  2,0   -     2,0
+No.39'             8  2  1  6  3  5,2   5,1   5,2
+No.40'             8  4  1  5  2  4,1   4,0   4,1
+No.41'             8  6  1  4  1  3,0   -     3,0
+No.42'             7  3  1  6  2  5,1   5,0   5,1
+No.43'             7  5  1  5  1  4,0   -     4,0
+No.44'             6  2  0  7  2  6,1   6,0   6,1
+No.45'             6  4  0  6  1  5,0   -     5,0
+No.46'             6  4  1  6  1  5,0   -     5,0
+No.47'             5  3  1  7  1  6,0   -     6,0
+No.48'             4  2  1  8  1  7,0   -     7,0
+No.49'             3  1  1  9  1  8,0   -     8,0
+No.50'             2  0  0 10  1  9,0   -     9,0
+""")
 
 
 MOVES_STAR: tuple[StarRow, ...] = (

@@ -25,7 +25,7 @@ import functools
 import operator
 from typing import NamedTuple
 
-from ._checked import Checked
+from ._checked import Checked, kept
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, WrongFamily
 from .tables import IsotopyRow
@@ -204,7 +204,7 @@ class SurfaceDescriptor(Checked, _SurfaceFields):
             raise ValueError("genus is nonnegative")
         return tuple.__new__(cls, (ordered,))
 
-    @functools.cached_property
+    @kept
     def euler_characteristic(self) -> int:
         return 2 * len(self.genera) - 2 * sum(self.genera)
 
@@ -272,7 +272,7 @@ class _RegionFields(NamedTuple):
 class RegionDescriptor(Checked, _RegionFields):
     """A region of the quotient torus as a disjoint union of pieces."""
 
-    @functools.cached_property
+    @kept
     def euler_characteristic(self) -> int:
         return sum(piece.euler_characteristic for piece in self.pieces)
 

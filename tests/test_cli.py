@@ -343,6 +343,16 @@ def test_lattice_parse_error(capsys, tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661"])
+def test_lattice_entry_outside_the_grammar(capsys, tmp_path, entry):
+    # int() reads each of these; the Gram grammar is an optional '-' then ASCII digits.
+    path = tmp_path / "outside.gram"
+    path.write_text(f"2\n2 {entry}\n{entry} 2\n", encoding="utf-8")
+    code, out, err = run(capsys, "lattice", str(path))
+    assert (code, out) == (5, "")
+    assert err == f"atlas: row 1 has {entry!r}: an integer is an optional '-' then ASCII digits\n"
+
+
 def test_lattice_not_utf8(capsys, tmp_path):
     bad = tmp_path / "bad.gram"
     bad.write_bytes(b"\xff\xfe2\n")

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 
 import pytest
 import numpy as np
@@ -509,6 +510,63 @@ def gram_texts(draw):
 def test_parse_gram_text_roundtrip(case):
     gram, text = case
     assert parse_gram_text(text).gram == gram
+
+
+def _print_gram(gram) -> str:
+    """The Gram text of the README's grammar: the size, then one line per row."""
+    return "".join(f"{line}\n" for line in [str(len(gram)), *(" ".join(map(str, row)) for row in gram)])
+
+
+# What int() reads beyond the grammar, and what it refuses: each replaces one entry or the size.
+_SPELLINGS = ["+1", "1_0", "-0_1", "\u0661", "\uff17", "1\u0662", "x", "-", "--1", "1-2", "1.0", "0x1", "", "1 1"]
+
+
+@st.composite
+def edited_gram_texts(draw):
+    """Gram text with one entry or the size written another way, or text of Gram-like characters."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="0123456789-+_ \t\n#x\u0661\u00b2", max_size=30))
+    _, text = draw(gram_texts())
+    lines = text.split("\n")
+    spots = [
+        (k, m.span())
+        for k, line in enumerate(lines) if not line.lstrip().startswith("#")
+        for m in re.finditer("-?[0-9]+", line)
+    ]
+    k, (start, end) = draw(st.sampled_from(spots))
+    lines[k] = lines[k][:start] + draw(st.sampled_from(_SPELLINGS)) + lines[k][end:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=st.one_of(gram_texts().map(lambda case: case[1]), edited_gram_texts()))
+def test_gram_text_parses_exactly_the_grammar(text):
+    # Any text parses or raises GramParseError.  Accepted text writes every integer as an
+    # optional '-' then ASCII digits, and its lattice round-trips through the grammar's printer.
+    try:
+        lattice = parse_gram_text(text)
+    except GramParseError:
+        return
+    content = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+    assert all(re.fullmatch("-?[0-9]+", token) for line in content for token in line.split()), text
+    printed = _print_gram(lattice.gram)
+    assert parse_gram_text(printed).gram == lattice.gram
+
+
+@pytest.mark.parametrize(
+    "text, where, entry",
+    [
+        ("1\n1_0\n", "row 1", "1_0"),
+        ("1\n+1\n", "row 1", "+1"),
+        ("2\n2 1\n1 \u0662\n", "row 2", "\u0662"),
+        ("+1\n2\n", "the size line", "+1"),
+        ("1_0\n", "the size line", "1_0"),
+    ],
+)
+def test_parse_gram_refuses_what_int_reads_beyond_the_grammar(text, where, entry):
+    with pytest.raises(GramParseError) as caught:
+        parse_gram_text(text)
+    assert str(caught.value) == f"{where} has {entry!r}: an integer is an optional '-' then ASCII digits"
 
 
 @pytest.mark.parametrize(

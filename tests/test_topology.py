@@ -1,6 +1,10 @@
+import ast
 import copy
 import itertools
 import pickle
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,31 @@ def test_golden_rows_reproduced(atlas):
             assert cands.get(TopCase.ISOLATED) == row.isolated
             assert cands.get(TopCase.NODE2) == row.node2
             assert (TopCase.NODE_STAR in cands) == (row.node_star is not None)
+
+
+def _is_cell(value) -> bool:
+    return value is None or (type(value) is tuple and len(value) == 2 and all(type(v) is int for v in value))
+
+
+def test_text_tables_give_rows_of_typed_fields():
+    # index a str; r, a, delta, g, k ints (no bool); each cell None or a pair of ints;
+    # the Node (*) real part None or a str
+    for rows in (tables.ISOTOPY_H0, tables.ISOTOPY_Z2, tables.MOVES_UNPRIMED, tables.MOVES_PRIMED):
+        assert len(rows) in (50, 51)
+        for row in rows:
+            assert type(row.index) is str and all(type(v) is int for v in row[1:6]), row
+            assert all(map(_is_cell, row[6:9])), row
+            assert getattr(row, "node_star", None) is None or type(row.node_star) is str, row
+    stars = [(row.index, row.node_star) for row in tables.ISOTOPY_H0 + tables.ISOTOPY_Z2 if row.node_star]
+    assert stars == [("special-(10,8,0)", "T^2 u T^2"), ("special-(9,9,0)", "Sigma_2")]
+
+
+def test_tables_module_stays_cheap_to_compile():
+    # Every process without bytecode compiles tables.py: 1,269 AST nodes with the tables as
+    # text, 1.4-2.5 ms of compile on CPython 3.11.7; 5,174 and 12.8-13.1 ms when their 203
+    # rows were tuple literals.
+    tree = ast.parse(Path(tables.__file__).read_text(encoding="utf-8"))
+    assert sum(1 for _ in ast.walk(tree)) <= 1_500
 
 
 def test_isotopy_type_bounds():
@@ -412,6 +441,38 @@ def test_descriptor_value_type_contract(fields, text, chi):
         assert type(other) is cls and other == d and hash(other) == hash(d)
         assert other is not d and not vars(other)
         assert other.euler_characteristic == chi
+
+
+@pytest.mark.parametrize(
+    "build, chi",
+    [(lambda: RegionDescriptor((RegionPiece(PieceKind.ANNULUS_WITH_HOLES, 3),)), -3),
+     (lambda: SurfaceDescriptor((4, 0, 0)), -2)],
+    ids=["RegionDescriptor", "SurfaceDescriptor"],
+)
+def test_racing_first_reads_keep_one_value(build, chi):
+    # The kept chi takes no lock: eight threads make the first read of one fresh descriptor,
+    # switching as often as the interpreter allows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            d = build()
+            start = threading.Barrier(8, timeout=30)
+            seen = []
+
+            def read():
+                start.wait()
+                seen.append(d.euler_characteristic)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert seen == [chi] * 8 and vars(d) == {"euler_characteristic": chi}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_descriptor_memos_match_fresh_builds(atlas):
