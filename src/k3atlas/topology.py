@@ -11,8 +11,11 @@ shipped tables, which remain authoritative.  The value types are immutable
 NamedTuples; ``IsotopyType`` and ``SurfaceDescriptor`` check their fields on
 every build, ``_replace``, ``_make``, copies and unpickling included.
 ``region_descriptor`` and ``real_part_topology`` may return the same
-immutable descriptor object for equal inputs; a descriptor keeps its Euler
+immutable descriptor object for equal inputs: one memo per oval datum keeps
+the region and the real part over each side, whose four Euler characteristics
+``double_cover_euler_check`` compares.  A descriptor keeps its Euler
 characteristic once read, and its copies and pickles carry only its fields.
+A region or cover that is not a ``Region`` or ``Cover`` member is refused.
 
 Those bounds (alpha + beta <= 9 in group I, <= 8 in group II) keep the
 recovered a = 9, 10, 8 or 9 minus alpha + beta nonnegative, so
@@ -47,6 +50,9 @@ CASE_II = frozenset({TopCase.NODE2, TopCase.CUSP2})
 class Region(IdentityEnum):
     A_PLUS = "A+"
     A_MINUS = "A-"
+
+
+_NOT_A_REGION = "a region is Region.A_PLUS or Region.A_MINUS"
 
 
 class Cover(IdentityEnum):
@@ -163,6 +169,8 @@ def invariants_from_isotopy(
         keys = " and ".join("({},{},{},H={})".format(*k[:3], k[3].value) for k in STAR_KEYS)
         raise InconsistentInput(f"the non-contractible node case carries fixed invariants, {keys}")
     _check_oval_bounds(case, alpha, beta)
+    if type(covered) is not Region:
+        raise InconsistentInput(_NOT_A_REGION)
     return _invariants(case, alpha, beta, covered)
 
 
@@ -294,41 +302,28 @@ def region_descriptor(
 ) -> RegionDescriptor:
     """Homeomorphism type of a region cut out by the real branch curve."""
     _check_oval_bounds(case, alpha, beta)
-    return _region(case, alpha, beta, region)
+    if type(region) is not Region:
+        raise InconsistentInput(_NOT_A_REGION)
+    return _cover(case, alpha, beta)[region is _A_MINUS][0]
 
 
-# Memoised: every caller checks the oval data first, so each of the two memos
-# below holds at most 6 cases x 55 (alpha, beta) x 2 regions = 660 entries.
+# Memoised: every caller checks the oval data first, so the memo holds at most
+# 6 cases x 55 (alpha, beta) = 330 entries.
 @functools.cache
-def _region(case: TopCase, alpha: int, beta: int, region: Region) -> RegionDescriptor:
-    # region_descriptor on oval data its caller has already checked.
+def _cover(case: TopCase, alpha: int, beta: int) -> tuple[tuple[RegionDescriptor, SurfaceDescriptor], ...]:
+    # (region, real part) over A+, then over A-, for oval data its caller has already
+    # checked; the real part is that of the involution whose image is the region.
     if case is _NODE_STAR:
-        if region is _A_PLUS:
-            return RegionDescriptor((RegionPiece(PieceKind.PAIR_OF_PANTS),))
-        return RegionDescriptor(
-            (RegionPiece(PieceKind.MOEBIUS_BAND), RegionPiece(PieceKind.ANNULUS))
-        )
+        pants = RegionDescriptor((RegionPiece(PieceKind.PAIR_OF_PANTS),))
+        band = RegionDescriptor((RegionPiece(PieceKind.MOEBIUS_BAND), RegionPiece(PieceKind.ANNULUS)))
+        return (pants, closed_surface(2)), (band, SurfaceDescriptor((1, 1)))
     extra = 0 if case in CASE_I else 1
-    if region is _A_PLUS:
-        pieces = [RegionPiece(_ANNULUS_WITH_HOLES, alpha)]
-        pieces += [_DISK] * (beta + extra)
-    else:
-        pieces = [RegionPiece(_MOEBIUS_COMPOSITE, beta + extra)]
-        pieces += [_DISK] * alpha
-    return RegionDescriptor(tuple(pieces))
-
-
-@functools.cache
-def _surface_for(case: TopCase, alpha: int, beta: int, region: Region) -> SurfaceDescriptor:
-    # Real part of the involution whose image is the given region.
-    if case is _NODE_STAR:
-        if region is _A_MINUS:
-            return SurfaceDescriptor((1, 1))
-        return closed_surface(2)
-    extra = 0 if case in CASE_I else 1
-    if region is _A_MINUS:
-        return closed_surface(2 + beta + extra, alpha)
-    return closed_surface(1 + alpha, beta + extra)
+    upper = (RegionPiece(_ANNULUS_WITH_HOLES, alpha),) + (_DISK,) * (beta + extra)
+    lower = (RegionPiece(_MOEBIUS_COMPOSITE, beta + extra),) + (_DISK,) * alpha
+    return (
+        (RegionDescriptor(upper), closed_surface(1 + alpha, beta + extra)),
+        (RegionDescriptor(lower), closed_surface(2 + beta + extra, alpha)),
+    )
 
 
 def real_part_topology(
@@ -341,6 +336,8 @@ def real_part_topology(
     """
     if c.family is not _S311:
         raise WrongFamily("real-part types are defined for the 102-class family")
+    if type(which) is not Cover:
+        raise InconsistentInput("a cover is Cover.PHI or Cover.RELATED_PHI")
     region = _A_MINUS if c.h is _ZERO else _A_PLUS
     if iso.case is _NODE_STAR:
         fits = c.key in STAR_KEYS
@@ -348,9 +345,8 @@ def real_part_topology(
         fits = invariants_from_isotopy(*iso.triple, region) == (c.r, c.a, c.h)
     if not fits:
         raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
-    if which is _RELATED_PHI:
-        region = _A_PLUS if region is _A_MINUS else _A_MINUS
-    return _surface_for(iso.case, iso.alpha, iso.beta, region)
+    lower = (region is _A_MINUS) is not (which is _RELATED_PHI)
+    return _cover(iso.case, iso.alpha, iso.beta)[lower][1]
 
 
 # The cases of an IsotopyRow's cells, fields 6 to 8.
@@ -374,9 +370,9 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     The branch locus consists of circles, which carry no Euler
     characteristic, so the identity holds on both sides simultaneously.
     """
-    _check_oval_bounds(case, alpha, beta)  # once, for both regions
-    for region in (_A_PLUS, _A_MINUS):
-        surface_chi = _surface_for(case, alpha, beta, region).euler_characteristic
-        if surface_chi != 2 * _region(case, alpha, beta, region).euler_characteristic:
-            return False
-    return True
+    _check_oval_bounds(case, alpha, beta)
+    (upper, upper_real), (lower, lower_real) = _cover(case, alpha, beta)
+    return (
+        upper_real.euler_characteristic == 2 * upper.euler_characteristic
+        and lower_real.euler_characteristic == 2 * lower.euler_characteristic
+    )

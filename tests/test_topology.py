@@ -393,22 +393,24 @@ def test_double_cover_exhaustive(atlas):
 def test_double_cover_region_chi_is_the_descriptor_chi(monkeypatch):
     # Every tuple of up to three pieces, in every order, with topology._DISK
     # and with disks equal to it but built afresh: the identity holds exactly
-    # against a surface whose chi is twice the region's.
+    # against a surface whose chi is twice the region's, and fails when either side's
+    # surface is off by one.
     pieces = [RegionPiece(kind, holes) for kind in PieceKind for holes in range(4)]
     pieces.append(topology._DISK)
     given = {}
-    monkeypatch.setattr(topology, "_region", lambda *args: given["region"])
-    monkeypatch.setattr(topology, "_surface_for", lambda *args: given["surface"])
+    monkeypatch.setattr(topology, "_cover", lambda *args: given["cover"])
     # chi(S) / 2 = n for n spheres, and 1 - g for one surface of genus g
     surfaces = {n: SurfaceDescriptor((0,) * n if n > 0 else (1 - n,)) for n in range(-13, 6)}
     for size in range(4):
         for combo in itertools.product(pieces, repeat=size):
-            given["region"] = region = RegionDescriptor(combo)
+            region = RegionDescriptor(combo)
             chi = region.euler_characteristic
-            given["surface"] = surfaces[chi]
+            good, bad = (region, surfaces[chi]), (region, surfaces[chi + 1])
+            given["cover"] = (good, good)
             assert double_cover_euler_check(TopCase.NODE1, 0, 0), combo
-            given["surface"] = surfaces[chi + 1]
-            assert not double_cover_euler_check(TopCase.NODE1, 0, 0), combo
+            for cover in ((bad, good), (good, bad), (bad, bad)):
+                given["cover"] = cover
+                assert not double_cover_euler_check(TopCase.NODE1, 0, 0), combo
 
 
 @pytest.mark.parametrize(
@@ -476,28 +478,47 @@ def test_racing_first_reads_keep_one_value(build, chi):
 
 
 def test_descriptor_memos_match_fresh_builds(atlas):
-    # Every (case, alpha, beta, region) the catalog reaches gets the
-    # descriptor a fresh build would give, and the same object each time.
+    # Every (case, alpha, beta) the catalog reaches gets the descriptors a fresh
+    # build would give, and the same objects each time, through every reader.
     derivation = Derivation(atlas)
     for c in atlas.all_classes(Family.S311):
         for t in derivation.candidates(c):
-            for region in Region:
-                args = (t.case, t.alpha, t.beta, region)
-                assert region_descriptor(*args) is topology._region(*args)
-                for build in (topology._region, topology._surface_for):
-                    assert build(*args) == build.__wrapped__(*args)
-                    assert build(*args) is build(*args)
+            args = t.triple
+            cover, fresh = topology._cover(*args), topology._cover.__wrapped__(*args)
+            assert cover == fresh and cover is topology._cover(*args)
+            for region, (descriptor, real_part), (pieces, genera) in zip(Region, cover, fresh):
+                assert region_descriptor(*args, region) is descriptor
                 # the kept chi is that of a fresh build, summed over its pieces or genera
-                pieces = topology._region.__wrapped__(*args).pieces
-                genera = topology._surface_for.__wrapped__(*args).genera
-                assert topology._region(*args).euler_characteristic == sum(
-                    p.euler_characteristic for p in pieces
+                assert descriptor.euler_characteristic == sum(
+                    p.euler_characteristic for p in pieces.pieces
                 )
-                assert topology._surface_for(*args).euler_characteristic == (
-                    2 * len(genera) - 2 * sum(genera)
+                assert real_part.euler_characteristic == (
+                    2 * len(genera.genera) - 2 * sum(genera.genera)
                 )
-    for build in (topology._region, topology._surface_for):
-        assert build.cache_info().currsize <= 660
+            # phi covers A- when H = 0 and A+ otherwise; the related involution the other side
+            lower = c.h is HInvariant.ZERO
+            assert real_part_topology(c, t, Cover.PHI) is cover[lower][1]
+            assert real_part_topology(c, t, Cover.RELATED_PHI) is cover[not lower][1]
+    assert topology._cover.cache_info().currsize <= 330
+
+
+def test_foreign_region_or_cover_is_refused(atlas):
+    # A value equal to a member's value, or a plain string, is no member: each entry point
+    # refuses it with its one message, and nothing is kept under it.
+    no1 = atlas.lookup_index(Family.S311, "No.1")
+    node1 = candidate_isotopy_types(no1)[0]
+    before = topology._cover.cache_info()
+    for region in ("A+", "A-", (TopCase.NODE1, 1, 2), None):
+        message = "^a region is Region.A_PLUS or Region.A_MINUS$"
+        with pytest.raises(InconsistentInput, match=message):
+            region_descriptor(TopCase.NODE1, 1, 2, region)
+        with pytest.raises(InconsistentInput, match=message):
+            invariants_from_isotopy(TopCase.NODE1, 1, 2, region)
+    for which in ("phi", "related_phi", Region.A_PLUS, None):
+        with pytest.raises(InconsistentInput, match="^a cover is Cover.PHI or Cover.RELATED_PHI$"):
+            real_part_topology(no1, node1, which)
+    after = topology._cover.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def test_excluded_invariants_only_star(atlas):
