@@ -1,4 +1,11 @@
-"""The base of the package's validated, immutable value types."""
+"""The base of the package's validated, immutable value types, and the integer token rule."""
+
+# README's integer, which int() extends with a '+', a '_' between digits and non-ASCII digits.
+INTEGER_RULE = "an integer is an optional '-' then ASCII digits"
+
+
+def beyond_integer_rule(token: str) -> bool:
+    return not token.isascii() or "+" in token or "_" in token
 
 
 class Checked:

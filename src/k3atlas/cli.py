@@ -23,6 +23,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 
+from ._checked import INTEGER_RULE, beyond_integer_rule
 from .errors import (
     AtlasError,
     CatalogError,
@@ -129,10 +130,14 @@ def _parse_h(text: str):
 
 
 def _ints(text: str) -> tuple[int, ...]:
+    # A list int() refuses keeps int()'s message; int() also reads what README's integer does not.
     try:
-        return tuple(int(p) for p in text.split(","))
+        values = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    for bad in filter(beyond_integer_rule, map(str.strip, text.split(","))):
+        raise UsageError(f"{bad!r}: {INTEGER_RULE}")
+    return values
 
 
 def _parse_selector(text: str, family) -> tuple:

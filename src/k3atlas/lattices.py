@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
-from ._checked import Checked
+from ._checked import INTEGER_RULE, Checked, beyond_integer_rule
 from .errors import DegenerateLattice, GramParseError, NotTwoElementary
 
 
@@ -367,11 +367,11 @@ def parse_gram_text(text: str) -> IntegralLattice:
     if not lines:
         raise GramParseError("empty Gram file")
     body = "".join(lines)
-    if not body.isascii() or "+" in body or "_" in body:  # int() reads these; is one in an entry?
+    if beyond_integer_rule(body):  # int() reads these; is one in an entry?
         for k, line in enumerate(lines):
-            for bad in (t for t in line.split() if not t.isascii() or "+" in t or "_" in t):
+            for bad in filter(beyond_integer_rule, line.split()):
                 where = f"row {k}" if k else "the size line"
-                raise GramParseError(f"{where} has {bad!r}: an integer is an optional '-' then ASCII digits")
+                raise GramParseError(f"{where} has {bad!r}: {INTEGER_RULE}")
     try:
         n = int(lines[0])
     except ValueError:

@@ -17,9 +17,10 @@ the region and the real part over each side, whose four Euler characteristics
 characteristic once read, and its copies and pickles carry only its fields.
 A region or cover that is not a ``Region`` or ``Cover`` member is refused.
 
-Those bounds (alpha + beta <= 9 in group I, <= 8 in group II) keep the
-recovered a = 9, 10, 8 or 9 minus alpha + beta nonnegative, so
-``invariants_from_isotopy`` needs no range check of its own.
+Group II is group I with ``extra`` = 1 more oval in R2: each closed form is written once
+and read at beta + extra, every case but Node (*) reads Node (1)'s descriptors, and
+alpha + beta <= 9 - extra keeps the recovered a = 9 or 10 minus alpha + beta + extra
+nonnegative, so ``invariants_from_isotopy`` needs no range check of its own.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class TopCase(IdentityEnum):
     CUSP1 = "Cusp (1)"
     CUSP2 = "Cusp (2)"
     ISOLATED = "Isolated point"
-
-
-CASE_I = frozenset({TopCase.NODE1, TopCase.CUSP1, TopCase.ISOLATED})
-CASE_II = frozenset({TopCase.NODE2, TopCase.CUSP2})
 
 
 class Region(IdentityEnum):
@@ -72,10 +69,15 @@ STAR_KEY_H0 = (10, 8, 0, HInvariant.ZERO)
 STAR_KEY_Z2 = (9, 9, 0, HInvariant.Z2)
 STAR_KEYS = (STAR_KEY_H0, STAR_KEY_Z2)
 
+# case -> the ovals its double point adds to R2: none in group I, one in group II
+_EXTRA = {_NODE1: 0, _CUSP1: 0, _ISOLATED: 0, _NODE2: 1, _CUSP2: 1}
+
 # case -> (largest alpha + beta, the message past it)
-_OVAL_CAPS = {_NODE_STAR: (0, "the non-contractible node case has no ovals")}
-_OVAL_CAPS.update(dict.fromkeys(CASE_II, (8, "alpha + beta <= 8 in group II")))
-_OVAL_CAPS.update(dict.fromkeys(CASE_I, (9, "alpha + beta <= 9 in group I")))
+_OVAL_CAPS = {c: (9 - e, f"alpha + beta <= {9 - e} in group {'I' * (1 + e)}") for c, e in _EXTRA.items()}
+_OVAL_CAPS[_NODE_STAR] = (0, "the non-contractible node case has no ovals")
+
+# The cases of an IsotopyRow's cells, fields 6 to 8.
+ISOTOPY_CELL_CASES = (_NODE1, _ISOLATED, _NODE2)
 
 
 def _check_oval_bounds(case: TopCase, alpha: int, beta: int) -> None:
@@ -121,9 +123,9 @@ def candidate_isotopy_types(
 ) -> list[IsotopyType]:
     """All candidate (case, alpha, beta) data for a class of the 102-atlas.
 
-    Follows the shipped tables: the H = 0 side assigns (k, g-2) to group I
-    and (k, g-3) to Node (2); the H = Z/2 side assigns (g-1, k) and
-    (g-1, k-1).  Assignments with a negative entry are omitted, matching
+    Follows the shipped tables: the H = 0 side assigns (k, g-2) to group I,
+    the H = Z/2 side (g-1, k), and group II takes the group I cell with one
+    oval less in R2.  Assignments with a negative entry are omitted, matching
     empty table cells.  Cusp variants are emitted only when
     ``include_degenerate`` is set and are flagged as non-table data.
     """
@@ -134,26 +136,22 @@ def candidate_isotopy_types(
         return [IsotopyType(_NODE_STAR, 0, 0)]
 
     g, k = gk_invariants(c)
-    if c.h is _ZERO:
-        group_i, group_ii = (k, g - 2), (k, g - 3)
-    else:
-        group_i, group_ii = (g - 1, k), (g - 1, k - 1)
+    alpha, beta = (k, g - 2) if c.h is _ZERO else (g - 1, k)  # the group I cell
 
     # Of the star class with H = Z/2, Node (1) and the isolated point are
     # conjectured not realizable.
     conjectured = c.key == STAR_KEY_Z2
-    table_cells = ((_NODE1, group_i), (_ISOLATED, group_i), (_NODE2, group_ii))
     out = [
-        IsotopyType(case, alpha, beta, True, conjectured and case is not _NODE2)
-        for case, (alpha, beta) in table_cells
-        if alpha >= 0 and beta >= 0
+        IsotopyType(case, alpha, beta - _EXTRA[case], True, conjectured and case is not _NODE2)
+        for case in ISOTOPY_CELL_CASES
+        if alpha >= 0 and beta >= _EXTRA[case]
     ]
     if conjectured:
         out.append(IsotopyType(_NODE_STAR, 0, 0))
     if include_degenerate:
-        for case, (alpha, beta) in ((_CUSP1, group_i), (_CUSP2, group_ii)):
-            if alpha >= 0 and beta >= 0:
-                out.append(IsotopyType(case, alpha, beta, False))
+        for case in (_CUSP1, _CUSP2):
+            if alpha >= 0 and beta >= _EXTRA[case]:
+                out.append(IsotopyType(case, alpha, beta - _EXTRA[case], False))
     return out
 
 
@@ -175,19 +173,11 @@ def invariants_from_isotopy(
 
 
 def _invariants(case: TopCase, alpha: int, beta: int, covered: Region) -> tuple[int, int, HInvariant]:
-    # invariants_from_isotopy on checked oval data of a case other than Node (*).
-    lower = covered is _A_MINUS
-    if case in CASE_I:
-        if lower:
-            r, a = 9 + alpha - beta, 9 - alpha - beta
-        else:
-            r, a = 10 - alpha + beta, 10 - alpha - beta
-    else:
-        if lower:
-            r, a = 8 + alpha - beta, 8 - alpha - beta
-        else:
-            r, a = 11 - alpha + beta, 9 - alpha - beta
-    return r, a, _ZERO if lower else _Z2
+    # invariants_from_isotopy on checked oval data of a case but Node (*): group I's forms.
+    beta += _EXTRA[case]
+    if covered is _A_MINUS:
+        return 9 + alpha - beta, 9 - alpha - beta, _ZERO
+    return 10 - alpha + beta, 10 - alpha - beta, _Z2
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +298,8 @@ def region_descriptor(
 
 
 # Memoised: every caller checks the oval data first, so the memo holds at most
-# 6 cases x 55 (alpha, beta) = 330 entries.
+# 6 cases x 55 (alpha, beta) = 330 entries.  Any case but Node (*) holds Node (1)'s entry
+# at (alpha, beta + extra), read through the memo: equal covers are one set of objects.
 @functools.cache
 def _cover(case: TopCase, alpha: int, beta: int) -> tuple[tuple[RegionDescriptor, SurfaceDescriptor], ...]:
     # (region, real part) over A+, then over A-, for oval data its caller has already
@@ -317,12 +308,13 @@ def _cover(case: TopCase, alpha: int, beta: int) -> tuple[tuple[RegionDescriptor
         pants = RegionDescriptor((RegionPiece(PieceKind.PAIR_OF_PANTS),))
         band = RegionDescriptor((RegionPiece(PieceKind.MOEBIUS_BAND), RegionPiece(PieceKind.ANNULUS)))
         return (pants, closed_surface(2)), (band, SurfaceDescriptor((1, 1)))
-    extra = 0 if case in CASE_I else 1
-    upper = (RegionPiece(_ANNULUS_WITH_HOLES, alpha),) + (_DISK,) * (beta + extra)
-    lower = (RegionPiece(_MOEBIUS_COMPOSITE, beta + extra),) + (_DISK,) * alpha
+    if case is not _NODE1:
+        return _cover(_NODE1, alpha, beta + _EXTRA[case])
+    upper = (RegionPiece(_ANNULUS_WITH_HOLES, alpha),) + (_DISK,) * beta
+    lower = (RegionPiece(_MOEBIUS_COMPOSITE, beta),) + (_DISK,) * alpha
     return (
-        (RegionDescriptor(upper), closed_surface(1 + alpha, beta + extra)),
-        (RegionDescriptor(lower), closed_surface(2 + beta + extra, alpha)),
+        (RegionDescriptor(upper), closed_surface(1 + alpha, beta)),
+        (RegionDescriptor(lower), closed_surface(2 + beta, alpha)),
     )
 
 
@@ -347,10 +339,6 @@ def real_part_topology(
         raise InconsistentInput(f"{iso} does not occur for ({c.r},{c.a},{c.delta})")
     lower = (region is _A_MINUS) is not (which is _RELATED_PHI)
     return _cover(iso.case, iso.alpha, iso.beta)[lower][1]
-
-
-# The cases of an IsotopyRow's cells, fields 6 to 8.
-ISOTOPY_CELL_CASES = (_NODE1, _ISOLATED, _NODE2)
 
 
 def isotopy_row(c: InvolutionClass, candidates) -> IsotopyRow:

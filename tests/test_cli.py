@@ -446,6 +446,49 @@ def test_divisor_report(capsys):
     assert "not modelled" in out
 
 
+_OUTSIDE = "an integer is an optional '-' then ASCII digits"
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["divisor", "--class", "\uff11\uff12,3"], "\uff11\uff12"),
+        (["divisor", "--class", "12,3", "--intersect", "1,+0"], "+0"),
+        (["isotopy", "--class", "9,9,+1,0"], "+1"),
+        (["isotopy", "--class", "9, 9 ,\u0661,1", "--format", "json"], "\u0661"),
+        (["degenerate", "--class", "9,9,1_0"], "1_0"),
+        (["degenerate", "--class=-0_1,9,1"], "-0_1"),
+    ],
+)
+def test_list_integer_outside_the_grammar_is_a_usage_error(capsys, argv, token):
+    # int() reads each of these tokens; a --class or --intersect list takes README's integer,
+    # as a Gram file does, whitespace around a token aside.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"atlas: {token!r}: {_OUTSIDE}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["divisor", "--class", "1,x"], "invalid literal for int() with base 10: 'x'"),
+        (["divisor", "--class", "x_,1_0"], "invalid literal for int() with base 10: 'x_'"),
+        (["divisor", "--class", "1_0,x"], "invalid literal for int() with base 10: 'x'"),
+        (["isotopy", "--class", "9,9,1.0,0"], "invalid literal for int() with base 10: '1.0'"),
+    ],
+)
+def test_list_token_int_refuses_keeps_its_message(capsys, argv, message):
+    # A list that int() refuses keeps int()'s message, whatever else it holds.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"atlas: {message}\n")
+
+
+def test_list_integers_take_surrounding_whitespace(capsys):
+    spaced = run(capsys, "divisor", "--class", " 12 ,\t3\u3000", "--format", "json")
+    assert spaced == run(capsys, "divisor", "--class", "12,3", "--format", "json")
+    assert spaced[0] == 0
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_divisor_empty_intersect_is_a_usage_error(capsys, fmt):
     code, out, err = run(capsys, "divisor", "--class", "12,3", "--intersect", "", "--format", fmt)

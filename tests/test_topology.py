@@ -35,6 +35,9 @@ def atlas():
     return load_atlas()
 
 
+GROUP_II = (TopCase.NODE2, TopCase.CUSP2)
+
+
 def triples(candidates):
     return [(t.case, t.alpha, t.beta) for t in candidates]
 
@@ -479,13 +482,18 @@ def test_racing_first_reads_keep_one_value(build, chi):
 
 def test_descriptor_memos_match_fresh_builds(atlas):
     # Every (case, alpha, beta) the catalog reaches gets the descriptors a fresh
-    # build would give, and the same objects each time, through every reader.
+    # build would give, and the same objects each time, through every reader.  A case
+    # other than Node (*) reads Node (1)'s entry with the ovals its double point adds
+    # to R2, so its fresh build is Node (1)'s: its own __wrapped__ returns the memo's.
     derivation = Derivation(atlas)
     for c in atlas.all_classes(Family.S311):
         for t in derivation.candidates(c):
             args = t.triple
-            cover, fresh = topology._cover(*args), topology._cover.__wrapped__(*args)
+            node1 = (TopCase.NODE1, t.alpha, t.beta + (t.case in GROUP_II))
+            built = args if t.case is TopCase.NODE_STAR else node1
+            cover, fresh = topology._cover(*args), topology._cover.__wrapped__(*built)
             assert cover == fresh and cover is topology._cover(*args)
+            assert all(a is not b for a, b in zip(cover, fresh))
             for region, (descriptor, real_part), (pieces, genera) in zip(Region, cover, fresh):
                 assert region_descriptor(*args, region) is descriptor
                 # the kept chi is that of a fresh build, summed over its pieces or genera
@@ -500,6 +508,43 @@ def test_descriptor_memos_match_fresh_builds(atlas):
             assert real_part_topology(c, t, Cover.PHI) is cover[lower][1]
             assert real_part_topology(c, t, Cover.RELATED_PHI) is cover[not lower][1]
     assert topology._cover.cache_info().currsize <= 330
+
+
+def test_group_ii_cells_are_group_i_cells_with_one_more_oval():
+    # Read from the shipped tables alone: each row's Node (2) cell is its Node (1) and
+    # isolated-point cell with one oval less in R2, and a row has no Node (2) cell
+    # exactly where that would leave -1 ovals, or, for the star class with H = 0,
+    # where it has no Node (1) cell either.
+    rows = tables.ISOTOPY_H0 + tables.ISOTOPY_Z2
+    paired = [row for row in rows if row.node2 is not None]
+    assert len(paired) == 78
+    for row in paired:
+        alpha, beta = row.node2
+        assert row.node1 == row.isolated == (alpha, beta + 1), row.index
+    others = [row for row in rows if row.node2 is None]
+    assert len(others) == 24
+    for row in others:
+        if row.index == "special-(10,8,0)":
+            assert row.node1 is row.isolated is None and row.node_star == "T^2 u T^2"
+        else:
+            assert row.node1 == row.isolated and row.node1[1] == 0, row.index
+
+
+def test_every_case_shares_node1_descriptors():
+    # Within its bound, each datum of a case other than Node (*) reads the memo entry of
+    # Node (1) with the ovals its double point adds to R2: one set of objects per cover.
+    for case in TopCase:
+        if case is TopCase.NODE_STAR:
+            continue
+        extra = case in GROUP_II
+        for alpha in range(10):
+            for beta in range(10 - extra - alpha):
+                node1 = topology._cover(TopCase.NODE1, alpha, beta + extra)
+                assert topology._cover(case, alpha, beta) is node1
+                for region, (descriptor, _) in zip(Region, node1):
+                    assert region_descriptor(case, alpha, beta, region) is descriptor
+    # 55 data for each group I case, 45 for each group II case and one Node (*) datum
+    assert topology._cover.cache_info().currsize <= 55 * 3 + 45 * 2 + 1
 
 
 def test_foreign_region_or_cover_is_refused(atlas):
