@@ -48,6 +48,7 @@ from .topology import (
     Region,
     TopCase,
     _invariants,
+    _shared_datum,
     candidate_isotopy_types,
     isotopy_row,
 )
@@ -216,8 +217,8 @@ class Derivation:
     ``full`` and ``table`` (c.key -> its candidates with and without the degenerate variants),
     ``rows`` (H -> (r, a, delta) -> its isotopy row), ``roundtrips`` ((class, candidate) of
     each non-star table candidate) with ``found`` (the (r, a, H) that ``topology._invariants``
-    recovers from it, and its alpha + beta), ``euler`` (the distinct (case, alpha, beta) of
-    all candidates, first seen first, and the candidate count) and ``pairs`` (per label, the
+    recovers from it, and its alpha + beta), ``euler`` (the distinct ``topology._shared_datum``
+    of all candidates, first seen first, and the candidate count) and ``pairs`` (per label, the
     cells of its isotopy row in the order of those moves, and the S311 class once per cell
     that is not None; () for a missing class, whose label is in ``unpaired``).
 
@@ -358,7 +359,8 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
                 s.found.append(_invariants(*t[:3], covered) + (t.alpha + t.beta,))
     s.roundtrips, s.found = tuple(s.roundtrips), tuple(s.found)
     lists = [s.full[c.key] for c in classes]
-    s.euler = tuple(dict.fromkeys(t[:3] for ts in lists for t in ts)), sum(map(len, lists))
+    triples = dict.fromkeys(t[:3] for ts in lists for t in ts)
+    s.euler = tuple(dict.fromkeys([_shared_datum(*t) for t in triples])), sum(map(len, lists))
     found, s.unpaired = _resolve(atlas, _S311)
     rows = [(c, c and _SIDES[side][1](s.rows[c.h][c.triple])) for c, side in found]
     s.pairs = tuple([

@@ -18,9 +18,9 @@ characteristic once read, and its copies and pickles carry only its fields.
 A region or cover that is not a ``Region`` or ``Cover`` member is refused.
 
 Group II is group I with ``extra`` = 1 more oval in R2: each closed form is written once
-and read at beta + extra, every case but Node (*) reads Node (1)'s descriptors, and
-alpha + beta <= 9 - extra keeps the recovered a = 9 or 10 minus alpha + beta + extra
-nonnegative, so ``invariants_from_isotopy`` needs no range check of its own.
+and read at beta + extra, every case but Node (*) reads the descriptors of Node (1) at its
+``_shared_datum``, and alpha + beta <= 9 - extra keeps the recovered a = 9 or 10 minus
+alpha + beta + extra nonnegative, so ``invariants_from_isotopy`` needs no range check of its own.
 """
 
 from __future__ import annotations
@@ -297,9 +297,14 @@ def region_descriptor(
     return _cover(case, alpha, beta)[region is _A_MINUS][0]
 
 
+def _shared_datum(case: TopCase, alpha: int, beta: int) -> tuple[TopCase, int, int]:
+    # The datum whose cover a case reads: Node (1)'s at beta + extra, or Node (*)'s own.
+    return (case, alpha, beta) if case is _NODE_STAR else (_NODE1, alpha, beta + _EXTRA[case])
+
+
 # Memoised: every caller checks the oval data first, so the memo holds at most
-# 6 cases x 55 (alpha, beta) = 330 entries.  Any case but Node (*) holds Node (1)'s entry
-# at (alpha, beta + extra), read through the memo: equal covers are one set of objects.
+# 6 cases x 55 (alpha, beta) = 330 entries.  Any case but Node (*) holds the entry of its
+# ``_shared_datum``, read through the memo: equal covers are one set of objects.
 @functools.cache
 def _cover(case: TopCase, alpha: int, beta: int) -> tuple[tuple[RegionDescriptor, SurfaceDescriptor], ...]:
     # (region, real part) over A+, then over A-, for oval data its caller has already
@@ -309,7 +314,7 @@ def _cover(case: TopCase, alpha: int, beta: int) -> tuple[tuple[RegionDescriptor
         band = RegionDescriptor((RegionPiece(PieceKind.MOEBIUS_BAND), RegionPiece(PieceKind.ANNULUS)))
         return (pants, closed_surface(2)), (band, SurfaceDescriptor((1, 1)))
     if case is not _NODE1:
-        return _cover(_NODE1, alpha, beta + _EXTRA[case])
+        return _cover(*_shared_datum(case, alpha, beta))
     upper = (RegionPiece(_ANNULUS_WITH_HOLES, alpha),) + (_DISK,) * beta
     lower = (RegionPiece(_MOEBIUS_COMPOSITE, beta),) + (_DISK,) * alpha
     return (

@@ -12,7 +12,7 @@ Every section reads the atlas's one ``degenerations.Derivation`` (its docstring 
 it keeps) and declares its derived items, its expected items, read from ``tables`` or a closed
 form on every call, and one wording function per item; ``atlas.compared`` compares the two
 sides whole and words only the items that differ.  No verdict is kept.  The Euler identity is
-evaluated once per distinct (case, alpha, beta), from the descriptors' kept Euler characteristic.
+evaluated once per ``topology._shared_datum``, from the descriptors' kept Euler characteristic.
 The roundtrip section tests no component count, since ``IsotopyType`` caps alpha + beta (1 to
 10 components, 2 to 11 for the isolated point), and no star candidate's class:
 ``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS`` classes.
@@ -41,7 +41,7 @@ from .degenerations import (
     TableSide,
     correspondence_check,
 )
-from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, double_cover_euler_check
+from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _shared_datum, double_cover_euler_check
 
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
@@ -187,12 +187,12 @@ def _word_roundtrip(key, derived, expected) -> list[str]:
 
 
 def _check_euler(derivation: Derivation) -> CheckSection:
-    triples, checked = derivation._s.euler
-    failed = {triple for triple in triples if not double_cover_euler_check(*triple)}
+    data, checked = derivation._s.euler
+    failed = {datum for datum in data if not double_cover_euler_check(*datum)}
 
-    def carriers(*_) -> list[str]:  # by class, then by candidate
+    def carriers(*_) -> list[str]:  # the candidates whose datum failed, by class, then candidate
         pairs = [(c, t) for c in derivation.atlas.all_classes(_S311) for t in derivation.candidates(c)]
-        return [f"{c.index} {t}: chi mismatch" for c, t in pairs if t[:3] in failed]
+        return [f"{c.index} {t}: chi mismatch" for c, t in pairs if _shared_datum(*t[:3]) in failed]
 
     return compared("double-cover Euler identity", checked, [((None,), (failed,), (set(),), carriers)])
 

@@ -575,6 +575,60 @@ def test_excluded_invariants_only_star(atlas):
     assert {t.case for t in candidate_isotopy_types(c)} == {TopCase.NODE_STAR}
 
 
+def _recovering_data() -> tuple[int, dict]:
+    # Every (case, alpha, beta, region) of the three table cases that invariants_from_isotopy
+    # accepts, alpha and beta tried from 0 to 10: their number, and (r, a, H) -> the
+    # (case, alpha, beta) that recover it.  The region fixes H, so no datum is met twice.
+    count, by_key = 0, {}
+    for case in (TopCase.NODE1, TopCase.ISOLATED, TopCase.NODE2):
+        for alpha, beta, region in itertools.product(range(11), range(11), Region):
+            try:
+                key = invariants_from_isotopy(case, alpha, beta, region)
+            except InconsistentInput:
+                continue
+            count += 1
+            by_key.setdefault(key, set()).add((case, alpha, beta))
+    return count, by_key
+
+
+def test_table_candidates_are_all_the_data_recovering_their_class(atlas):
+    # The converse of the roundtrips: a class lists every datum that recovers its (r, a, H),
+    # not only data that do.  Node (*) and the cusp variants are left out.
+    count, by_key = _recovering_data()
+    assert count == 310
+    classes, differing = atlas.all_classes(Family.S311), []
+    for c in classes:
+        listed = {t.triple for t in candidate_isotopy_types(c) if t.case is not TopCase.NODE_STAR}
+        if listed != by_key.get((c.r, c.a, c.h), set()):
+            differing.append(c.index)
+    assert len(classes) == 102 and differing == ["special-(10,8,0)"]  # see the next test
+
+
+def test_star_class_leaves_out_two_recovering_data(atlas):
+    # A known data question, open as the whitelisted No.16' contr3p cell is: the star class
+    # (10,8,0) with H = 0 lists Node (*) alone, while Node (1) (1,0) and the isolated point
+    # (1,0) recover its (r, a, H) too.  The tables list both under No.34, (10,8,1) with H = 0.
+    _, by_key = _recovering_data()
+    star = atlas.lookup_index(Family.S311, "special-(10,8,0)")
+    assert [t.case for t in candidate_isotopy_types(star)] == [TopCase.NODE_STAR]
+    left_out = {(TopCase.NODE1, 1, 0), (TopCase.ISOLATED, 1, 0)}
+    assert by_key[star.r, star.a, star.h] == left_out
+    no34 = atlas.lookup_index(Family.S311, "No.34")
+    assert no34.key == (10, 8, 1, HInvariant.ZERO)
+    assert {t.triple for t in candidate_isotopy_types(no34)} == left_out
+
+
+def test_recovered_keys_without_a_class(atlas):
+    # 22 (r, a, H) that some datum recovers but no class carries, 11 on each side.
+    _, by_key = _recovering_data()
+    claimed = {(c.r, c.a, c.h) for c in atlas.all_classes(Family.S311)}
+    h0 = [(0, 0), (4, 0), (5, 1), (6, 0), (7, 1), (8, 0), (12, 0), (13, 1), (14, 0), (15, 1), (16, 0)]
+    z2 = [(3, 1), (4, 2), (5, 1), (6, 2), (7, 1), (11, 1), (12, 2), (13, 1), (14, 2), (15, 1), (19, 1)]
+    expected = {(r, a, HInvariant.ZERO) for r, a in h0} | {(r, a, HInvariant.Z2) for r, a in z2}
+    assert len(expected) == 22
+    assert set(by_key) - claimed == expected
+
+
 def test_real_part_topology_examples(atlas):
     no1 = atlas.lookup_index(Family.S311, "No.1")
     node1 = candidate_isotopy_types(no1)[0]

@@ -75,13 +75,14 @@ def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
     summary = validation.run_all_checks(atlas)
     assert summary.ok
     assert len(pairs) == len(set(pairs)) == 368
-    assert len(triples) == len(set(triples)) == 201
-    # a second call derives no outcome but evaluates every Euler triple again
+    # one evaluation per shared cover datum, not per (case, alpha, beta) of a candidate (201)
+    assert len(triples) == len(set(triples)) == 45
+    # a second call derives no outcome but evaluates every Euler datum again
     del pairs[:], triples[:]
     again = validation.run_all_checks(atlas)
     assert again == summary and again is not summary
     assert all(a is not b for a, b in zip(again.sections, summary.sections))
-    assert not pairs and len(triples) == len(set(triples)) == 201
+    assert not pairs and len(triples) == len(set(triples)) == 45
     # another atlas of the same records derives everything again
     validation.run_all_checks(_fresh_atlas())
     assert len(pairs) == len(set(pairs)) == 368
@@ -460,9 +461,10 @@ def _euler_section(atlas):
 
 
 def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
-    # Carried by No.3, No.4, No.3' and No.4' (the first two), and by No.49'
-    # and No.49, which the atlas orders between No.4 and No.3'.
-    bad = {(TopCase.NODE2, 0, 6), (TopCase.NODE1, 0, 7), (TopCase.NODE1, 8, 0)}
+    # Each failing datum is a shared cover: (0,7) of Node (1) is read by No.3, No.4, No.3' and
+    # No.4' in all five of their cases, Node (2) and Cusp (2) at (0,6); (8,0) by No.49' and
+    # No.49, which the atlas orders between No.4 and No.3', in the three group I cases.
+    bad = {(TopCase.NODE1, 0, 7), (TopCase.NODE1, 8, 0)}
     seen = []
 
     def failing_euler(case, alpha, beta):
@@ -476,18 +478,69 @@ def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
     # by class in atlas order, then by candidate in the class's order
     assert section.violations == [
         "No.3 Node (1) (0,7): chi mismatch",
+        "No.3 Isolated point (0,7): chi mismatch",
         "No.3 Node (2) (0,6): chi mismatch",
+        "No.3 Cusp (1) (0,7): chi mismatch",
+        "No.3 Cusp (2) (0,6): chi mismatch",
         "No.4 Node (1) (0,7): chi mismatch",
+        "No.4 Isolated point (0,7): chi mismatch",
         "No.4 Node (2) (0,6): chi mismatch",
+        "No.4 Cusp (1) (0,7): chi mismatch",
+        "No.4 Cusp (2) (0,6): chi mismatch",
         "No.49' Node (1) (8,0): chi mismatch",
+        "No.49' Isolated point (8,0): chi mismatch",
+        "No.49' Cusp (1) (8,0): chi mismatch",
         "No.49 Node (1) (8,0): chi mismatch",
+        "No.49 Isolated point (8,0): chi mismatch",
+        "No.49 Cusp (1) (8,0): chi mismatch",
         "No.3' Node (1) (0,7): chi mismatch",
+        "No.3' Isolated point (0,7): chi mismatch",
         "No.3' Node (2) (0,6): chi mismatch",
+        "No.3' Cusp (1) (0,7): chi mismatch",
+        "No.3' Cusp (2) (0,6): chi mismatch",
         "No.4' Node (1) (0,7): chi mismatch",
+        "No.4' Isolated point (0,7): chi mismatch",
         "No.4' Node (2) (0,6): chi mismatch",
+        "No.4' Cusp (1) (0,7): chi mismatch",
+        "No.4' Cusp (2) (0,6): chi mismatch",
     ]
-    assert len(seen) == len(set(seen)) == 201
-    assert summary.summary_line() == "102/51, 63/37, 10 violations, 1 whitelisted discrepancy"
+    assert len(seen) == len(set(seen)) == 45
+    assert summary.summary_line() == "102/51, 63/37, 26 violations, 1 whitelisted discrepancy"
+
+
+def test_broken_shared_cover_reaches_every_case_that_reads_it(monkeypatch):
+    # Only Node (1)'s entry at (0,7) is broken, yet the candidates of the other cases that
+    # share it fail too, Node (2) and Cusp (2) at (0,6) among them, which no Node (1)
+    # triple names: 5 cases of No.3, No.4, No.3' and No.4'.
+    atlas = load_atlas()
+    assert validation.run_all_checks(atlas).ok
+    cover = topology._cover
+
+    def broken_at_0_7(case, alpha, beta):
+        entry = cover(case, alpha, beta)
+        if (case, alpha, beta) != (TopCase.NODE1, 0, 7):
+            return entry
+        return tuple(
+            (region, SurfaceDescriptor((real.genera[0] + 1,) + real.genera[1:])) for region, real in entry
+        )
+
+    misses = cover.cache_info().misses
+    with monkeypatch.context() as patch:
+        patch.setattr(topology, "_cover", broken_at_0_7)
+        section = _euler_section(atlas)
+        assert cover.cache_info().misses == misses
+    assert section.checked == 461
+    assert section.violations == [
+        f"{index} {case} ({alpha},{beta}): chi mismatch"
+        for index in ("No.3", "No.4", "No.3'", "No.4'")
+        for case, alpha, beta in (
+            ("Node (1)", 0, 7), ("Isolated point", 0, 7), ("Node (2)", 0, 6),
+            ("Cusp (1)", 0, 7), ("Cusp (2)", 0, 6),
+        )
+    ]
+    # no verdict is kept: the next call, unpatched, is clean
+    section = _euler_section(atlas)
+    assert section.checked == 461 and not section.violations
 
 
 def test_shared_descriptors_keep_no_verdict(monkeypatch):
@@ -541,13 +594,17 @@ def test_patched_region_is_seen_on_a_warm_atlas(monkeypatch, extra):
     assert section.checked == 461 and not section.violations
 
 
-def test_euler_triples_are_the_distinct_candidate_triples():
+def test_euler_data_are_the_distinct_shared_data_of_the_candidates():
+    # 201 distinct (case, alpha, beta) among the 461 candidates share 45 covers: 44 of Node (1)
+    # and the Node (*) datum.
     atlas = _fresh_atlas()
     derivation = Derivation.of(atlas)
     lists = [candidate_isotopy_types(c, True) for c in atlas.all_classes(Family.S311)]
-    triples, count = derivation._s.euler
-    assert triples == tuple(dict.fromkeys(t[:3] for ts in lists for t in ts))
-    assert (len(triples), count) == (201, 461) and count == sum(map(len, lists))
+    data, count = derivation._s.euler
+    assert data == tuple(dict.fromkeys(topology._shared_datum(*t.triple) for ts in lists for t in ts))
+    assert (len(data), count) == (45, 461) and count == sum(map(len, lists))
+    assert len({t.triple for ts in lists for t in ts}) == 201
+    assert {case for case, _, _ in data} == {TopCase.NODE1, TopCase.NODE_STAR}
     assert derivation._s is derivation._s
 
 
@@ -671,15 +728,17 @@ def test_missing_correspondence_class_is_reported_on_every_call():
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 551 calls on CPython 3.10.13 and 3.11.7 and 527 on 3.12.1 and 3.13.0 under either hash
-    # seed (pstats, which folds same-label entries, read 523 to 551 and varied between runs;
-    # 836 to 910 with a kept structure beside a walker per section, 22,597 to 23,459 when
-    # every call derived afresh).  Counted from cProfile's entries, as the cold call is.
+    # 239 calls on CPython 3.10.13 and 3.11.7 and 215 on 3.12.1 and 3.13.0 under either hash
+    # seed, so the budget is the highest count plus under 3% (551 and 527 while the Euler
+    # section checked each of 201 candidate triples; pstats, which folds same-label entries,
+    # read 523 to 551 and varied between runs; 836 to 910 with a kept structure beside a
+    # walker per section, 22,597 to 23,459 when every call derived afresh).  Counted from
+    # cProfile's entries, as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert sum(entry.callcount for entry in profile.getstats()) <= 650
+    assert sum(entry.callcount for entry in profile.getstats()) <= 246
 
 
 def test_warm_call_reads_the_cover_memo_once_per_euler_triple():
@@ -689,7 +748,7 @@ def test_warm_call_reads_the_cover_memo_once_per_euler_triple():
     before = topology._cover.cache_info()
     validation.run_all_checks(atlas)
     after = topology._cover.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (201, 0)
+    assert (after.hits - before.hits, after.misses - before.misses) == (45, 0)
 
 
 @functools.cache
@@ -720,8 +779,9 @@ def _cold_call_counts() -> tuple[tuple[int, int], ...]:
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 16,235 calls on CPython 3.10.13, 16,241 on 3.11.7 and 15,312 on 3.12.1 and 3.13.0, so
-    # the budget is the highest count plus under 3% (23,551, 23,557 and 22,628 while every
+    # 15,970 calls on CPython 3.10.13, 15,976 on 3.11.7 and 15,046 on 3.12.1 and 3.13.0, so
+    # the budget is the highest count plus under 3% (16,235, 16,241 and 15,312 while the Euler
+    # section checked each of 201 candidate triples; 23,551, 23,557 and 22,628 while every
     # case built its own descriptors; 24,154, 24,160 and 23,231 with one memo
     # for the regions and one for the real parts; 26,566, 26,572 and 24,035 while the first
     # reads of the kept Euler characteristics went through functools.cached_property;
@@ -729,7 +789,7 @@ def test_cold_call_stays_under_its_call_budget():
     # entries, not pstats', which keeps one entry per (file, line, name): which NamedTuple
     # method it keeps varies between runs.
     (first, _), (second, _) = _cold_call_counts()
-    assert first == second <= 16_700
+    assert first == second <= 16_450
 
 
 def test_cold_call_builds_the_node1_and_star_descriptors_only():
@@ -749,7 +809,7 @@ def test_warm_call_checks_oval_data_once_per_euler_triple():
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     code = topology._check_oval_bounds.__code__
-    assert _calls_to(code, validation.run_all_checks, atlas) <= 201
+    assert _calls_to(code, validation.run_all_checks, atlas) <= 45
 
 
 def test_warm_call_hashes_no_class():
