@@ -21,8 +21,6 @@ keeps) and the related partners and grid per H that ``validate_atlas`` reads, wh
 lives; an edited catalog parses to a new one.
 """
 
-from __future__ import annotations
-
 import bisect
 import os
 import reprlib
@@ -253,6 +251,13 @@ def _integer(value) -> int:
     return value
 
 
+def _string(value) -> str:
+    # JSON strings only: str() would turn null, 17 or [1] into a label.
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
 def _class_from_record(rec, number: int) -> InvolutionClass:
     if not isinstance(rec, dict):
         raise CatalogError(f"expected a JSON object, got {type(rec).__name__}", record=number)
@@ -278,7 +283,7 @@ def _class_from_record(rec, number: int) -> InvolutionClass:
                 if rec.get("h") in (None, "", "NA")
                 else value("h", HInvariant)
             ),
-            index=value("index", str),
+            index=value("index", _string),
         )
     except ValueError as exc:  # the invariants do not fit together
         raise CatalogError(str(exc), record=number) from None

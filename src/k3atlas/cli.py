@@ -90,22 +90,21 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    import csv
-    import io
+def _table(fmt: str, header: list[str], rows: list[list]) -> str:
+    """The rows as JSON records, CSV or a Markdown table; None prints as "" in the last two."""
+    if fmt == "json":
+        return _json_text([dict(zip(header, row)) for row in rows])
+    if fmt == "csv":
+        import csv
+        import io
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join("---" for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue()
+    lines = ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"]
+    lines += ["| " + " | ".join("" if v is None else str(v) for v in row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -173,34 +172,23 @@ def _grid_markdown(classes, title: str) -> str:
             deltas = sorted(cells.get((r, a), []))
             row.append(",".join(str(d) for d in deltas))
         rows.append(row)
-    return f"### {title}\n\n" + _md_table(header, rows)
+    return f"### {title}\n\n" + _table("md", header, rows)
 
 
 def cmd_classes(args) -> tuple[int, str]:
     from .atlas import Family, HInvariant, load_atlas
 
     atlas = load_atlas()
-    records = atlas.to_records(args.family)
-    if args.format == "json":
-        text = _json_text(records)
-    elif args.format == "csv":
+    if args.format != "md":  # only the records name each class's related partner
         header = ["family", "r", "a", "delta", "h", "index", "g", "k", "related_index"]
-        rows = [
-            [rec[key] if rec[key] is not None else "" for key in header]
-            for rec in records
-        ]
-        text = _csv_text(header, rows)
+        rows = [[rec[key] for key in header] for rec in atlas.to_records(args.family)]
+        return EXIT_OK, _table(args.format, header, rows)
+    classes = atlas.all_classes(args.family)
+    if args.family is Family.S311:
+        text = _grid_markdown([c for c in classes if c.h is HInvariant.ZERO], "H = 0")
+        text += "\n" + _grid_markdown([c for c in classes if c.h is HInvariant.Z2], "H = Z/2")
     else:
-        classes = atlas.all_classes(args.family)
-        if args.family is Family.S311:
-            text = _grid_markdown(
-                [c for c in classes if c.h is HInvariant.ZERO], "H = 0"
-            )
-            text += "\n" + _grid_markdown(
-                [c for c in classes if c.h is HInvariant.Z2], "H = Z/2"
-            )
-        else:
-            text = _grid_markdown(classes, "nonsingular-curve classes")
+        text = _grid_markdown(classes, "nonsingular-curve classes")
     return EXIT_OK, text
 
 
@@ -216,10 +204,10 @@ def _isotopy_row(c, candidates) -> list:
     from .topology import isotopy_row
 
     # The row run_all_checks compares with the shipped tables, with H after
-    # delta and "" for no cell; a star cell is a nonempty real-part name.
+    # delta and None for no cell; a star cell is a nonempty real-part name.
     row = isotopy_row(c, candidates)
-    cells = [x for cell in row[6:9] for x in (cell or ("", ""))]
-    return [*row[:4], c.h.value, row.g, row.k, *cells, row.node_star or ""]
+    cells = [x for cell in row[6:9] for x in (cell or (None, None))]
+    return [*row[:4], c.h.value, row.g, row.k, *cells, row.node_star]
 
 
 def _isotopy_json(c, candidates) -> dict:
@@ -228,15 +216,12 @@ def _isotopy_json(c, candidates) -> dict:
 
     g, k = gk_invariants(c)
     records = [
-        {
-            "case": t.case.value,
-            "alpha": t.alpha,
-            "beta": t.beta,
-            "table_data": t.table_data,
-            "conjectured_nonrealizable": t.conjectured_nonrealizable,
-            "real_part_phi": str(real_part_topology(c, t, Cover.PHI)),
-            "real_part_related": str(real_part_topology(c, t, Cover.RELATED_PHI)),
-        }
+        dict(
+            t._asdict(),
+            case=t.case.value,
+            real_part_phi=str(real_part_topology(c, t, Cover.PHI)),
+            real_part_related=str(real_part_topology(c, t, Cover.RELATED_PHI)),
+        )
         for t in candidates
     ]
     return {
@@ -282,12 +267,9 @@ def cmd_isotopy(args) -> tuple[int, str]:
     if args.format == "json":
         payload = [_isotopy_json(c, candidates) for c, candidates in entries]
         text = _json_text(payload if len(payload) != 1 else payload[0])
-    elif args.format == "csv":
-        rows = [_isotopy_row(c, candidates) for c, candidates in entries]
-        text = _csv_text(_ISOTOPY_HEADER, rows)
     else:
-        rows = [[str(v) for v in _isotopy_row(c, candidates)] for c, candidates in entries]
-        text = _md_table(_ISOTOPY_HEADER, rows)
+        text = _table(args.format, _ISOTOPY_HEADER, [_isotopy_row(*entry) for entry in entries])
+    if args.format == "md":
         for note, wanted in (
             ("(degenerate variant, non-table data)", lambda t: not t.table_data),
             ("conjectured nonrealizable", lambda t: t.conjectured_nonrealizable),
@@ -336,16 +318,9 @@ def cmd_degenerate(args) -> tuple[int, str]:
         else:
             for move in PRIMED_MOVES if side is TableSide.PRIMED else UNPRIMED_MOVES:
                 header += [f"{move.value}_a", f"{move.value}_b"]
-            for row in degeneration_rows:
-                values = list(row[:6])
-                for _move, cell in row.cells:
-                    values.extend(["", ""] if cell is None else [cell[0], cell[1]])
-                rows.append(values)
-        if args.format == "json":
-            return EXIT_OK, _json_text([dict(zip(header, values)) for values in rows])
-        if args.format == "csv":
-            return EXIT_OK, _csv_text(header, rows)
-        return EXIT_OK, _md_table(header, [[str(v) for v in r] for r in rows])
+            for row in degeneration_rows:  # "", not null, for no cell in JSON too
+                rows.append([*row[:6], *(x for _move, cell in row.cells for x in cell or ("", ""))])
+        return EXIT_OK, _table(args.format, header, rows)
 
     r, a, delta, _h = _parse_selector(args.cls, Family.U)
     c = atlas.lookup(Family.U, r, a, delta)
@@ -365,12 +340,7 @@ def cmd_degenerate(args) -> tuple[int, str]:
         text = _json_text(payload)
     elif args.format == "csv":
         header = ["move", "result", "alpha", "beta", "target_index"]
-        rows = [
-            [rec["move"], rec["result"]]
-            + ["" if rec[k] is None else rec[k] for k in ("alpha", "beta", "target_index")]
-            for rec in records
-        ]
-        text = _csv_text(header, rows)
+        text = _table("csv", header, [[rec[key] for key in header] for rec in records])
     else:
         lines = [f"### {c.index} ({c.r},{c.a},{c.delta})", ""]
         for rec in records:

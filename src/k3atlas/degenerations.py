@@ -17,8 +17,6 @@ read what they need through the atlas's one ``Derivation``, whose docstring stat
 keeps.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import cached_property
 from operator import itemgetter
@@ -231,7 +229,7 @@ class Derivation:
         self.atlas = atlas
 
     @classmethod
-    def of(cls, atlas: Atlas | Derivation | None) -> Derivation:
+    def of(cls, atlas: "Atlas | Derivation | None") -> "Derivation":
         """A Derivation as given, else the one stored on the atlas (default
         ``load_atlas()``), made on first request; ``Derivation(atlas)``
         makes a new, unshared one."""

@@ -7,8 +7,6 @@ lattice fixture.  The canonical class of the Hirzebruch surface is pinned
 to -6c - 2s, the unique divisor class doubling to -(12c + 4s).
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

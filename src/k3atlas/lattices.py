@@ -13,8 +13,6 @@ gives both its determinant and its signature, and its Smith invariant
 factors.  A copy or an unpickled lattice computes its own.
 """
 
-from __future__ import annotations
-
 import operator
 import sys
 from functools import cached_property, reduce

@@ -23,8 +23,6 @@ and read at beta + extra, every case but Node (*) reads the descriptors of Node 
 alpha + beta + extra nonnegative, so ``invariants_from_isotopy`` needs no range check of its own.
 """
 
-from __future__ import annotations
-
 import functools
 import operator
 from typing import NamedTuple

@@ -18,8 +18,6 @@ The roundtrip section tests no component count, since ``IsotopyType`` caps alpha
 ``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS`` classes.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from operator import attrgetter, itemgetter
 from typing import NamedTuple

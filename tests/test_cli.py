@@ -205,6 +205,32 @@ def test_degenerate_side_tables(capsys):
     ]
 
 
+_SIDES = [["degenerate", "--side", side.value] for side in TableSide]
+
+
+def _markdown_rows(text: str) -> list[list[str]]:
+    # The header and body rows of the one table in text, without the |---| line.
+    return [line[2:-2].split(" | ") for line in text.splitlines() if line.startswith("| ")]
+
+
+@pytest.mark.parametrize("argv", [["classes", "--family", "s311"], ["classes", "--family", "u"], *_SIDES])
+def test_csv_rows_are_the_json_records(capsys, argv):
+    _code, text, _ = run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(text))
+    _code, text, _ = run(capsys, *argv, "--format", "json")
+    records = json.loads(text)
+    assert rows and [list(rec) for rec in records] == [header] * len(rows)
+    assert rows == [["" if v is None else str(v) for v in rec.values()] for rec in records]
+
+
+@pytest.mark.parametrize("argv", [["isotopy"], *_SIDES])
+def test_markdown_cells_are_the_csv_rows(capsys, argv):
+    _code, text, _ = run(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(text)))
+    _code, text, _ = run(capsys, *argv, "--format", "md")
+    assert len(rows) > 1 and _markdown_rows(text) == rows
+
+
 def test_bad_flags_exit_two(capsys):
     # argparse's own errors end like every other one: one line, exit 2
     for argv, problem in (
@@ -641,6 +667,19 @@ def test_data_dir_malformed_exit_seven(exported_catalogs, capsys, monkeypatch, n
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("index", [None, 17, 1.5, [1], {}])
+def test_data_dir_index_must_be_a_json_string(exported_catalogs, capsys, monkeypatch, index):
+    # str() made these labels: a null index printed as "None" and failed 101 checks.
+    path = exported_catalogs / "u.json"
+    records = json.loads(path.read_text())
+    records[0]["index"] = index
+    path.write_text(json.dumps(records))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    problem = os.path.join(exported_catalogs, f"u.json: record 0: field 'index' has bad value {index!r}")
+    for argv in (["validate"], ["classes", "--family", "u", "--format", "csv"]):
+        assert run(capsys, *argv) == (7, "", f"atlas: {problem}\n")
+
+
 def test_data_dir_empty_catalog(exported_catalogs, capsys, monkeypatch):
     for name in ("s311.json", "u.json"):
         (exported_catalogs / name).write_text("[]")
@@ -740,6 +779,31 @@ def test_data_dir_missing_target_fails_only_what_reads_it(
         code, out, err = run(capsys, "validate")
         assert (code, err) == (1, "")
         assert out.endswith("summary: 101/50, 63/37, 5 violations, 0 whitelisted discrepancies\n")
+
+
+def test_data_dir_markdown_grid_needs_no_related_partner(exported_catalogs, capsys, monkeypatch):
+    # Only CSV and JSON print each class's related_index: without No.16 (7,5,1), its partner
+    # No.43 has none, and the grid still prints, short of that one class.
+    _code, embedded, _ = run(capsys, "classes", "--family", "u")
+    path = exported_catalogs / "u.json"
+    path.write_text(json.dumps([rec for rec in json.loads(path.read_text()) if rec["index"] != "No.16"]))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    code, out, err = run(capsys, "classes", "--family", "u")
+    assert (code, err) == (0, "")
+    before, after = _markdown_rows(embedded), _markdown_rows(out)
+    assert [line for line in out.splitlines() if not line.startswith("| ")] == [
+        line for line in embedded.splitlines() if not line.startswith("| ")
+    ]
+    changed = [
+        (row[0], r, old, new)
+        for row, new_row in zip(before, after)
+        for r, old, new in zip(before[0], row, new_row)
+        if old != new
+    ]
+    assert len(after) == len(before) and changed == [("5", "7", "1", "")]
+    missing = "atlas: related invariants of U:No.43 (13,5,1) are missing from the atlas\n"
+    for fmt in ("csv", "json"):
+        assert run(capsys, "classes", "--family", "u", "--format", fmt) == (3, "", missing)
 
 
 @pytest.mark.parametrize("first", [False, True], ids=["after", "first"])

@@ -1,9 +1,12 @@
 """The package surface: every exported name resolves, submodules load on
 first use, and the catalog half loads no lattice, divisor or JSON code."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -64,6 +67,20 @@ def test_member_globals_are_the_members_they_name():
                 assert name == f"_{value.name}", (module.__name__, name)
                 bound += 1
     assert bound  # the check found the globals
+
+
+def test_no_namedtuple_field_annotation_is_a_forward_reference():
+    # typing.NamedTuple turns a string annotation, as `from __future__ import annotations`
+    # makes every one, into a ForwardRef, whose constructor compiles the text at import.
+    fields = 0
+    for info in pkgutil.iter_modules(k3atlas.__path__):
+        module = importlib.import_module(f"k3atlas.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and hasattr(value, "_fields"):  # a NamedTuple or a subclass
+                for name, annotation in value.__annotations__.items():
+                    assert not isinstance(annotation, typing.ForwardRef), (value.__qualname__, name)
+                    fields += 1
+    assert fields  # the check found the NamedTuples
 
 
 def _modules_loaded_by(code: str) -> set[str]:
