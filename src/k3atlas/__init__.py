@@ -20,7 +20,7 @@ _EXPORTS = {
         "gk_invariants", "load_atlas", "validate_atlas",
     ),
     "degenerations": (
-        "Degeneration", "DegenerationOutcome", "Derivation", "MoveSpec", "TableSide",
+        "Degeneration", "DegenerationOutcome", "MoveSpec", "TableSide",
         "TransitionGraph", "apply_degeneration", "correspondence_check",
         "degeneration_table", "graph_to_dot", "graph_to_json", "transition_graph",
     ),

@@ -16,9 +16,10 @@ the next call and unchanged files give the same ``Atlas``.  A file that
 cannot be read, decoded or parsed, or a record that lacks a field or has a
 bad value, raises ``CatalogError`` (and is not kept).
 
-An ``Atlas`` keeps its one ``degenerations.Derivation`` (whose docstring states what it
-keeps) and the related partners and grid per H that ``validate_atlas`` reads, while it
-lives; an edited catalog parses to a new one.
+An ``Atlas`` keeps, while it lives, its two family passes, derived on first use by
+``degenerations._u_pass`` and ``degenerations._s311_pass`` (whose docstrings state what they
+keep), and the related partners and grid per H that ``validate_atlas`` reads; an edited
+catalog parses to a new one.
 """
 
 import bisect
@@ -137,7 +138,6 @@ class Atlas:
     """Immutable pair of class catalogs with exact-match lookups."""
 
     def __init__(self, classes: list[InvolutionClass]):
-        self._derivation = None  # its one Derivation, set by Derivation.of
         self._by_family: dict[Family, tuple[InvolutionClass, ...]] = {}
         self._by_key: dict[tuple, InvolutionClass] = {}
         self._by_index: dict[tuple[Family, str], InvolutionClass] = {}
@@ -170,6 +170,23 @@ class Atlas:
 
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
         return self._by_family[family]
+
+    # The two family passes, each built on first use by a builder imported then: the class
+    # and isotopy queries load no degenerations code.
+    @cached_property
+    def _pass(self):  # the U pass as built, with ``missing``
+        from .degenerations import _u_pass
+        return _u_pass(self)
+
+    @cached_property
+    def _u(self):  # the U pass as the checks read it: raises what ``missing`` keeps for them
+        from .degenerations import _read
+        return _read(self)
+
+    @cached_property
+    def _s(self):  # the S311 pass
+        from .degenerations import _s311_pass
+        return _s311_pass(self)
 
     @cached_property
     def _partners(self) -> dict[Family, tuple[InvolutionClass | None, ...]]:

@@ -13,8 +13,9 @@ of these degenerations is known to be realizable for every pair of end
 curves.
 
 ``degeneration_table``, ``correspondence_check``, ``transition_graph`` and ``validation``
-read what they need through the atlas's one ``Derivation``, whose docstring states what it
-keeps.  The specs, outcomes, table rows, edges and graphs are immutable NamedTuples.
+read the two passes an atlas derives on first use and keeps, ``_u_pass`` and ``_s311_pass``,
+whose docstrings state what they keep.  A side or move that is no member of its enum is
+refused with ``InconsistentInput``.  Specs, outcomes, rows, edges and graphs are NamedTuples.
 """
 
 from collections import Counter
@@ -36,8 +37,8 @@ from .atlas import (
     load_atlas,
     related_key,
 )
-from .errors import MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
-from .tables import U_EXCLUDED_TRIPLES, IsotopyRow
+from .errors import InconsistentInput, MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
+from .tables import U_EXCLUDED_TRIPLES
 from .topology import (
     ISOTOPY_CELL_CASES,
     STAR_KEY_H0,
@@ -122,7 +123,7 @@ class Degeneration(IdentityEnum):
 UNPRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and not m.spec.primed)
 PRIMED_MOVES = tuple(m for m in Degeneration if not m.spec.source and m.spec.primed)
 STAR_MOVES = tuple(m for m in Degeneration if m.spec.source)
-TABLE_MOVES = UNPRIMED_MOVES + PRIMED_MOVES  # the order of Derivation.outcomes
+TABLE_MOVES = UNPRIMED_MOVES + PRIMED_MOVES  # the order of the U pass's moves per class
 
 
 class DegenerationOutcome(NamedTuple):
@@ -164,6 +165,8 @@ def apply_degeneration(
         raise WrongFamily("degenerations start from the nonsingular-curve family")
     if c.triple in _NO_MOVES:
         raise SpecialClass(_NO_MOVES[c.triple])
+    if type(move) is not Degeneration:
+        raise InconsistentInput("a move is a Degeneration member")
     spec = move.spec
     if spec.source and c.triple != spec.source:
         raise MoveNotApplicable(
@@ -194,96 +197,28 @@ _SIDES = tuple(
 )
 
 
-class Derivation:
-    """What the tables, the graph and the checks read of one atlas, derived in one pass per
-    family on first use and kept while it lives; ``Derivation.of(atlas)`` is the atlas's one.
-
-    The U pass (``_pass``) calls ``apply_degeneration`` once for each applicable (class, move)
-    of the classes with moves, 368 times, and keeps ``outcome`` ((c.key, move) -> outcome),
-    ``by_class`` (c.key -> the outcomes of ``TABLE_MOVES``), ``flat`` (the unprimed and the
-    primed move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)),
-    ``rows`` (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows),
-    ``moves`` ((class, move) of each table move) with ``after`` (the alpha + beta it leaves,
-    None where impossible) and ``pools`` (its pool, the other pool, the ovals it uses),
-    ``pairs`` (per No.k / No.k' label, the cells of the moves of its side and the targets of
-    the possible ones; None for a missing class, whose label is in ``unpaired``) and ``graph``.
+def _u_pass(atlas: Atlas) -> SimpleNamespace:
+    """The U pass, kept by ``Atlas._pass``: what the move tables, the graph and the checks
+    read of the U family.  It calls ``apply_degeneration`` once for each applicable (class,
+    move) of the classes with moves, 368 times, and keeps ``stars`` (the outcomes of
+    ``STAR_MOVES``, None for a missing source class), ``flat`` (the unprimed and the primed
+    move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)), ``rows``
+    (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows), ``moves``
+    ((class, move) of each table move) with ``after`` (the alpha + beta it leaves, None where
+    impossible) and ``pools`` (its pool, the other pool, the ovals it uses), ``pairs`` (per
+    No.k / No.k' label, the cells of the moves of its side and the targets of the possible
+    ones; None for a missing class, whose label is in ``unpaired``) and ``graph``.
     ``missing`` keeps the first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing
-    target under its move's table and ``"graph"``, a missing partner under the primed table, and
-    either under ``None``, the reader of the whole pass (``_u``, as the checks read it).
-
-    The S311 pass (``_s``) calls ``candidate_isotopy_types`` once per class and keeps
-    ``full`` and ``table`` (c.key -> its candidates with and without the degenerate variants),
-    ``rows`` (H -> (r, a, delta) -> its isotopy row), ``roundtrips`` ((class, candidate) of
-    each non-star table candidate) with ``found`` (the (r, a, H) that ``topology._invariants``
-    recovers from it, and its alpha + beta), ``euler`` (the distinct ``topology._shared_datum``
-    of all candidates, first seen first, and the candidate count) and ``pairs`` (per label, the
-    cells of its isotopy row in the order of those moves, and the S311 class once per cell
-    that is not None; () for a missing class, whose label is in ``unpaired``).
+    target under its move's table and ``"graph"``, a missing partner under the primed table,
+    and either under ``None``, the reader of the whole pass (``Atlas._u``, as the checks read
+    it).
 
     All are tuples, or dicts whose values are immutable.  Only generator outputs are kept,
     never a verdict: every check compares them with its expected side on every call, through
-    ``atlas.compared``, and walks them only to word a mismatch.
+    ``atlas.compared``, and walks them only to word a mismatch.  So does ``_s311_pass``.
     """
-
-    def __init__(self, atlas: Atlas):
-        self.atlas = atlas
-
-    @classmethod
-    def of(cls, atlas: "Atlas | Derivation | None") -> "Derivation":
-        """A Derivation as given, else the one stored on the atlas (default
-        ``load_atlas()``), made on first request; ``Derivation(atlas)``
-        makes a new, unshared one."""
-        if isinstance(atlas, Derivation):
-            return atlas
-        atlas = atlas or load_atlas()
-        # Two threads may both make one; either serves, as both derive alike.
-        if atlas._derivation is None:
-            atlas._derivation = cls(atlas)
-        return atlas._derivation
-
-    @cached_property
-    def _pass(self) -> SimpleNamespace:
-        return _u_pass(self.atlas)
-
-    def _read(self, reader=None):
-        """The rows of ``reader`` (a ``TableSide``), the graph (``"graph"``) or the whole pass
-        (``None``), or the ``NotInAtlas`` that ``missing`` keeps for that reader, raised."""
-        u = self._pass
-        if reader in u.missing:
-            raise u.missing[reader].with_traceback(None)
-        return u if reader is None else u.graph if reader == "graph" else u.rows[reader]
-
-    _u = cached_property(_read)  # the pass as the checks, which read every outcome, read it
-
-    @cached_property
-    def _s(self) -> SimpleNamespace:
-        return _s311_pass(self.atlas)
-
-    # Keyed by ``c.key``, a tuple hashed in C: its H part fixes the family.
-    def outcome(self, c: InvolutionClass, move: Degeneration) -> DegenerationOutcome:
-        """As ``apply_degeneration`` gives it, and raises it for a class without moves."""
-        return self._pass.outcome.get((c.key, move)) or apply_degeneration(c, move, self.atlas)
-
-    def outcomes(self, c: InvolutionClass) -> tuple[DegenerationOutcome, ...]:
-        """The outcomes of ``TABLE_MOVES`` from the U class ``c``, in that order."""
-        return self._pass.by_class.get(c.key) or tuple([self.outcome(c, m) for m in TABLE_MOVES])
-
-    def candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
-        """With the degenerate variants; the first request derives all 102."""
-        return self._s.full[c.key]
-
-    def table_candidates(self, c: InvolutionClass) -> tuple[IsotopyType, ...]:
-        """What ``candidate_isotopy_types(c)`` returns, as a tuple."""
-        return self._s.table[c.key]
-
-    def isotopy_row(self, c: InvolutionClass) -> IsotopyRow:
-        """``isotopy_row(c, self.table_candidates(c))``; the first request derives all 102."""
-        return self._s.rows[c.h][c.triple]
-
-
-def _u_pass(atlas: Atlas) -> SimpleNamespace:
-    u = SimpleNamespace(atlas=atlas, outcome={}, by_class={}, moves=[], after=[], pools=[], edges=[])
-    flat, sides, u.missing = ([], []), {}, {}
+    u = SimpleNamespace(atlas=atlas, moves=[], after=[], pools=[], edges=[])
+    flat, sides, stars, u.missing = ([], []), {}, {}, {}
     for c in atlas.all_classes(_U):
         if c.triple in U_EXCLUDED_TRIPLES:
             continue
@@ -298,18 +233,20 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
             except NotInAtlas as exc:
                 for reader in (_PRIMED, None):
                     u.missing.setdefault(reader, exc.with_traceback(None))
-        got, whole = {}, True  # move -> its outcome; whole while no target is missing
+        got = {}  # move -> its outcome
         for move in applicable_moves(c):
             try:
-                outcome = got[move] = u.outcome[c.key, move] = apply_degeneration(c, move, atlas)
+                outcome = got[move] = apply_degeneration(c, move, atlas)
             except NotInAtlas as exc:
                 for reader in (_TABLE_OF[move], "graph", None):
                     u.missing.setdefault(reader, exc.with_traceback(None))
                 # Stands in, unkept, in rows that raise before they are read.
-                got[move], whole = DegenerationOutcome(move, None, None), False
+                got[move] = DegenerationOutcome(move, None, None)
                 continue
             if outcome.iso is not None:
                 u.edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
+            if move.spec.source:
+                stars[move] = outcome
         outcomes = tuple([got[m] for m in TABLE_MOVES])
         for move, o in zip(TABLE_MOVES, outcomes):
             u.moves.append((c, move))
@@ -323,8 +260,6 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
             flat[0].append((c.index, *head, *unprimed[0]))
         if k >= 1 and _PRIMED not in u.missing:  # else no primed row is read
             flat[1].append((f"{partner.index}'", *head, *primed[0]))
-        if whole:
-            u.by_class[c.key] = outcomes
     for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
         rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
     u.flat, u.moves, u.after, u.pools = tuple(map(tuple, flat)), *map(tuple, (u.moves, u.after, u.pools))
@@ -332,10 +267,11 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
         side: tuple([MoveTableRow(*row[:6], tuple(zip(moves, row[6:]))) for row in rows])
         for side, (moves, _getter), rows in zip((_UNPRIMED, _PRIMED), _SIDES, u.flat)
     }
+    u.stars = tuple([stars.get(m) for m in STAR_MOVES])
     u.rows[_STAR] = tuple([
-        MoveTableRow(c.index, c.r, c.a, c.delta, *c.gk, ((m, outcome.cell()),))
-        for m in STAR_MOVES
-        if (c := atlas.lookup(_U, *m.spec.source)) and (outcome := u.outcome.get((c.key, m)))
+        MoveTableRow(c.index, c.r, c.a, c.delta, *c.gk, ((m, o.cell()),))
+        for m, o in zip(STAR_MOVES, u.stars)
+        if o and (c := atlas.lookup(_U, *m.spec.source))
     ])
     found, u.unpaired = _resolve(atlas, _U)  # None also for a class without moves
     u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in found])
@@ -344,6 +280,16 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
 
 
 def _s311_pass(atlas: Atlas) -> SimpleNamespace:
+    """The S311 pass, kept by ``Atlas._s``: what the checks read of the S311 family.  It calls
+    ``candidate_isotopy_types`` once per class and keeps ``full`` and ``table`` (c.key -> its
+    candidates with and without the degenerate variants), ``rows`` (H -> (r, a, delta) -> its
+    isotopy row), ``roundtrips`` ((class, candidate) of each non-star table candidate) with
+    ``found`` (the (r, a, H) that ``topology._invariants`` recovers from it, and its alpha +
+    beta), ``euler`` (the distinct ``topology._shared_datum`` of all candidates, first seen
+    first, and the candidate count) and ``pairs`` (per label, the cells of its isotopy row in
+    the order of those moves, and the S311 class once per cell that is not None; () for a
+    missing class, whose label is in ``unpaired``).
+    """
     s = SimpleNamespace(full={}, table={}, rows={_ZERO: {}, _Z2: {}}, roundtrips=[], found=[])
     classes = atlas.all_classes(_S311)
     for c in classes:
@@ -396,35 +342,46 @@ class MoveTableRow(NamedTuple):
     cells: tuple[tuple[Degeneration, tuple[int, int] | None], ...]
 
 
-def degeneration_table(
-    side: TableSide, atlas: Atlas | Derivation | None = None
-) -> list[MoveTableRow]:
+def _read(atlas: Atlas | None, reader=None):
+    """Of the U pass of ``atlas`` (default ``load_atlas()``): the rows of ``reader`` (a
+    ``TableSide``), the graph (``"graph"``) or the whole pass (``None``), or the
+    ``NotInAtlas`` that ``missing`` keeps for that reader, raised."""
+    u = (atlas or load_atlas())._pass
+    if reader in u.missing:
+        raise u.missing[reader].with_traceback(None)
+    return u if reader is None else u.graph if reader == "graph" else u.rows[reader]
+
+
+def degeneration_table(side: TableSide, atlas: Atlas | None = None) -> list[MoveTableRow]:
     """Regenerate a full move table from ``apply_degeneration``.
 
     The unprimed table lists every class with g >= 2, the primed table
     every class with k >= 1, each under its index on that side; the star
     table holds the two self-conjunction rows.  Each call returns a new list.
     """
-    return list(Derivation.of(atlas)._read(side))
+    if type(side) is not TableSide:
+        raise InconsistentInput("a side is TableSide.UNPRIMED, TableSide.PRIMED or TableSide.STAR")
+    return list(_read(atlas, side))
 
 
 # ---------------------------------------------------------------------------
 # The correspondence between degeneration outcomes and isotopy candidates
 
 
-def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSection:
+def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     """Degenerations of the class No.k land exactly on the isotopy
     candidates of the class No.k on the other side, move by move; likewise
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
-    derivation = Derivation.of(atlas)
-    u, s, atlas = derivation._u, derivation._s, derivation.atlas
+    atlas = atlas or load_atlas()
+    u, s = atlas._u, atlas._s
 
     def word_pair(key, u_side, s_side) -> list[str]:
         label, side = key
         if u_side is None or s_side == ():
-            if u_class := atlas.lookup_index(_U, label):
-                derivation.outcomes(u_class)  # a class without moves raises as apply_degeneration does
+            if u_class := atlas.lookup_index(_U, label):  # a class without moves raises
+                for move in TABLE_MOVES:
+                    apply_degeneration(u_class, move, atlas)
             return [f"{label}: missing from one of the catalogs"]
         s_class, targets, out = atlas.lookup_index(_S311, label), iter(u_side[1]), []
         for move, cell, expected in zip(_SIDES[side][0], u_side[0], s_side[0]):
@@ -444,11 +401,10 @@ def correspondence_check(atlas: Atlas | Derivation | None = None) -> CheckSectio
     # Each self-conjunction lands on a star class: its target is apply_degeneration's
     # lookup of ``move.spec.star_target``, whose isotopy row has a star real part.
     # None where the source class is missing.
-    outcomes = [u.outcome.get((move.spec.source + (_NOT_APPLICABLE,), move)) for move in STAR_MOVES]
     stars = tuple([
         None if o is None
-        else o.iso is not None and derivation.isotopy_row(o.target).node_star is not None
-        for o in outcomes
+        else o.iso is not None and s.rows[o.target.h][o.target.triple].node_star is not None
+        for o in u.stars
     ])
 
     def word_star(move, found, _expected) -> list[str]:
@@ -531,9 +487,9 @@ class TransitionGraph(Checked, _GraphFields):
         return nodes, edges
 
 
-def transition_graph(atlas: Atlas | Derivation | None = None) -> TransitionGraph:
+def transition_graph(atlas: Atlas | None = None) -> TransitionGraph:
     """All candidate degeneration edges over both catalogs, in atlas order."""
-    return Derivation.of(atlas)._read("graph")
+    return _read(atlas, "graph")
 
 
 def _derive_graph(u: SimpleNamespace) -> TransitionGraph:

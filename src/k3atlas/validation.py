@@ -8,8 +8,9 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-Every section reads the atlas's one ``degenerations.Derivation`` (its docstring states what
-it keeps) and declares its derived items, its expected items, read from ``tables`` or a closed
+Every section takes the atlas, reads its two kept family passes, ``Atlas._u`` and
+``Atlas._s`` (the docstrings of ``degenerations._u_pass`` and ``_s311_pass`` state what they
+keep), and declares its derived items, its expected items, read from ``tables`` or a closed
 form on every call, and one wording function per item; ``atlas.compared`` compares the two
 sides whole and words only the items that differ.  No verdict is kept.  The Euler identity is
 evaluated once per ``topology._shared_datum``, from the descriptors' kept Euler characteristic.
@@ -35,7 +36,6 @@ from .atlas import (
 from .degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
-    Derivation,
     TableSide,
     correspondence_check,
 )
@@ -93,10 +93,10 @@ class ValidationSummary(NamedTuple):
         )
 
 
-def _check_isotopy_tables(derivation: Derivation) -> CheckSection:
+def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
     # Part by part, each row with the generated row of its (r, a, delta) and H: one
     # comparison of the parts joined would miss a row moved across.
-    rows, parts, checked = derivation._s.rows, [], 0
+    rows, parts, checked = atlas._s.rows, [], 0
     for h, shipped in ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)):
         checked += len(shipped)
         derived = tuple(map(rows[h].get, map(_TRIPLE, shipped)))
@@ -119,8 +119,8 @@ def _word_isotopy_row(row, derived, _shipped) -> list[str]:
     return out
 
 
-def _check_move_tables(derivation: Derivation) -> CheckSection:
-    u, parts, whitelisted, checked = derivation._u, [], [], len(tables.MOVES_STAR)
+def _check_move_tables(atlas: Atlas) -> CheckSection:
+    u, parts, whitelisted, checked = atlas._u, [], [], len(tables.MOVES_STAR)
     shipped_tables = tables.MOVES_UNPRIMED, tables.MOVES_PRIMED
     for side, moves, flat, shipped in zip(_TABLE_SIDES, _SIDE_MOVES, u.flat, shipped_tables):
         if len(flat) != len(shipped):
@@ -164,8 +164,8 @@ def _word_move_row(side, moves, shipped, flat, expected) -> list[str]:
     ]
 
 
-def _check_roundtrips(derivation: Derivation) -> CheckSection:
-    s = derivation._s
+def _check_roundtrips(atlas: Atlas) -> CheckSection:
+    s = atlas._s
     # The oval-sum rule, on the H = 0 side only: alpha + beta is 9 - a, and 8 - a for Node (2).
     expected = tuple([
         (c.r, c.a, c.h, 9 - c.a - (t.case is _NODE2) if c.h is _ZERO else found[3])
@@ -184,35 +184,34 @@ def _word_roundtrip(key, derived, expected) -> list[str]:
     return out
 
 
-def _check_euler(derivation: Derivation) -> CheckSection:
-    data, checked = derivation._s.euler
+def _check_euler(atlas: Atlas) -> CheckSection:
+    (data, checked), full = atlas._s.euler, atlas._s.full
     failed = {datum for datum in data if not double_cover_euler_check(*datum)}
 
     def carriers(*_) -> list[str]:  # the candidates whose datum failed, by class, then candidate
-        pairs = [(c, t) for c in derivation.atlas.all_classes(_S311) for t in derivation.candidates(c)]
+        pairs = [(c, t) for c in atlas.all_classes(_S311) for t in full[c.key]]
         return [f"{c.index} {t}: chi mismatch" for c, t in pairs if _shared_datum(*t[:3]) in failed]
 
     return compared("double-cover Euler identity", checked, [((None,), (failed,), (set(),), carriers)])
 
 
-def _check_exclusions(derivation: Derivation) -> CheckSection:
+def _check_exclusions(atlas: Atlas) -> CheckSection:
     # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its candidates are the star case
     # alone; no (10,10,0) class with H = 0 exists to check.
-    classes = derivation.atlas.all_classes(_S311)
+    classes, table = atlas.all_classes(_S311), atlas._s.table
     excluded = [c for c in classes if c.h is _ZERO and c.triple in tables.U_EXCLUDED_TRIPLES]
-    candidates = map(derivation.table_candidates, excluded)
-    cases = [[t.case for t in ts if t.case is not _NODE_STAR] for ts in candidates]
+    cases = [[t.case for t in table[c.key] if t.case is not _NODE_STAR] for c in excluded]
     message = "{}: case I/II candidates emitted for excluded invariants"
     part = excluded, cases, [[]] * len(excluded), lambda c, *_: [message.format(c.index)]
     return compared("exclusions", len(excluded), [part])
 
 
-def _check_monotonicity(derivation: Derivation) -> CheckSection:
+def _check_monotonicity(atlas: Atlas) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
-    u = derivation._u
+    u = atlas._u
     expected = tuple([pool + other - n if pool >= n else None for pool, other, n in u.pools])
     part = u.moves, u.after, expected, _word_ovals
     return compared("oval-count monotonicity", len(u.moves), [part])
@@ -229,8 +228,8 @@ def _word_ovals(key, after, _expected) -> list[str]:
     return [f"{c.index} {move.value}: oval count dropped by {dropped}"]
 
 
-def _check_graph(derivation: Derivation) -> CheckSection:
-    graph, atlas = derivation._u.graph, derivation.atlas
+def _check_graph(atlas: Atlas) -> CheckSection:
+    graph = atlas._u.graph
     indegree, classes = graph.in_degree, atlas.all_classes(_S311)
     reached = all(map(indegree.get, map(attrgetter("key"), classes)))
 
@@ -255,17 +254,16 @@ def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:
         # A structurally damaged catalog already fails; the deeper checks
         # assume pairing partners and table rows exist.
         return ValidationSummary(report, [])
-    derivation = Derivation.of(atlas)
     sections = [
-        _check_isotopy_tables(derivation),
-        _check_move_tables(derivation),
-        _check_roundtrips(derivation),
-        _check_euler(derivation),
-        _check_exclusions(derivation),
-        _check_monotonicity(derivation),
-        correspondence_check(derivation),
+        _check_isotopy_tables(atlas),
+        _check_move_tables(atlas),
+        _check_roundtrips(atlas),
+        _check_euler(atlas),
+        _check_exclusions(atlas),
+        _check_monotonicity(atlas),
+        correspondence_check(atlas),
     ]
     # Graph checks only make sense once the catalogs agree with the tables.
     if sections[-1].ok:
-        sections.append(_check_graph(derivation))
+        sections.append(_check_graph(atlas))
     return ValidationSummary(report, sections)

@@ -3,17 +3,28 @@ import copy
 import json
 import pickle
 import random
+import re
 
 import pytest
 
 from k3atlas import degenerations, tables
-from k3atlas.atlas import Atlas, Family, HInvariant, InvolutionClass, gk_invariants, load_atlas
+from k3atlas.atlas import (
+    Atlas,
+    Family,
+    HInvariant,
+    InvolutionClass,
+    _embedded_classes,
+    gk_invariants,
+    load_atlas,
+)
 from k3atlas.degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
+    STAR_MOVES,
+    TABLE_MOVES,
     Degeneration,
-    Derivation,
     TableSide,
+    TransitionEdge,
     TransitionGraph,
     apply_degeneration,
     applicable_moves,
@@ -23,7 +34,7 @@ from k3atlas.degenerations import (
     graph_to_json,
     transition_graph,
 )
-from k3atlas.errors import MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
+from k3atlas.errors import InconsistentInput, MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
 from k3atlas.topology import (
     PieceKind,
     Region,
@@ -81,6 +92,34 @@ def test_excluded_classes_raise(atlas):
         apply_degeneration(atlas.lookup(Family.U, 10, 10, 0), Degeneration.CONJ1, atlas)
     with pytest.raises(SpecialClass):
         apply_degeneration(atlas.lookup(Family.U, 10, 8, 0), Degeneration.CONJ1, atlas)
+
+
+@pytest.mark.parametrize(
+    "reader, value",
+    [
+        ("table", "graph"),  # the graph's own reader key, once read as the graph's two fields
+        ("table", "unprimed"),
+        ("table", None),
+        ("table", Degeneration.CONJ1),
+        ("move", "conj1"),
+        ("move", None),
+        ("move", TableSide.STAR),
+        ("move", Degeneration.CONJ1.spec),
+    ],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_foreign_side_or_move_is_refused(reader, value):
+    # A value equal to a member's value, or a plain string, is no member: each public reader
+    # refuses it with its one message, before the atlas derives anything.
+    fresh = Atlas(_embedded_classes())
+    if reader == "table":
+        message = "a side is TableSide.UNPRIMED, TableSide.PRIMED or TableSide.STAR"
+        with pytest.raises(InconsistentInput, match=f"^{re.escape(message)}$"):
+            degeneration_table(value, fresh)
+    else:
+        with pytest.raises(InconsistentInput, match="^a move is a Degeneration member$"):
+            apply_degeneration(fresh.lookup_index(Family.U, "No.22"), value, fresh)
+    assert "_pass" not in vars(fresh)
 
 
 def test_wrong_family(atlas):
@@ -420,26 +459,24 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
         for move in applicable_moves(c)
     ]
     assert len(pairs) == 368
-    derivation = Derivation(atlas)
-    for c, move in pairs:
-        shared, own = derivation.outcome(c, move), apply_degeneration(c, move, atlas)
-        assert shared.move is move
-        assert shared.impossible == own.impossible
-        assert shared.cell() == own.cell()
-        assert shared.iso == own.iso
-        assert shared.target is own.target
-        assert derivation.outcome(c, move) is shared
-    # a shared derivation gives what the public functions give on their own
+    # An atlas of its own derives its pass afresh: each possible outcome is one graph edge, in
+    # the order of the pairs, and the self-conjunctions' outcomes are kept whole.
+    fresh = Atlas(_embedded_classes())
+    own = [apply_degeneration(c, move, fresh) for c, move in pairs]
+    edges = [
+        TransitionEdge(c, o.target, move, o.iso) for (c, move), o in zip(pairs, own) if not o.impossible
+    ]
+    kept = transition_graph(fresh).edges
+    assert kept == tuple(edges) and all(e.target is o.target for e, o in zip(kept, edges))
+    stars = [apply_degeneration(fresh.lookup(Family.U, *m.spec.source), m, fresh) for m in STAR_MOVES]
+    assert fresh._pass.stars == tuple(stars) and fresh._pass is fresh._u
+    # what the public functions read of one atlas's pass, they read alike of another's
     for side in TableSide:
-        assert degeneration_table(side, derivation) == degeneration_table(side, atlas)
-    assert correspondence_check(derivation) == correspondence_check(atlas)
-    assert transition_graph(derivation) == transition_graph(atlas)
-    assert Derivation.of(derivation) is derivation
-    assert Derivation.of(atlas).atlas is atlas
-    # a class without oval bookkeeping raises as apply_degeneration does
-    excluded = atlas.lookup(Family.U, 10, 8, 0)
-    with pytest.raises(SpecialClass, match="no oval bookkeeping"):
-        derivation.outcome(excluded, Degeneration.CONJ1)
+        rows = degeneration_table(side, fresh)
+        assert rows == degeneration_table(side, atlas) == degeneration_table(side)
+    assert correspondence_check(fresh) == correspondence_check(atlas)
+    assert transition_graph(fresh) == transition_graph(atlas)
+    assert transition_graph(atlas) is transition_graph(None) is transition_graph()
 
 
 @pytest.mark.parametrize(
@@ -456,21 +493,25 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
 )
 def test_a_missing_class_fails_only_what_reads_it(atlas, family, index, failing, error, lost):
     records = [rec for f in Family for rec in atlas.to_records(f) if (f, rec["index"]) != (family, index)]
-    derivation = Derivation(Atlas.from_records(records))
-    readers = {side: lambda d, side=side: degeneration_table(side, d) for side in TableSide}
+    dropped = Atlas.from_records(records)
+    readers = {side: lambda a, side=side: degeneration_table(side, a) for side in TableSide}
     readers["graph"] = transition_graph
     for _call in range(2):  # a first and a warm call
         for reader, read in readers.items():
             if reader in failing:
                 with pytest.raises(NotInAtlas, match=error):
-                    read(derivation)
+                    read(dropped)
             else:
-                assert read(derivation)
-        with pytest.raises(NotInAtlas, match=error):  # the checks read every outcome and row
-            derivation._u
-    if lost:  # no impossible outcome stands in for the missing target
+                assert read(dropped)
+        # the checks read every outcome and row
         with pytest.raises(NotInAtlas, match=error):
-            derivation.outcomes(derivation.atlas.lookup(Family.U, *lost))
+            dropped._u
+        with pytest.raises(NotInAtlas, match=error):
+            correspondence_check(dropped)
+    if lost:  # the point query raises as the pass recorded
+        with pytest.raises(NotInAtlas, match=error):
+            for move in TABLE_MOVES:
+                apply_degeneration(dropped.lookup(Family.U, *lost), move, dropped)
 
 
 # One instance of each catalog value type, with the repr it had when the types

@@ -13,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import delta_by_enumeration, int_det, matmul, shear_conjugate, transpose
 from k3atlas import lattices
+from k3atlas.atlas import Family, HInvariant, load_atlas, related_key
 from k3atlas.divisors import f4_class
 from k3atlas.errors import DegenerateLattice, GramParseError, NotTwoElementary
 from k3atlas.lattices import (
@@ -426,6 +427,8 @@ BLOCKS = {
     "<2>": (scaled(gram_minus2(), -1), 1, 1, (1, 0)),
     "<-2>": (gram_minus2(), 1, 1, (0, 1)),
     "D4(-1)": (D4_MINUS, 2, 0, (0, 4)),
+    # E8's diagram less the end of its long arm
+    "E7(-1)": (IntegralLattice(tuple(row[:7] for row in gram_E8_minus().gram[:7])), 1, 1, (0, 7)),
     "E8(-1)": (gram_E8_minus(), 0, 0, (0, 8)),
     "E8(-2)": (scaled(gram_E8_minus(), 2), 8, 0, (0, 8)),
 }
@@ -462,6 +465,78 @@ def test_conjugated_block_sums_match_closed_form(names, rng):
     assert discriminant_group(changed).cyclic_orders == (2,) * a
     if a <= 10:
         assert invariants.delta == delta_by_enumeration(changed)
+
+
+# A witness has exactly one positive block, so its signature is (1, r - 1).
+POSITIVE_BLOCKS = ("U", "U(2)", "<2>")
+NEGATIVE_BLOCKS = ("<-2>", "D4(-1)", "E7(-1)", "E8(-1)", "E8(-2)")
+
+
+def witness(r: int, a: int, delta: int) -> list[str] | None:
+    """The names of the first block sum, in a fixed search order, with one positive block whose
+    closed-form invariants are (r, a, delta): r and a add over blocks, and delta is 1 exactly
+    when some block has delta 1.  None when there is none."""
+
+    def fill(names, start, rank, two_rank):  # negative blocks from NEGATIVE_BLOCKS[start:]
+        if rank == two_rank == 0:
+            return names if max(BLOCKS[n][2] for n in names) == delta else None
+        for at in range(start, len(NEGATIVE_BLOCKS)):
+            name = NEGATIVE_BLOCKS[at]
+            block, block_a = BLOCKS[name][:2]
+            if block.rank <= rank and block_a <= two_rank:
+                found = fill(names + [name], at, rank - block.rank, two_rank - block_a)
+                if found:
+                    return found
+        return None
+
+    for name in POSITIVE_BLOCKS:
+        block, block_a = BLOCKS[name][:2]
+        if block.rank <= r and block_a <= a:
+            found = fill([name], 0, r - block.rank, a - block_a)
+            if found:
+                return found
+    return None
+
+
+def _check_witness(triple, rng) -> None:
+    # The lattice half recomputes the triple and the signature after a change of basis.
+    names = witness(*triple)
+    assert names is not None, triple
+    gram = block_sum([BLOCKS[n][0] for n in names]).gram
+    changed = IntegralLattice(shear_conjugate(gram, rng) if len(gram) > 1 else gram)
+    assert two_elementary_invariants(changed).triple == triple, (triple, names)
+    assert signature(changed) == (1, triple[0] - 1), (triple, names)
+
+
+@pytest.mark.parametrize("family", ["u", "s311 H=0"])
+def test_every_class_has_a_block_sum_witness(family):
+    atlas = load_atlas()
+    if family == "u":
+        triples = [c.triple for c in atlas.all_classes(Family.U)]
+    else:
+        triples = [c.triple for c in atlas.all_classes(Family.S311) if c.h is HInvariant.ZERO]
+    assert len(triples) == (63 if family == "u" else 51)
+    rng = random.Random(2012)
+    for triple in triples:
+        _check_witness(triple, rng)
+    # the two triples without oval bookkeeping, through E8(-2)
+    assert witness(10, 8, 0) == ["U", "E8(-2)"] and witness(10, 10, 0) == ["U(2)", "E8(-2)"]
+
+
+def test_h_z2_classes_are_reached_through_related_key():
+    # An H = Z/2 class with delta = 0 has r = 1 mod 4 and so an odd a, which no even
+    # 2-elementary lattice with delta = 0 has: none of those 12 has a witness.  Each H = Z/2
+    # class is reached through its related_key partner, an H = 0 class with a witness.
+    atlas = load_atlas()
+    z2 = [c for c in atlas.all_classes(Family.S311) if c.h is HInvariant.Z2]
+    even = [c for c in z2 if c.delta == 0]
+    assert len(z2) == 51 and len(even) == 12
+    assert all(c.r % 4 == 1 and c.a % 2 and witness(*c.triple) is None for c in even)
+    rng = random.Random(2013)
+    partners = [atlas.lookup(Family.S311, *related_key(c)) for c in z2]
+    assert all(p.h is HInvariant.ZERO and related_key(p) == c.key for c, p in zip(z2, partners))
+    for partner in partners:
+        _check_witness(partner.triple, rng)
 
 
 GRAM_TEXT = """\

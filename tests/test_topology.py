@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 from k3atlas import tables, topology
-from k3atlas.atlas import Family, HInvariant, gk_invariants, load_atlas
-from k3atlas.degenerations import Derivation
+from k3atlas.atlas import (
+    Atlas,
+    Family,
+    HInvariant,
+    InvolutionClass,
+    gk_invariants,
+    load_atlas,
+    related_key,
+)
+from k3atlas.degenerations import TABLE_MOVES
 from k3atlas.errors import InconsistentInput, WrongFamily
 from k3atlas.topology import (
     Cover,
@@ -485,9 +493,8 @@ def test_descriptor_memos_match_fresh_builds(atlas):
     # build would give, and the same objects each time, through every reader.  A case
     # other than Node (*) reads Node (1)'s entry with the ovals its double point adds
     # to R2, so its fresh build is Node (1)'s: its own __wrapped__ returns the memo's.
-    derivation = Derivation(atlas)
     for c in atlas.all_classes(Family.S311):
-        for t in derivation.candidates(c):
+        for t in candidate_isotopy_types(c, include_degenerate=True):
             args = t.triple
             node1 = (TopCase.NODE1, t.alpha, t.beta + (t.case in GROUP_II))
             built = args if t.case is TopCase.NODE_STAR else node1
@@ -618,15 +625,133 @@ def test_star_class_leaves_out_two_recovering_data(atlas):
     assert {t.triple for t in candidate_isotopy_types(no34)} == left_out
 
 
+# The (r, a) that some datum recovers but no class carries, on each side.
+UNCLAIMED_H0 = [(0, 0), (4, 0), (5, 1), (6, 0), (7, 1), (8, 0), (12, 0), (13, 1), (14, 0), (15, 1), (16, 0)]
+UNCLAIMED_Z2 = [(3, 1), (4, 2), (5, 1), (6, 2), (7, 1), (11, 1), (12, 2), (13, 1), (14, 2), (15, 1), (19, 1)]
+
+
 def test_recovered_keys_without_a_class(atlas):
     # 22 (r, a, H) that some datum recovers but no class carries, 11 on each side.
     _, by_key = _recovering_data()
     claimed = {(c.r, c.a, c.h) for c in atlas.all_classes(Family.S311)}
-    h0 = [(0, 0), (4, 0), (5, 1), (6, 0), (7, 1), (8, 0), (12, 0), (13, 1), (14, 0), (15, 1), (16, 0)]
-    z2 = [(3, 1), (4, 2), (5, 1), (6, 2), (7, 1), (11, 1), (12, 2), (13, 1), (14, 2), (15, 1), (19, 1)]
-    expected = {(r, a, HInvariant.ZERO) for r, a in h0} | {(r, a, HInvariant.Z2) for r, a in z2}
+    expected = {(r, a, HInvariant.ZERO) for r, a in UNCLAIMED_H0} | {
+        (r, a, HInvariant.Z2) for r, a in UNCLAIMED_Z2
+    }
     assert len(expected) == 22
     assert set(by_key) - claimed == expected
+
+
+def nikulin_admissible(r: int, a: int, delta: int, signature: tuple[int, int]) -> bool:
+    """Whether an even 2-elementary lattice of rank r, 2-rank a, parity delta and signature
+    (t+, t-) exists: Nikulin's conditions (Math. USSR Izv. 14, 1980, Thm 3.6.2)."""
+    pos, neg = signature
+    if min(pos, neg) < 0 or pos + neg != r or not 0 <= a <= r or (r - a) % 2:
+        return False
+    s = (pos - neg) % 8
+    return not (
+        (delta == 0 and s % 4)
+        or (a == 0 and (delta or s))
+        or (a == 1 and s not in (1, 7))
+        or (a == 2 and s == 4 and delta)
+        or (delta == 0 and a == r and s)
+    )
+
+
+def _admissible(r: int, a: int, delta: int) -> bool:
+    # The fixed lattice at (1, r - 1), and its orthogonal complement in the K3 lattice,
+    # (22 - r, a, delta), at (2, 20 - r).
+    fixed = nikulin_admissible(r, a, delta, (1, r - 1))
+    return fixed and nikulin_admissible(22 - r, a, delta, (2, 20 - r))
+
+
+ADMISSIBLE = [(r, a, d) for r in range(23) for a in range(23) for d in (0, 1) if _admissible(r, a, d)]
+
+
+def _move_targets(triple, keys) -> list:
+    # The table-move targets of a U class with this triple that are among ``keys``.
+    c = InvolutionClass(Family.U, *triple, HInvariant.NOT_APPLICABLE, "")
+    return [key for key in (m.spec.target_key(c) for m in TABLE_MOVES) if key in keys]
+
+
+def _regenerated() -> tuple[set, set, set]:
+    # The H = 0 keys: each delta that the predicate admits over the (r, a) that a datum over A-
+    # recovers; the H = Z/2 keys: their related_key partners; the U triples: the admissible
+    # ones with a table-move target among those keys, and the triples the tables name as
+    # without moves.
+    _, by_key = _recovering_data()
+    pairs = {(r, a) for r, a, h in by_key if h is HInvariant.ZERO}
+    h0 = {
+        (r, a, d, HInvariant.ZERO)
+        for r, a in pairs
+        for d in (0, 1)
+        if nikulin_admissible(r, a, d, (1, r - 1))
+    }
+    z2 = {related_key(InvolutionClass(Family.S311, *key, "")) for key in h0}
+    moved = {t for t in ADMISSIBLE if _move_targets(t, h0 | z2)}
+    return h0, z2, moved | set(tables.U_EXCLUDED_TRIPLES + tables.U_UNTABULATED_TRIPLES)
+
+
+def _catalog_sets(atlas) -> tuple[set, set, set]:
+    s311 = atlas.all_classes(Family.S311)
+    return (
+        {c.key for c in s311 if c.h is HInvariant.ZERO},
+        {c.key for c in s311 if c.h is HInvariant.Z2},
+        {c.triple for c in atlas.all_classes(Family.U)},
+    )
+
+
+def test_nikulin_admits_the_75_k3_triples(atlas):
+    assert len(ADMISSIBLE) == 75 and all(1 <= r <= 20 for r, _a, _d in ADMISSIBLE)
+    assert {c.triple for c in atlas.all_classes(Family.U)} <= set(ADMISSIBLE)
+
+
+def test_catalog_regenerates_from_closed_forms_and_nikulin(atlas):
+    _, by_key = _recovering_data()
+    assert len({(r, a) for r, a, h in by_key if h is HInvariant.ZERO}) == 55
+    h0, z2, u = _regenerated()
+    assert (len(h0), len(z2), len(u)) == (51, 51, 63)
+    assert (h0, z2, u) == _catalog_sets(atlas)
+    # the two triples without moves are the only U triples without a target
+    moved = {t for t in ADMISSIBLE if _move_targets(t, h0 | z2)}
+    assert len(moved) == 61 and u - moved == {(10, 10, 0), (10, 10, 1)}
+
+
+def test_admissible_triples_without_a_class_have_no_target(atlas):
+    # The 11 with g = 0, where r + a = 22, and (14,6,0): its unprimed target would need
+    # r + a = 20, which no datum recovers, and its primed target (13,7,0) with H = Z/2 is the
+    # partner of (6,6,0) with H = 0, which fails a = r with delta = 0.
+    h0, z2, _u = _regenerated()
+    lacking = set(ADMISSIBLE) - {c.triple for c in atlas.all_classes(Family.U)}
+    assert lacking == {t for t in ADMISSIBLE if t[0] + t[1] == 22} | {(14, 6, 0)}
+    assert len(lacking) == 12 and not any(_move_targets(t, h0 | z2) for t in lacking)
+    assert not nikulin_admissible(6, 6, 0, (1, 5)) and nikulin_admissible(6, 6, 1, (1, 5))
+
+
+def test_recovered_keys_without_a_class_fail_nikulin():
+    # Each recovered H = 0 (r, a) without a class fails the predicate for both delta, and each
+    # H = Z/2 one without a class is the related_key partner of one of them.
+    assert not any(nikulin_admissible(r, a, d, (1, r - 1)) for r, a in UNCLAIMED_H0 for d in (0, 1))
+    z2 = [InvolutionClass(Family.S311, r, a, 1, HInvariant.Z2, "") for r, a in UNCLAIMED_Z2]
+    partners = {related_key(c)[:2] for c in z2}
+    assert partners == set(UNCLAIMED_H0)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda records: [r for r in records if (r["family"], r["index"]) != ("s311", "No.17")],
+        lambda records: [r for r in records if (r["family"], r["index"]) != ("s311", "No.17'")],
+        lambda records: [r for r in records if (r["family"], r["index"]) != ("u", "No.1")],
+        lambda records: records + [dict(records[0], r=4, a=0, delta=0, h="0", index="No.99")],
+        lambda records: records + [dict(records[-1], r=14, a=6, delta=0, index="No.99")],
+    ],
+    ids=["drop-s311-No.17", "drop-s311-No.17'", "drop-u-No.1", "add-s311-(4,0,0)", "add-u-(14,6,0)"],
+)
+def test_regenerated_sets_see_a_dropped_or_added_class(atlas, edit):
+    records = atlas.to_records(Family.S311) + atlas.to_records(Family.U)
+    edited = Atlas.from_records(edit(records))
+    differing = [a ^ b for a, b in zip(_catalog_sets(edited), _regenerated())]
+    assert sum(map(len, differing)) == 1
 
 
 def test_real_part_topology_examples(atlas):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import weakref
 
 import pytest
@@ -29,7 +30,6 @@ from k3atlas.degenerations import (
     TABLE_MOVES,
     Degeneration,
     DegenerationOutcome,
-    Derivation,
     TableSide,
 )
 from k3atlas.topology import (
@@ -90,7 +90,7 @@ def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
 
 def test_one_candidate_list_per_class(monkeypatch):
     calls = []
-    # every section reads the lists through the Derivation in degenerations
+    # every section reads the lists through the atlas's S311 pass, built in degenerations
     candidates = degenerations.candidate_isotopy_types
 
     def counting_candidates(c, include_degenerate=False):
@@ -111,45 +111,40 @@ def test_one_candidate_list_per_class(monkeypatch):
 
 
 def test_shared_table_lists_are_the_table_candidates():
-    atlas = load_atlas()
-    derivation = Derivation(atlas)
+    atlas = _fresh_atlas()
+    s = atlas._s
+    assert atlas._s is s  # derived once, then kept
     s311 = atlas.all_classes(Family.S311)
+    assert list(s.full) == list(s.table) == [c.key for c in s311]
     for c in s311:
-        assert derivation.candidates(c) == tuple(candidate_isotopy_types(c, True))
-        assert derivation.table_candidates(c) == tuple(candidate_isotopy_types(c))
-        # each request returns the tuple derived once, not a new one
-        assert derivation.candidates(c) is derivation.candidates(c)
-        assert derivation.table_candidates(c) is derivation.table_candidates(c)
+        assert s.full[c.key] == tuple(candidate_isotopy_types(c, True))
+        assert s.table[c.key] == tuple(candidate_isotopy_types(c))
     for key in (STAR_KEY_H0, STAR_KEY_Z2):
         star = atlas.lookup(Family.S311, *key)
-        assert any(t.case is TopCase.NODE_STAR for t in derivation.table_candidates(star))
-        assert derivation.table_candidates(star) == tuple(candidate_isotopy_types(star))
+        assert any(t.case is TopCase.NODE_STAR for t in s.table[star.key])
+        assert s.table[star.key] == tuple(candidate_isotopy_types(star))
 
 
 def test_derived_rows_are_the_generator_outputs():
     atlas = _fresh_atlas()
-    derivation = Derivation.of(atlas)
+    u, s = atlas._u, atlas._s
     shipped = {
         (row.r, row.a, row.delta, h): row
         for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2))
         for row in rows
     }
     for c in atlas.all_classes(Family.S311):
-        row = derivation.isotopy_row(c)
-        assert row == shipped[c.key] and row is derivation.isotopy_row(c)
+        row = s.rows[c.h][c.triple]
+        assert row == shipped[c.key]
         # the cusp variants have cells of their own, which a row leaves out
         assert topology.isotopy_row(c, candidate_isotopy_types(c, True)) == row
-    u, s = derivation._u, derivation._s
     assert all(type(kept) is tuple for kept in (u.flat, u.moves, u.after, u.pools, u.pairs, s.pairs))
     assert all(type(kept) is tuple for kept in (s.roundtrips, s.found, s.euler))
     moves, after, pools = [], [], []
     for c in atlas.all_classes(Family.U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
-        outcomes = derivation.outcomes(c)
-        assert type(outcomes) is tuple and outcomes is derivation.outcomes(c)
-        assert outcomes == tuple(degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES)
-        assert all(o is derivation.outcome(c, m) for o, m in zip(outcomes, TABLE_MOVES))
+        outcomes = [degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES]
         # per table move: alpha + beta after it, None where impossible, and its pools and ovals
         moves += [(c, m) for m in TABLE_MOVES]
         after += [None if o.impossible else o.iso.alpha + o.iso.beta for o in outcomes]
@@ -598,14 +593,13 @@ def test_euler_data_are_the_distinct_shared_data_of_the_candidates():
     # 201 distinct (case, alpha, beta) among the 461 candidates share 45 covers: 44 of Node (1)
     # and the Node (*) datum.
     atlas = _fresh_atlas()
-    derivation = Derivation.of(atlas)
     lists = [candidate_isotopy_types(c, True) for c in atlas.all_classes(Family.S311)]
-    data, count = derivation._s.euler
+    data, count = atlas._s.euler
     assert data == tuple(dict.fromkeys(topology._shared_datum(*t.triple) for ts in lists for t in ts))
     assert (len(data), count) == (45, 461) and count == sum(map(len, lists))
     assert len({t.triple for ts in lists for t in ts}) == 201
     assert {case for case, _, _ in data} == {TopCase.NODE1, TopCase.NODE_STAR}
-    assert derivation._s is derivation._s
+    assert atlas._s.euler is atlas._s.euler
 
 
 def _partners_are_lookups(atlas):
@@ -723,22 +717,23 @@ def test_missing_correspondence_class_is_reported_on_every_call():
     warm = validation.run_all_checks(atlas).violations
     assert message in cold and warm == cold
     # a missing class never matches, so the pairs are walked on every call
-    u, s = Derivation.of(atlas)._u, Derivation.of(atlas)._s
+    u, s = atlas._u, atlas._s
     assert (u.pairs[0], s.pairs[0][1][0]) == (None, atlas.lookup_index(Family.S311, "No.1"))
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 239 calls on CPython 3.10.13 and 3.11.7 and 215 on 3.12.1 and 3.13.0 under either hash
-    # seed, so the budget is the highest count plus under 3% (551 and 527 while the Euler
-    # section checked each of 201 candidate triples; pstats, which folds same-label entries,
-    # read 523 to 551 and varied between runs; 836 to 910 with a kept structure beside a
-    # walker per section, 22,597 to 23,459 when every call derived afresh).  Counted from
+    # 229 calls on CPython 3.10.13 and 3.11.7 and 206 on 3.12.1 and 3.13.0 under either hash
+    # seed, so the budget is the highest count plus under 3% (239 and 215 while the passes
+    # were read through a per-atlas object; 551 and 527 while the Euler section checked each
+    # of 201 candidate triples; pstats, which folds same-label entries, read 523 to 551 and
+    # varied between runs; 836 to 910 with a kept structure beside a walker per section,
+    # 22,597 to 23,459 when every call derived afresh).  Counted from
     # cProfile's entries, as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert sum(entry.callcount for entry in profile.getstats()) <= 246
+    assert sum(entry.callcount for entry in profile.getstats()) <= 235
 
 
 def test_warm_call_reads_the_cover_memo_once_per_euler_triple():
@@ -779,8 +774,9 @@ def _cold_call_counts() -> tuple[tuple[int, int], ...]:
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 15,970 calls on CPython 3.10.13, 15,976 on 3.11.7 and 15,046 on 3.12.1 and 3.13.0, so
-    # the budget is the highest count plus under 3% (16,235, 16,241 and 15,312 while the Euler
+    # 15,967 calls on CPython 3.10.13, 15,973 on 3.11.7 and 15,043 on 3.12.1 and 3.13.0, so
+    # the budget is the highest count plus under 3% (15,970, 15,976 and 15,046 while the
+    # passes were read through a per-atlas object; 16,235, 16,241 and 15,312 while the Euler
     # section checked each of 201 candidate triples; 23,551, 23,557 and 22,628 while every
     # case built its own descriptors; 24,154, 24,160 and 23,231 with one memo
     # for the regions and one for the real parts; 26,566, 26,572 and 24,035 while the first
@@ -873,41 +869,47 @@ def test_each_public_call_derives_only_what_it_reads(monkeypatch):
 
 
 def test_one_derivation_shares_its_outcomes(monkeypatch):
+    # One atlas derives its U pass once for the tables and the graph; two fresh atlases of the
+    # same records derive it once each.
     pairs = _count_outcomes(monkeypatch)
-    atlas = load_atlas()
-    derivation = Derivation(atlas)
+    atlas = _fresh_atlas()
     for side in TableSide:
-        degenerations.degeneration_table(side, derivation)
-    degenerations.transition_graph(derivation)
+        degenerations.degeneration_table(side, atlas)
+    degenerations.transition_graph(atlas)
     assert len(pairs) == len(set(pairs)) == 368
-    # two separate derivations derive everything twice
     del pairs[:]
-    for derivation in (Derivation(atlas), Derivation(atlas)):
+    for atlas in (_fresh_atlas(), _fresh_atlas()):
         for side in TableSide:
-            degenerations.degeneration_table(side, derivation)
-        degenerations.transition_graph(derivation)
+            degenerations.degeneration_table(side, atlas)
+        degenerations.transition_graph(atlas)
     assert len(pairs) == 2 * 368 and len(set(pairs)) == 368
 
 
-def test_each_atlas_keeps_one_derivation_for_its_lifetime(tmp_path):
+class _Pass(types.SimpleNamespace):
+    """A family pass that a weak reference can follow."""
+
+
+def test_each_atlas_keeps_one_derivation_for_its_lifetime(tmp_path, monkeypatch):
+    monkeypatch.setattr(degenerations, "SimpleNamespace", _Pass)
     for family, name in ((Family.S311, "s311.json"), (Family.U, "u.json")):
         (tmp_path / name).write_text(json.dumps(load_atlas().to_records(family)))
     atlas_module._PARSED.clear()
     atlas = load_atlas(str(tmp_path))
     assert validation.run_all_checks(atlas).ok
-    derivation = Derivation.of(atlas)
-    assert Derivation.of(None) is Derivation.of(load_atlas())
-    assert Derivation.of(atlas) is derivation and derivation.atlas is atlas
-    assert Derivation(atlas) is not derivation
-    refs = weakref.ref(atlas), weakref.ref(derivation)
-    del atlas, derivation
+    kept = atlas._pass
+    assert kept is atlas._pass and kept.atlas is atlas and atlas._u is kept
+    assert degenerations.transition_graph(atlas) is kept.graph
+    # no atlas given reads the pass that load_atlas()'s atlas keeps
+    assert degenerations.transition_graph(None) is load_atlas()._pass.graph
+    refs = weakref.ref(atlas), weakref.ref(kept), weakref.ref(atlas._s)
+    del atlas, kept
     # four other contents push the atlas out of the parse cache
     text = (tmp_path / "u.json").read_text()
     for n in range(1, 5):
         (tmp_path / "u.json").write_text(text + " " * n)
         load_atlas(str(tmp_path))
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_shared_derivation_hands_out_nothing_mutable():
@@ -917,20 +919,18 @@ def test_shared_derivation_hands_out_nothing_mutable():
     rows[0] = None
     del rows[1:]
     assert degenerations.degeneration_table(TableSide.UNPRIMED, atlas) == expected
-    derivation = Derivation.of(atlas)
-    c = atlas.all_classes(Family.S311)[0]
-    assert type(derivation.candidates(c)) is type(derivation.table_candidates(c)) is tuple
     graph = degenerations.transition_graph(atlas)
     assert type(graph.nodes) is type(graph.edges) is tuple
     # what the checks compare against is read-only: tuples, and a read-only map
-    u, s = derivation._u, derivation._s
+    u, s = atlas._u, atlas._s
     for kept in (u.flat, u.after, u.pools, u.pairs, s.found, s.pairs, graph.in_degree):
         key = next(iter(kept.keys() if hasattr(kept, "keys") else range(len(kept))))
         with pytest.raises(TypeError):
             kept[key] = ()
         with pytest.raises(TypeError):
             del kept[key]
-    assert all(type(v) is tuple for v in (*u.by_class.values(), *u.rows.values(), *s.full.values()))
+    values = (*u.rows.values(), *s.full.values(), *s.table.values())
+    assert type(u.stars) is tuple and all(type(v) is tuple for v in values)
 
 
 def _first_calls(atlas, turn: int) -> list:
