@@ -18,8 +18,8 @@ bad value, raises ``CatalogError`` (and is not kept).
 
 An ``Atlas`` keeps, while it lives, its two family passes, derived on first use by
 ``degenerations._u_pass`` and ``degenerations._s311_pass`` (whose docstrings state what they
-keep), and the related partners and grid per H that ``validate_atlas`` reads; an edited
-catalog parses to a new one.
+keep), and the related partners, the grid per H and the distinct (r, a) that ``validate_atlas``
+reads; an edited catalog parses to a new one.
 """
 
 import bisect
@@ -201,6 +201,10 @@ class Atlas:
             cells = grid[c.h]
             cells[c.r, c.a] = cells.get((c.r, c.a), ()) + (c.delta,)
         return grid
+
+    @cached_property
+    def _ra(self) -> tuple[tuple[int, int], ...]:  # the distinct (r, a) of both families
+        return tuple(dict.fromkeys([(c.r, c.a) for cs in self._by_family.values() for c in cs]))
 
     def lookup(
         self,
@@ -522,7 +526,9 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
 
     # 2-rank bounds: a is a 2-rank of both the fixed and anti-fixed parts.
     # Parity: r - a and 22 - r - a are even for every class of both families.
-    for c in s311 + u:
+    # Tested once per distinct (r, a); the classes are walked only to name those that fail.
+    failed = [(r, a) for r, a in atlas._ra if a > r or a > 22 - r or (r - a) % 2]
+    for c in s311 + u if failed else ():
         if c.a > c.r or c.a > 22 - c.r:
             violations.append(f"{c.index}: a = {c.a} exceeds min(r, 22 - r)")
         if (c.r - c.a) % 2:

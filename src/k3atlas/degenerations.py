@@ -24,6 +24,7 @@ from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
+from . import tables
 from ._checked import Checked
 from .atlas import (
     Atlas,
@@ -38,7 +39,6 @@ from .atlas import (
     related_key,
 )
 from .errors import InconsistentInput, MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
-from .tables import U_EXCLUDED_TRIPLES
 from .topology import (
     ISOTOPY_CELL_CASES,
     STAR_KEY_H0,
@@ -53,7 +53,7 @@ from .topology import (
 )
 
 # Module globals, read per call in place of class attributes: see IdentityEnum.
-_S311, _U, _NODE_STAR = Family.S311, Family.U, TopCase.NODE_STAR
+_S311, _U, _NODE_STAR, _NODE2 = Family.S311, Family.U, TopCase.NODE_STAR, TopCase.NODE2
 _ZERO, _Z2, _NOT_APPLICABLE = HInvariant.ZERO, HInvariant.Z2, HInvariant.NOT_APPLICABLE
 
 
@@ -205,13 +205,14 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)), ``rows``
     (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows), ``moves``
     ((class, move) of each table move) with ``after`` (the alpha + beta it leaves, None where
-    impossible) and ``pools`` (its pool, the other pool, the ovals it uses), ``pairs`` (per
-    No.k / No.k' label, the cells of the moves of its side and the targets of the possible
-    ones; None for a missing class, whose label is in ``unpaired``) and ``graph``.
-    ``missing`` keeps the first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing
-    target under its move's table and ``"graph"``, a missing partner under the primed table,
-    and either under ``None``, the reader of the whole pass (``Atlas._u``, as the checks read
-    it).
+    impossible), ``pools`` (its pool, the other pool, the ovals it uses) and ``oval_data``
+    (the distinct (pools, after), first seen first), ``pairs`` (per No.k / No.k' label, the
+    cells of the moves of its side and the targets of the possible ones; None for a missing
+    class, whose label is in ``unpaired``) and ``graph``.  ``missing`` keeps the first
+    ``NotInAtlas`` per reader, for ``_read`` to raise: a missing target under its move's table
+    and ``"graph"``, a missing partner under the primed table, and either under ``None``, the
+    reader of the whole pass (``Atlas._u``, as the checks read it).  A class without an
+    integral (g, k) raises ``SpecialClass`` under its label.
 
     All are tuples, or dicts whose values are immutable.  Only generator outputs are kept,
     never a verdict: every check compares them with its expected side on every call, through
@@ -220,9 +221,12 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     u = SimpleNamespace(atlas=atlas, moves=[], after=[], pools=[], edges=[])
     flat, sides, stars, u.missing = ([], []), {}, {}, {}
     for c in atlas.all_classes(_U):
-        if c.triple in U_EXCLUDED_TRIPLES:
+        if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
-        g, k = gk_invariants(c)
+        try:
+            g, k = gk_invariants(c)
+        except SpecialClass as exc:  # name the class: an external catalog may hold any record
+            raise SpecialClass(f"{c.index}: {exc}") from None
         head = c.r, c.a, c.delta, g, k
         # The primed table labels a class after its related partner (a plain lookup, so that
         # a shadowed duplicate is labelled too); whenever k >= 1 the partner has g = k + 1 >= 2
@@ -263,6 +267,7 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
         rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
     u.flat, u.moves, u.after, u.pools = tuple(map(tuple, flat)), *map(tuple, (u.moves, u.after, u.pools))
+    u.oval_data = tuple(dict.fromkeys(zip(u.pools, u.after)))
     u.rows = {
         side: tuple([MoveTableRow(*row[:6], tuple(zip(moves, row[6:]))) for row in rows])
         for side, (moves, _getter), rows in zip((_UNPRIMED, _PRIMED), _SIDES, u.flat)
@@ -283,14 +288,18 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
     """The S311 pass, kept by ``Atlas._s``: what the checks read of the S311 family.  It calls
     ``candidate_isotopy_types`` once per class and keeps ``full`` and ``table`` (c.key -> its
     candidates with and without the degenerate variants), ``rows`` (H -> (r, a, delta) -> its
-    isotopy row), ``roundtrips`` ((class, candidate) of each non-star table candidate) with
+    isotopy row), ``shipped`` (per H: H, the shipped isotopy table as read here, and the row
+    generated for each of its rows, which the isotopy section reuses while the table is that
+    same object), ``roundtrips`` ((class, candidate) of each non-star table candidate) with
     ``found`` (the (r, a, H) that ``topology._invariants`` recovers from it, and its alpha +
-    beta), ``euler`` (the distinct ``topology._shared_datum`` of all candidates, first seen
-    first, and the candidate count) and ``pairs`` (per label, the cells of its isotopy row in
-    the order of those moves, and the S311 class once per cell that is not None; () for a
-    missing class, whose label is in ``unpaired``).
+    beta) and ``roundtrip_data`` (the distinct (r, a, H, case is Node (2), found)), ``euler``
+    (the distinct ``topology._shared_datum`` of all candidates, and the candidate count) and
+    ``pairs`` (per label, the cells of its isotopy row in the order of those moves, and the
+    S311 class once per cell that is not None; () for a missing class, whose label is in
+    ``unpaired``).  The distinct data are kept first seen first.
     """
     s = SimpleNamespace(full={}, table={}, rows={_ZERO: {}, _Z2: {}}, roundtrips=[], found=[])
+    data = {}  # the distinct roundtrip data, first seen first
     classes = atlas.all_classes(_S311)
     for c in classes:
         full = s.full[c.key] = tuple(candidate_isotopy_types(c, include_degenerate=True))
@@ -299,9 +308,13 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
         covered = Region.A_MINUS if c.h is _ZERO else Region.A_PLUS
         for t in table:
             if t.case is not _NODE_STAR:
+                found = _invariants(*t[:3], covered) + (t.alpha + t.beta,)
                 s.roundtrips.append((c, t))
-                s.found.append(_invariants(*t[:3], covered) + (t.alpha + t.beta,))
-    s.roundtrips, s.found = tuple(s.roundtrips), tuple(s.found)
+                s.found.append(found)
+                data[c.r, c.a, c.h, t.case is _NODE2, found] = None
+    s.roundtrips, s.found, s.roundtrip_data = tuple(s.roundtrips), tuple(s.found), tuple(data)
+    shipped = (_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)
+    s.shipped = tuple([(h, table, _generated_rows(s.rows[h], table)) for h, table in shipped])
     lists = [s.full[c.key] for c in classes]
     triples = dict.fromkeys(t[:3] for ts in lists for t in ts)
     s.euler = tuple(dict.fromkeys([_shared_datum(*t) for t in triples])), sum(map(len, lists))
@@ -312,6 +325,13 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
         for c, cells in rows
     ])
     return s
+
+
+_TRIPLE = itemgetter(slice(1, 4))  # (r, a, delta) of a shipped isotopy row
+
+
+def _generated_rows(rows: dict, shipped: tuple) -> tuple:  # None for a row of no class
+    return tuple(map(rows.get, map(_TRIPLE, shipped)))
 
 
 def _resolve(atlas: Atlas, family: Family) -> tuple[list, frozenset[str]]:

@@ -12,15 +12,19 @@ Every section takes the atlas, reads its two kept family passes, ``Atlas._u`` an
 ``Atlas._s`` (the docstrings of ``degenerations._u_pass`` and ``_s311_pass`` state what they
 keep), and declares its derived items, its expected items, read from ``tables`` or a closed
 form on every call, and one wording function per item; ``atlas.compared`` compares the two
-sides whole and words only the items that differ.  No verdict is kept.  The Euler identity is
-evaluated once per ``topology._shared_datum``, from the descriptors' kept Euler characteristic.
+sides whole and words only the items that differ.  No verdict is kept.  The Euler identity,
+the roundtrips and the oval counts are evaluated once per distinct datum the passes keep (the
+Euler identity from the descriptors' kept Euler characteristic), and a failed datum is worded
+for each item that carries it, in item order; ``validate_atlas`` does so for the (r, a) bounds.
+The isotopy section looks the shipped rows up again only when a table is no longer the object
+the S311 pass read.
 The roundtrip section tests no component count, since ``IsotopyType`` caps alpha + beta (1 to
 10 components, 2 to 11 for the isolated point), and no star candidate's class:
 ``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS`` classes.
 """
 
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import tables
@@ -37,6 +41,7 @@ from .degenerations import (
     PRIMED_MOVES,
     UNPRIMED_MOVES,
     TableSide,
+    _generated_rows,
     correspondence_check,
 )
 from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _shared_datum, double_cover_euler_check
@@ -44,7 +49,6 @@ from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _shared_datum, dou
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
 _NODE2, _NODE_STAR = TopCase.NODE2, TopCase.NODE_STAR
-_TRIPLE = itemgetter(slice(1, 4))  # (r, a, delta) of a shipped row
 _TABLE_SIDES, _STAR = (TableSide.UNPRIMED, TableSide.PRIMED), TableSide.STAR
 _SIDE_MOVES = UNPRIMED_MOVES, PRIMED_MOVES
 
@@ -95,11 +99,13 @@ class ValidationSummary(NamedTuple):
 
 def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
     # Part by part, each row with the generated row of its (r, a, delta) and H: one
-    # comparison of the parts joined would miss a row moved across.
-    rows, parts, checked = atlas._s.rows, [], 0
-    for h, shipped in ((_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)):
+    # comparison of the parts joined would miss a row moved across.  The S311 pass looked the
+    # rows up in the tables as it read them; a table replaced since is looked up again.
+    s, parts, checked = atlas._s, [], 0
+    for (h, kept, derived), shipped in zip(s.shipped, (tables.ISOTOPY_H0, tables.ISOTOPY_Z2)):
         checked += len(shipped)
-        derived = tuple(map(rows[h].get, map(_TRIPLE, shipped)))
+        if shipped is not kept:
+            derived = _generated_rows(s.rows[h], shipped)
         parts.append((shipped, derived, shipped, _word_isotopy_row))
     return compared("isotopy tables", checked, parts)
 
@@ -167,13 +173,22 @@ def _word_move_row(side, moves, shipped, flat, expected) -> list[str]:
 def _check_roundtrips(atlas: Atlas) -> CheckSection:
     s = atlas._s
     # The oval-sum rule, on the H = 0 side only: alpha + beta is 9 - a, and 8 - a for Node (2).
-    expected = tuple([
-        (c.r, c.a, c.h, 9 - c.a - (t.case is _NODE2) if c.h is _ZERO else found[3])
-        for (c, t), found in zip(s.roundtrips, s.found)
-    ])
+    failed = {  # once per distinct datum: each failed one, with what it should have found
+        (r, a, h, node2, found): expected
+        for r, a, h, node2, found in s.roundtrip_data
+        if found != (expected := (r, a, h, 9 - a - node2 if h is _ZERO else found[3]))
+    }
+
+    def carriers(*_) -> list[str]:  # the candidates whose datum failed, in candidate order
+        return [
+            message
+            for (c, t), found in zip(s.roundtrips, s.found)
+            if (expected := failed.get((c.r, c.a, c.h, t.case is _NODE2, found)))
+            for message in _word_roundtrip((c, t), found, expected)
+        ]
+
     checked = sum(map(len, s.table.values()))  # the star candidates too
-    part = s.roundtrips, s.found, expected, _word_roundtrip
-    return compared("invariant roundtrips", checked, [part])
+    return compared("invariant roundtrips", checked, [((None,), (failed,), ({},), carriers)])
 
 
 def _word_roundtrip(key, derived, expected) -> list[str]:
@@ -212,12 +227,20 @@ def _check_monotonicity(atlas: Atlas) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
     u = atlas._u
-    expected = tuple([pool + other - n if pool >= n else None for pool, other, n in u.pools])
-    part = u.moves, u.after, expected, _word_ovals
-    return compared("oval-count monotonicity", len(u.moves), [part])
+    failed = {  # once per distinct (pools, after) datum
+        ((pool, other, n), after)
+        for (pool, other, n), after in u.oval_data
+        if after != (pool + other - n if pool >= n else None)
+    }
+
+    def carriers(*_) -> list[str]:  # the moves whose datum failed, in move order
+        moves = zip(u.moves, u.pools, u.after)
+        return [m for key, pools, after in moves if (pools, after) in failed for m in _word_ovals(key, after)]
+
+    return compared("oval-count monotonicity", len(u.moves), [((None,), (failed,), (set(),), carriers)])
 
 
-def _word_ovals(key, after, _expected) -> list[str]:
+def _word_ovals(key, after) -> list[str]:
     c, move = key
     pool, other = move.spec.pools(*c.gk)
     if after is None:

@@ -781,6 +781,21 @@ def test_data_dir_missing_target_fails_only_what_reads_it(
         assert out.endswith("summary: 101/50, 63/37, 5 violations, 0 whitelisted discrepancies\n")
 
 
+def test_data_dir_class_without_integral_gk_is_named(exported_catalogs, capsys, monkeypatch):
+    # r - a = 11 is odd, so (12,1,1) has no (g, k): every reader of the U pass names the record,
+    # on a first and a later call, and the catalog audit reports it.
+    path = exported_catalogs / "u.json"
+    records = json.loads(path.read_text())
+    path.write_text(json.dumps(records + [dict(records[0], index="No.77", r=12, a=1, delta=1)]))
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    message = "atlas: No.77: (12,1,1) has no integral (g, k)\n"
+    for _call in range(2):
+        for argv in (["degenerate", "--side", "unprimed"], ["degenerate", "--side", "star"], ["graph"]):
+            assert run(capsys, *argv) == (4, "", message)
+    code, out, err = run(capsys, "validate")
+    assert (code, err) == (1, "") and "  ! No.77: r - a is odd\n" in out
+
+
 def test_data_dir_markdown_grid_needs_no_related_partner(exported_catalogs, capsys, monkeypatch):
     # Only CSV and JSON print each class's related_index: without No.16 (7,5,1), its partner
     # No.43 has none, and the grid still prints, short of that one class.

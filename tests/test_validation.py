@@ -164,6 +164,17 @@ def test_derived_rows_are_the_generator_outputs():
         keys += [(c, t) for t in plain]
         found += [topology._invariants(t.case, t.alpha, t.beta, covered) + (t.alpha + t.beta,) for t in plain]
     assert (s.roundtrips, s.found) == (tuple(keys), tuple(found)) and len(keys) == 280
+    # the distinct data the roundtrip and oval-count sections evaluate, first seen first
+    data = [(c.r, c.a, c.h, t.case is TopCase.NODE2, f) for (c, t), f in zip(keys, found)]
+    assert s.roundtrip_data == tuple(dict.fromkeys(data)) and len(s.roundtrip_data) == 156
+    assert u.oval_data == tuple(dict.fromkeys(zip(pools, after))) and len(u.oval_data) == 108
+    # per H: the shipped table as read, and the generated row of each of its rows, in its order
+    assert [(h, table) for h, table, _rows in s.shipped] == [
+        (HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2)
+    ]
+    for h, table, rows in s.shipped:
+        assert rows == tuple(s.rows[h][row.r, row.a, row.delta] for row in table)
+        assert table is getattr(tables, "ISOTOPY_H0" if h is HInvariant.ZERO else "ISOTOPY_Z2")
     # per graph node: the number of edges into it
     graph = degenerations.transition_graph(atlas)
     indegree = graph.in_degree
@@ -192,6 +203,10 @@ def test_derived_rows_are_the_generator_outputs():
             for c in members
         }
     assert grid == {HInvariant.ZERO: tables.GRID_H0, HInvariant.Z2: tables.GRID_Z2}
+    # the distinct (r, a) of both families, which the catalog audit bounds once each
+    classes = atlas.all_classes(Family.S311) + atlas.all_classes(Family.U)
+    assert atlas._ra is atlas._ra and atlas._ra == tuple(dict.fromkeys((c.r, c.a) for c in classes))
+    assert len(atlas._ra) == 54
 
 
 @pytest.mark.parametrize(
@@ -431,6 +446,60 @@ def test_isotopy_section_names_each_edited_field(monkeypatch, table, index, edit
         )
     for a in (atlas, fresh, fresh):
         assert validation.run_all_checks(a).violations == [f"isotopy tables: {v}" for v in expected]
+
+
+def test_a_warm_atlas_sees_a_patched_isotopy_table(monkeypatch):
+    # The S311 pass keeps the rows it generated for each table as it read it; a table replaced
+    # since is looked up again, and every call compares all 102 rows.
+    atlas = _fresh_atlas()
+    shipped, rows = atlas._s.shipped, tables.ISOTOPY_H0
+    edited = tuple(row._replace(node1=(1, 2)) if row.index == "No.17" else row for row in rows)
+    monkeypatch.setattr(tables, "ISOTOPY_H0", edited)
+    assert _twice(atlas) == ["isotopy tables: row No.17 Node (1): generated (0, 2), shipped (1, 2)"]
+    # the same rows in another order pass: each is looked up by its (r, a, delta)
+    monkeypatch.setattr(tables, "ISOTOPY_H0", rows[::-1])
+    assert _twice(atlas) == []
+    monkeypatch.setattr(tables, "ISOTOPY_H0", rows)
+    assert _twice(atlas) == []
+    sections = validation.run_all_checks(atlas).sections
+    assert next(s for s in sections if s.name == "isotopy tables").checked == 102
+    assert atlas._s.shipped is shipped
+
+
+def test_a_corrupted_datum_is_worded_for_every_carrier_in_order():
+    # Each distinct datum is evaluated once; one that fails is worded for every item that
+    # carries it, in item order.  Two data of each pass are altered, in the per-item tuples and
+    # in the distinct data alike, on copies that replace the passes in the instance dict, where
+    # the atlas keeps them.
+    atlas = _fresh_atlas()
+    s, u = types.SimpleNamespace(**vars(atlas._s)), types.SimpleNamespace(**vars(atlas._u))
+    zero = HInvariant.ZERO
+    # No.3 and No.4 (2, 2, delta, H=0): Node (1) and the isolated point at (0,7) find oval sum 7,
+    # and Node (2) at (0,6) finds 6
+    found = {(2, 2, zero, 7): (2, 2, zero, 8), (2, 2, zero, 6): (3, 2, zero, 6)}
+    s.found = tuple(found.get(f, f) for f in s.found)
+    s.roundtrip_data = tuple(d[:4] + (found.get(d[4], d[4]),) for d in s.roundtrip_data)
+    # (pools, after) of No.3 and No.4 conj2 and of No.3' and No.4' conj2p; the other way round
+    after = {((8, 0, 2), 6): 7, ((0, 8, 2), None): 5}
+    u.after = tuple(after.get(datum, datum[1]) for datum in zip(u.pools, u.after))
+    u.oval_data = tuple((pools, after.get((pools, a), a)) for pools, a in u.oval_data)
+    atlas.__dict__.update(_s=s, _u=u)
+    assert _twice(atlas) == [
+        "invariant roundtrips: No.3 Node (1) (0,7): oval sum violated",
+        "invariant roundtrips: No.3 Isolated point (0,7): oval sum violated",
+        "invariant roundtrips: No.3 Node (2) (0,6): roundtrip gave (3,2,H=0)",
+        "invariant roundtrips: No.4 Node (1) (0,7): oval sum violated",
+        "invariant roundtrips: No.4 Isolated point (0,7): oval sum violated",
+        "invariant roundtrips: No.4 Node (2) (0,6): roundtrip gave (3,2,H=0)",
+        "oval-count monotonicity: No.3 conj2: oval count dropped by 1",
+        "oval-count monotonicity: No.3 conj2p: oval count dropped by 3",
+        "oval-count monotonicity: No.4 conj2: oval count dropped by 1",
+        "oval-count monotonicity: No.4 conj2p: oval count dropped by 3",
+        "oval-count monotonicity: No.3' conj2: oval count dropped by 3",
+        "oval-count monotonicity: No.3' conj2p: oval count dropped by 1",
+        "oval-count monotonicity: No.4' conj2: oval count dropped by 3",
+        "oval-count monotonicity: No.4' conj2p: oval count dropped by 1",
+    ]
 
 
 def test_graph_section_runs_only_after_a_passing_correspondence(monkeypatch):
@@ -923,7 +992,8 @@ def test_shared_derivation_hands_out_nothing_mutable():
     assert type(graph.nodes) is type(graph.edges) is tuple
     # what the checks compare against is read-only: tuples, and a read-only map
     u, s = atlas._u, atlas._s
-    for kept in (u.flat, u.after, u.pools, u.pairs, s.found, s.pairs, graph.in_degree):
+    kept_data = (u.oval_data, s.roundtrip_data, s.shipped, atlas._ra)
+    for kept in (u.flat, u.after, u.pools, u.pairs, s.found, s.pairs, graph.in_degree, *kept_data):
         key = next(iter(kept.keys() if hasattr(kept, "keys") else range(len(kept))))
         with pytest.raises(TypeError):
             kept[key] = ()
