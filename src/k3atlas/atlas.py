@@ -174,14 +174,9 @@ class Atlas:
     # The two family passes, each built on first use by a builder imported then: the class
     # and isotopy queries load no degenerations code.
     @cached_property
-    def _pass(self):  # the U pass as built, with ``missing``
+    def _pass(self):  # the U pass, with ``missing``: read through ``degenerations._read``
         from .degenerations import _u_pass
         return _u_pass(self)
-
-    @cached_property
-    def _u(self):  # the U pass as the checks read it: raises what ``missing`` keeps for them
-        from .degenerations import _read
-        return _read(self)
 
     @cached_property
     def _s(self):  # the S311 pass

@@ -203,23 +203,23 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     move) of the classes with moves, 368 times, and keeps ``stars`` (the outcomes of
     ``STAR_MOVES``, None for a missing source class), ``flat`` (the unprimed and the primed
     move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)), ``rows``
-    (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows), ``moves``
-    ((class, move) of each table move) with ``after`` (the alpha + beta it leaves, None where
-    impossible), ``pools`` (its pool, the other pool, the ovals it uses) and ``oval_data``
-    (the distinct (pools, after), first seen first), ``pairs`` (per No.k / No.k' label, the
-    cells of the moves of its side and the targets of the possible ones; None for a missing
-    class, whose label is in ``unpaired``) and ``graph``.  ``missing`` keeps the first
-    ``NotInAtlas`` per reader, for ``_read`` to raise: a missing target under its move's table
-    and ``"graph"``, a missing partner under the primed table, and either under ``None``, the
-    reader of the whole pass (``Atlas._u``, as the checks read it).  A class without an
-    integral (g, k) raises ``SpecialClass`` under its label.
+    (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows), ``oval_data``
+    (each distinct (pools, after) of a table move, its pool, the other pool and the ovals it
+    uses with the alpha + beta it leaves, None where impossible, mapped to its carriers
+    (number, class, move), numbered in move order; and the move count), ``pairs`` (per No.k /
+    No.k' label, the cells of the moves of its side and the targets of the possible ones; None
+    for a missing class, whose label is in ``unpaired``) and ``graph``.  ``missing`` keeps the
+    first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing target under its move's
+    table and ``"graph"``, a missing partner under the primed table, and either under ``None``,
+    the reader of the whole pass (the checks).  A class without an integral (g, k) raises
+    ``SpecialClass`` under its label.
 
     All are tuples, or dicts whose values are immutable.  Only generator outputs are kept,
-    never a verdict: every check compares them with its expected side on every call, through
-    ``atlas.compared``, and walks them only to word a mismatch.  So does ``_s311_pass``.
+    never a verdict: every check compares them with its expected side on every call, and
+    walks them only to word a mismatch.  So does ``_s311_pass``.
     """
-    u = SimpleNamespace(atlas=atlas, moves=[], after=[], pools=[], edges=[])
-    flat, sides, stars, u.missing = ([], []), {}, {}, {}
+    u = SimpleNamespace(missing={})
+    flat, sides, stars, edges, ovals, n = ([], []), {}, {}, [], {}, 0  # n: the moves numbered so far
     for c in atlas.all_classes(_U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
@@ -248,14 +248,14 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
                 got[move] = DegenerationOutcome(move, None, None)
                 continue
             if outcome.iso is not None:
-                u.edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
+                edges.append(TransitionEdge(c, outcome.target, move, outcome.iso))
             if move.spec.source:
                 stars[move] = outcome
         outcomes = tuple([got[m] for m in TABLE_MOVES])
         for move, o in zip(TABLE_MOVES, outcomes):
-            u.moves.append((c, move))
-            u.after.append(o.iso and o.iso.alpha + o.iso.beta)
-            u.pools.append(move.spec.pools(g, k) + (move.spec.ovals,))
+            datum = move.spec.pools(g, k) + (move.spec.ovals,), o.iso and o.iso.alpha + o.iso.beta
+            ovals[datum] = ovals.get(datum, ()) + ((n, c, move),)
+            n += 1
         unprimed, primed = sides[c.key] = [
             (tuple([o.cell() for o in part]), tuple([o.target for o in part if o.iso is not None]))
             for part in (outcomes[:3], outcomes[3:])
@@ -266,8 +266,7 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
             flat[1].append((f"{partner.index}'", *head, *primed[0]))
     for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
         rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
-    u.flat, u.moves, u.after, u.pools = tuple(map(tuple, flat)), *map(tuple, (u.moves, u.after, u.pools))
-    u.oval_data = tuple(dict.fromkeys(zip(u.pools, u.after)))
+    u.flat, u.oval_data = tuple(map(tuple, flat)), (ovals, n)
     u.rows = {
         side: tuple([MoveTableRow(*row[:6], tuple(zip(moves, row[6:]))) for row in rows])
         for side, (moves, _getter), rows in zip((_UNPRIMED, _PRIMED), _SIDES, u.flat)
@@ -280,39 +279,38 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     ])
     found, u.unpaired = _resolve(atlas, _U)  # None also for a class without moves
     u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in found])
-    u.graph = _derive_graph(u)
+    u.graph = _derive_graph(atlas, edges)
     return u
 
 
 def _s311_pass(atlas: Atlas) -> SimpleNamespace:
     """The S311 pass, kept by ``Atlas._s``: what the checks read of the S311 family.  It calls
-    ``candidate_isotopy_types`` once per class and keeps ``full`` and ``table`` (c.key -> its
-    candidates with and without the degenerate variants), ``rows`` (H -> (r, a, delta) -> its
-    isotopy row), ``shipped`` (per H: H, the shipped isotopy table as read here, and the row
+    ``candidate_isotopy_types`` once per class and keeps ``full`` (c.key -> its candidates with
+    the degenerate variants), ``rows`` (H -> (r, a, delta) -> the isotopy row of its table
+    candidates), ``shipped`` (per H: H, the shipped isotopy table as read here, and the row
     generated for each of its rows, which the isotopy section reuses while the table is that
-    same object), ``roundtrips`` ((class, candidate) of each non-star table candidate) with
-    ``found`` (the (r, a, H) that ``topology._invariants`` recovers from it, and its alpha +
-    beta) and ``roundtrip_data`` (the distinct (r, a, H, case is Node (2), found)), ``euler``
-    (the distinct ``topology._shared_datum`` of all candidates, and the candidate count) and
-    ``pairs`` (per label, the cells of its isotopy row in the order of those moves, and the
-    S311 class once per cell that is not None; () for a missing class, whose label is in
-    ``unpaired``).  The distinct data are kept first seen first.
+    same object), ``roundtrip_data`` (each distinct (r, a, H, case is Node (2), found) of a
+    non-star table candidate, found being the (r, a, H) that ``topology._invariants`` recovers
+    and its alpha + beta, mapped to its carriers (number, class, candidate) numbered in table
+    candidate order; and the count of those, star ones too), ``euler`` (the distinct
+    ``topology._shared_datum`` of all candidates, first seen first, and their count) and
+    ``pairs`` (per label, the cells of its isotopy row in the order of those moves, and the S311
+    class once per cell that is not None; () for a missing class, whose label is in ``unpaired``).
     """
-    s = SimpleNamespace(full={}, table={}, rows={_ZERO: {}, _Z2: {}}, roundtrips=[], found=[])
-    data = {}  # the distinct roundtrip data, first seen first
+    s = SimpleNamespace(full={}, rows={_ZERO: {}, _Z2: {}})
+    data, n = {}, 0  # the roundtrip data, and the table candidates numbered so far
     classes = atlas.all_classes(_S311)
     for c in classes:
         full = s.full[c.key] = tuple(candidate_isotopy_types(c, include_degenerate=True))
-        table = s.table[c.key] = tuple([t for t in full if t.table_data])
+        table = [t for t in full if t.table_data]
         s.rows[c.h][c.triple] = isotopy_row(c, table)
         covered = Region.A_MINUS if c.h is _ZERO else Region.A_PLUS
         for t in table:
             if t.case is not _NODE_STAR:
-                found = _invariants(*t[:3], covered) + (t.alpha + t.beta,)
-                s.roundtrips.append((c, t))
-                s.found.append(found)
-                data[c.r, c.a, c.h, t.case is _NODE2, found] = None
-    s.roundtrips, s.found, s.roundtrip_data = tuple(s.roundtrips), tuple(s.found), tuple(data)
+                datum = c.r, c.a, c.h, t.case is _NODE2, _invariants(*t[:3], covered) + (t.alpha + t.beta,)
+                data[datum] = data.get(datum, ()) + ((n, c, t),)
+            n += 1
+    s.roundtrip_data = data, n
     shipped = (_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)
     s.shipped = tuple([(h, table, _generated_rows(s.rows[h], table)) for h, table in shipped])
     lists = [s.full[c.key] for c in classes]
@@ -394,7 +392,7 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     for No.k' with the primed moves, and for the two self-conjunctions.
     """
     atlas = atlas or load_atlas()
-    u, s = atlas._u, atlas._s
+    u, s = _read(atlas), atlas._s
 
     def word_pair(key, u_side, s_side) -> list[str]:
         label, side = key
@@ -512,9 +510,9 @@ def transition_graph(atlas: Atlas | None = None) -> TransitionGraph:
     return _read(atlas, "graph")
 
 
-def _derive_graph(u: SimpleNamespace) -> TransitionGraph:
+def _derive_graph(atlas: Atlas, edges: list) -> TransitionGraph:
     # The U pass's edges over both catalogs' classes; the last step of that pass.
-    return TransitionGraph(u.atlas.all_classes(_S311) + u.atlas.all_classes(_U), tuple(u.edges))
+    return TransitionGraph(atlas.all_classes(_S311) + atlas.all_classes(_U), tuple(edges))
 
 
 class _Quoted(dict):

@@ -8,14 +8,14 @@ two class families, and the combinatorial monotonicity of the moves.  A
 single shipped cell is whitelisted (see ``tables.WHITELISTED_CELLS``);
 everything else must match exactly.
 
-Every section takes the atlas, reads its two kept family passes, ``Atlas._u`` and
-``Atlas._s`` (the docstrings of ``degenerations._u_pass`` and ``_s311_pass`` state what they
-keep), and declares its derived items, its expected items, read from ``tables`` or a closed
-form on every call, and one wording function per item; ``atlas.compared`` compares the two
-sides whole and words only the items that differ.  No verdict is kept.  The Euler identity,
-the roundtrips and the oval counts are evaluated once per distinct datum the passes keep (the
-Euler identity from the descriptors' kept Euler characteristic), and a failed datum is worded
-for each item that carries it, in item order; ``validate_atlas`` does so for the (r, a) bounds.
+Every section takes the atlas and reads its two kept family passes, the U pass through
+``degenerations._read`` and the S311 pass as ``Atlas._s`` (``degenerations._u_pass`` and
+``_s311_pass`` state what they keep).  No verdict is kept.  Most sections declare their derived
+items, their expected items, read from ``tables`` or a closed form on every call, and one
+wording function per item, and ``atlas.compared`` words only the items that differ.  The Euler
+identity, the roundtrips and the oval counts are evaluated once per distinct datum the passes
+keep (the Euler identity from the descriptors' kept Euler characteristic); only a failed datum
+is worded, for each item that carries it, in item order, as ``validate_atlas`` does for (r, a).
 The isotopy section looks the shipped rows up again only when a table is no longer the object
 the S311 pass read.
 The roundtrip section tests no component count, since ``IsotopyType`` caps alpha + beta (1 to
@@ -42,13 +42,14 @@ from .degenerations import (
     UNPRIMED_MOVES,
     TableSide,
     _generated_rows,
+    _read,
     correspondence_check,
 )
 from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _shared_datum, double_cover_euler_check
 
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
-_NODE2, _NODE_STAR = TopCase.NODE2, TopCase.NODE_STAR
+_NODE_STAR = TopCase.NODE_STAR
 _TABLE_SIDES, _STAR = (TableSide.UNPRIMED, TableSide.PRIMED), TableSide.STAR
 _SIDE_MOVES = UNPRIMED_MOVES, PRIMED_MOVES
 
@@ -126,7 +127,7 @@ def _word_isotopy_row(row, derived, _shipped) -> list[str]:
 
 
 def _check_move_tables(atlas: Atlas) -> CheckSection:
-    u, parts, whitelisted, checked = atlas._u, [], [], len(tables.MOVES_STAR)
+    u, parts, whitelisted, checked = _read(atlas), [], [], len(tables.MOVES_STAR)
     shipped_tables = tables.MOVES_UNPRIMED, tables.MOVES_PRIMED
     for side, moves, flat, shipped in zip(_TABLE_SIDES, _SIDE_MOVES, u.flat, shipped_tables):
         if len(flat) != len(shipped):
@@ -143,16 +144,17 @@ def _check_move_tables(atlas: Atlas) -> CheckSection:
 def _whitelisted(moves, shipped, flat, lines: list[str]) -> tuple:
     """``shipped`` with each whitelisted cell of ``moves`` that still holds its shipped value
     set to its derived value; a line in ``lines`` for each such cell that ``flat`` derives."""
-    rows, names, indices = list(shipped), [m.value for m in moves], [row.index for row in shipped]
+    names = [m.value for m in moves]
     for index, name, was, derived in tables.WHITELISTED_CELLS:
-        if name not in names or index not in indices:
-            continue
-        at, column = indices.index(index), 6 + names.index(name)
-        if rows[at][column] == was:
-            rows[at] = rows[at][:column] + (derived,) + rows[at][column + 1 :]
-            if flat[at][:6] == rows[at][:6] and flat[at][column] == derived:
-                lines.append(f"row {index} {name}: shipped {was}, derived {derived}")
-    return tuple(rows)
+        if name in names:  # else the side is returned as it is
+            at = next((i for i, row in enumerate(shipped) if row.index == index), None)
+            column = 6 + names.index(name)
+            if at is not None and shipped[at][column] == was:
+                row = shipped[at][:column] + (derived,) + shipped[at][column + 1 :]
+                shipped = shipped[:at] + (row,) + shipped[at + 1 :]
+                if flat[at][:6] == row[:6] and flat[at][column] == derived:
+                    lines.append(f"row {index} {name}: shipped {was}, derived {derived}")
+    return shipped
 
 
 def _word_row_count(side, derived, shipped) -> list[str]:
@@ -171,28 +173,20 @@ def _word_move_row(side, moves, shipped, flat, expected) -> list[str]:
 
 
 def _check_roundtrips(atlas: Atlas) -> CheckSection:
-    s = atlas._s
+    data, checked = atlas._s.roundtrip_data  # the star candidates count too
     # The oval-sum rule, on the H = 0 side only: alpha + beta is 9 - a, and 8 - a for Node (2).
-    failed = {  # once per distinct datum: each failed one, with what it should have found
-        (r, a, h, node2, found): expected
-        for r, a, h, node2, found in s.roundtrip_data
+    failed = [  # once per distinct datum: each failed one's carriers, sorted into candidate order
+        (*carrier, found, expected)
+        for r, a, h, node2, found in data
         if found != (expected := (r, a, h, 9 - a - node2 if h is _ZERO else found[3]))
-    }
-
-    def carriers(*_) -> list[str]:  # the candidates whose datum failed, in candidate order
-        return [
-            message
-            for (c, t), found in zip(s.roundtrips, s.found)
-            if (expected := failed.get((c.r, c.a, c.h, t.case is _NODE2, found)))
-            for message in _word_roundtrip((c, t), found, expected)
-        ]
-
-    checked = sum(map(len, s.table.values()))  # the star candidates too
-    return compared("invariant roundtrips", checked, [((None,), (failed,), ({},), carriers)])
+        for carrier in data[r, a, h, node2, found]
+    ]
+    violations = [m for item in sorted(failed) for m in _word_roundtrip(*item)] if failed else []
+    return CheckSection("invariant roundtrips", checked, violations, [], {})
 
 
-def _word_roundtrip(key, derived, expected) -> list[str]:
-    (c, t), (r, a, h, ovals) = key, derived
+def _word_roundtrip(_n, c, t, derived, expected) -> list[str]:
+    r, a, h, ovals = derived
     out = [f"{c.index} {t}: roundtrip gave ({r},{a},H={h.value})"] if derived[:3] != expected[:3] else []
     if ovals != expected[3]:
         out.append(f"{c.index} {t}: oval sum violated")
@@ -202,22 +196,23 @@ def _word_roundtrip(key, derived, expected) -> list[str]:
 def _check_euler(atlas: Atlas) -> CheckSection:
     (data, checked), full = atlas._s.euler, atlas._s.full
     failed = {datum for datum in data if not double_cover_euler_check(*datum)}
-
-    def carriers(*_) -> list[str]:  # the candidates whose datum failed, by class, then candidate
-        pairs = [(c, t) for c in atlas.all_classes(_S311) for t in full[c.key]]
-        return [f"{c.index} {t}: chi mismatch" for c, t in pairs if _shared_datum(*t[:3]) in failed]
-
-    return compared("double-cover Euler identity", checked, [((None,), (failed,), (set(),), carriers)])
+    violations = [  # the candidates whose datum failed, by class, then candidate
+        f"{c.index} {t}: chi mismatch"
+        for c in atlas.all_classes(_S311)
+        for t in full[c.key]
+        if _shared_datum(*t[:3]) in failed
+    ] if failed else []
+    return CheckSection("double-cover Euler identity", checked, violations, [], {})
 
 
 def _check_exclusions(atlas: Atlas) -> CheckSection:
     # Of the triples without oval bookkeeping, (10,8,0) and (10,10,0), only
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
-    # checks one class, and re-tests that its candidates are the star case
-    # alone; no (10,10,0) class with H = 0 exists to check.
-    classes, table = atlas.all_classes(_S311), atlas._s.table
+    # checks one class, and re-tests that its table candidates are the star
+    # case alone; no (10,10,0) class with H = 0 exists to check.
+    classes, full = atlas.all_classes(_S311), atlas._s.full
     excluded = [c for c in classes if c.h is _ZERO and c.triple in tables.U_EXCLUDED_TRIPLES]
-    cases = [[t.case for t in table[c.key] if t.case is not _NODE_STAR] for c in excluded]
+    cases = [[t.case for t in full[c.key] if t.table_data and t.case is not _NODE_STAR] for c in excluded]
     message = "{}: case I/II candidates emitted for excluded invariants"
     part = excluded, cases, [[]] * len(excluded), lambda c, *_: [message.format(c.index)]
     return compared("exclusions", len(excluded), [part])
@@ -226,23 +221,18 @@ def _check_exclusions(atlas: Atlas) -> CheckSection:
 def _check_monotonicity(atlas: Atlas) -> CheckSection:
     """Each move consumes its side's oval pool by one (conjunction with the
     non-contractible component, contraction) or two (oval-oval merge)."""
-    u = atlas._u
-    failed = {  # once per distinct (pools, after) datum
-        ((pool, other, n), after)
-        for (pool, other, n), after in u.oval_data
+    data, checked = _read(atlas).oval_data
+    failed = [  # once per distinct (pools, after): each failed one's carriers, sorted into move order
+        (*carrier, pool, other, after)
+        for (pool, other, n), after in data
         if after != (pool + other - n if pool >= n else None)
-    }
-
-    def carriers(*_) -> list[str]:  # the moves whose datum failed, in move order
-        moves = zip(u.moves, u.pools, u.after)
-        return [m for key, pools, after in moves if (pools, after) in failed for m in _word_ovals(key, after)]
-
-    return compared("oval-count monotonicity", len(u.moves), [((None,), (failed,), (set(),), carriers)])
+        for carrier in data[(pool, other, n), after]
+    ]
+    violations = [m for item in sorted(failed) for m in _word_ovals(*item)] if failed else []
+    return CheckSection("oval-count monotonicity", checked, violations, [], {})
 
 
-def _word_ovals(key, after) -> list[str]:
-    c, move = key
-    pool, other = move.spec.pools(*c.gk)
+def _word_ovals(_n, c, move, pool, other, after) -> list[str]:
     if after is None:
         return [f"{c.index} {move.value}: impossible despite {pool} ovals"]
     dropped = pool + other - after
@@ -252,7 +242,7 @@ def _word_ovals(key, after) -> list[str]:
 
 
 def _check_graph(atlas: Atlas) -> CheckSection:
-    graph = atlas._u.graph
+    graph = _read(atlas).graph
     indegree, classes = graph.in_degree, atlas.all_classes(_S311)
     reached = all(map(indegree.get, map(attrgetter("key"), classes)))
 

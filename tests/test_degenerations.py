@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from k3atlas import degenerations, tables
+from k3atlas import degenerations, tables, validation
 from k3atlas.atlas import (
     Atlas,
     Family,
@@ -469,7 +469,7 @@ def test_shared_outcomes_match_apply_degeneration(atlas):
     kept = transition_graph(fresh).edges
     assert kept == tuple(edges) and all(e.target is o.target for e, o in zip(kept, edges))
     stars = [apply_degeneration(fresh.lookup(Family.U, *m.spec.source), m, fresh) for m in STAR_MOVES]
-    assert fresh._pass.stars == tuple(stars) and fresh._pass is fresh._u
+    assert fresh._pass.stars == tuple(stars) and degenerations._read(fresh) is fresh._pass
     # what the public functions read of one atlas's pass, they read alike of another's
     for side in TableSide:
         rows = degeneration_table(side, fresh)
@@ -503,11 +503,11 @@ def test_a_missing_class_fails_only_what_reads_it(atlas, family, index, failing,
                     read(dropped)
             else:
                 assert read(dropped)
-        # the checks read every outcome and row
-        with pytest.raises(NotInAtlas, match=error):
-            dropped._u
-        with pytest.raises(NotInAtlas, match=error):
-            correspondence_check(dropped)
+        # the checks read every outcome and row, each through the reader of the whole pass
+        checks = validation._check_move_tables, validation._check_monotonicity, validation._check_graph
+        for check in (degenerations._read, correspondence_check, *checks):
+            with pytest.raises(NotInAtlas, match=error):
+                check(dropped)
     if lost:  # the point query raises as the pass recorded
         with pytest.raises(NotInAtlas, match=error):
             for move in TABLE_MOVES:

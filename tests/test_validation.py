@@ -115,19 +115,30 @@ def test_shared_table_lists_are_the_table_candidates():
     s = atlas._s
     assert atlas._s is s  # derived once, then kept
     s311 = atlas.all_classes(Family.S311)
-    assert list(s.full) == list(s.table) == [c.key for c in s311]
+    assert list(s.full) == [c.key for c in s311]
+    # one list per class: the table candidates are the kept ones that are not degenerate variants
     for c in s311:
         assert s.full[c.key] == tuple(candidate_isotopy_types(c, True))
-        assert s.table[c.key] == tuple(candidate_isotopy_types(c))
+        assert [t for t in s.full[c.key] if t.table_data] == candidate_isotopy_types(c)
     for key in (STAR_KEY_H0, STAR_KEY_Z2):
         star = atlas.lookup(Family.S311, *key)
-        assert any(t.case is TopCase.NODE_STAR for t in s.table[star.key])
-        assert s.table[star.key] == tuple(candidate_isotopy_types(star))
+        table = [t for t in s.full[star.key] if t.table_data]
+        assert any(t.case is TopCase.NODE_STAR for t in table)
+        assert table == candidate_isotopy_types(star)
+
+
+def _numbered(items) -> tuple[dict, int]:
+    # (datum, carrier) pairs, in item order -> each distinct datum, first seen first, with its
+    # carriers (number, *carrier) numbered in that order; and the item count.
+    carriers = {}
+    for n, (datum, carrier) in enumerate(items):
+        carriers.setdefault(datum, []).append((n, *carrier))
+    return {datum: tuple(cs) for datum, cs in carriers.items()}, len(items)
 
 
 def test_derived_rows_are_the_generator_outputs():
     atlas = _fresh_atlas()
-    u, s = atlas._u, atlas._s
+    u, s = degenerations._read(atlas), atlas._s
     shipped = {
         (row.r, row.a, row.delta, h): row
         for h, rows in ((HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2))
@@ -138,36 +149,50 @@ def test_derived_rows_are_the_generator_outputs():
         assert row == shipped[c.key]
         # the cusp variants have cells of their own, which a row leaves out
         assert topology.isotopy_row(c, candidate_isotopy_types(c, True)) == row
-    assert all(type(kept) is tuple for kept in (u.flat, u.moves, u.after, u.pools, u.pairs, s.pairs))
-    assert all(type(kept) is tuple for kept in (s.roundtrips, s.found, s.euler))
-    moves, after, pools = [], [], []
+    assert all(type(kept) is tuple for kept in (u.flat, u.oval_data, u.pairs, s.pairs))
+    assert all(type(kept) is tuple for kept in (s.roundtrip_data, s.euler))
+    moves = []
     for c in atlas.all_classes(Family.U):
         if c.triple in tables.U_EXCLUDED_TRIPLES:
             continue
-        outcomes = [degenerations.apply_degeneration(c, m, atlas) for m in TABLE_MOVES]
-        # per table move: alpha + beta after it, None where impossible, and its pools and ovals
-        moves += [(c, m) for m in TABLE_MOVES]
-        after += [None if o.impossible else o.iso.alpha + o.iso.beta for o in outcomes]
-        pools += [m.spec.pools(*gk_invariants(c)) + (m.spec.ovals,) for m in TABLE_MOVES]
-    assert (u.moves, u.after, u.pools) == (tuple(moves), tuple(after), tuple(pools)) and len(moves) == 366
+        for m in TABLE_MOVES:
+            # per table move: its pools and ovals, and alpha + beta after it, None where impossible
+            o = degenerations.apply_degeneration(c, m, atlas)
+            pools = m.spec.pools(*gk_invariants(c)) + (m.spec.ovals,)
+            moves.append(((pools, None if o.impossible else o.iso.alpha + o.iso.beta), (c, m)))
+    # the distinct (pools, after) that the oval-count section evaluates, first seen first, each
+    # with the moves that carry it, numbered in move order
+    data, count = _numbered(moves)
+    assert (list(u.oval_data[0].items()), u.oval_data[1]) == (list(data.items()), count)
+    assert (len(data), count) == (108, 366)
+    carriers = sorted(carrier for cs in u.oval_data[0].values() for carrier in cs)
+    assert [n for n, _c, _m in carriers] == list(range(366))
+    assert [(c, m) for _n, c, m in carriers] == [carrier for _datum, carrier in moves]
     # one form of each move-table row: the flat tuple, and the MoveTableRow built from it
     for side, flat in zip((TableSide.UNPRIMED, TableSide.PRIMED), u.flat):
         rows = degenerations.degeneration_table(side, atlas)
         assert flat == tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in rows)
         assert all(type(row) is tuple for row in flat)
         assert rows == list(u.rows[side]) and rows is not degenerations.degeneration_table(side, atlas)
-    # per non-star table candidate of each S311 class: what _invariants recovers and alpha + beta
-    keys, found = [], []
+    # per table candidate of each S311 class, the star ones numbered but carrying no datum: its
+    # (r, a, H, case is Node (2)), what _invariants recovers and alpha + beta
+    candidates = []
     for c in atlas.all_classes(Family.S311):
         covered = Region.A_MINUS if c.h is HInvariant.ZERO else Region.A_PLUS
-        plain = [t for t in candidate_isotopy_types(c) if t.case is not TopCase.NODE_STAR]
-        keys += [(c, t) for t in plain]
-        found += [topology._invariants(t.case, t.alpha, t.beta, covered) + (t.alpha + t.beta,) for t in plain]
-    assert (s.roundtrips, s.found) == (tuple(keys), tuple(found)) and len(keys) == 280
-    # the distinct data the roundtrip and oval-count sections evaluate, first seen first
-    data = [(c.r, c.a, c.h, t.case is TopCase.NODE2, f) for (c, t), f in zip(keys, found)]
-    assert s.roundtrip_data == tuple(dict.fromkeys(data)) and len(s.roundtrip_data) == 156
-    assert u.oval_data == tuple(dict.fromkeys(zip(pools, after))) and len(u.oval_data) == 108
+        for t in candidate_isotopy_types(c):
+            datum = None
+            if t.case is not TopCase.NODE_STAR:
+                found = topology._invariants(t.case, t.alpha, t.beta, covered) + (t.alpha + t.beta,)
+                datum = c.r, c.a, c.h, t.case is TopCase.NODE2, found
+            candidates.append((datum, (c, t)))
+    data, count = _numbered(candidates)
+    del data[None]
+    assert (list(s.roundtrip_data[0].items()), s.roundtrip_data[1]) == (list(data.items()), count)
+    assert (len(data), count) == (156, 282)
+    carriers = sorted(carrier for cs in data.values() for carrier in cs)
+    assert len(carriers) == 280 and [(c, t) for _n, c, t in carriers] == [
+        carrier for datum, carrier in candidates if datum is not None
+    ]
     # per H: the shipped table as read, and the generated row of each of its rows, in its order
     assert [(h, table) for h, table, _rows in s.shipped] == [
         (HInvariant.ZERO, tables.ISOTOPY_H0), (HInvariant.Z2, tables.ISOTOPY_Z2)
@@ -366,10 +391,8 @@ def test_a_class_without_incoming_edges_is_named_on_every_call(monkeypatch, inde
     # The kept in-degrees are read for all classes at once; a zero walks the classes.
     derive = degenerations._derive_graph
 
-    def without_edges_into(derivation):
-        graph = derive(derivation)
-        edges = tuple(e for e in graph.edges if e.target.index != index)
-        return degenerations.TransitionGraph(graph.nodes, edges)
+    def without_edges_into(atlas, edges):
+        return derive(atlas, [e for e in edges if e.target.index != index])
 
     monkeypatch.setattr(degenerations, "_derive_graph", without_edges_into)
     assert _twice(_fresh_atlas()) == [f"transition graph: {v}" for v in expected]
@@ -468,22 +491,23 @@ def test_a_warm_atlas_sees_a_patched_isotopy_table(monkeypatch):
 
 def test_a_corrupted_datum_is_worded_for_every_carrier_in_order():
     # Each distinct datum is evaluated once; one that fails is worded for every item that
-    # carries it, in item order.  Two data of each pass are altered, in the per-item tuples and
-    # in the distinct data alike, on copies that replace the passes in the instance dict, where
-    # the atlas keeps them.
+    # carries it, in item order.  Two data of each pass are altered, each keeping its carriers,
+    # on copies that replace the passes in the instance dict, where the atlas keeps them.
     atlas = _fresh_atlas()
-    s, u = types.SimpleNamespace(**vars(atlas._s)), types.SimpleNamespace(**vars(atlas._u))
+    s, u = types.SimpleNamespace(**vars(atlas._s)), types.SimpleNamespace(**vars(atlas._pass))
     zero = HInvariant.ZERO
     # No.3 and No.4 (2, 2, delta, H=0): Node (1) and the isolated point at (0,7) find oval sum 7,
     # and Node (2) at (0,6) finds 6
     found = {(2, 2, zero, 7): (2, 2, zero, 8), (2, 2, zero, 6): (3, 2, zero, 6)}
-    s.found = tuple(found.get(f, f) for f in s.found)
-    s.roundtrip_data = tuple(d[:4] + (found.get(d[4], d[4]),) for d in s.roundtrip_data)
+    data, count = s.roundtrip_data
+    s.roundtrip_data = {d[:4] + (found.get(d[4], d[4]),): carriers for d, carriers in data.items()}, count
     # (pools, after) of No.3 and No.4 conj2 and of No.3' and No.4' conj2p; the other way round
     after = {((8, 0, 2), 6): 7, ((0, 8, 2), None): 5}
-    u.after = tuple(after.get(datum, datum[1]) for datum in zip(u.pools, u.after))
-    u.oval_data = tuple((pools, after.get((pools, a), a)) for pools, a in u.oval_data)
-    atlas.__dict__.update(_s=s, _u=u)
+    ovals, count = u.oval_data
+    u.oval_data = {(pools, after.get((pools, a), a)): carriers for (pools, a), carriers in ovals.items()}, count
+    # no altered datum meets another: each keeps its own carriers
+    assert (len(s.roundtrip_data[0]), len(u.oval_data[0])) == (len(data), len(ovals))
+    atlas.__dict__.update(_s=s, _pass=u)
     assert _twice(atlas) == [
         "invariant roundtrips: No.3 Node (1) (0,7): oval sum violated",
         "invariant roundtrips: No.3 Isolated point (0,7): oval sum violated",
@@ -738,6 +762,25 @@ def test_whole_comparisons_hide_no_damage(monkeypatch, table, edit, expected):
     assert validation.run_all_checks(fresh).violations == first
 
 
+def test_a_move_table_of_another_length_is_worded_by_its_row_count(monkeypatch):
+    # A side whose row count differs is one check, worded by the two counts; its rows are not
+    # compared, so its whitelisted cell is not read either.
+    atlas = load_atlas()
+    assert validation.run_all_checks(atlas).ok
+
+    def reported() -> tuple:
+        summary = validation.run_all_checks(atlas)
+        assert validation.run_all_checks(atlas) == summary
+        section = next(s for s in summary.sections if s.name == "degeneration tables")
+        return summary.violations, section.checked, summary.whitelisted
+
+    primed = "degeneration tables: primed table has 50 rows, shipped 49"
+    monkeypatch.setattr(tables, "MOVES_PRIMED", tables.MOVES_PRIMED[:-1])
+    assert reported() == ([primed], 2 + 50, [])  # the star rows and the unprimed rows
+    monkeypatch.setattr(tables, "MOVES_UNPRIMED", tables.MOVES_UNPRIMED[1:])
+    assert reported() == (["degeneration tables: unprimed table has 50 rows, shipped 49", primed], 2, [])
+
+
 def test_a_damaged_whitelisted_cell_is_a_violation_on_every_call(monkeypatch):
     # The whitelist names No.16' contr3p as shipped (1, 2) and derived (1, 3); a line is
     # whitelisted only while both still hold, on a first and on a warm call alike.
@@ -786,17 +829,48 @@ def test_missing_correspondence_class_is_reported_on_every_call():
     warm = validation.run_all_checks(atlas).violations
     assert message in cold and warm == cold
     # a missing class never matches, so the pairs are walked on every call
-    u, s = atlas._u, atlas._s
+    u, s = degenerations._read(atlas), atlas._s
     assert (u.pairs[0], s.pairs[0][1][0]) == (None, atlas.lookup_index(Family.S311, "No.1"))
 
 
+def test_a_class_missing_from_the_u_catalog_is_named_for_its_pair_and_its_move():
+    # The U class (11, 9, 1) is No.26' and the source of conj4p: its pair and its
+    # self-conjunction are each reported missing, on a first and a warm call.
+    records = [
+        rec for family in Family for rec in load_atlas().to_records(family)
+        if (family, rec["r"], rec["a"], rec["delta"]) != (Family.U, 11, 9, 1)
+    ]
+    atlas = Atlas.from_records(records)
+    expected = ["No.26': missing from one of the catalogs", "(11, 9, 1): missing from the catalog"]
+    for _ in range(2):
+        assert degenerations.correspondence_check(atlas).violations == expected
+
+
+def test_an_outcome_without_its_candidate_is_named_on_every_call(monkeypatch):
+    # No.5 loses its Node (2) candidate (1, 6), which conj2 of the U class No.5 produces.
+    candidates = degenerations.candidate_isotopy_types
+    key = load_atlas().lookup_index(Family.S311, "No.5").key
+
+    def without_node2(c, include_degenerate=False):
+        out = candidates(c, include_degenerate)
+        return [t for t in out if c.key != key or t.case is not TopCase.NODE2]
+
+    monkeypatch.setattr(degenerations, "candidate_isotopy_types", without_node2)
+    atlas = _fresh_atlas()
+    for _ in range(2):
+        assert degenerations.correspondence_check(atlas).violations == [
+            "No.5 conj2: produced (1, 6), but Node (2) is not a candidate of No.5"
+        ]
+
+
 def test_warm_call_stays_under_its_call_budget():
-    # 229 calls on CPython 3.10.13 and 3.11.7 and 206 on 3.12.1 and 3.13.0 under either hash
-    # seed, so the budget is the highest count plus under 3% (239 and 215 while the passes
-    # were read through a per-atlas object; 551 and 527 while the Euler section checked each
-    # of 201 candidate triples; pstats, which folds same-label entries, read 523 to 551 and
-    # varied between runs; 836 to 910 with a kept structure beside a walker per section,
-    # 22,597 to 23,459 when every call derived afresh).  Counted from
+    # 225 calls on CPython 3.10.13 and 3.11.7, 206 on 3.12.1 and 205 on 3.13.0 under either
+    # hash seed.  The budget was set at the highest count plus under 3% when it was 229 (230
+    # and 206 while the passes kept per-item tuples beside the distinct data; 239 and 215
+    # while the passes were read through a per-atlas object; 551 and 527 while the Euler
+    # section checked each of 201 candidate triples; pstats, which folds same-label entries,
+    # read 523 to 551 and varied between runs; 836 to 910 with a kept structure beside a
+    # walker per section, 22,597 to 23,459 when every call derived afresh).  Counted from
     # cProfile's entries, as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
@@ -843,16 +917,17 @@ def _cold_call_counts() -> tuple[tuple[int, int], ...]:
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 15,967 calls on CPython 3.10.13, 15,973 on 3.11.7 and 15,043 on 3.12.1 and 3.13.0, so
-    # the budget is the highest count plus under 3% (15,970, 15,976 and 15,046 while the
-    # passes were read through a per-atlas object; 16,235, 16,241 and 15,312 while the Euler
-    # section checked each of 201 candidate triples; 23,551, 23,557 and 22,628 while every
-    # case built its own descriptors; 24,154, 24,160 and 23,231 with one memo
-    # for the regions and one for the real parts; 26,566, 26,572 and 24,035 while the first
-    # reads of the kept Euler characteristics went through functools.cached_property;
-    # 29,889 to 32,014 with one derivation per kept structure).  Counted from cProfile's
-    # entries, not pstats', which keeps one entry per (file, line, name): which NamedTuple
-    # method it keeps varies between runs.
+    # 14,954 calls on CPython 3.10.13, 14,960 on 3.11.7, 14,032 on 3.12.1 and 14,031 on
+    # 3.13.0.  The budget was set at the highest count plus under 3% when it was 15,973
+    # (15,980, 15,986 and 15,051 while the passes kept per-item tuples beside the distinct
+    # data; 15,970, 15,976 and 15,046 while the passes were read through a per-atlas object;
+    # 16,235, 16,241 and 15,312 while the Euler section checked each of 201 candidate
+    # triples; 23,551, 23,557 and 22,628 while every case built its own descriptors; 24,154,
+    # 24,160 and 23,231 with one memo for the regions and one for the real parts; 26,566,
+    # 26,572 and 24,035 while the first reads of the kept Euler characteristics went through
+    # functools.cached_property; 29,889 to 32,014 with one derivation per kept structure).
+    # Counted from cProfile's entries, not pstats', which keeps one entry per (file, line,
+    # name): which NamedTuple method it keeps varies between runs.
     (first, _), (second, _) = _cold_call_counts()
     assert first == second <= 16_450
 
@@ -966,7 +1041,8 @@ def test_each_atlas_keeps_one_derivation_for_its_lifetime(tmp_path, monkeypatch)
     atlas = load_atlas(str(tmp_path))
     assert validation.run_all_checks(atlas).ok
     kept = atlas._pass
-    assert kept is atlas._pass and kept.atlas is atlas and atlas._u is kept
+    assert kept is atlas._pass and degenerations._read(atlas) is kept
+    assert kept.graph.nodes == atlas.all_classes(Family.S311) + atlas.all_classes(Family.U)
     assert degenerations.transition_graph(atlas) is kept.graph
     # no atlas given reads the pass that load_atlas()'s atlas keeps
     assert degenerations.transition_graph(None) is load_atlas()._pass.graph
@@ -990,16 +1066,17 @@ def test_shared_derivation_hands_out_nothing_mutable():
     assert degenerations.degeneration_table(TableSide.UNPRIMED, atlas) == expected
     graph = degenerations.transition_graph(atlas)
     assert type(graph.nodes) is type(graph.edges) is tuple
-    # what the checks compare against is read-only: tuples, and a read-only map
-    u, s = atlas._u, atlas._s
-    kept_data = (u.oval_data, s.roundtrip_data, s.shipped, atlas._ra)
-    for kept in (u.flat, u.after, u.pools, u.pairs, s.found, s.pairs, graph.in_degree, *kept_data):
+    # what the checks compare against is read-only: tuples, a read-only map, and dicts of tuples
+    u, s = degenerations._read(atlas), atlas._s
+    kept_data = (u.oval_data, s.roundtrip_data, s.euler, s.shipped, atlas._ra)
+    for kept in (u.flat, u.pairs, s.pairs, graph.in_degree, *kept_data):
         key = next(iter(kept.keys() if hasattr(kept, "keys") else range(len(kept))))
         with pytest.raises(TypeError):
             kept[key] = ()
         with pytest.raises(TypeError):
             del kept[key]
-    values = (*u.rows.values(), *s.full.values(), *s.table.values())
+    carriers = (*u.oval_data[0].values(), *s.roundtrip_data[0].values())
+    values = (*u.rows.values(), *s.full.values(), *carriers, *(c for cs in carriers for c in cs))
     assert type(u.stars) is tuple and all(type(v) is tuple for v in values)
 
 
