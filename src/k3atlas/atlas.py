@@ -423,21 +423,6 @@ class CheckSection(NamedTuple):
         return not self.violations
 
 
-def compared(name: str, checked: int, parts, whitelisted: list[str] | None = None) -> CheckSection:
-    """The section ``name`` from its parts, each (keys, derived items, expected items, word):
-    a part whose two sides are equal passes whole; otherwise ``word(key, derived, expected)``
-    names what differs in each item whose two sides differ, in order."""
-    violations = [
-        message
-        for keys, derived, expected, word in parts
-        if derived != expected
-        for key, d, e in zip(keys, derived, expected)
-        if d != e
-        for message in word(key, d, e)
-    ]
-    return CheckSection(name, checked, violations, whitelisted or [], {})
-
-
 def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
     """Check uniqueness, the pairing, the grid consistency, the counts and
     the (r, a) ranges, reporting violations in that order."""

@@ -33,7 +33,6 @@ from .atlas import (
     HInvariant,
     IdentityEnum,
     InvolutionClass,
-    compared,
     gk_invariants,
     load_atlas,
     related_key,
@@ -393,49 +392,41 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     """
     atlas = atlas or load_atlas()
     u, s = _read(atlas), atlas._s
-
-    def word_pair(key, u_side, s_side) -> list[str]:
-        label, side = key
-        if u_side is None or s_side == ():
-            if u_class := atlas.lookup_index(_U, label):  # a class without moves raises
-                for move in TABLE_MOVES:
-                    apply_degeneration(u_class, move, atlas)
-            return [f"{label}: missing from one of the catalogs"]
-        s_class, targets, out = atlas.lookup_index(_S311, label), iter(u_side[1]), []
-        for move, cell, expected in zip(_SIDES[side][0], u_side[0], s_side[0]):
-            name, case = f"{label} {move.value}", move.spec.case.value
-            if cell is None:  # impossible: a table move has no star case
-                if expected is not None:
-                    out.append(f"{name}: impossible, but {case} {expected} is a candidate")
-                continue
-            if expected is None:
-                out.append(f"{name}: produced {cell}, but {case} is not a candidate of {label}")
-            elif cell != expected:
-                out.append(f"{name}: produced {cell}, candidate is {expected}")
-            if (target := next(targets)) is not s_class:
-                out.append(f"{name}: target {target} is not {label}")
-        return out
-
+    violations = [  # compared whole first; only the pairs that differ are worded
+        m for (label, side), u_side, s_side in zip(_PAIR_LABELS, u.pairs, s.pairs) if u_side != s_side
+        for m in _word_pair(atlas, label, side, u_side, s_side)
+    ] if u.pairs != s.pairs else []
     # Each self-conjunction lands on a star class: its target is apply_degeneration's
     # lookup of ``move.spec.star_target``, whose isotopy row has a star real part.
-    # None where the source class is missing.
-    stars = tuple([
-        None if o is None
-        else o.iso is not None and s.rows[o.target.h][o.target.triple].node_star is not None
-        for o in u.stars
-    ])
-
-    def word_star(move, found, _expected) -> list[str]:
-        if found is None:
-            return [f"{move.spec.source}: missing from the catalog"]
-        return [f"{move.spec.source} {move.value}: star outcome mismatch"]
-
+    for move, o in zip(STAR_MOVES, u.stars):
+        if o is None:  # the source class is missing
+            violations.append(f"{move.spec.source}: missing from the catalog")
+        elif o.iso is None or s.rows[o.target.h][o.target.triple].node_star is None:
+            violations.append(f"{move.spec.source} {move.value}: star outcome mismatch")
     checked = 3 * (len(u.pairs) - len(u.unpaired | s.unpaired)) + len(STAR_MOVES)  # three moves a pair
-    parts = [
-        (_PAIR_LABELS, u.pairs, s.pairs, word_pair),
-        (STAR_MOVES, stars, (True,) * len(stars), word_star),
-    ]
-    return compared("correspondence", checked, parts)
+    return CheckSection("correspondence", checked, violations, [], {})
+
+
+def _word_pair(atlas: Atlas, label: str, side: int, u_side, s_side) -> list[str]:
+    if u_side is None or s_side == ():
+        if u_class := atlas.lookup_index(_U, label):  # a class without moves raises
+            for move in TABLE_MOVES:
+                apply_degeneration(u_class, move, atlas)
+        return [f"{label}: missing from one of the catalogs"]
+    s_class, targets, out = atlas.lookup_index(_S311, label), iter(u_side[1]), []
+    for move, cell, expected in zip(_SIDES[side][0], u_side[0], s_side[0]):
+        name, case = f"{label} {move.value}", move.spec.case.value
+        if cell is None:  # impossible: a table move has no star case
+            if expected is not None:
+                out.append(f"{name}: impossible, but {case} {expected} is a candidate")
+            continue
+        if expected is None:
+            out.append(f"{name}: produced {cell}, but {case} is not a candidate of {label}")
+        elif cell != expected:
+            out.append(f"{name}: produced {cell}, candidate is {expected}")
+        if (target := next(targets)) is not s_class:
+            out.append(f"{name}: target {target} is not {label}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ everything else must match exactly.
 
 Every section takes the atlas and reads its two kept family passes, the U pass through
 ``degenerations._read`` and the S311 pass as ``Atlas._s`` (``degenerations._u_pass`` and
-``_s311_pass`` state what they keep).  No verdict is kept.  Most sections declare their derived
-items, their expected items, read from ``tables`` or a closed form on every call, and one
-wording function per item, and ``atlas.compared`` words only the items that differ.  The Euler
-identity, the roundtrips and the oval counts are evaluated once per distinct datum the passes
-keep (the Euler identity from the descriptors' kept Euler characteristic); only a failed datum
-is worded, for each item that carries it, in item order, as ``validate_atlas`` does for (r, a).
+``_s311_pass`` state what they keep).  No verdict is kept.  Every section builds its
+``CheckSection`` itself.  The isotopy tables, the move tables and the correspondence's label
+pairs are compared whole with their expected side, read from ``tables`` or a closed form on
+every call, and only the items that differ are worded, in order; a single value is one test.
+The Euler identity, the roundtrips and the oval counts are evaluated once per distinct datum
+the passes keep (the Euler identity from the descriptors' kept Euler characteristic); only a
+failed datum is worded, for each item that carries it, in item order, as ``validate_atlas``
+does for (r, a).  The exclusions section looks its classes up by their excluded triples.
 The isotopy section looks the shipped rows up again only when a table is no longer the object
 the S311 pass read.
 The roundtrip section tests no component count, since ``IsotopyType`` caps alpha + beta (1 to
@@ -23,7 +25,6 @@ The roundtrip section tests no component count, since ``IsotopyType`` caps alpha
 ``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS`` classes.
 """
 
-from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -33,7 +34,6 @@ from .atlas import (
     CheckSection,
     Family,
     HInvariant,
-    compared,
     load_atlas,
     validate_atlas,
 )
@@ -99,19 +99,22 @@ class ValidationSummary(NamedTuple):
 
 
 def _check_isotopy_tables(atlas: Atlas) -> CheckSection:
-    # Part by part, each row with the generated row of its (r, a, delta) and H: one
-    # comparison of the parts joined would miss a row moved across.  The S311 pass looked the
+    # Table by table, each row with the generated row of its (r, a, delta) and H: one
+    # comparison of the tables joined would miss a row moved across.  The S311 pass looked the
     # rows up in the tables as it read them; a table replaced since is looked up again.
-    s, parts, checked = atlas._s, [], 0
+    s, violations, checked = atlas._s, [], 0
     for (h, kept, derived), shipped in zip(s.shipped, (tables.ISOTOPY_H0, tables.ISOTOPY_Z2)):
         checked += len(shipped)
         if shipped is not kept:
             derived = _generated_rows(s.rows[h], shipped)
-        parts.append((shipped, derived, shipped, _word_isotopy_row))
-    return compared("isotopy tables", checked, parts)
+        if derived != shipped:  # whole first; only the rows that differ are worded
+            violations += [
+                m for row, d in zip(shipped, derived) if d != row for m in _word_isotopy_row(row, d)
+            ]
+    return CheckSection("isotopy tables", checked, violations, [], {})
 
 
-def _word_isotopy_row(row, derived, _shipped) -> list[str]:
+def _word_isotopy_row(row, derived) -> list[str]:
     if derived is None:
         return [f"row {row.index}: class missing from atlas"]
     # (r, a, delta) fixed the lookup; name the fields that differ.
@@ -127,18 +130,23 @@ def _word_isotopy_row(row, derived, _shipped) -> list[str]:
 
 
 def _check_move_tables(atlas: Atlas) -> CheckSection:
-    u, parts, whitelisted, checked = _read(atlas), [], [], len(tables.MOVES_STAR)
+    u, violations, whitelisted, checked = _read(atlas), [], [], len(tables.MOVES_STAR)
     shipped_tables = tables.MOVES_UNPRIMED, tables.MOVES_PRIMED
     for side, moves, flat, shipped in zip(_TABLE_SIDES, _SIDE_MOVES, u.flat, shipped_tables):
         if len(flat) != len(shipped):
-            parts.append(((side,), (len(flat),), (len(shipped),), _word_row_count))
+            violations.append(f"{side.value} table has {len(flat)} rows, shipped {len(shipped)}")
             continue
         checked += len(shipped)
         expected = _whitelisted(moves, shipped, flat, whitelisted)
-        parts.append((shipped, flat, expected, partial(_word_move_row, side, moves)))
+        if flat != expected:
+            violations += [
+                m for row, f, e in zip(shipped, flat, expected) if f != e
+                for m in _word_move_row(side, moves, row, f, e)
+            ]
     stars = tuple([row[:6] + (row.cells[0][0].spec.case.value,) for row in u.rows[_STAR]])
-    parts.append(((_STAR,), (stars,), (tables.MOVES_STAR,), lambda *_: ["star table mismatch"]))
-    return compared("degeneration tables", checked, parts, whitelisted)
+    if stars != tables.MOVES_STAR:
+        violations.append("star table mismatch")
+    return CheckSection("degeneration tables", checked, violations, whitelisted, {})
 
 
 def _whitelisted(moves, shipped, flat, lines: list[str]) -> tuple:
@@ -155,10 +163,6 @@ def _whitelisted(moves, shipped, flat, lines: list[str]) -> tuple:
                 if flat[at][:6] == row[:6] and flat[at][column] == derived:
                     lines.append(f"row {index} {name}: shipped {was}, derived {derived}")
     return shipped
-
-
-def _word_row_count(side, derived, shipped) -> list[str]:
-    return [f"{side.value} table has {derived} rows, shipped {shipped}"]
 
 
 def _word_move_row(side, moves, shipped, flat, expected) -> list[str]:
@@ -210,12 +214,14 @@ def _check_exclusions(atlas: Atlas) -> CheckSection:
     # (10,8,0) has an H = 0 class in the catalog: the star class.  So this
     # checks one class, and re-tests that its table candidates are the star
     # case alone; no (10,10,0) class with H = 0 exists to check.
-    classes, full = atlas.all_classes(_S311), atlas._s.full
-    excluded = [c for c in classes if c.h is _ZERO and c.triple in tables.U_EXCLUDED_TRIPLES]
-    cases = [[t.case for t in full[c.key] if t.table_data and t.case is not _NODE_STAR] for c in excluded]
-    message = "{}: case I/II candidates emitted for excluded invariants"
-    part = excluded, cases, [[]] * len(excluded), lambda c, *_: [message.format(c.index)]
-    return compared("exclusions", len(excluded), [part])
+    full, violations, checked = atlas._s.full, [], 0
+    for triple in tables.U_EXCLUDED_TRIPLES:  # in atlas order
+        if (c := atlas.lookup(_S311, *triple, _ZERO)) is None:
+            continue
+        checked += 1
+        if [t for t in full[c.key] if t.table_data and t.case is not _NODE_STAR]:
+            violations.append(f"{c.index}: case I/II candidates emitted for excluded invariants")
+    return CheckSection("exclusions", checked, violations, [], {})
 
 
 def _check_monotonicity(atlas: Atlas) -> CheckSection:
@@ -243,21 +249,17 @@ def _word_ovals(_n, c, move, pool, other, after) -> list[str]:
 
 def _check_graph(atlas: Atlas) -> CheckSection:
     graph = _read(atlas).graph
-    indegree, classes = graph.in_degree, atlas.all_classes(_S311)
-    reached = all(map(indegree.get, map(attrgetter("key"), classes)))
-
-    def unreached(*_) -> list[str]:
-        return [f"{c.index}: no incoming degeneration edge" for c in classes if not indegree.get(c.key)]
-
-    parts = [
-        ((None,), (len(graph.nodes),), (165,), lambda _k, n, _e: [f"{n} nodes, expected 63 + 102"]),
-        ((None,), (reached,), (True,), unreached),
-        (
-            STAR_KEYS, tuple(map(indegree.get, STAR_KEYS)), (1,) * len(STAR_KEYS),
-            lambda key, *_: [f"{atlas.lookup(_S311, *key).index}: in-degree != 1"],
-        ),
-    ]
-    return compared("transition graph", 1 + len(classes) + len(STAR_KEYS), parts)
+    indegree, classes, violations = graph.in_degree, atlas.all_classes(_S311), []
+    if len(graph.nodes) != 165:
+        violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
+    if not all(map(indegree.get, map(attrgetter("key"), classes))):
+        violations += [
+            f"{c.index}: no incoming degeneration edge" for c in classes if not indegree.get(c.key)
+        ]
+    for key in STAR_KEYS:
+        if indegree.get(key) != 1:
+            violations.append(f"{atlas.lookup(_S311, *key).index}: in-degree != 1")
+    return CheckSection("transition graph", 1 + len(classes) + len(STAR_KEYS), violations, [], {})
 
 
 def run_all_checks(atlas: Atlas | None = None) -> ValidationSummary:

@@ -9,7 +9,8 @@ loads the embedded atlas, makes one ``run_all_checks`` call, which derives and k
 checks read, and then times a warm ``run_all_checks`` and each of its sections on that atlas:
 the best of 5 repeats of 2,000 calls.  The table has one row per section and, per tree, the
 lowest and highest of its runs' times in microseconds per call; a section that a tree does not
-have reads ``-``.  Standard library only.
+have, or that ``run_all_checks`` reports but ``SECTIONS`` does not time, reads ``-``.  Standard
+library only.
 """
 
 import argparse
@@ -39,8 +40,9 @@ import importlib, json, sys, timeit
 from k3atlas import load_atlas, run_all_checks
 sections, repeat, number = json.loads(sys.argv[1])
 atlas = load_atlas()
-assert run_all_checks(atlas).ok
-out = {}
+summary = run_all_checks(atlas)
+assert summary.ok
+out = {section.name: None for section in summary.sections}  # a section not timed stays None
 for name, module, function in sections:
     call = getattr(importlib.import_module("k3atlas." + module), function, None)
     if call is not None:
@@ -50,7 +52,7 @@ print(json.dumps(out))
 """
 
 
-def run_once(src: str) -> dict[str, float]:
+def run_once(src: str) -> dict[str, float | None]:
     env = {k: v for k, v in os.environ.items() if k not in ("ATLAS_DATA_DIR", "PYTHONPATH")}
     env["PYTHONPATH"] = os.path.abspath(src)
     argv = [sys.executable, "-c", _RUN, json.dumps([SECTIONS, REPEAT, NUMBER])]
@@ -58,13 +60,15 @@ def run_once(src: str) -> dict[str, float]:
     return json.loads(done.stdout)
 
 
-def table(srcs: list[str], runs: list[list[dict[str, float]]]) -> str:
+def table(srcs: list[str], runs: list[list[dict[str, float | None]]]) -> str:
     def cell(times: list[float]) -> str:
         return f"{min(times):.1f}-{max(times):.1f}" if times else "-"
 
     rows = [["section (us per call)", *srcs]]
-    for name, _module, _function in SECTIONS:
-        rows.append([name, *(cell([run[name] for run in per_src if name in run]) for per_src in runs)])
+    reported = [name for per_src in runs for run in per_src for name in run]
+    for name in dict.fromkeys([name for name, _module, _function in SECTIONS] + reported):
+        times = ([run[name] for run in per_src if run.get(name) is not None] for per_src in runs)
+        rows.append([name, *map(cell, times)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join(text.ljust(width) if i == 0 else text.rjust(width) for i, (text, width) in enumerate(zip(row, widths)))
@@ -82,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     for src in args.srcs:
         if not os.path.isdir(os.path.join(src, "k3atlas")):
             parser.error(f"{src} holds no k3atlas package")
-    runs: list[list[dict[str, float]]] = [[] for _ in args.srcs]
+    runs: list[list[dict[str, float | None]]] = [[] for _ in args.srcs]
     for _ in range(args.runs):
         for per_src, src in zip(runs, args.srcs):
             per_src.append(run_once(src))
