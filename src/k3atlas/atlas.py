@@ -9,12 +9,12 @@ involution and its composition with the reflection fixing the sublattice.
 Setting the environment variable ``ATLAS_DATA_DIR`` to a directory that
 contains ``s311.json`` and ``u.json`` (records in the export schema of
 ``Atlas.to_records``) replaces the embedded catalogs; ``validate_atlas``
-then reports any damage in the external data.  Both files are read
-(unbuffered) on every ``load_atlas`` call and compared byte for byte, not
-hashed, with the four newest distinct contents parsed: an edit shows up on
-the next call and unchanged files give the same ``Atlas``.  A file that
-cannot be read, decoded or parsed, or a record that lacks a field or has a
-bad value, raises ``CatalogError`` (and is not kept).
+then reports any damage in the external data.  Both files are read to
+end of file with ``os.read`` on every ``load_atlas`` call and compared
+byte for byte, not hashed, with the four newest distinct contents parsed:
+an edit shows up on the next call and unchanged files give the same
+``Atlas``.  A file that cannot be read, decoded or parsed, or a record that
+lacks a field or has a bad value, raises ``CatalogError`` (and is not kept).
 
 An ``Atlas`` keeps, while it lives, its two family passes, derived on first use by
 ``degenerations._u_pass`` and ``degenerations._s311_pass`` (whose docstrings state what they
@@ -330,6 +330,7 @@ def _embedded_atlas() -> Atlas:
 
 _CATALOG_FILES = ("s311.json", "u.json")
 _DATA_DIR_KEY = os.environ.encodekey("ATLAS_DATA_DIR")
+_O_RDONLY = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no text translation on Windows
 
 
 # The four newest distinct (contents, atlas) pairs, newest first.  A lookup compares the
@@ -370,9 +371,14 @@ def _atlas_from_dir(path: str) -> Atlas:
     for name in _CATALOG_FILES:
         file = os.path.join(path, name)
         try:
-            # Unbuffered: one read into a buffer sized by fstat, and no isatty probe.
-            with open(file, "rb", buffering=0) as handle:
-                contents.append(handle.read())
+            fd = os.open(file, _O_RDONLY)  # openat, reads, close: no fstat, lseek or file object
+            try:  # a directory opens, and its first read raises EISDIR
+                chunks = []
+                while chunk := os.read(fd, 1 << 16):  # up to the read that returns b""
+                    chunks.append(chunk)
+                contents.append(b"".join(chunks))  # a single chunk is returned, not copied
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise CatalogError(f"cannot read: {exc.strerror or exc}", file) from None
     key = tuple(contents)

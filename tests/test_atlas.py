@@ -455,16 +455,46 @@ def test_external_atlas_parsed_once(catalog_dir, parses):
 
 
 def test_external_atlas_reads_both_files_on_every_call(catalog_dir, monkeypatch):
-    opened = []
+    opened, descriptors, closed = [], [], []
+    os_open, os_close = os.open, os.close
 
-    def recording(file, *args, **kwargs):
+    def recording_open(file, *args, **kwargs):
+        descriptors.append(os_open(file, *args, **kwargs))
         opened.append(os.path.basename(file))
-        return open(file, *args, **kwargs)
+        return descriptors[-1]
 
-    monkeypatch.setattr(atlas_module, "open", recording, raising=False)
+    def recording_close(fd):
+        closed.append(fd)
+        os_close(fd)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "close", recording_close)
     for _ in range(3):
         load_atlas(str(catalog_dir))
     assert opened == ["s311.json", "u.json"] * 3
+    assert closed == descriptors
+
+
+def test_external_atlas_larger_than_one_read(atlas, catalog_dir):
+    # 200 KB of whitespace before the last record puts it several reads into the file, so the
+    # loader must read to end of file and join the chunks.
+    path = catalog_dir / "s311.json"
+    records = atlas.to_records(Family.S311)
+
+    def write_padded():
+        *head, last = map(json.dumps, records)
+        path.write_text("[" + ", ".join(head) + "," + " " * 200_000 + last + "]")
+
+    write_padded()
+    loaded = load_atlas(str(catalog_dir))
+    assert loaded.all_classes(Family.S311) == atlas.all_classes(Family.S311)
+    assert loaded.all_classes(Family.U) == atlas.all_classes(Family.U)
+    last = records[-1]["index"]
+    records[-1] = dict(records[-1], index="No.1x")
+    write_padded()
+    edited = load_atlas(str(catalog_dir))
+    assert edited.lookup_index(Family.S311, "No.1x").key == loaded.lookup_index(Family.S311, last).key
+    assert loaded.lookup_index(Family.S311, "No.1x") is None
 
 
 def test_parse_cache_keeps_the_four_newest_contents(catalog_dir, parses):

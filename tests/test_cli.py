@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3atlas import cli, degenerations, errors, lattices, topology
-from k3atlas.atlas import Family, HInvariant, IdentityEnum
+from k3atlas.atlas import Family, HInvariant, IdentityEnum, load_atlas
 from k3atlas.cli import main
 from k3atlas.degenerations import Degeneration, TableSide
 from k3atlas.topology import Cover, PieceKind, Region, TopCase
@@ -845,6 +845,30 @@ def test_data_dir_catalog_file_that_is_a_directory(exported_catalogs, capsys, mo
     path.mkdir()
     monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
     assert run(capsys, "validate") == (7, "", f"atlas: {path}: cannot read: Is a directory\n")
+
+
+def test_data_dir_u_catalog_that_is_a_directory_leaks_no_descriptor(
+    exported_catalogs, capsys, monkeypatch
+):
+    path = exported_catalogs / "u.json"
+    path.unlink()
+    path.mkdir()
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    assert run(capsys, "validate") == (7, "", f"atlas: {path}: cannot read: Is a directory\n")
+    # A second catalog whose u.json is missing: s311.json opens and reads, u.json does not open.
+    missing = exported_catalogs / "missing"
+    missing.mkdir()
+    (missing / "s311.json").write_bytes((exported_catalogs / "s311.json").read_bytes())
+    descriptors = "/proc/self/fd"
+    before = len(os.listdir(descriptors)) if os.path.isdir(descriptors) else None
+    cases = [(exported_catalogs, "Is a directory"), (missing, "No such file or directory")]
+    for n in range(50):
+        data_dir, problem = cases[n % 2]
+        with pytest.raises(errors.CatalogError) as raised:
+            load_atlas(str(data_dir))
+        assert str(raised.value) == f"{data_dir / 'u.json'}: cannot read: {problem}"
+    if before is not None:
+        assert len(os.listdir(descriptors)) == before
 
 
 # Line and paragraph separators and control characters are left out: the
