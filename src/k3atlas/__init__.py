@@ -5,10 +5,13 @@ correspondence.
 
 Submodules load on first use: ``import k3atlas`` loads none of them, and
 reading an exported name such as ``k3atlas.load_atlas`` loads only the
-module that defines it (PEP 562).  So the catalog half never loads the
-lattice code (``lattices``) or the divisor code (``divisors``).
+module that defines it.  So the catalog half never loads the lattice code
+(``lattices``) or the divisor code (``divisors``).  Each export is a
+descriptor on the package's class, a ``ModuleType`` subclass, so a read runs
+no failed attribute lookup first.
 """
 
+import sys as _sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -52,17 +55,26 @@ _LOADED: dict = {}  # submodule name -> the module import_module returned
 __all__ = list(_MODULE_OF)
 
 
-def __getattr__(name: str):
-    # Nothing is bound here, so each read asks the submodule: a function
-    # that is replaced there (by a test or a tracer) is seen at once.
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    loaded = _LOADED.get(module)
-    if loaded is None:  # kept once import_module returns: no thread reads a half-imported module
-        loaded = _LOADED[module] = import_module(f"{__name__}.{module}")
-    return getattr(loaded, name)
+class _Export:
+    # No __set__: a name set on the package (as mock.patch does) goes to its
+    # __dict__ and wins over this read until it is deleted.
+    __slots__ = ("module", "name")
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def __get__(self, package, owner=None):
+        # Nothing is bound here, so each read asks the submodule: a function
+        # that is replaced there (by a test or a tracer) is seen at once.
+        loaded = _LOADED.get(self.module)
+        if loaded is None:  # kept once import_module returns: no thread reads a half-imported module
+            loaded = _LOADED[self.module] = import_module(f"{__name__}.{self.module}")
+        return getattr(loaded, self.name)
 
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | _MODULE_OF.keys())
+
+
+_Package = type("_Package", (type(_sys),), {n: _Export(m, n) for n, m in _MODULE_OF.items()})
+_sys.modules[__name__].__class__ = _Package

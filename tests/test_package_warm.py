@@ -1,10 +1,14 @@
-"""Warm reads through the package: once a submodule is loaded, each
-``k3atlas.<name>`` read is dict lookups and a ``getattr`` on the kept module."""
+"""Reads through the package: each export is a descriptor on the package's
+class, so once a submodule is loaded a ``k3atlas.<name>`` read is the
+descriptor's dict lookup and a ``getattr`` on the kept module, and a name set
+on the package itself wins until it is deleted."""
 
 import cProfile
+import importlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -26,6 +30,36 @@ def test_warm_reads_import_nothing(monkeypatch):
         assert getattr(sys.modules[value.__module__], name) is value, name
     with pytest.raises(AttributeError, match="no_such_name"):
         k3atlas.no_such_name
+
+
+def test_a_name_set_on_the_package_wins_until_it_is_deleted():
+    from k3atlas import atlas
+
+    def replacement():
+        pass
+
+    with mock.patch("k3atlas.load_atlas", replacement):
+        assert k3atlas.load_atlas is replacement
+    assert k3atlas.load_atlas is atlas.load_atlas
+    k3atlas.load_atlas = 1
+    assert k3atlas.load_atlas == 1
+    del k3atlas.load_atlas
+    assert k3atlas.load_atlas is atlas.load_atlas
+    k3atlas.x = 1
+    assert k3atlas.x == 1
+    del k3atlas.x
+    with pytest.raises(AttributeError, match="module 'k3atlas' has no attribute 'x'"):
+        k3atlas.x
+
+
+def test_every_export_reads_after_a_reload(monkeypatch):
+    monkeypatch.delenv("ATLAS_DATA_DIR", raising=False)
+    summary = k3atlas.run_all_checks().summary_line()
+    assert importlib.reload(k3atlas) is k3atlas
+    for name in k3atlas.__all__:
+        value = getattr(k3atlas, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert k3atlas.run_all_checks().summary_line() == summary
 
 
 def test_threads_making_the_first_reads_see_whole_modules():
@@ -66,10 +100,12 @@ def test_threads_making_the_first_reads_see_whole_modules():
 
 
 def test_warm_table_read_stays_under_its_call_budget(monkeypatch):
-    # 16 cProfile entries on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0: the call, two
-    # package reads, load_atlas and the kept table.  36 on 3.11 to 3.13 (104 on 3.10) while
-    # load_atlas raised and caught a KeyError for the unset variable and every package read
-    # went through importlib.import_module.
+    # 12 cProfile entries on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0, under pytest too:
+    # the call, two package reads (a descriptor __get__, one dict lookup and a getattr
+    # each), load_atlas and the kept table.  14 while each read was a module __getattr__
+    # that also looked the name up; 36 on 3.11 to 3.13 (104 on 3.10) while load_atlas
+    # raised and caught a KeyError for the unset variable and every package read went
+    # through importlib.import_module.
     monkeypatch.delenv("ATLAS_DATA_DIR", raising=False)
 
     def star():
@@ -78,4 +114,4 @@ def test_warm_table_read_stays_under_its_call_budget(monkeypatch):
     star()
     profile = cProfile.Profile()
     profile.runcall(star)
-    assert sum(entry.callcount for entry in profile.getstats()) <= 16
+    assert sum(entry.callcount for entry in profile.getstats()) <= 12

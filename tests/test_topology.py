@@ -19,6 +19,7 @@ from k3atlas.atlas import (
     related_key,
 )
 from k3atlas.degenerations import TABLE_MOVES
+from k3atlas.divisors import SECTION, Surface, anti_bicanonical, arithmetic_genus
 from k3atlas.errors import InconsistentInput, WrongFamily
 from k3atlas.topology import (
     Cover,
@@ -535,6 +536,19 @@ def test_group_ii_cells_are_group_i_cells_with_one_more_oval():
             assert row.node1 is row.isolated is None and row.node_star == "T^2 u T^2"
         else:
             assert row.node1 == row.isolated and row.node1[1] == 0, row.index
+
+
+def test_oval_caps_follow_from_the_genus_of_the_branch_curve():
+    # An anti-bicanonical curve of F4 is the exceptional section plus a trigonal curve
+    # in |12c + 3s|, of arithmetic genus 10.  The node leaves a normalization of genus 9,
+    # which by Harnack's bound has at most 10 real components; one of them is the
+    # non-contractible component, and beta leaves out the ovals the double point adds
+    # to R2.  Node (*) has no ovals at all.
+    genus = arithmetic_genus(anti_bicanonical(Surface.F4) - SECTION) - 1
+    ovals = (genus + 1) - 1
+    caps = {case: cap for case, (cap, _) in topology._OVAL_CAPS.items() if case is not TopCase.NODE_STAR}
+    assert caps == {case: ovals - extra for case, extra in topology._EXTRA.items()}
+    assert set(caps) == set(TopCase) - {TopCase.NODE_STAR}
 
 
 def test_every_case_shares_node1_descriptors():
