@@ -78,6 +78,10 @@ class InvolutionClass(Checked):
     __slots__ = ("family", "r", "a", "delta", "h", "index", "key", "triple", "label", "gk")
 
     def __init__(self, family: Family, r: int, a: int, delta: int, h: HInvariant, index: str):
+        if type(family) is not Family or type(h) is not HInvariant:
+            raise ValueError("family and H are Family and HInvariant members")
+        if not (type(r) is type(a) is type(delta) is int and isinstance(index, str)):
+            raise ValueError("r, a and delta are ints, not bools, and the index is a str")
         if delta not in (0, 1):
             raise ValueError("delta is 0 or 1")
         if r < 0 or a < 0:

@@ -47,6 +47,18 @@ def test_constructor_validation():
         InvolutionClass(Family.S311, 1, 1, 1, HInvariant.NOT_APPLICABLE, "x")
     with pytest.raises(ValueError):
         InvolutionClass(Family.S311, 1, 1, 2, HInvariant.ZERO, "x")
+    # Invariants of the wrong type: a float r would build gk (1.0, 9.0) and equal the class
+    # (19, 1, 1); bools are refused as ints, as the catalog reader refuses them.
+    for args in [
+        (Family.U, 19.0, 1, 1, HInvariant.NOT_APPLICABLE, "x"),
+        (Family.U, 19, 1.0, 1, HInvariant.NOT_APPLICABLE, "x"),
+        (Family.U, 19, 1, True, HInvariant.NOT_APPLICABLE, "x"),
+        ("u", 19, 1, 1, HInvariant.NOT_APPLICABLE, "x"),
+        (Family.U, 19, 1, 1, "NA", "x"),
+        (Family.U, 19, 1, 1, HInvariant.NOT_APPLICABLE, 17),
+    ]:
+        with pytest.raises(ValueError):
+            InvolutionClass(*args)
 
 
 def test_lookup_examples(atlas):
@@ -181,6 +193,8 @@ def test_unpickling_a_class_runs_its_checks():
     assert (edited.delta, edited.triple, edited.label) == (1, (10, 0, 1), "U:No.27 (10,0,1)")
     with pytest.raises(ValueError, match="delta is 0 or 1"):
         pickle.loads(head + b"I2\n" + tail)
+    with pytest.raises(ValueError, match="r, a and delta are ints"):
+        pickle.loads(head + b"F0.0\n" + tail)
 
 
 def test_gk_invariants_raises_both_special_messages(atlas):

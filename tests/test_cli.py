@@ -295,7 +295,7 @@ def test_determinism(capsys):
 def test_output_does_not_depend_on_hashing():
     # Enum members hash by identity, so the order of a set of them follows
     # memory addresses; string hashes follow PYTHONHASHSEED.  Neither may
-    # reach stdout.
+    # reach stdout.  One interpreter per seed runs the commands in turn.
     env = {k: v for k, v in os.environ.items() if k != "ATLAS_DATA_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     commands = (
@@ -303,18 +303,28 @@ def test_output_does_not_depend_on_hashing():
         ["graph", "--format", "json"],
         ["validate", "--format", "json"],
     )
-    for argv in commands:
-        outputs = []
-        for seed in ("0", "1"):
-            done = subprocess.run(
-                [sys.executable, "-m", "k3atlas.cli", *argv],
-                env={**env, "PYTHONHASHSEED": seed},
-                capture_output=True,
-                timeout=60,
-                check=True,
-            )
-            outputs.append(done.stdout)
-        assert outputs[0] and outputs[0] == outputs[1], argv
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from k3atlas.cli import main\n"
+        "outputs = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(argv) == 0\n"
+        "    outputs.append(out.getvalue())\n"
+        "json.dump(outputs, sys.stdout)\n"
+    )
+    by_seed = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", script],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=60,
+            check=True,
+        ).stdout)
+        for seed in ("0", "1")
+    ]
+    for argv, first, second in zip(commands, *by_seed, strict=True):
+        assert first and first == second, argv
 
 
 IDENTITY_ENUMS = (

@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves, submodules load on
 first use, and the catalog half loads no lattice, divisor or JSON code."""
 
+import functools
 import importlib
 import os
 import pkgutil
@@ -83,8 +84,9 @@ def test_no_namedtuple_field_annotation_is_a_forward_reference():
     assert fields  # the check found the NamedTuples
 
 
-def _modules_loaded_by(code: str) -> set[str]:
-    """The modules a fresh interpreter loads while running ``code``."""
+@functools.cache
+def _modules_loaded_by(code: str) -> frozenset[str]:
+    """The modules a fresh interpreter loads while running ``code``, once per ``code``."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -101,7 +103,7 @@ def _modules_loaded_by(code: str) -> set[str]:
         timeout=60,
         check=True,
     )
-    return set(done.stderr.split())
+    return frozenset(done.stderr.split())
 
 
 def test_loading_the_atlas_loads_no_lattice_or_json_code():
@@ -134,8 +136,7 @@ def test_no_subcommand_loads_dataclasses(name):
     "argv", [["classes", "--family", "u"], ["isotopy", "--index", "No.17"]]
 )
 def test_catalog_subcommands_load_only_what_they_use(argv):
-    loaded = _modules_loaded_by(
-        f"from k3atlas.cli import main\nassert main({argv!r}) == 0"
-    )
+    # The code test_no_subcommand_loads_dataclasses runs: its cached answer, no new interpreter.
+    loaded = _modules_loaded_by(f"from k3atlas.cli import main\nassert main({argv!r}) == 0")
     assert "k3atlas.atlas" in loaded
     assert not loaded & {*UNUSED_BY_CATALOG, "k3atlas.degenerations"}
