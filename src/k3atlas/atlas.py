@@ -18,8 +18,9 @@ lacks a field or has a bad value, raises ``CatalogError`` (and is not kept).
 
 An ``Atlas`` keeps, while it lives, its two family passes, derived on first use by
 ``degenerations._u_pass`` and ``degenerations._s311_pass`` (whose docstrings state what they
-keep), and the related partners, the grid per H and the distinct (r, a) that ``validate_atlas``
-reads; an edited catalog parses to a new one.
+keep), and the related partners, the grid per H, the distinct (r, a), the class counts and each
+family's self-related count that ``validate_atlas`` reads and compares on every call; an edited
+catalog parses to a new one.
 """
 
 import bisect
@@ -200,6 +201,24 @@ class Atlas:
             cells = grid[c.h]
             cells[c.r, c.a] = cells.get((c.r, c.a), ()) + (c.delta,)
         return grid
+
+    @cached_property
+    def _counts(self) -> tuple[dict[str, int], int, int]:
+        # The class counts validate_atlas reports, and each family's number of self-related classes.
+        s311, u = self._by_family[_S311], self._by_family[_U]
+        hs, deltas = [c.h for c in s311], [c.delta for c in u]
+        fixed = [sum(map(is_, self._partners[f], cs)) for f, cs in ((_S311, s311), (_U, u))]
+        counts = {
+            "s311": len(s311),
+            "s311 H=0": hs.count(_ZERO),
+            "s311 H=Z2": hs.count(_Z2),
+            "u": len(u),
+            "u delta=0": deltas.count(0),
+            "u delta=1": deltas.count(1),
+            "s311 quotient": (len(s311) - fixed[0]) // 2 + fixed[0],
+            "u quotient": (len(u) - fixed[1]) // 2 + fixed[1],
+        }
+        return counts, *fixed
 
     @cached_property
     def _ra(self) -> tuple[tuple[int, int], ...]:  # the distinct (r, a) of both families
@@ -440,15 +459,8 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
     violations: list[str] = []
     s311 = atlas.all_classes(_S311)
     u = atlas.all_classes(_U)
-    hs, deltas = [c.h for c in s311], [c.delta for c in u]
-    counts = {
-        "s311": len(s311),
-        "s311 H=0": hs.count(_ZERO),
-        "s311 H=Z2": hs.count(_Z2),
-        "u": len(u),
-        "u delta=0": deltas.count(0),
-        "u delta=1": deltas.count(1),
-    }
+    kept, s311_fixed, u_fixed = atlas._counts
+    counts = dict(kept)
 
     n = counts["s311"] + counts["u"]
     if len(atlas._by_key) < n or atlas._labels < n:  # some class shadows another of its key or label
@@ -476,7 +488,7 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
     # (k+1, g-1) and S311's H = 0 (r, a) to (19-r, a+1) with H = Z/2; so only
     # a missing partner and the fixed points (hence the quotient counts) are
     # checked.  A plain lookup: related_class also refuses a shadowed duplicate.
-    for family, members, expected_fixed in ((_S311, s311, 0), (_U, u, 11)):
+    for family, members, fixed, expected_fixed in ((_S311, s311, s311_fixed, 0), (_U, u, u_fixed, 11)):
         partners = atlas._partners[family]
         if not all(partners):  # a class is always true, a missing partner None
             violations += [
@@ -484,11 +496,9 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
                 for c, partner in zip(members, partners)
                 if partner is None
             ]
-        fixed = sum(map(is_, partners, members))
         if fixed != expected_fixed:
             message = f"{family.value}: {fixed} self-related classes, expected {expected_fixed}"
             violations.append(message)
-        counts[f"{family.value} quotient"] = (len(members) - fixed) // 2 + fixed
 
     # Grid <-> row-list consistency, both directions; equal dicts have equal cell sets.
     for h, grid in ((_ZERO, tables.GRID_H0), (_Z2, tables.GRID_Z2)):
@@ -501,18 +511,18 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
         for extra in sorted(rows - cells):
             violations.append(f"catalog row {extra} (H={h.value}) is not a grid cell")
 
-    expectations = (
-        (len(s311) == 102, f"expected 102 classes, found {len(s311)}"),
-        (
-            counts["s311 H=0"] == 51 and counts["s311 H=Z2"] == 51,
-            "expected a 51 + 51 split across the H invariant",
-        ),
-        (len(u) == 63, f"expected 63 classes, found {len(u)}"),
-        (counts["u delta=0"] == 14 and counts["u delta=1"] == 49, "expected a 14 / 49 delta split"),
-        (counts["s311 quotient"] == 51, "expected 51 classes after identifying related pairs"),
-        (counts["u quotient"] == 37, "expected 37 classes after identifying related pairs"),
-    )
-    violations += [message for holds, message in expectations if not holds]
+    if counts["s311"] != 102:
+        violations.append(f"expected 102 classes, found {counts['s311']}")
+    if counts["s311 H=0"] != 51 or counts["s311 H=Z2"] != 51:
+        violations.append("expected a 51 + 51 split across the H invariant")
+    if counts["u"] != 63:
+        violations.append(f"expected 63 classes, found {counts['u']}")
+    if counts["u delta=0"] != 14 or counts["u delta=1"] != 49:
+        violations.append("expected a 14 / 49 delta split")
+    if counts["s311 quotient"] != 51:
+        violations.append("expected 51 classes after identifying related pairs")
+    if counts["u quotient"] != 37:
+        violations.append("expected 37 classes after identifying related pairs")
 
     # 2-rank bounds: a is a 2-rank of both the fixed and anti-fixed parts.
     # Parity: r - a and 22 - r - a are even for every class of both families.

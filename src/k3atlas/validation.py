@@ -22,12 +22,15 @@ failed datum is worded, for each item that carries it, in item order, as ``valid
 does for (r, a).  The exclusions section looks its classes up by their excluded triples.
 The isotopy section looks the shipped rows up again only when a table is no longer the object
 the S311 pass read.
-The roundtrip section tests no component count, since ``IsotopyType`` caps alpha + beta (1 to
-10 components, 2 to 11 for the isolated point), and no star candidate's class:
-``candidate_isotopy_types`` emits Node (*) only for the two ``STAR_KEYS`` classes.
+The roundtrip section compares each datum's recovered (r, a, H) and oval sum with its class
+and the oval rule field by field, and builds the expected tuple only for a datum that fails.  It
+tests no component count, since ``IsotopyType`` caps alpha + beta (1 to 10 components, 2 to 11
+for the isolated point), and no star candidate's class: ``candidate_isotopy_types`` emits
+Node (*) only for the two ``STAR_KEYS`` classes.  The graph section tests the kept in-degrees of
+the S311 classes, which ``degenerations._derive_graph`` puts first among the nodes, as one slice.
 """
 
-from operator import attrgetter
+from itertools import islice
 from typing import NamedTuple
 
 from . import tables
@@ -90,8 +93,8 @@ class ValidationSummary(NamedTuple):
 
     def summary_line(self) -> str:
         counts = self.atlas_report.counts
-        status = "correspondence OK" if self.ok else f"{len(self.violations)} violations"
-        n_white = len(self.whitelisted)
+        n_bad, n_white = len(self.violations), len(self.whitelisted)
+        status = "correspondence OK" if not n_bad else f"{n_bad} violation{'s' * (n_bad != 1)}"
         noun = "discrepancy" if n_white == 1 else "discrepancies"
         return (
             f"{counts.get('s311', '?')}/{counts.get('s311 quotient', '?')}, "
@@ -162,13 +165,12 @@ def _check_move_tables(atlas: Atlas) -> CheckSection:
 
 def _check_roundtrips(atlas: Atlas) -> CheckSection:
     data, checked = atlas._s.roundtrip_data  # the star candidates count too
-    # The oval-sum rule, on the H = 0 side only: alpha + beta is 9 - a, and 8 - a for Node (2).
-    failed = [  # once per distinct datum: each failed one's carriers, sorted into candidate order
-        (*carrier, found, expected)
-        for r, a, h, node2, found in data
-        if found != (expected := (r, a, h, 9 - a - node2 if h is _ZERO else found[3]))
-        for carrier in data[r, a, h, node2, found]
-    ]
+    failed = []  # once per distinct datum: each failed one's carriers, sorted into candidate order
+    for r, a, h, node2, (fr, fa, fh, ovals) in data:
+        # The oval-sum rule, on the H = 0 side only: alpha + beta is 9 - a, and 8 - a for Node (2).
+        if fr != r or fa != a or fh is not h or (h is _ZERO and ovals != 9 - a - node2):
+            found, expected = (fr, fa, fh, ovals), (r, a, h, 9 - a - node2 if h is _ZERO else ovals)
+            failed += [(*carrier, found, expected) for carrier in data[r, a, h, node2, found]]
     violations = [m for item in sorted(failed) for m in _word_roundtrip(*item)] if failed else []
     return CheckSection("invariant roundtrips", checked, violations, [], {})
 
@@ -236,7 +238,8 @@ def _check_graph(atlas: Atlas) -> CheckSection:
     indegree, classes, violations = graph.in_degree, atlas.all_classes(_S311), []
     if len(graph.nodes) != 165:
         violations.append(f"{len(graph.nodes)} nodes, expected 63 + 102")
-    if not all(map(indegree.get, map(attrgetter("key"), classes))):
+    # The graph's nodes, and so its in-degrees, start with the S311 classes in atlas order.
+    if not all(islice(indegree.values(), len(classes))):
         violations += [
             f"{c.index}: no incoming degeneration edge" for c in classes if not indegree.get(c.key)
         ]

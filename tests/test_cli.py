@@ -846,7 +846,7 @@ def test_data_dir_one_label_on_two_classes(exported_catalogs, capsys, monkeypatc
     code, out, err = run(capsys, "validate")
     assert (code, err) == (1, "")
     assert "  ! u: label No.5 names (3, 1, 1) and (10, 8, 0)\n" in out
-    assert out.endswith("summary: 102/51, 63/37, 1 violations, 0 whitelisted discrepancies\n")
+    assert out.endswith("summary: 102/51, 63/37, 1 violation, 0 whitelisted discrepancies\n")
 
 
 def test_data_dir_catalog_file_that_is_a_directory(exported_catalogs, capsys, monkeypatch):

@@ -205,6 +205,9 @@ def test_derived_rows_are_the_generator_outputs():
     indegree = graph.in_degree
     assert indegree is graph.in_degree and list(indegree) == [n.key for n in graph.nodes]
     assert dict(indegree) == {n.key: [e.target for e in graph.edges].count(n) for n in graph.nodes}
+    # the S311 classes first, in atlas order: the graph section reads the first 102 in-degrees
+    s311, nodes = load_atlas().all_classes(Family.S311), degenerations.transition_graph().nodes
+    assert len(s311) == 102 and [id(n) for n in nodes[:102]] == [id(c) for c in s311]
     # per No.k / No.k' pair: the cells of the moves of its side and the targets of the possible
     # ones, and the S311 class's isotopy-row cells with that class once per cell that is not None
     fresh_u, fresh_s = [], []
@@ -727,6 +730,81 @@ def test_kept_partners_hide_no_damage():
     _partners_are_lookups(_fresh_atlas())
 
 
+def _edited_records(family: str, index: str, fields: dict) -> list[dict]:
+    # The exported catalogs with one class's fields edited, or the class dropped for no fields.
+    records = load_atlas().to_records(Family.S311) + load_atlas().to_records(Family.U)
+    at = next(n for n, rec in enumerate(records) if (rec["family"], rec["index"]) == (family, index))
+    return records[:at] + ([{**records[at], **fields}] if fields else []) + records[at + 1:]
+
+
+@pytest.mark.parametrize(
+    "family, index, fields, expected, ending",
+    [
+        (
+            "s311", "No.17", {},
+            [
+                "No.17': related invariants (7, 7, 1) missing from s311",
+                "grid cell (7, 7, 1) (H=0) has no catalog row",
+                "expected 102 classes, found 101",
+                "expected a 51 + 51 split across the H invariant",
+                "expected 51 classes after identifying related pairs",
+            ],
+            "101/50, 63/37, 5 violations",
+        ),
+        (
+            "s311", "No.2", {"h": "Z2"},
+            [
+                "No.2: related invariants (17, -1, 0) missing from s311",
+                "No.2': related invariants (2, 0, 0) missing from s311",
+                "grid cell (2, 0, 0) (H=0) has no catalog row",
+                "catalog row (2, 0, 0) (H=Z2) is not a grid cell",
+                "expected a 51 + 51 split across the H invariant",
+            ],
+            "102/51, 63/37, 5 violations",
+        ),
+        (
+            "u", "No.17", {},
+            [
+                "No.17': related invariants (7, 7, 1) missing from u",
+                "expected 63 classes, found 62",
+                "expected a 14 / 49 delta split",
+                "expected 37 classes after identifying related pairs",
+            ],
+            "102/51, 62/36, 4 violations",
+        ),
+        (
+            "u", "No.17", {"delta": 0},
+            [
+                "No.17: related invariants (13, 7, 0) missing from u",
+                "No.17': related invariants (7, 7, 1) missing from u",
+                "expected a 14 / 49 delta split",
+            ],
+            "102/51, 63/37, 3 violations",
+        ),
+        (
+            "u", "No.27", {},
+            [
+                "u: 10 self-related classes, expected 11",
+                "expected 63 classes, found 62",
+                "expected a 14 / 49 delta split",
+                "expected 37 classes after identifying related pairs",
+            ],
+            "102/51, 62/36, 4 violations",
+        ),
+    ],
+    ids=[
+        "s311 class dropped", "s311 H flipped", "u class dropped", "u delta flipped",
+        "self-related u class dropped",
+    ],
+)
+def test_each_count_of_the_catalog_audit_is_worded_on_every_call(family, index, fields, expected, ending):
+    atlas = Atlas.from_records(_edited_records(family, index, fields))
+    for _ in range(2):  # a first call, then a warm one on the same atlas
+        summary = validation.run_all_checks(atlas)
+        assert summary.violations == expected
+        assert summary.summary_line() == f"{ending}, 0 whitelisted discrepancies"
+
+
 @pytest.mark.parametrize(
     "table, edit, expected",
     [
@@ -869,11 +947,11 @@ _NO16P_LINE = "degeneration tables: row No.16' contr3p: shipped (1, 2), derived 
         ),
         (
             None, [_NO16P_LINE],
-            [_NO5_CONJ1 + "derived (1, 7), shipped (0, 0)"], "1 violations, 1 whitelisted discrepancy",
+            [_NO5_CONJ1 + "derived (1, 7), shipped (0, 0)"], "1 violation, 1 whitelisted discrepancy",
         ),
         (
             ("No.5", "conj1", (0, 0), (1, 6)), [_NO16P_LINE],
-            [_NO5_CONJ1 + "derived (1, 7), shipped (0, 0)"], "1 violations, 1 whitelisted discrepancy",
+            [_NO5_CONJ1 + "derived (1, 7), shipped (0, 0)"], "1 violation, 1 whitelisted discrepancy",
         ),
     ],
     ids=["matching entry", "no entry", "entry with another derived cell"],
@@ -965,21 +1043,23 @@ def test_an_outcome_without_its_candidate_is_named_on_every_call(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 192 calls on CPython 3.10.13 and 3.11.7, 183 on 3.12.1 and 3.13.0 under either hash
-    # seed.  The budget is the highest count plus under 3% (208, 197 and 196 while the move
-    # tables were compared with a patched copy of the primed table, under a budget of 214;
-    # 225, 206 and 205 while the sections fed their parts to one comparator, under a budget
-    # of 235; 230 and 206 while the passes kept per-item tuples beside the distinct data; 239
-    # and 215 while the passes were read through a per-atlas object; 551 and 527 while the
-    # Euler section checked each of 201 candidate triples; pstats, which folds same-label entries,
-    # read 523 to 551 and varied between runs; 836 to 910 with a kept structure beside a
-    # walker per section, 22,597 to 23,459 when every call derived afresh).  Counted from
-    # cProfile's entries, as the cold call is.
+    # 172 calls on CPython 3.10.13 and 3.11.7, 167 on 3.12.1 and 3.13.0 under either hash
+    # seed.  The budget is the highest count plus under 3% (192 and 183 while the catalog
+    # audit recounted its classes, the roundtrips built an expected tuple per datum and the
+    # graph section looked up each S311 class's in-degree, under a budget of 197; 208, 197
+    # and 196 while the move tables were compared with a patched copy of the primed table,
+    # under a budget of 214; 225, 206 and 205 while the sections fed their parts to one
+    # comparator, under a budget of 235; 230 and 206 while the passes kept per-item tuples
+    # beside the distinct data; 239 and 215 while the passes were read through a per-atlas
+    # object; 551 and 527 while the Euler section checked each of 201 candidate triples;
+    # pstats, which folds same-label entries, read 523 to 551 and varied between runs; 836 to
+    # 910 with a kept structure beside a walker per section, 22,597 to 23,459 when every call
+    # derived afresh).  Counted from cProfile's entries, as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert sum(entry.callcount for entry in profile.getstats()) <= 197
+    assert sum(entry.callcount for entry in profile.getstats()) <= 177
 
 
 def test_warm_call_reads_the_cover_memo_once_per_euler_triple():

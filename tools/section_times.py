@@ -8,9 +8,10 @@ runs each (default 3), so that a slow spell of the machine falls on every tree a
 loads the embedded atlas, makes one ``run_all_checks`` call, which derives and keeps what the
 checks read, and then times a warm ``run_all_checks`` and each of its sections on that atlas:
 the best of 5 repeats of 2,000 calls.  The table has one row per section and, per tree, the
-lowest and highest of its runs' times in microseconds per call; a section that a tree does not
-have, or that ``run_all_checks`` reports but ``SECTIONS`` does not time, reads ``-``.  Standard
-library only.
+median of its runs' times in microseconds per call, then their lowest and highest in brackets
+(``12.3 [11.1-13.2]``), so that one slow run widens a range but moves no median; a section
+that a tree does not have, or that ``run_all_checks`` reports but ``SECTIONS`` does not time,
+reads ``-``.  Standard library only.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from statistics import median
 
 # (row name, module, function): each is called with the atlas alone.
 SECTIONS = (
@@ -62,7 +64,7 @@ def run_once(src: str) -> dict[str, float | None]:
 
 def table(srcs: list[str], runs: list[list[dict[str, float | None]]]) -> str:
     def cell(times: list[float]) -> str:
-        return f"{min(times):.1f}-{max(times):.1f}" if times else "-"
+        return f"{median(times):.1f} [{min(times):.1f}-{max(times):.1f}]" if times else "-"
 
     rows = [["section (us per call)", *srcs]]
     reported = [name for per_src in runs for run in per_src for name in run]
