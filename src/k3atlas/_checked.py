@@ -12,7 +12,8 @@ class Checked:
     """Base of ``class V(Checked, _VFields)``, a NamedTuple checked in ``__new__``, and of
     the slotted ``InvolutionClass``: ``_make``, copies and unpickling rebuild from ``tuple(self)``
     through the check, and no attribute can be set or deleted.  A ``V`` without ``__slots__``
-    keeps its ``kept`` and ``cached_property`` values in its ``__dict__``; copies do not."""
+    keeps in its ``__dict__`` what its ``__new__`` computes and its ``cached_property`` values;
+    copies recompute the first and not the second."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
@@ -26,16 +27,3 @@ class Checked:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
-
-class kept:
-    """``cached_property`` without the lock CPython takes before 3.12: the first read stores
-    the value in the instance ``__dict__``; racing first reads each compute it, so be pure."""
-
-    def __init__(self, func):  # a decorator: the function's name is the attribute's
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value

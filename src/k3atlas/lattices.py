@@ -85,6 +85,8 @@ class TwoElemInvariants(Checked, _TwoElemFields):
     __slots__ = ()
 
     def __new__(cls, r, a, delta):
+        if not type(r) is type(a) is type(delta) is int:
+            raise ValueError("r, a and delta are ints, not bools")
         if not 0 <= a <= r:
             raise ValueError("need 0 <= a <= r")
         if delta not in (0, 1):
@@ -107,6 +109,8 @@ class DiscriminantGroup(Checked, _GroupFields):
 
     def __new__(cls, cyclic_orders):
         orders = tuple(cyclic_orders)
+        if not all(type(order) is int and order > 1 for order in orders):
+            raise ValueError(f"each cyclic order is an int above 1: {orders!r}")
         if any(cur % prev for prev, cur in zip(orders, orders[1:])):
             raise ValueError("cyclic orders must form a divisibility chain")
         return tuple.__new__(cls, (orders,))

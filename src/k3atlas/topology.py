@@ -8,13 +8,13 @@ II (Node (2), Cusp (2)), and group III (Node (*)).  The oval counts
 the lattice invariants (r, a) and the H invariant of the covering
 involutions; the closed forms here were checked cell by cell against the
 shipped tables, which remain authoritative.  The value types are immutable
-NamedTuples; ``IsotopyType`` and ``SurfaceDescriptor`` check their fields on
+NamedTuples; ``IsotopyType`` and the two descriptors check their fields on
 every build, ``_replace``, ``_make``, copies and unpickling included.
 ``region_descriptor`` and ``real_part_topology`` may return the same
 immutable descriptor object for equal inputs: one memo per oval datum keeps
 the region and the real part over each side, whose four Euler characteristics
-``double_cover_euler_check`` compares.  A descriptor keeps its Euler
-characteristic once read, and its copies and pickles carry only its fields.
+``double_cover_euler_check`` compares.  A descriptor computes its Euler
+characteristic when built, as do its copies and pickles, which carry only its fields.
 A region or cover that is not a ``Region`` or ``Cover`` member is refused.
 
 Group II is group I with ``extra`` = 1 more oval in R2: each closed form is written once
@@ -27,7 +27,7 @@ import functools
 import operator
 from typing import NamedTuple
 
-from ._checked import Checked, kept
+from ._checked import Checked
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, WrongFamily
 from .tables import IsotopyRow
@@ -187,7 +187,8 @@ class _SurfaceFields(NamedTuple):
 
 
 class SurfaceDescriptor(Checked, _SurfaceFields):
-    """Disjoint union of closed orientable surfaces; genus 0 means a sphere."""
+    """Disjoint union of closed orientable surfaces; genus 0 means a sphere.  Its
+    ``euler_characteristic`` is computed when it is built."""
 
     def __new__(cls, genera):
         genera = tuple(genera)
@@ -198,11 +199,9 @@ class SurfaceDescriptor(Checked, _SurfaceFields):
             raise ValueError(f"each genus must be an integer: {genera!r}") from None
         if ordered and ordered[-1] < 0:
             raise ValueError("genus is nonnegative")
-        return tuple.__new__(cls, (ordered,))
-
-    @kept
-    def euler_characteristic(self) -> int:
-        return 2 * len(self.genera) - 2 * sum(self.genera)
+        self = tuple.__new__(cls, (ordered,))
+        self.__dict__["euler_characteristic"] = 2 * len(ordered) - 2 * sum(ordered)
+        return self
 
     def __str__(self) -> str:
         parts = []
@@ -266,11 +265,17 @@ class _RegionFields(NamedTuple):
 
 
 class RegionDescriptor(Checked, _RegionFields):
-    """A region of the quotient torus as a disjoint union of pieces."""
+    """A region of the quotient torus as a disjoint union of pieces.  Its
+    ``euler_characteristic``, the sum of its pieces', is computed when it is built."""
 
-    @kept
-    def euler_characteristic(self) -> int:
-        return sum(piece.euler_characteristic for piece in self.pieces)
+    def __new__(cls, pieces):
+        try:
+            chi = sum(piece.euler_characteristic for piece in pieces)
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError(f"each piece must be a RegionPiece of a PieceKind: {pieces!r}") from None
+        self = tuple.__new__(cls, (pieces,))
+        self.__dict__["euler_characteristic"] = chi
+        return self
 
     def __str__(self) -> str:
         named: list[str] = []

@@ -17,7 +17,7 @@ Every section takes the atlas and reads its two kept family passes, the U pass t
 pairs are compared whole with their expected side, read from ``tables`` or a closed form on
 every call, and only the items that differ are worded, in order; a single value is one test.
 The Euler identity, the roundtrips and the oval counts are evaluated once per distinct datum
-the passes keep (the Euler identity from the descriptors' kept Euler characteristic); only a
+the passes keep (the Euler identity from the characteristics built into the descriptors); only a
 failed datum is worded, for each item that carries it, in item order, as ``validate_atlas``
 does for (r, a).  The exclusions section looks its classes up by their excluded triples.
 The isotopy section looks the shipped rows up again only when a table is no longer the object
@@ -217,20 +217,17 @@ def _check_monotonicity(atlas: Atlas) -> CheckSection:
     failed = [  # once per distinct (pools, after): each failed one's carriers, sorted into move order
         (*carrier, pool, other, after)
         for (pool, other, n), after in data
-        if after != (pool + other - n if pool >= n else None)
+        if (pool >= n if after is None else pool + other - after != n)
         for carrier in data[(pool, other, n), after]
     ]
-    violations = [m for item in sorted(failed) for m in _word_ovals(*item)] if failed else []
+    violations = [_word_ovals(*item) for item in sorted(failed)] if failed else []
     return CheckSection("oval-count monotonicity", checked, violations, [], {})
 
 
-def _word_ovals(_n, c, move, pool, other, after) -> list[str]:
+def _word_ovals(_n, c, move, pool, other, after) -> str:
     if after is None:
-        return [f"{c.index} {move.value}: impossible despite {pool} ovals"]
-    dropped = pool + other - after
-    if dropped == move.spec.ovals:  # a pool too small, but the move made anyway, drops as many
-        return []
-    return [f"{c.index} {move.value}: oval count dropped by {dropped}"]
+        return f"{c.index} {move.value}: impossible despite {pool} ovals"
+    return f"{c.index} {move.value}: oval count dropped by {pool + other - after}"
 
 
 def _check_graph(atlas: Atlas) -> CheckSection:

@@ -593,6 +593,12 @@ def test_data_dir_roundtrip(exported_catalogs, capsys, monkeypatch):
     assert out == baseline
 
 
+def test_data_dir_empty_family_prints_an_empty_grid(exported_catalogs, capsys, monkeypatch):
+    (exported_catalogs / "u.json").write_text("[]")
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(exported_catalogs))
+    assert run(capsys, "classes", "--family", "u") == (0, "### nonsingular-curve classes\n\n(empty)\n", "")
+
+
 def test_data_dir_missing_class(exported_catalogs, capsys, monkeypatch):
     path = exported_catalogs / "s311.json"
     records = [rec for rec in json.loads(path.read_text()) if rec["index"] != "No.17"]

@@ -64,6 +64,11 @@ def test_conj2_impossible_from_no26(atlas):
     assert outcome.impossible and outcome.target is None
 
 
+def test_an_impossible_outcome_reads_impossible(atlas):
+    outcome = apply_degeneration(atlas.lookup_index(Family.U, "No.1"), Degeneration.CONJ1P, atlas)
+    assert outcome.impossible and str(outcome) == "Conjunction 1'): impossible"
+
+
 def test_conj2p_from_no1_prime(atlas):
     c = atlas.lookup_index(Family.U, "No.1'")
     assert c.triple == (19, 1, 1)

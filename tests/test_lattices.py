@@ -33,6 +33,7 @@ from k3atlas.lattices import (
     smith_normal_form,
     two_elementary_invariants,
 )
+from k3atlas.topology import RegionDescriptor, RegionPiece
 
 
 def snf_diag(mat):
@@ -713,3 +714,31 @@ def test_lattice_value_type_contract(name):
         pickle.loads(head + new + tail)
     with pytest.raises(ValueError):
         value._replace(**bad)
+
+
+# Builds that raise ValueError with the message given: a field of the wrong type or out of
+# range, or a region piece without an Euler characteristic.
+REFUSED_BUILDS = {
+    "r a float": (lambda: TwoElemInvariants(3.0, 1, 1), "r, a and delta are ints, not bools"),
+    "bools": (lambda: TwoElemInvariants(True, True, True), "r, a and delta are ints, not bools"),
+    "delta a float": (lambda: TwoElemInvariants(3, 1, 1.0), "r, a and delta are ints, not bools"),
+    "a above r": (lambda: TwoElemInvariants(1, 2, 0), "need 0 <= a <= r"),
+    "float orders": (lambda: DiscriminantGroup((2.0, 4.0)), "each cyclic order is an int above 1"),
+    "bool order": (lambda: DiscriminantGroup((True, 2)), "each cyclic order is an int above 1"),
+    "str order": (lambda: DiscriminantGroup(("2",)), "each cyclic order is an int above 1"),
+    "negative order": (lambda: DiscriminantGroup((-2, 4)), "each cyclic order is an int above 1"),
+    "order 1": (lambda: DiscriminantGroup((1, 2)), "each cyclic order is an int above 1"),
+    "order 0": (lambda: DiscriminantGroup((0, 2)), "each cyclic order is an int above 1"),
+    "ragged matrix": (lambda: smith_normal_form([[1, 2], [3]]), "matrix rows must have equal length"),
+    "str piece": (lambda: RegionDescriptor(("disk",)), "each piece must be a RegionPiece"),
+    "str kind": (
+        lambda: RegionDescriptor((RegionPiece("disk"),)), "each piece must be a RegionPiece"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_BUILDS))
+def test_refused_builds(name):
+    build, message = REFUSED_BUILDS[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -2,8 +2,6 @@ import ast
 import copy
 import itertools
 import pickle
-import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -110,6 +108,12 @@ def test_candidates_conjectured_annotation(atlas):
 def test_candidates_wrong_family(atlas):
     with pytest.raises(WrongFamily):
         candidate_isotopy_types(atlas.lookup_index(Family.U, "No.1"))
+
+
+def test_real_part_wrong_family(atlas):
+    c = atlas.lookup_index(Family.U, "No.1")
+    with pytest.raises(WrongFamily, match=r"^real-part types are defined for the 102-class family$"):
+        real_part_topology(c, IsotopyType(TopCase.NODE1, 0, 8))
 
 
 def test_include_degenerate_cusps(atlas):
@@ -435,13 +439,13 @@ def test_double_cover_region_chi_is_the_descriptor_chi(monkeypatch):
     ids=["RegionDescriptor", "SurfaceDescriptor"],
 )
 def test_descriptor_value_type_contract(fields, text, chi):
-    # A descriptor keeps its chi in its __dict__ once read, and behaves as the
-    # plain NamedTuple of its fields otherwise; copies carry only the fields.
+    # A descriptor keeps its chi in its __dict__ from its build, and behaves as the
+    # plain NamedTuple of its fields otherwise; copies carry only the fields and compute it again.
     cls, values = fields
     d = cls(*values)
     assert tuple(d) == values and d == values and hash(d) == hash(values)
     assert repr(d) == f"{cls.__name__}({cls._fields[0]}={values[0]!r})" and str(d) == text
-    assert "euler_characteristic" not in vars(d)
+    assert vars(d) == {"euler_characteristic": chi}
     assert d.euler_characteristic == chi and vars(d) == {"euler_characteristic": chi}
     for name in (cls._fields[0], "euler_characteristic", "extra"):
         with pytest.raises(AttributeError):
@@ -453,40 +457,8 @@ def test_descriptor_value_type_contract(fields, text, chi):
     copies += [pickle.loads(pickle.dumps(d, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies:
         assert type(other) is cls and other == d and hash(other) == hash(d)
-        assert other is not d and not vars(other)
+        assert other is not d and vars(other) == {"euler_characteristic": chi}
         assert other.euler_characteristic == chi
-
-
-@pytest.mark.parametrize(
-    "build, chi",
-    [(lambda: RegionDescriptor((RegionPiece(PieceKind.ANNULUS_WITH_HOLES, 3),)), -3),
-     (lambda: SurfaceDescriptor((4, 0, 0)), -2)],
-    ids=["RegionDescriptor", "SurfaceDescriptor"],
-)
-def test_racing_first_reads_keep_one_value(build, chi):
-    # The kept chi takes no lock: eight threads make the first read of one fresh descriptor,
-    # switching as often as the interpreter allows.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            d = build()
-            start = threading.Barrier(8, timeout=30)
-            seen = []
-
-            def read():
-                start.wait()
-                seen.append(d.euler_characteristic)
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-                assert not thread.is_alive()
-            assert seen == [chi] * 8 and vars(d) == {"euler_characteristic": chi}
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_descriptor_memos_match_fresh_builds(atlas):
@@ -504,7 +476,7 @@ def test_descriptor_memos_match_fresh_builds(atlas):
             assert all(a is not b for a, b in zip(cover, fresh))
             for region, (descriptor, real_part), (pieces, genera) in zip(Region, cover, fresh):
                 assert region_descriptor(*args, region) is descriptor
-                # the kept chi is that of a fresh build, summed over its pieces or genera
+                # the memo's chi is that of a fresh build, summed over its pieces or genera
                 assert descriptor.euler_characteristic == sum(
                     p.euler_characteristic for p in pieces.pieces
                 )
