@@ -16,11 +16,11 @@ an edit shows up on the next call and unchanged files give the same
 ``Atlas``.  A file that cannot be read, decoded or parsed, or a record that
 lacks a field or has a bad value, raises ``CatalogError`` (and is not kept).
 
-An ``Atlas`` keeps, while it lives, its two family passes, derived on first use by
-``degenerations._u_pass`` and ``degenerations._s311_pass`` (whose docstrings state what they
-keep), and the related partners, the grid per H, the distinct (r, a), the class counts and each
-family's self-related count that ``validate_atlas`` reads and compares on every call; an edited
-catalog parses to a new one.
+An ``Atlas`` is built with the related partners, the grid per H, the distinct (r, a), the
+class counts and each family's self-related count that ``validate_atlas`` reads and compares on
+every call.  Only its two family passes are built on first use, by ``degenerations._u_pass`` and
+``degenerations._s311_pass`` (whose docstrings state what they keep), and kept while it lives;
+an edited catalog parses to a new one.
 """
 
 import bisect
@@ -172,6 +172,30 @@ class Atlas:
                 if partner is not None and self._by_index.setdefault((_U, alias), partner) is not partner:
                     self._held.append((alias, partner))
         self._labels -= len(self._held)
+        # What validate_atlas reads and compares on every call.
+        get = self._by_key.get  # a plain lookup per member, None for a missing partner
+        self._partners = {f: tuple(get((f,) + related_key(c)) for c in cs) for f, cs in self._by_family.items()}
+        s311, u = self._by_family[_S311], self._by_family[_U]
+        # Per H: {(r, a): sorted deltas} like tables.GRID_H0; a duplicate class repeats its delta.
+        self._grid: dict[HInvariant, dict[tuple[int, int], tuple[int, ...]]] = {_ZERO: {}, _Z2: {}}
+        for c in s311:  # sorted by (r, a, delta)
+            cells = self._grid[c.h]
+            cells[c.r, c.a] = cells.get((c.r, c.a), ()) + (c.delta,)
+        self._ra = tuple(dict.fromkeys([(c.r, c.a) for cs in (s311, u) for c in cs]))  # the distinct (r, a)
+        # Each family's number of self-related classes, and the class counts validate_atlas reports.
+        s311_fixed, u_fixed = sum(map(is_, self._partners[_S311], s311)), sum(map(is_, self._partners[_U], u))
+        self._fixed = (s311_fixed, u_fixed)
+        hs, deltas = [c.h for c in s311], [c.delta for c in u]
+        self._counts = {
+            "s311": len(s311),
+            "s311 H=0": hs.count(_ZERO),
+            "s311 H=Z2": hs.count(_Z2),
+            "u": len(u),
+            "u delta=0": deltas.count(0),
+            "u delta=1": deltas.count(1),
+            "s311 quotient": (len(s311) - s311_fixed) // 2 + s311_fixed,
+            "u quotient": (len(u) - u_fixed) // 2 + u_fixed,
+        }
 
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
         return self._by_family[family]
@@ -187,42 +211,6 @@ class Atlas:
     def _s(self):  # the S311 pass
         from .degenerations import _s311_pass
         return _s311_pass(self)
-
-    @cached_property
-    def _partners(self) -> dict[Family, tuple[InvolutionClass | None, ...]]:
-        get = self._by_key.get  # a plain lookup per member, None for a missing partner
-        return {f: tuple(get((f,) + related_key(c)) for c in cs) for f, cs in self._by_family.items()}
-
-    @cached_property
-    def _grid(self) -> dict[HInvariant, dict[tuple[int, int], tuple[int, ...]]]:
-        # Per H: {(r, a): sorted deltas} like tables.GRID_H0; a duplicate class repeats its delta.
-        grid: dict = {_ZERO: {}, _Z2: {}}
-        for c in self._by_family[_S311]:  # sorted by (r, a, delta)
-            cells = grid[c.h]
-            cells[c.r, c.a] = cells.get((c.r, c.a), ()) + (c.delta,)
-        return grid
-
-    @cached_property
-    def _counts(self) -> tuple[dict[str, int], int, int]:
-        # The class counts validate_atlas reports, and each family's number of self-related classes.
-        s311, u = self._by_family[_S311], self._by_family[_U]
-        hs, deltas = [c.h for c in s311], [c.delta for c in u]
-        fixed = [sum(map(is_, self._partners[f], cs)) for f, cs in ((_S311, s311), (_U, u))]
-        counts = {
-            "s311": len(s311),
-            "s311 H=0": hs.count(_ZERO),
-            "s311 H=Z2": hs.count(_Z2),
-            "u": len(u),
-            "u delta=0": deltas.count(0),
-            "u delta=1": deltas.count(1),
-            "s311 quotient": (len(s311) - fixed[0]) // 2 + fixed[0],
-            "u quotient": (len(u) - fixed[1]) // 2 + fixed[1],
-        }
-        return counts, *fixed
-
-    @cached_property
-    def _ra(self) -> tuple[tuple[int, int], ...]:  # the distinct (r, a) of both families
-        return tuple(dict.fromkeys([(c.r, c.a) for cs in self._by_family.values() for c in cs]))
 
     def lookup(
         self,
@@ -459,8 +447,8 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
     violations: list[str] = []
     s311 = atlas.all_classes(_S311)
     u = atlas.all_classes(_U)
-    kept, s311_fixed, u_fixed = atlas._counts
-    counts = dict(kept)
+    s311_fixed, u_fixed = atlas._fixed
+    counts = dict(atlas._counts)
 
     n = counts["s311"] + counts["u"]
     if len(atlas._by_key) < n or atlas._labels < n:  # some class shadows another of its key or label

@@ -302,7 +302,7 @@ def cmd_degenerate(args) -> tuple[int, str]:
 
     if args.side and (args.cls is not None or args.move):
         raise UsageError("--side cannot be combined with --class or --move")
-    if not args.side and not args.cls:
+    if not args.side and args.cls is None:  # an empty --class is a bad selector, as in cmd_isotopy
         raise UsageError("--class or --side is required")
     atlas = load_atlas()
     if args.side:

@@ -269,10 +269,14 @@ class RegionDescriptor(Checked, _RegionFields):
     ``euler_characteristic``, the sum of its pieces', is computed when it is built."""
 
     def __new__(cls, pieces):
-        try:
-            chi = sum(piece.euler_characteristic for piece in pieces)
-        except (AttributeError, KeyError, TypeError):
-            raise ValueError(f"each piece must be a RegionPiece of a PieceKind: {pieces!r}") from None
+        pieces = tuple(pieces)  # a list would make the descriptor unhashable, a generator empty
+        chi = 0
+        for piece in pieces:  # checked in the loop that sums, with no generator to resume
+            if type(piece) is not RegionPiece or type(piece.kind) is not PieceKind:
+                raise ValueError(f"each piece must be a RegionPiece of a PieceKind: {pieces!r}")
+            if type(piece.holes) is not int or piece.holes < 0:
+                raise ValueError(f"a piece's holes are an int >= 0: {pieces!r}")
+            chi += piece.euler_characteristic
         self = tuple.__new__(cls, (pieces,))
         self.__dict__["euler_characteristic"] = chi
         return self

@@ -104,6 +104,14 @@ def test_isotopy_empty_selector_is_a_usage_error(capsys, flag, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_degenerate_empty_class_is_a_bad_selector(capsys, fmt):
+    # a --class that was given, though empty, is no missing flag
+    code, out, err = run(capsys, "degenerate", "--class", "", "--format", fmt)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "atlas: selector for this family is r,a,delta\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
 @pytest.mark.parametrize(
     "argv, problem",
     [

@@ -33,7 +33,7 @@ from k3atlas.lattices import (
     smith_normal_form,
     two_elementary_invariants,
 )
-from k3atlas.topology import RegionDescriptor, RegionPiece
+from k3atlas.topology import PieceKind, RegionDescriptor, RegionPiece
 
 
 def snf_diag(mat):
@@ -716,6 +716,8 @@ def test_lattice_value_type_contract(name):
         value._replace(**bad)
 
 
+_HOLED = PieceKind.ANNULUS_WITH_HOLES
+
 # Builds that raise ValueError with the message given: a field of the wrong type or out of
 # range, or a region piece without an Euler characteristic.
 REFUSED_BUILDS = {
@@ -734,6 +736,9 @@ REFUSED_BUILDS = {
     "str kind": (
         lambda: RegionDescriptor((RegionPiece("disk"),)), "each piece must be a RegionPiece"
     ),
+    "negative holes": (lambda: RegionDescriptor((RegionPiece(_HOLED, -3),)), "holes are an int >= 0"),
+    "float holes": (lambda: RegionDescriptor((RegionPiece(_HOLED, 2.5),)), "holes are an int >= 0"),
+    "bool holes": (lambda: RegionDescriptor((RegionPiece(_HOLED, True),)), "holes are an int >= 0"),
 }
 
 
@@ -742,3 +747,13 @@ def test_refused_builds(name):
     build, message = REFUSED_BUILDS[name]
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_region_descriptor_keeps_its_pieces_as_a_tuple():
+    # a list is kept as a tuple, so the descriptor hashes
+    listed = RegionDescriptor([RegionPiece(PieceKind.DISK)])
+    assert type(listed.pieces) is tuple and listed.euler_characteristic == 1
+    assert hash(listed) == hash(RegionDescriptor((RegionPiece(PieceKind.DISK),)))
+    # a generator is read once, and its pieces are kept
+    made = RegionDescriptor(RegionPiece(PieceKind.DISK) for _ in range(2))
+    assert len(made.pieces) == 2 and made.euler_characteristic == 2 and str(made) == "2 disks"

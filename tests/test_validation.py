@@ -1068,18 +1068,9 @@ def test_an_outcome_without_its_candidate_is_named_on_every_call(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 172 calls on CPython 3.10.13 and 3.11.7, 167 on 3.12.1 and 3.13.0 under either hash
-    # seed.  The budget is the highest count plus under 3% (192 and 183 while the catalog
-    # audit recounted its classes, the roundtrips built an expected tuple per datum and the
-    # graph section looked up each S311 class's in-degree, under a budget of 197; 208, 197
-    # and 196 while the move tables were compared with a patched copy of the primed table,
-    # under a budget of 214; 225, 206 and 205 while the sections fed their parts to one
-    # comparator, under a budget of 235; 230 and 206 while the passes kept per-item tuples
-    # beside the distinct data; 239 and 215 while the passes were read through a per-atlas
-    # object; 551 and 527 while the Euler section checked each of 201 candidate triples;
-    # pstats, which folds same-label entries, read 523 to 551 and varied between runs; 836 to
-    # 910 with a kept structure beside a walker per section, 22,597 to 23,459 when every call
-    # derived afresh).  Counted from cProfile's entries, as the cold call is.
+    # 172 calls on CPython 3.10.13 and 3.11.7, 167 on 3.12.1 and 3.13.0, under either hash
+    # seed.  The budget is the highest count plus under 3%.  Counted from cProfile's entries,
+    # as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
@@ -1125,12 +1116,12 @@ def _cold_call_counts() -> tuple[tuple[int, int], ...]:
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 14,559 calls on CPython 3.10.13, 14,565 on 3.11.7 and 13,646 on 3.12.1 and 3.13.0,
+    # 13,416 calls on CPython 3.10.13, 13,422 on 3.11.7 and 12,516 on 3.12.1 and 3.13.0,
     # under either hash seed.  The budget is the highest count plus under 3%.
     # Counted from cProfile's entries, not pstats', which keeps one entry per (file, line,
     # name): which NamedTuple method it keeps varies between runs.
     (first, _), (second, _) = _cold_call_counts()
-    assert first == second <= 15_000
+    assert first == second <= 13_800
 
 
 def test_cold_call_builds_the_node1_and_star_descriptors_only():
