@@ -11,10 +11,10 @@ contains ``s311.json`` and ``u.json`` (records in the export schema of
 ``Atlas.to_records``) replaces the embedded catalogs; ``validate_atlas``
 then reports any damage in the external data.  Both files are read to
 end of file with ``os.read`` on every ``load_atlas`` call and compared
-byte for byte, not hashed, with the four newest distinct contents parsed:
-an edit shows up on the next call and unchanged files give the same
-``Atlas``.  A file that cannot be read, decoded or parsed, or a record that
-lacks a field or has a bad value, raises ``CatalogError`` (and is not kept).
+byte for byte, not hashed, with the newest content parsed: an edit shows
+up on the next call and unchanged files give the same ``Atlas``.  A file
+that cannot be read, decoded or parsed, or a record that lacks a field or
+has a bad value, raises ``CatalogError`` (and is not kept).
 
 An ``Atlas`` is built with the related partners, the grid per H, the distinct (r, a), the
 class counts and each family's self-related count that ``validate_atlas`` reads and compares on
@@ -344,10 +344,10 @@ _DATA_DIR_KEY = os.environ.encodekey("ATLAS_DATA_DIR")
 _O_RDONLY = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no text translation on Windows
 
 
-# The four newest distinct (contents, atlas) pairs, newest first.  A lookup compares the
-# contents with ``==``: equal bytes are one memcmp and unequal ones of the same length stop at
-# the first differing byte, while a dict or lru_cache would hash both fresh files first.
-_PARSED: list[tuple[tuple[bytes, ...], Atlas]] = []
+# The newest parsed (contents, atlas) pair; the initial ``((), None)`` matches no contents.  A
+# lookup compares the contents with ``==``: equal bytes are one memcmp and unequal ones of the
+# same length stop at the first differing byte, while a dict or lru_cache would hash both first.
+_PARSED: tuple[tuple[bytes, ...], Atlas | None] = ((), None)
 
 
 def _atlas_from_bytes(*contents: bytes) -> Atlas:
@@ -393,16 +393,16 @@ def _atlas_from_dir(path: str) -> Atlas:
         except OSError as exc:
             raise CatalogError(f"cannot read: {exc.strerror or exc}", file) from None
     key = tuple(contents)
-    for kept, atlas in _PARSED:
-        if kept == key:
-            return atlas
+    kept, atlas = _PARSED
+    if kept == key:
+        return atlas
     try:
         atlas = _atlas_from_bytes(*key)
     except CatalogError as exc:
         raise CatalogError(exc.problem, os.path.join(path, exc.file), exc.record) from None
     # Only a parse that succeeded is kept, so a failed one is retried on the next call.  The
-    # list is replaced, never changed in place, so a scan in another thread reads a whole one.
-    _PARSED = [(key, atlas), *_PARSED[:3]]
+    # pair is replaced whole, so another thread reads the contents with their own atlas.
+    _PARSED = (key, atlas)
     return atlas
 
 
@@ -411,7 +411,7 @@ def load_atlas(data_dir: str | None = None) -> Atlas:
 
     $ATLAS_DATA_DIR is read on every call, raising no KeyError when unset;
     empty means embedded.  An external catalog is read on every call and
-    parsed once per distinct content of its two files; see the module docstring.
+    parsed when it differs from the newest parsed; see the module docstring.
     """
     if data_dir is None:  # os.environ's own mapping answers an unset variable without a KeyError
         data_dir = os.environ._data.get(_DATA_DIR_KEY)

@@ -17,8 +17,6 @@ long to print (past that limit).  An error gets its code from
 other ``AtlasError`` exits 1.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from contextlib import contextmanager
@@ -242,17 +240,19 @@ def cmd_isotopy(args) -> tuple[int, str]:
 
     if args.index is not None and args.cls is not None:
         raise UsageError("--index and --class cannot be combined")
+    # An empty selector is a usage error, not "no selector": test for None.  A bad one is
+    # refused before the catalog is read.
+    if args.index == "":
+        raise UsageError("--index needs a catalog label, e.g. No.17")
+    if args.cls is not None:
+        r, a, delta, h = _parse_selector(args.cls, Family.S311)
     atlas = load_atlas()
-    # An empty selector is a usage error, not "no selector": test for None.
     if args.index is not None:
-        if not args.index:
-            raise UsageError("--index needs a catalog label, e.g. No.17")
         target = atlas.lookup_index(Family.S311, args.index)
         if target is None:
             raise NotInAtlas(f"no class with index {args.index}")
         selected = [target]
     elif args.cls is not None:
-        r, a, delta, h = _parse_selector(args.cls, Family.S311)
         target = atlas.lookup(Family.S311, r, a, delta, h)
         if target is None:
             raise NotInAtlas(f"({r},{a},{delta},H={h.value}) is not a realizable class")
@@ -304,6 +304,8 @@ def cmd_degenerate(args) -> tuple[int, str]:
         raise UsageError("--side cannot be combined with --class or --move")
     if not args.side and args.cls is None:  # an empty --class is a bad selector, as in cmd_isotopy
         raise UsageError("--class or --side is required")
+    if not args.side:  # a bad selector is refused before the catalog is read
+        r, a, delta, _h = _parse_selector(args.cls, Family.U)
     atlas = load_atlas()
     if args.side:
         side = TableSide(args.side)
@@ -322,7 +324,6 @@ def cmd_degenerate(args) -> tuple[int, str]:
                 rows.append([*row[:6], *(x for _move, cell in row.cells for x in cell or ("", ""))])
         return EXIT_OK, _table(args.format, header, rows)
 
-    r, a, delta, _h = _parse_selector(args.cls, Family.U)
     c = atlas.lookup(Family.U, r, a, delta)
     if c is None:
         raise NotInAtlas(f"({r},{a},{delta}) is not a realizable class")

@@ -451,12 +451,11 @@ class TransitionGraph(Checked, _GraphFields):
 
     @cached_property
     def _dot(self) -> str:
-        quote = _Quoted()  # each label and move name is quoted once
-        move = {m: quote[m.value] for m in Degeneration}
         lines = ["digraph degenerations {"]
-        lines += [f"  {quote[node.label]};" for node in self.nodes]
+        lines += [f"  {_quote(node.label)};" for node in self.nodes]
         lines += [
-            f"  {quote[e.source.label]} -> {quote[e.target.label]} [label={move[e.move]}];"
+            f"  {_quote(e.source.label)} -> {_quote(e.target.label)}"
+            f" [label={_quote(e.move.value)}];"
             for e in self.edges
         ]
         lines.append("}")
@@ -506,12 +505,9 @@ def _derive_graph(atlas: Atlas, edges: list) -> TransitionGraph:
     return TransitionGraph(atlas.all_classes(_S311) + atlas.all_classes(_U), tuple(edges))
 
 
-class _Quoted(dict):
-    """string -> its DOT quoted form, made on first use."""
-
-    def __missing__(self, s: str) -> str:
-        quoted = self[s] = '"{}"'.format(s.replace('"', r"\""))
-        return quoted
+def _quote(s: str) -> str:
+    """``s`` as a DOT quoted string."""
+    return '"{}"'.format(s.replace('"', r"\""))
 
 
 def graph_to_dot(graph: TransitionGraph) -> str:

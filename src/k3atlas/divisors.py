@@ -64,9 +64,6 @@ class DivisorClass(Checked, _DivisorFields):
     def __mul__(self, other):  # n * d scales; d * n raises instead of repeating
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
     def __str__(self) -> str:
         names = _BASIS[self.surface]
         parts = []
@@ -87,7 +84,6 @@ def y_class(e: int, f: int, a0: int) -> DivisorClass:
     return DivisorClass(Surface.Y, (e, f, a0))
 
 
-FIBER = f4_class(1, 0)
 SECTION = f4_class(0, 1)
 
 

