@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import tables
 from ._checked import Checked
-from .errors import CatalogError, NotInAtlas, SpecialClass
+from .errors import CatalogError, InconsistentInput, NotInAtlas, SpecialClass
 from .tables import U_EXCLUDED_TRIPLES, U_UNTABULATED_TRIPLES
 
 
@@ -68,6 +68,7 @@ class HInvariant(IdentityEnum):
 
 
 _S311, _U = Family.S311, Family.U  # module globals: see IdentityEnum
+_NOT_A_FAMILY = "a family is Family.S311 or Family.U"
 _ZERO, _Z2, _NOT_APPLICABLE = HInvariant.ZERO, HInvariant.Z2, HInvariant.NOT_APPLICABLE
 
 
@@ -197,8 +198,12 @@ class Atlas:
             "u quotient": (len(u) - u_fixed) // 2 + u_fixed,
         }
 
+    # A family that is no Family member is refused on the miss path only: a hit costs nothing.
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
-        return self._by_family[family]
+        try:
+            return self._by_family[family]
+        except KeyError:
+            raise InconsistentInput(_NOT_A_FAMILY) from None
 
     # The two family passes, each built on first use by a builder imported then: the class
     # and isotopy queries load no degenerations code.
@@ -221,10 +226,14 @@ class Atlas:
         h: HInvariant = HInvariant.NOT_APPLICABLE,
     ) -> InvolutionClass | None:
         """Exact-match retrieval; None means the tuple is not realizable."""
-        return self._by_key.get((family, r, a, delta, h))
+        if (found := self._by_key.get((family, r, a, delta, h))) is None and type(family) is not Family:
+            raise InconsistentInput(_NOT_A_FAMILY)
+        return found
 
     def lookup_index(self, family: Family, index: str) -> InvolutionClass | None:
-        return self._by_index.get((family, index))
+        if (found := self._by_index.get((family, index))) is None and type(family) is not Family:
+            raise InconsistentInput(_NOT_A_FAMILY)
+        return found
 
     def related_class(self, c: InvolutionClass) -> InvolutionClass:
         if self._by_key.get((c.family,) + c.key) is not c:

@@ -38,6 +38,7 @@ from .atlas import (
     related_key,
 )
 from .errors import InconsistentInput, MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
+from .tables import _CELLS
 from .topology import (
     ISOTOPY_CELL_CASES,
     STAR_KEY_H0,
@@ -140,7 +141,7 @@ class DegenerationOutcome(NamedTuple):
     def cell(self) -> tuple[int, int] | None:
         if self.iso is None or self.iso.case is _NODE_STAR:
             return None
-        return (self.iso.alpha, self.iso.beta)
+        return _CELLS[self.iso.alpha][self.iso.beta]  # the shared cell: see tables
 
     def __str__(self) -> str:
         if self.impossible:

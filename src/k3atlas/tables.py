@@ -9,6 +9,7 @@ index, r, a, delta ("d"), g, k, then the cells.  A cell "a,b" is the
 (alpha, beta) pair (a, b), "-" an empty or "impossible" cell (None).  The
 last isotopy column, a Node (*) real part, runs to the end of its line in
 the canonical ASCII rendering ("Sigma_g", "T^2", "S^2", joined by " u ").
+Every pair, shipped or derived, is the one ``_CELLS[a][b]``: comparisons stop at ``is``.
 """
 
 from typing import NamedTuple
@@ -49,11 +50,16 @@ class StarRow(NamedTuple):
     result: str
 
 
+# The shared (alpha, beta) cells, alpha and beta from 0 to 9: no cell holds more than 9 ovals.
+_CELLS = tuple([tuple([(alpha, beta) for beta in range(10)]) for alpha in range(10)])
+
+
 def _cell(text: str):
-    """A cell's value: a pair for "a,b", None for "-", an int for digits, else the text (a
-    real part)."""
+    """A cell's value: the shared pair for "a,b", None for "-", an int for digits, else the
+    text (a real part)."""
     if "," in text:
-        return tuple(map(int, text.split(",")))
+        alpha, beta = map(int, text.split(","))
+        return _CELLS[alpha][beta]
     return None if text == "-" else int(text) if text.isdigit() else text
 
 

@@ -13,8 +13,9 @@ every build, ``_replace``, ``_make``, copies and unpickling included.
 ``region_descriptor`` and ``real_part_topology`` may return the same
 immutable descriptor object for equal inputs: one memo per oval datum keeps
 the region and the real part over each side, whose four Euler characteristics
-``double_cover_euler_check`` compares.  A descriptor computes its Euler
-characteristic when built, as do its copies and pickles, which carry only its fields.
+``double_cover_euler_check`` compares for a datum it checks, ``_euler_failures`` in one loop
+over data checked before.  A descriptor computes its Euler characteristic when built, as do its
+copies and pickles, which carry only its fields.
 A region or cover that is not a ``Region`` or ``Cover`` member is refused.
 
 Group II is group I with ``extra`` = 1 more oval in R2: each closed form is written once
@@ -25,12 +26,13 @@ alpha + beta + extra nonnegative, so ``invariants_from_isotopy`` needs no range 
 
 import functools
 import operator
+from itertools import starmap
 from typing import NamedTuple
 
 from ._checked import Checked
 from .atlas import Family, HInvariant, IdentityEnum, InvolutionClass, gk_invariants
 from .errors import InconsistentInput, WrongFamily
-from .tables import IsotopyRow
+from .tables import _CELLS, IsotopyRow
 
 
 class TopCase(IdentityEnum):
@@ -309,9 +311,9 @@ def _shared_datum(case: TopCase, alpha: int, beta: int) -> tuple[TopCase, int, i
     return (case, alpha, beta) if case is _NODE_STAR else (_NODE1, alpha, beta + _EXTRA[case])
 
 
-# Memoised: every caller checks the oval data first, so the memo holds at most
-# 6 cases x 55 (alpha, beta) = 330 entries.  Any case but Node (*) holds the entry of its
-# ``_shared_datum``, read through the memo: equal covers are one set of objects.
+# Memoised: callers pass checked oval data (``_euler_failures`` data its candidates checked), so
+# the memo holds at most 6 cases x 55 (alpha, beta) = 330 entries.  Any case but Node (*) holds
+# the entry of its ``_shared_datum``, read through the memo: equal covers are one set of objects.
 @functools.cache
 def _cover(case: TopCase, alpha: int, beta: int) -> tuple[tuple[RegionDescriptor, SurfaceDescriptor], ...]:
     # (region, real part) over A+, then over A-, for oval data its caller has already
@@ -358,7 +360,7 @@ def isotopy_row(c: InvolutionClass, candidates) -> IsotopyRow:
     from its ``candidates``: the Node (1), isolated-point and Node (2) cells
     (None where no candidate), and the real part over a star candidate."""
     found = {t.case: t for t in candidates}
-    cells = [None if t is None else (t.alpha, t.beta) for t in map(found.get, ISOTOPY_CELL_CASES)]
+    cells = [None if t is None else _CELLS[t.alpha][t.beta] for t in map(found.get, ISOTOPY_CELL_CASES)]
     star = found.get(_NODE_STAR)
     real_part = None if star is None else str(real_part_topology(c, star))
     return IsotopyRow(c.index, c.r, c.a, c.delta, *gk_invariants(c), *cells, real_part)
@@ -371,8 +373,14 @@ def double_cover_euler_check(case: TopCase, alpha: int, beta: int) -> bool:
     characteristic, so the identity holds on both sides simultaneously.
     """
     _check_oval_bounds(case, alpha, beta)
-    (upper, upper_real), (lower, lower_real) = _cover(case, alpha, beta)
-    return (
-        upper_real.euler_characteristic == 2 * upper.euler_characteristic
-        and lower_real.euler_characteristic == 2 * lower.euler_characteristic
-    )
+    return not _euler_failures(((case, alpha, beta),))
+
+
+def _euler_failures(data) -> list:
+    # The checked oval data of ``data`` whose cover breaks the identity, in one loop: no call per datum.
+    return [
+        datum
+        for datum, ((upper, upper_real), (lower, lower_real)) in zip(data, starmap(_cover, data))
+        if upper_real.euler_characteristic != 2 * upper.euler_characteristic
+        or lower_real.euler_characteristic != 2 * lower.euler_characteristic
+    ]

@@ -16,12 +16,13 @@ Every section takes the atlas and reads its two kept family passes, the U pass t
 ``CheckSection`` itself.  The isotopy tables, the move tables and the correspondence's label
 pairs are compared whole with their expected side, read from ``tables`` or a closed form on
 every call, and only the items that differ are worded, in order; a single value is one test.
-The Euler identity, the roundtrips and the oval counts are evaluated once per distinct datum
-the passes keep (the Euler identity from the characteristics built into the descriptors); only a
-failed datum is worded, for each item that carries it, in item order, as ``validate_atlas``
-does for (r, a).  The exclusions section looks its classes up by their excluded triples.
-The isotopy section looks the shipped rows up again only when a table is no longer the object
-the S311 pass read.
+Equal cells are one object, ``tables._CELLS[a][b]``, so those comparisons stop at ``is``.
+The Euler identity (in one ``topology._euler_failures`` loop, with no second bounds check of
+data that candidates' ``IsotopyType`` checked), the roundtrips and the oval counts are evaluated
+once per distinct datum the passes keep; only a failed datum is worded, for each item that
+carries it, in item order, as ``validate_atlas`` does for (r, a).  The exclusions section looks
+its classes up by their excluded triples.  The isotopy section looks the shipped rows up again
+only when a table is no longer the object the S311 pass read.
 The roundtrip section compares each datum's recovered (r, a, H) and oval sum with its class
 and the oval rule field by field, and builds the expected tuple only for a datum that fails.  It
 tests no component count, since ``IsotopyType`` caps alpha + beta (1 to 10 components, 2 to 11
@@ -50,7 +51,7 @@ from .degenerations import (
     _read,
     correspondence_check,
 )
-from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _shared_datum, double_cover_euler_check
+from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _euler_failures, _shared_datum
 
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
@@ -185,7 +186,7 @@ def _word_roundtrip(_n, c, t, derived, expected) -> list[str]:
 
 def _check_euler(atlas: Atlas) -> CheckSection:
     (data, checked), full = atlas._s.euler, atlas._s.full
-    failed = {datum for datum in data if not double_cover_euler_check(*datum)}
+    failed = _euler_failures(data)  # the candidates' IsotopyType checked each datum's bounds
     violations = [  # the candidates whose datum failed, by class, then candidate
         f"{c.index} {t}: chi mismatch"
         for c in atlas.all_classes(_S311)

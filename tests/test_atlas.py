@@ -21,7 +21,7 @@ from k3atlas.atlas import (
     related_key,
     validate_atlas,
 )
-from k3atlas.errors import CatalogError, NotInAtlas, SpecialClass
+from k3atlas.errors import CatalogError, InconsistentInput, NotInAtlas, SpecialClass
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,36 @@ def test_lookup_examples(atlas):
     assert star is not None and star.index == "special-(9,9,0)"
     grid_cell = atlas.lookup(Family.S311, 10, 10, 1, HInvariant.Z2)
     assert grid_cell is not None and grid_cell.index == "No.26'"
+
+
+_NOT_A_FAMILY = "a family is Family.S311 or Family.U"
+
+
+def test_all_classes_refuses_a_family_value(atlas):
+    # the value "u" names Family.U but is no member: a KeyError before the check
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.all_classes("u")
+
+
+def test_to_records_refuses_a_family_value(atlas):
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.to_records("s311")
+
+
+def test_lookup_refuses_a_family_value(atlas):
+    # the class exists, so None would claim the tuple is not realizable
+    assert atlas.lookup(Family.S311, 9, 9, 1, HInvariant.ZERO).index == "No.26"
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.lookup("s311", 9, 9, 1, HInvariant.ZERO)
+    # a member that misses is still None
+    assert atlas.lookup(Family.S311, 10, 10, 0, HInvariant.ZERO) is None
+
+
+def test_lookup_index_refuses_a_family_value(atlas):
+    assert atlas.lookup_index(Family.U, "No.17").index == "No.17"
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.lookup_index("u", "No.17")
+    assert atlas.lookup_index(Family.U, "No.99") is None
 
 
 def test_related_class_examples(atlas):

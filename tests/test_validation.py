@@ -57,26 +57,29 @@ def _fresh_atlas() -> Atlas:
 def test_one_derivation_per_outcome_and_euler_triple(monkeypatch):
     pairs, triples = [], []
     apply = degenerations.apply_degeneration
-    euler = validation.double_cover_euler_check
+    cover = topology._cover
 
     def counting_apply(c, move, atlas=None):
         pairs.append((c, move))
         return apply(c, move, atlas)
 
-    def counting_euler(case, alpha, beta):
+    def counting_cover(case, alpha, beta):
         triples.append((case, alpha, beta))
-        return euler(case, alpha, beta)
+        return cover(case, alpha, beta)
 
     monkeypatch.setattr(degenerations, "apply_degeneration", counting_apply)
     # a direct call from validation would be counted too
     monkeypatch.setattr(validation, "apply_degeneration", counting_apply, raising=False)
-    monkeypatch.setattr(validation, "double_cover_euler_check", counting_euler)
+    # the Euler section reads each shared cover through topology._cover, patched to count
+    monkeypatch.setattr(topology, "_cover", counting_cover)
     atlas = _fresh_atlas()
     summary = validation.run_all_checks(atlas)
     assert summary.ok
     assert len(pairs) == len(set(pairs)) == 368
-    # one evaluation per shared cover datum, not per (case, alpha, beta) of a candidate (201)
-    assert len(triples) == len(set(triples)) == 45
+    # one evaluation per shared cover datum, not per (case, alpha, beta) of a candidate (201);
+    # the first call also reads the Node (*) cover for the two star rows' real parts
+    assert len(set(triples)) == 45 and set(triples) == set(atlas._s.euler[0])
+    assert len(triples) == 45 + 2 and triples.count((TopCase.NODE_STAR, 0, 0)) == 3
     # a second call derives no outcome but evaluates every Euler datum again
     del pairs[:], triples[:]
     again = validation.run_all_checks(atlas)
@@ -582,13 +585,19 @@ def test_euler_failure_is_reported_for_every_carrier(monkeypatch):
     # No.49, which the atlas orders between No.4 and No.3', in the three group I cases.
     bad = {(TopCase.NODE1, 0, 7), (TopCase.NODE1, 8, 0)}
     seen = []
+    atlas, cover = load_atlas(), topology._cover
+    assert validation.run_all_checks(atlas).ok  # warm: only the Euler section reads a cover
 
-    def failing_euler(case, alpha, beta):
+    def failing_cover(case, alpha, beta):
+        # the real parts over the two sides swapped, which breaks the identity on both
         seen.append((case, alpha, beta))
-        return (case, alpha, beta) not in bad
+        (upper, upper_real), (lower, lower_real) = cover(case, alpha, beta)
+        if (case, alpha, beta) not in bad:
+            return (upper, upper_real), (lower, lower_real)
+        return (upper, lower_real), (lower, upper_real)
 
-    monkeypatch.setattr(validation, "double_cover_euler_check", failing_euler)
-    summary = validation.run_all_checks(load_atlas())
+    monkeypatch.setattr(topology, "_cover", failing_cover)
+    summary = validation.run_all_checks(atlas)
     section = next(s for s in summary.sections if s.name == "double-cover Euler identity")
     assert section.checked == 461
     # by class in atlas order, then by candidate in the class's order
@@ -1068,14 +1077,15 @@ def test_an_outcome_without_its_candidate_is_named_on_every_call(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 172 calls on CPython 3.10.13 and 3.11.7, 167 on 3.12.1 and 3.13.0, under either hash
-    # seed.  The budget is the highest count plus under 3%.  Counted from cProfile's entries,
-    # as the cold call is.
+    # 83 calls on CPython 3.10.13 and 3.11.7, 78 on 3.12.1 and 3.13.0, under either hash
+    # seed (172 and 167 while the Euler section called double_cover_euler_check per datum).
+    # The budget is the highest count plus under 3%.  Counted from cProfile's entries, as the
+    # cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert sum(entry.callcount for entry in profile.getstats()) <= 177
+    assert sum(entry.callcount for entry in profile.getstats()) <= 85
 
 
 def test_warm_call_reads_the_cover_memo_once_per_euler_triple():
@@ -1086,6 +1096,62 @@ def test_warm_call_reads_the_cover_memo_once_per_euler_triple():
     validation.run_all_checks(atlas)
     after = topology._cover.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (45, 0)
+
+
+_SHIPPED_CELL_TABLES = ("ISOTOPY_H0", "ISOTOPY_Z2", "MOVES_UNPRIMED", "MOVES_PRIMED")
+
+
+def test_every_cell_is_the_shared_object_for_its_value():
+    # A performance gate: the whole-table comparisons of the isotopy, move-table and
+    # correspondence sections stop at ``is`` for each equal cell only while every cell, shipped
+    # or derived, is the one shared tuple of its value.
+    atlas = _fresh_atlas()
+    assert validation.run_all_checks(atlas).ok
+    u, s = degenerations._read(atlas), atlas._s
+    groups = [row[6:9] for name in _SHIPPED_CELL_TABLES for row in getattr(tables, name)]
+    groups += [row[6:] for rows in u.flat for row in rows]
+    groups += [row[6:9] for rows in s.rows.values() for row in rows.values()]
+    groups += [pair[0] for pair in u.pairs + s.pairs if pair]
+    cells = [cell for group in groups for cell in group if cell is not None]
+    # 280 isotopy cells, shipped and derived, 278 move cells, shipped and derived, and 278 in
+    # the pairs of each pass
+    assert len(cells) == 2 * 280 + 4 * 278
+    assert all(type(cell) is tuple and cell is tables._CELLS[cell[0]][cell[1]] for cell in cells)
+
+
+def _with_fresh_cells(row):
+    # the row again, each pair a new tuple equal to the shared one
+    return row._replace(**{f: tuple(list(v)) for f, v in row._asdict().items() if type(v) is tuple})
+
+
+def test_tables_of_fresh_equal_cells_are_compared_by_value(monkeypatch):
+    atlas = load_atlas()
+    expected = validation.run_all_checks(atlas)
+    assert expected.ok
+    fresh = {name: tuple(map(_with_fresh_cells, getattr(tables, name))) for name in _SHIPPED_CELL_TABLES}
+    assert fresh["MOVES_PRIMED"][0].conj1 is not tables.MOVES_PRIMED[0].conj1
+    for name, rows in fresh.items():
+        monkeypatch.setattr(tables, name, rows)
+    assert validation.run_all_checks(atlas) == expected
+    # one changed cell per table is still found, and worded as for shared cells
+    for name, index, field, cell in (
+        ("ISOTOPY_H0", "No.17", "node1", (1, 2)),
+        ("ISOTOPY_Z2", "No.17'", "node2", (0, 2)),
+        ("MOVES_UNPRIMED", "No.5", "conj1", (0, 0)),
+        ("MOVES_PRIMED", "No.5'", "contr3", (1, 6)),
+    ):
+        edited = tuple(row._replace(**{field: cell}) if row.index == index else row for row in fresh[name])
+        monkeypatch.setattr(tables, name, edited)
+        assert validation.run_all_checks(atlas).violations == [
+            {
+                "ISOTOPY_H0": "isotopy tables: row No.17 Node (1): generated (0, 2), shipped (1, 2)",
+                "ISOTOPY_Z2": "isotopy tables: row No.17' Node (2): generated (0, 1), shipped (0, 2)",
+                "MOVES_UNPRIMED": "degeneration tables: row No.5 conj1: derived (1, 7), shipped (0, 0)",
+                "MOVES_PRIMED": "degeneration tables: row No.5' contr3p: derived (1, 7), shipped (1, 6)",
+            }[name]
+        ]
+        monkeypatch.setattr(tables, name, fresh[name])
+    assert validation.run_all_checks(atlas) == expected
 
 
 @functools.cache
@@ -1116,10 +1182,10 @@ def _cold_call_counts() -> tuple[tuple[int, int], ...]:
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 13,416 calls on CPython 3.10.13, 13,422 on 3.11.7 and 12,516 on 3.12.1 and 3.13.0,
-    # under either hash seed.  The budget is the highest count plus under 3%.
-    # Counted from cProfile's entries, not pstats', which keeps one entry per (file, line,
-    # name): which NamedTuple method it keeps varies between runs.
+    # 13,327 calls on CPython 3.10.13, 13,333 on 3.11.7 and 12,427 on 3.12.1 and 3.13.0,
+    # under either hash seed.  The budget was set at the highest count then, 13,422 on 3.11.7,
+    # plus under 3%.  Counted from cProfile's entries, not pstats', which keeps one entry per
+    # (file, line, name): which NamedTuple method it keeps varies between runs.
     (first, _), (second, _) = _cold_call_counts()
     assert first == second <= 13_800
 
@@ -1137,11 +1203,12 @@ def _calls_to(code, func, *args) -> int:
 
 
 def test_warm_call_checks_oval_data_once_per_euler_triple():
-    # The roundtrips read IsotopyType candidates, checked when they were built.
+    # The roundtrips read IsotopyType candidates, checked when they were built, and the Euler
+    # section the shared data of those candidates: no oval datum is checked again.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     code = topology._check_oval_bounds.__code__
-    assert _calls_to(code, validation.run_all_checks, atlas) <= 45
+    assert _calls_to(code, validation.run_all_checks, atlas) == 0
 
 
 def test_warm_call_hashes_no_class():
