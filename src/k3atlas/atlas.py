@@ -202,7 +202,7 @@ class Atlas:
     def all_classes(self, family: Family) -> tuple[InvolutionClass, ...]:
         try:
             return self._by_family[family]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InconsistentInput(_NOT_A_FAMILY) from None
 
     # The two family passes, each built on first use by a builder imported then: the class
@@ -226,14 +226,22 @@ class Atlas:
         h: HInvariant = HInvariant.NOT_APPLICABLE,
     ) -> InvolutionClass | None:
         """Exact-match retrieval; None means the tuple is not realizable."""
-        if (found := self._by_key.get((family, r, a, delta, h))) is None and type(family) is not Family:
-            raise InconsistentInput(_NOT_A_FAMILY)
-        return found
+        try:
+            if (found := self._by_key.get((family, r, a, delta, h))) is not None or type(family) is Family:
+                return found
+        except TypeError:  # unhashable: a Family's invariant raises it, any other family is refused
+            if type(family) is Family:
+                raise
+        raise InconsistentInput(_NOT_A_FAMILY)
 
     def lookup_index(self, family: Family, index: str) -> InvolutionClass | None:
-        if (found := self._by_index.get((family, index))) is None and type(family) is not Family:
-            raise InconsistentInput(_NOT_A_FAMILY)
-        return found
+        try:
+            if (found := self._by_index.get((family, index))) is not None or type(family) is Family:
+                return found
+        except TypeError:  # as in ``lookup``
+            if type(family) is Family:
+                raise
+        raise InconsistentInput(_NOT_A_FAMILY)
 
     def related_class(self, c: InvolutionClass) -> InvolutionClass:
         if self._by_key.get((c.family,) + c.key) is not c:

@@ -208,7 +208,7 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     uses with the alpha + beta it leaves, None where impossible, mapped to its carriers
     (number, class, move), numbered in move order; and the move count), ``pairs`` (per No.k /
     No.k' label, the cells of the moves of its side and the targets of the possible ones; None
-    for a missing class, whose label is in ``unpaired``) and ``graph``.  ``missing`` keeps the
+    for a missing class or one without moves) and ``graph``.  ``missing`` keeps the
     first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing target under its move's
     table and ``"graph"``, a missing partner under the primed table, and either under ``None``,
     the reader of the whole pass (the checks).  A class without an integral (g, k) raises
@@ -277,8 +277,7 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
         for m, o in zip(STAR_MOVES, u.stars)
         if o and (c := atlas.lookup(_U, *m.spec.source))
     ])
-    found, u.unpaired = _resolve(atlas, _U)  # None also for a class without moves
-    u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in found])
+    u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in _resolve(atlas, _U)])
     u.graph = _derive_graph(atlas, edges)
     return u
 
@@ -295,7 +294,7 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
     candidate order; and the count of those, star ones too), ``euler`` (the distinct
     ``topology._shared_datum`` of all candidates, first seen first, and their count) and
     ``pairs`` (per label, the cells of its isotopy row in the order of those moves, and the S311
-    class once per cell that is not None; () for a missing class, whose label is in ``unpaired``).
+    class once per cell that is not None; () for a missing class).
     """
     s = SimpleNamespace(full={}, rows={_ZERO: {}, _Z2: {}})
     data, n = {}, 0  # the roundtrip data, and the table candidates numbered so far
@@ -316,8 +315,7 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
     lists = [s.full[c.key] for c in classes]
     triples = dict.fromkeys(t[:3] for ts in lists for t in ts)
     s.euler = tuple(dict.fromkeys([_shared_datum(*t) for t in triples])), sum(map(len, lists))
-    found, s.unpaired = _resolve(atlas, _S311)
-    rows = [(c, c and _SIDES[side][1](s.rows[c.h][c.triple])) for c, side in found]
+    rows = [(c, c and _SIDES[side][1](s.rows[c.h][c.triple])) for c, side in _resolve(atlas, _S311)]
     s.pairs = tuple([
         () if c is None else (cells, tuple([c for cell in cells if cell is not None]))
         for c, cells in rows
@@ -332,11 +330,9 @@ def _generated_rows(rows: dict, shipped: tuple) -> tuple:  # None for a row of n
     return tuple(map(rows.get, map(_TRIPLE, shipped)))
 
 
-def _resolve(atlas: Atlas, family: Family) -> tuple[list, frozenset[str]]:
-    # The class of ``family`` under each pair label (None where missing) with the label's
-    # side, and the labels of the missing ones.
-    found = [(atlas.lookup_index(family, label), side) for label, side in _PAIR_LABELS]
-    return found, frozenset([label for (label, _side), (c, _s) in zip(_PAIR_LABELS, found) if c is None])
+def _resolve(atlas: Atlas, family: Family) -> list:
+    # The class of ``family`` under each pair label (None where missing) with the label's side.
+    return [(atlas.lookup_index(family, label), side) for label, side in _PAIR_LABELS]
 
 
 class TableSide(IdentityEnum):
@@ -393,10 +389,13 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
     """
     atlas = atlas or load_atlas()
     u, s = _read(atlas), atlas._s
-    violations = [  # compared whole first; only the pairs that differ are worded
-        m for (label, side), u_side, s_side in zip(_PAIR_LABELS, u.pairs, s.pairs) if u_side != s_side
-        for m in _word_pair(atlas, label, side, u_side, s_side)
-    ] if u.pairs != s.pairs else []
+    # Three moves a pair label, none for a pair missing a class: None and () equal no other side.
+    violations, checked = [], 3 * len(_PAIR_LABELS) + len(STAR_MOVES)
+    if u.pairs != s.pairs:  # compared whole first; only the pairs that differ are worded
+        for (label, side), u_side, s_side in zip(_PAIR_LABELS, u.pairs, s.pairs):
+            if u_side != s_side:
+                violations += _word_pair(atlas, label, side, u_side, s_side)
+                checked -= 3 * (u_side is None or s_side == ())
     # Each self-conjunction lands on a star class: its target is apply_degeneration's
     # lookup of ``move.spec.star_target``, whose isotopy row has a star real part.
     for move, o in zip(STAR_MOVES, u.stars):
@@ -404,15 +403,13 @@ def correspondence_check(atlas: Atlas | None = None) -> CheckSection:
             violations.append(f"{move.spec.source}: missing from the catalog")
         elif o.iso is None or s.rows[o.target.h][o.target.triple].node_star is None:
             violations.append(f"{move.spec.source} {move.value}: star outcome mismatch")
-    checked = 3 * (len(u.pairs) - len(u.unpaired | s.unpaired)) + len(STAR_MOVES)  # three moves a pair
     return CheckSection("correspondence", checked, violations, [], {})
 
 
 def _word_pair(atlas: Atlas, label: str, side: int, u_side, s_side) -> list[str]:
     if u_side is None or s_side == ():
-        if u_class := atlas.lookup_index(_U, label):  # a class without moves raises
-            for move in TABLE_MOVES:
-                apply_degeneration(u_class, move, atlas)
+        if u_side is None and (u_class := atlas.lookup_index(_U, label)):  # skipped: an excluded triple
+            raise SpecialClass(_NO_MOVES[u_class.triple])
         return [f"{label}: missing from one of the catalogs"]
     s_class, targets, out = atlas.lookup_index(_S311, label), iter(u_side[1]), []
     for move, cell, expected in zip(_SIDES[side][0], u_side[0], s_side[0]):

@@ -84,9 +84,6 @@ def y_class(e: int, f: int, a0: int) -> DivisorClass:
     return DivisorClass(Surface.Y, (e, f, a0))
 
 
-SECTION = f4_class(0, 1)
-
-
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number of two divisor classes on the same surface."""
     if d1.surface is not d2.surface:

@@ -16,7 +16,6 @@ factors.  A copy or an unpickled lattice computes its own.
 import operator
 import sys
 from functools import cached_property, reduce
-from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 from ._checked import INTEGER_RULE, Checked, beyond_integer_rule
@@ -114,10 +113,6 @@ class DiscriminantGroup(Checked, _GroupFields):
         if any(cur % prev for prev, cur in zip(orders, orders[1:])):
             raise ValueError("cyclic orders must form a divisibility chain")
         return tuple.__new__(cls, (orders,))
-
-    @property
-    def order(self) -> int:
-        return prod(self.cyclic_orders)
 
 
 def _symmetric_bareiss(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:

@@ -101,6 +101,39 @@ def test_lookup_index_refuses_a_family_value(atlas):
     assert atlas.lookup_index(Family.U, "No.99") is None
 
 
+# An unhashable family is refused like any other value that is no member.
+_UNHASHABLE_FAMILIES = pytest.mark.parametrize("family", [["u"], {"family": "u"}], ids=["list", "dict"])
+
+
+@_UNHASHABLE_FAMILIES
+def test_all_classes_refuses_an_unhashable_family(atlas, family):
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.all_classes(family)
+
+
+@_UNHASHABLE_FAMILIES
+def test_to_records_refuses_an_unhashable_family(atlas, family):
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.to_records(family)
+
+
+@_UNHASHABLE_FAMILIES
+def test_lookup_refuses_an_unhashable_family(atlas, family):
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.lookup(family, 1, 1, 1)
+    # an unhashable invariant of a member still raises the TypeError of the dict
+    with pytest.raises(TypeError, match="unhashable"):
+        atlas.lookup(Family.U, [1], 1, 1)
+
+
+@_UNHASHABLE_FAMILIES
+def test_lookup_index_refuses_an_unhashable_family(atlas, family):
+    with pytest.raises(InconsistentInput, match=_NOT_A_FAMILY):
+        atlas.lookup_index(family, "No.1")
+    with pytest.raises(TypeError, match="unhashable"):
+        atlas.lookup_index(Family.U, ["No.1"])
+
+
 def test_related_class_examples(atlas):
     no1 = atlas.lookup_index(Family.S311, "No.1")
     assert no1.triple == (1, 1, 1) and no1.h is HInvariant.ZERO

@@ -272,6 +272,30 @@ def test_correspondence_reports_swapped_labels(atlas):
     ]
 
 
+@pytest.mark.parametrize(
+    "edits, checked",
+    [
+        ({("u", "No.1"): "No.1²"}, 299),
+        ({("u", "No.26'"): None}, 299),  # (11,9,1), also the source of conj4p
+        ({("u", "No.17"): "No.17²", ("s311", "No.17"): "No.17²"}, 299),
+        ({("s311", "No.3'"): "No.3'²"}, 299),
+        ({("u", "No.2"): "No.2²", ("s311", "No.40"): "No.40²"}, 293),  # No.2 labels No.2' too
+    ],
+    ids=["u-relabelled", "u-dropped", "both-relabelled", "s311-relabelled", "u-and-s311"],
+)
+def test_a_missing_pair_class_takes_its_three_moves_off_the_count(atlas, edits, checked):
+    # A label missing from either catalog, or from both, compares none of its three moves.
+    records = []
+    for family in Family:
+        for rec in atlas.to_records(family):
+            index = edits.get((rec["family"], rec["index"]), rec["index"])  # None: dropped
+            if index is not None:
+                records.append(dict(rec, index=index))
+    report = correspondence_check(Atlas.from_records(records))
+    missing = [v for v in report.violations if v.endswith(": missing from one of the catalogs")]
+    assert (report.checked, len(missing)) == (checked, (302 - checked) // 3)
+
+
 def test_transition_graph_shape(atlas):
     graph = transition_graph(atlas)
     assert len(graph.nodes) == 165

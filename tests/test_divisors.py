@@ -3,7 +3,6 @@ import random
 import pytest
 
 from k3atlas.divisors import (
-    SECTION,
     DivisorClass,
     Surface,
     anti_bicanonical,
@@ -17,6 +16,7 @@ from k3atlas.errors import SurfaceMismatch, UnsupportedSurface
 
 
 FIBER = f4_class(1, 0)
+SECTION = f4_class(0, 1)
 BRANCH = f4_class(12, 3)  # the trigonal curve class
 ZERO = f4_class(0, 0)
 

@@ -17,7 +17,7 @@ from k3atlas.atlas import (
     related_key,
 )
 from k3atlas.degenerations import TABLE_MOVES
-from k3atlas.divisors import SECTION, Surface, anti_bicanonical, arithmetic_genus
+from k3atlas.divisors import Surface, anti_bicanonical, arithmetic_genus, f4_class
 from k3atlas.errors import InconsistentInput, WrongFamily
 from k3atlas.topology import (
     Cover,
@@ -508,6 +508,9 @@ def test_group_ii_cells_are_group_i_cells_with_one_more_oval():
             assert row.node1 is row.isolated is None and row.node_star == "T^2 u T^2"
         else:
             assert row.node1 == row.isolated and row.node1[1] == 0, row.index
+
+
+SECTION = f4_class(0, 1)  # the exceptional section of F4
 
 
 def test_oval_caps_follow_from_the_genus_of_the_branch_curve():
