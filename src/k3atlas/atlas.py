@@ -178,10 +178,13 @@ class Atlas:
         self._partners = {f: tuple(get((f,) + related_key(c)) for c in cs) for f, cs in self._by_family.items()}
         s311, u = self._by_family[_S311], self._by_family[_U]
         # Per H: {(r, a): sorted deltas} like tables.GRID_H0; a duplicate class repeats its delta.
-        self._grid: dict[HInvariant, dict[tuple[int, int], tuple[int, ...]]] = {_ZERO: {}, _Z2: {}}
+        grids: dict[HInvariant, dict[tuple[int, int], tuple[int, ...]]] = {_ZERO: {}, _Z2: {}}
         for c in s311:  # sorted by (r, a, delta)
-            cells = self._grid[c.h]
+            cells = grids[c.h]
             cells[c.r, c.a] = cells.get((c.r, c.a), ()) + (c.delta,)
+        # A grid equal to the shipped one is kept as that dict: validate_atlas then stops at ``is``.
+        shipped = {_ZERO: tables.GRID_H0, _Z2: tables.GRID_Z2}
+        self._grid = {h: shipped[h] if grid == shipped[h] else grid for h, grid in grids.items()}
         self._ra = tuple(dict.fromkeys([(c.r, c.a) for cs in (s311, u) for c in cs]))  # the distinct (r, a)
         # Each family's number of self-related classes, and the class counts validate_atlas reports.
         s311_fixed, u_fixed = sum(map(is_, self._partners[_S311], s311)), sum(map(is_, self._partners[_U], u))
@@ -505,9 +508,9 @@ def validate_atlas(atlas: Atlas | None = None) -> CheckSection:
             message = f"{family.value}: {fixed} self-related classes, expected {expected_fixed}"
             violations.append(message)
 
-    # Grid <-> row-list consistency, both directions; equal dicts have equal cell sets.
+    # Grid <-> row-list consistency, both directions; ``is`` first, as dict ``==`` has no such shortcut.
     for h, grid in ((_ZERO, tables.GRID_H0), (_Z2, tables.GRID_Z2)):
-        if atlas._grid[h] == grid:
+        if atlas._grid[h] is grid or atlas._grid[h] == grid:
             continue
         cells = {(r, a, d) for (r, a), deltas in grid.items() for d in deltas}
         rows = {c.triple for c in s311 if c.h is h}

@@ -38,7 +38,7 @@ from .atlas import (
     related_key,
 )
 from .errors import InconsistentInput, MoveNotApplicable, NotInAtlas, SpecialClass, WrongFamily
-from .tables import _CELLS
+from .tables import _CELLS, _SHARED
 from .topology import (
     ISOTOPY_CELL_CASES,
     STAR_KEY_H0,
@@ -202,17 +202,18 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
     read of the U family.  It calls ``apply_degeneration`` once for each applicable (class,
     move) of the classes with moves, 368 times, and keeps ``stars`` (the outcomes of
     ``STAR_MOVES``, None for a missing source class), ``flat`` (the unprimed and the primed
-    move-table rows as plain tuples (index, r, a, delta, g, k, cell, cell, cell)), ``rows``
-    (``TableSide`` -> the ``MoveTableRow`` s built from them, and the star rows), ``oval_data``
-    (each distinct (pools, after) of a table move, its pool, the other pool and the ovals it
-    uses with the alpha + beta it leaves, None where impossible, mapped to its carriers
-    (number, class, move), numbered in move order; and the move count), ``pairs`` (per No.k /
-    No.k' label, the cells of the moves of its side and the targets of the possible ones; None
-    for a missing class or one without moves) and ``graph``.  ``missing`` keeps the
-    first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing target under its move's
-    table and ``"graph"``, a missing partner under the primed table, and either under ``None``,
-    the reader of the whole pass (the checks).  A class without an integral (g, k) raises
-    ``SpecialClass`` under its label.
+    move-table rows as tuples (index, r, a, delta, g, k, cell, cell, cell)), ``star_flat`` (the
+    star rows as tuples (index, r, a, delta, g, k, case)), each row the shipped ``tables`` row
+    object where equal (see ``tables._SHARED``), ``rows`` (``TableSide`` -> the ``MoveTableRow``
+    s built from them), ``oval_data`` (each distinct (pools, after) of a table move, its pool,
+    the other pool and the ovals it uses with the alpha + beta it leaves, None where impossible,
+    mapped to its carriers (number, class, move), numbered in move order; and the move count),
+    ``pairs`` (per No.k / No.k' label, the cells of the moves of its side and the targets of the
+    possible ones; None for a missing class or one without moves) and ``graph``.  ``missing``
+    keeps the first ``NotInAtlas`` per reader, for ``_read`` to raise: a missing target under
+    its move's table and ``"graph"``, a missing partner under the primed table, and either
+    under ``None``, the reader of the whole pass (the checks).  A class without an integral
+    (g, k) raises ``SpecialClass`` under its label.
 
     All are tuples, or dicts whose values are immutable.  Only generator outputs are kept,
     never a verdict: every check compares them with its expected side on every call, and
@@ -266,17 +267,17 @@ def _u_pass(atlas: Atlas) -> SimpleNamespace:
             flat[1].append((f"{partner.index}'", *head, *primed[0]))
     for rows in flat:  # by the number in the label (17 for No.17'); a label without one goes last
         rows.sort(key=lambda row: int("".join(filter(str.isdecimal, row[0])) or 10**6))
-    u.flat, u.oval_data = tuple(map(tuple, flat)), (ovals, n)
+    u.flat, u.oval_data = tuple([tuple(map(_SHARED.get, rows, rows)) for rows in flat]), (ovals, n)
     u.rows = {
         side: tuple([MoveTableRow(*row[:6], tuple(zip(moves, row[6:]))) for row in rows])
         for side, (moves, _getter), rows in zip((_UNPRIMED, _PRIMED), _SIDES, u.flat)
     }
     u.stars = tuple([stars.get(m) for m in STAR_MOVES])
-    u.rows[_STAR] = tuple([
-        MoveTableRow(c.index, c.r, c.a, c.delta, *c.gk, ((m, o.cell()),))
-        for m, o in zip(STAR_MOVES, u.stars)
-        if o and (c := atlas.lookup(_U, *m.spec.source))
-    ])
+    heads = [(m, o, (c.index, c.r, c.a, c.delta, *c.gk)) for m, o in zip(STAR_MOVES, u.stars)
+             if o and (c := atlas.lookup(_U, *m.spec.source))]
+    u.rows[_STAR] = tuple([MoveTableRow(*head, ((m, o.cell()),)) for m, o, head in heads])
+    star = [head + (m.spec.case.value,) for m, _o, head in heads]
+    u.star_flat = tuple(map(_SHARED.get, star, star))
     u.pairs = tuple([c and sides.get(c.key, (None, None))[side] for c, side in _resolve(atlas, _U)])
     u.graph = _derive_graph(atlas, edges)
     return u
@@ -286,15 +287,15 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
     """The S311 pass, kept by ``Atlas._s``: what the checks read of the S311 family.  It calls
     ``candidate_isotopy_types`` once per class and keeps ``full`` (c.key -> its candidates with
     the degenerate variants), ``rows`` (H -> (r, a, delta) -> the isotopy row of its table
-    candidates), ``shipped`` (per H: H, the shipped isotopy table as read here, and the row
-    generated for each of its rows, which the isotopy section reuses while the table is that
-    same object), ``roundtrip_data`` (each distinct (r, a, H, case is Node (2), found) of a
-    non-star table candidate, found being the (r, a, H) that ``topology._invariants`` recovers
-    and its alpha + beta, mapped to its carriers (number, class, candidate) numbered in table
-    candidate order; and the count of those, star ones too), ``euler`` (the distinct
-    ``topology._shared_datum`` of all candidates, first seen first, and their count) and
-    ``pairs`` (per label, the cells of its isotopy row in the order of those moves, and the S311
-    class once per cell that is not None; () for a missing class).
+    candidates, the shipped row object where equal), ``shipped`` (per H: H, the shipped isotopy
+    table as read here, and the row generated for each of its rows, which the isotopy section
+    reuses while the table is that same object), ``roundtrip_data`` (each distinct (r, a, H,
+    case is Node (2), found) of a non-star table candidate, found being the (r, a, H) that
+    ``topology._invariants`` recovers and its alpha + beta, mapped to its carriers (number,
+    class, candidate) numbered in table candidate order; and the count of those, star ones
+    too), ``euler`` (the distinct ``topology._shared_datum`` of all candidates, first seen
+    first, and their count) and ``pairs`` (per label, the cells of its isotopy row in the order
+    of those moves, and the S311 class once per cell that is not None; () for a missing class).
     """
     s = SimpleNamespace(full={}, rows={_ZERO: {}, _Z2: {}})
     data, n = {}, 0  # the roundtrip data, and the table candidates numbered so far
@@ -302,7 +303,7 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
     for c in classes:
         full = s.full[c.key] = tuple(candidate_isotopy_types(c, include_degenerate=True))
         table = [t for t in full if t.table_data]
-        s.rows[c.h][c.triple] = isotopy_row(c, table)
+        s.rows[c.h][c.triple] = isotopy_row(c, table)  # below, the shipped row where equal
         covered = Region.A_MINUS if c.h is _ZERO else Region.A_PLUS
         for t in table:
             if t.case is not _NODE_STAR:
@@ -310,6 +311,7 @@ def _s311_pass(atlas: Atlas) -> SimpleNamespace:
                 data[datum] = data.get(datum, ()) + ((n, c, t),)
             n += 1
     s.roundtrip_data = data, n
+    s.rows = {h: dict(zip(rows, map(_SHARED.get, rows.values(), rows.values()))) for h, rows in s.rows.items()}
     shipped = (_ZERO, tables.ISOTOPY_H0), (_Z2, tables.ISOTOPY_Z2)
     s.shipped = tuple([(h, table, _generated_rows(s.rows[h], table)) for h, table in shipped])
     lists = [s.full[c.key] for c in classes]

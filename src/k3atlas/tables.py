@@ -9,7 +9,9 @@ index, r, a, delta ("d"), g, k, then the cells.  A cell "a,b" is the
 (alpha, beta) pair (a, b), "-" an empty or "impossible" cell (None).  The
 last isotopy column, a Node (*) real part, runs to the end of its line in
 the canonical ASCII rendering ("Sigma_g", "T^2", "S^2", joined by " u ").
-Every pair, shipped or derived, is the one ``_CELLS[a][b]``: comparisons stop at ``is``.
+Every pair, shipped or derived, is the one ``_CELLS[a][b]``, and a derived row or grid equal to a
+shipped one is that object (see ``_SHARED``): comparisons stop at ``is``.  A table patched with
+new rows or dicts is compared by value; edit no grid in place, as an atlas may keep that dict.
 """
 
 from typing import NamedTuple
@@ -343,6 +345,10 @@ MOVES_STAR: tuple[StarRow, ...] = (
     StarRow("No.26", 9, 9, 1, 2, 0, "Node (*)"),
     StarRow("No.26'", 11, 9, 1, 1, 1, "Node (*)"),
 )
+
+
+# Each shipped row mapped to itself: the passes put every derived row through ``_SHARED.get``.
+_SHARED = {row: row for rows in (ISOTOPY_H0, ISOTOPY_Z2, MOVES_UNPRIMED, MOVES_PRIMED, MOVES_STAR) for row in rows}
 
 
 # The one shipped cell that disagrees with the generated value.

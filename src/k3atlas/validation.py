@@ -16,7 +16,9 @@ Every section takes the atlas and reads its two kept family passes, the U pass t
 ``CheckSection`` itself.  The isotopy tables, the move tables and the correspondence's label
 pairs are compared whole with their expected side, read from ``tables`` or a closed form on
 every call, and only the items that differ are worded, in order; a single value is one test.
-Equal cells are one object, ``tables._CELLS[a][b]``, so those comparisons stop at ``is``.
+Equal cells are one object, ``tables._CELLS[a][b]``, and each derived row and grid equal to a
+shipped one is that object (``tables._SHARED``), so those comparisons stop at ``is``; the move
+tables then walk only the rows that are not the shipped object.
 The Euler identity (in one ``topology._euler_failures`` loop, with no second bounds check of
 data that candidates' ``IsotopyType`` checked), the roundtrips and the oval counts are evaluated
 once per distinct datum the passes keep; only a failed datum is worded, for each item that
@@ -31,7 +33,8 @@ Node (*) only for the two ``STAR_KEYS`` classes.  The graph section tests the ke
 the S311 classes, which ``degenerations._derive_graph`` puts first among the nodes, as one slice.
 """
 
-from itertools import islice
+from itertools import compress, count, islice
+from operator import is_not
 from typing import NamedTuple
 
 from . import tables
@@ -56,7 +59,7 @@ from .topology import ISOTOPY_CELL_CASES, STAR_KEYS, TopCase, _euler_failures, _
 # Module globals, read per class or candidate: see atlas.IdentityEnum.
 _S311, _U, _ZERO, _Z2 = Family.S311, Family.U, HInvariant.ZERO, HInvariant.Z2
 _NODE_STAR = TopCase.NODE_STAR
-_TABLE_SIDES, _STAR = (TableSide.UNPRIMED, TableSide.PRIMED), TableSide.STAR
+_TABLE_SIDES = TableSide.UNPRIMED, TableSide.PRIMED
 _SIDE_MOVES = UNPRIMED_MOVES, PRIMED_MOVES
 
 
@@ -143,9 +146,10 @@ def _check_move_tables(atlas: Atlas) -> CheckSection:
             violations.append(f"{side.value} table has {len(flat)} rows, shipped {len(shipped)}")
             continue
         checked += len(shipped)
-        if flat == shipped:  # whole first; only the rows that differ are walked
+        if flat == shipped:  # whole first: ``is`` for each shared row
             continue
-        for derived, row in zip(flat, shipped):
+        for i in compress(count(), map(is_not, flat, shipped)):  # the rows that are not the shipped one
+            derived, row = flat[i], shipped[i]
             if derived == row:
                 continue
             if derived[:6] != row[:6]:  # (index, r, a, delta, g, k); the cells follow in move order
@@ -158,8 +162,7 @@ def _check_move_tables(atlas: Atlas) -> CheckSection:
                     whitelisted.append(f"row {row.index} {move.value}: shipped {was}, derived {cell}")
                 else:
                     violations.append(f"row {row.index} {move.value}: derived {cell}, shipped {was}")
-    stars = tuple([row[:6] + (row.cells[0][0].spec.case.value,) for row in u.rows[_STAR]])
-    if stars != tables.MOVES_STAR:
+    if u.star_flat != tables.MOVES_STAR:
         violations.append("star table mismatch")
     return CheckSection("degeneration tables", checked, violations, whitelisted, {})
 

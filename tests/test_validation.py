@@ -172,10 +172,13 @@ def test_derived_rows_are_the_generator_outputs():
     assert [n for n, _c, _m in carriers] == list(range(366))
     assert [(c, m) for _n, c, m in carriers] == [carrier for _datum, carrier in moves]
     # one form of each move-table row: the flat tuple, and the MoveTableRow built from it
-    for side, flat in zip((TableSide.UNPRIMED, TableSide.PRIMED), u.flat):
+    shipped_tables = tables.MOVES_UNPRIMED, tables.MOVES_PRIMED
+    for side, flat, shipped in zip((TableSide.UNPRIMED, TableSide.PRIMED), u.flat, shipped_tables):
         rows = degenerations.degeneration_table(side, atlas)
         assert flat == tuple(row[:6] + tuple(cell for _m, cell in row.cells) for row in rows)
-        assert all(type(row) is tuple for row in flat)
+        # each row equal to its shipped row is that object; the one that differs is a plain tuple
+        for row, was in zip(flat, shipped):
+            assert row is was if row == was else type(row) is tuple and row[0] == "No.16'"
         assert rows == list(u.rows[side]) and rows is not degenerations.degeneration_table(side, atlas)
     # per table candidate of each S311 class, the star ones numbered but carrying no datum: its
     # (r, a, H, case is Node (2)), what _invariants recovers and alpha + beta
@@ -1077,15 +1080,15 @@ def test_an_outcome_without_its_candidate_is_named_on_every_call(monkeypatch):
 
 
 def test_warm_call_stays_under_its_call_budget():
-    # 83 calls on CPython 3.10.13 and 3.11.7, 78 on 3.12.1 and 3.13.0, under either hash
-    # seed (172 and 167 while the Euler section called double_cover_euler_check per datum).
-    # The budget is the highest count plus under 3%.  Counted from cProfile's entries, as the
-    # cold call is.
+    # 77 calls on CPython 3.10.13 and 3.11.7, 73 on 3.12.1 and 3.13.0, under either hash
+    # seed (82 and 77 while equal derived and shipped rows were distinct objects; 172 and 167
+    # while the Euler section called double_cover_euler_check per datum).  The budget is the highest count
+    # plus under 3%.  Counted from cProfile's entries, as the cold call is.
     atlas = load_atlas()
     validation.run_all_checks(atlas)
     profile = cProfile.Profile()
     profile.runcall(validation.run_all_checks, atlas)
-    assert sum(entry.callcount for entry in profile.getstats()) <= 85
+    assert sum(entry.callcount for entry in profile.getstats()) <= 79
 
 
 def test_warm_call_reads_the_cover_memo_once_per_euler_triple():
@@ -1154,6 +1157,59 @@ def test_tables_of_fresh_equal_cells_are_compared_by_value(monkeypatch):
     assert validation.run_all_checks(atlas) == expected
 
 
+_SHIPPED_ROW_TABLES = _SHIPPED_CELL_TABLES + ("MOVES_STAR",)
+
+
+def test_tables_and_grids_of_fresh_equal_rows_are_compared_by_value(monkeypatch):
+    expected = validation.run_all_checks(load_atlas())
+    assert expected.ok
+    atlas = _fresh_atlas()  # built, like the warm one, before the tables are replaced
+    fresh = {name: tuple(map(_with_fresh_cells, getattr(tables, name))) for name in _SHIPPED_ROW_TABLES}
+    fresh.update(GRID_H0=dict(tables.GRID_H0), GRID_Z2=dict(tables.GRID_Z2))
+    assert fresh["MOVES_STAR"][0] is not tables.MOVES_STAR[0]
+    for name, value in fresh.items():
+        monkeypatch.setattr(tables, name, value)
+    for summary in (validation.run_all_checks(atlas), validation.run_all_checks(atlas)):
+        assert summary == expected  # a first call, then a warm one
+    assert validation.run_all_checks(load_atlas()) == expected
+    # a changed star row and a changed grid cell are still found, and worded as for shared ones
+    star = fresh["MOVES_STAR"]
+    monkeypatch.setattr(tables, "MOVES_STAR", (star[0]._replace(result="Node (1)"),) + star[1:])
+    assert validation.run_all_checks(atlas).violations == ["degeneration tables: star table mismatch"]
+    monkeypatch.setattr(tables, "MOVES_STAR", star)
+    fresh["GRID_H0"][(9, 9)] = (0,)
+    assert validation.run_all_checks(atlas).violations == [
+        "grid cell (9, 9, 0) (H=0) has no catalog row",
+        "catalog row (9, 9, 1) (H=0) is not a grid cell",
+    ]
+    fresh["GRID_H0"][(9, 9)] = (1,)
+    assert validation.run_all_checks(atlas) == expected
+
+
+def _exported_atlas() -> Atlas:
+    # The embedded catalogs through their JSON export: every index is a new str.
+    records = [rec for family in Family for rec in load_atlas().to_records(family)]
+    return Atlas.from_records(json.loads(json.dumps(records)))
+
+
+@pytest.mark.parametrize("build", [_fresh_atlas, _exported_atlas], ids=["embedded", "exported"])
+def test_every_equal_row_is_the_shipped_object(build):
+    # A performance gate: the whole-table comparisons of the isotopy and move-table sections and
+    # the catalog audit's grid comparison stop at ``is`` only while every derived row and grid
+    # equal to a shipped one is that object.
+    atlas = build()
+    assert validation.run_all_checks(atlas).ok
+    u, s = degenerations._read(atlas), atlas._s
+    for rows, total, shared in (
+        ([row for rows in u.flat for row in rows], 100, 99),  # all but No.16', whose contr3p differs
+        (u.star_flat, 2, 2),
+        ([row for rows in s.rows.values() for row in rows.values()], 102, 102),
+    ):
+        assert (len(rows), sum(tables._SHARED.get(row) is row for row in rows)) == (total, shared)
+    assert atlas._grid == {HInvariant.ZERO: tables.GRID_H0, HInvariant.Z2: tables.GRID_Z2}
+    assert atlas._grid[HInvariant.ZERO] is tables.GRID_H0 and atlas._grid[HInvariant.Z2] is tables.GRID_Z2
+
+
 @functools.cache
 def _cold_call_counts() -> tuple[tuple[int, int], ...]:
     # For PYTHONHASHSEED 0 and 1, a fresh interpreter's first run_all_checks on a loaded atlas:
@@ -1182,7 +1238,7 @@ def _cold_call_counts() -> tuple[tuple[int, int], ...]:
 
 def test_cold_call_stays_under_its_call_budget():
     # The first call on a loaded atlas runs both family passes and builds the descriptors:
-    # 13,327 calls on CPython 3.10.13, 13,333 on 3.11.7 and 12,427 on 3.12.1 and 3.13.0,
+    # 13,332 calls on CPython 3.10.13, 13,338 on 3.11.7 and 12,431 on 3.12.1 and 3.13.0,
     # under either hash seed.  The budget was set at the highest count then, 13,422 on 3.11.7,
     # plus under 3%.  Counted from cProfile's entries, not pstats', which keeps one entry per
     # (file, line, name): which NamedTuple method it keeps varies between runs.
