@@ -6,15 +6,14 @@ nonsingular-curve family, keyed by (r, a, delta).  Classes are built from
 the shipped tables; ``related_class`` realizes the pairing between an
 involution and its composition with the reflection fixing the sublattice.
 
-Setting the environment variable ``ATLAS_DATA_DIR`` to a directory that
-contains ``s311.json`` and ``u.json`` (records in the export schema of
-``Atlas.to_records``) replaces the embedded catalogs; ``validate_atlas``
-then reports any damage in the external data.  Both files are read to
-end of file with ``os.read`` on every ``load_atlas`` call and compared
-byte for byte, not hashed, with the newest content parsed: an edit shows
-up on the next call and unchanged files give the same ``Atlas``.  A file
-that cannot be read, decoded or parsed, or a record that lacks a field or
-has a bad value, raises ``CatalogError`` (and is not kept).
+Setting the environment variable ``ATLAS_DATA_DIR`` to a directory that contains ``s311.json``
+and ``u.json`` (records in the export schema of ``Atlas.to_records``) replaces the embedded
+catalogs; ``validate_atlas`` then reports any damage in the external data.  Both files are read
+to end of file with ``os.read`` on every ``load_atlas`` call and compared byte for byte, not
+hashed, with the newest content parsed: an edit shows up on the next call and unchanged files
+give the same ``Atlas``.  Their two paths are joined once per directory string; the kept
+(directory, paths) pair holds no verdict.  A file that cannot be read, decoded or parsed, or a
+record that lacks a field or has a bad value, raises ``CatalogError`` (and is not kept).
 
 An ``Atlas`` is built with the related partners, the grid per H, the distinct (r, a), the
 class counts and each family's self-related count that ``validate_atlas`` reads and compares on
@@ -368,6 +367,8 @@ _O_RDONLY = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no text transl
 # lookup compares the contents with ``==``: equal bytes are one memcmp and unequal ones of the
 # same length stop at the first differing byte, while a dict or lru_cache would hash both first.
 _PARSED: tuple[tuple[bytes, ...], Atlas | None] = ((), None)
+# The newest directory and its catalog paths, replaced whole like ``_PARSED``; it holds no verdict.
+_JOINED: tuple[str, tuple[str, ...]] = ("", ())
 
 
 def _atlas_from_bytes(*contents: bytes) -> Atlas:
@@ -397,10 +398,13 @@ def _atlas_from_bytes(*contents: bytes) -> Atlas:
 
 
 def _atlas_from_dir(path: str) -> Atlas:
-    global _PARSED
+    global _PARSED, _JOINED
+    joined, files = _JOINED
+    if joined != path:  # by value: the variable decodes to a new str on every call
+        files = tuple(os.path.join(path, name) for name in _CATALOG_FILES)
+        _JOINED = (path, files)
     contents = []
-    for name in _CATALOG_FILES:
-        file = os.path.join(path, name)
+    for file in files:
         try:
             fd = os.open(file, _O_RDONLY)  # openat, reads, close: no fstat, lseek or file object
             try:  # a directory opens, and its first read raises EISDIR

@@ -609,17 +609,18 @@ def test_failed_parse_leaves_the_kept_contents(catalog_dir, parses):
     assert parses == []
 
 
+def _marked_catalog(catalog_dir, path, mark):
+    """A copy of the exported catalog under ``path`` whose s311 No.17 is relabelled ``mark``."""
+    path.mkdir()
+    (path / "s311.json").write_text((catalog_dir / "s311.json").read_text().replace('"No.17"', f'"{mark}"', 1))
+    (path / "u.json").write_text((catalog_dir / "u.json").read_text())
+    return path
+
+
 def test_threads_loading_several_catalogs_each_get_their_own(catalog_dir, tmp_path):
     # Six contents, more than are kept, loaded by more threads than cores: each load must
     # return the atlas of the files it read, and the one kept pair must match.
-    text = (catalog_dir / "s311.json").read_text()
-    dirs = []
-    for n in range(6):
-        path = tmp_path / f"c{n}"
-        path.mkdir()
-        (path / "s311.json").write_text(text.replace('"No.17"', f'"X{n}"', 1))
-        (path / "u.json").write_text((catalog_dir / "u.json").read_text())
-        dirs.append(str(path))
+    dirs = [str(_marked_catalog(catalog_dir, tmp_path / f"c{n}", f"X{n}")) for n in range(6)]
     wrong = []
     barrier = threading.Barrier(4)
 
@@ -645,6 +646,44 @@ def test_threads_loading_several_catalogs_each_get_their_own(catalog_dir, tmp_pa
     (s311, _u), atlas = atlas_module._PARSED
     index = next(f"X{n}" for n in range(6) if f'"X{n}"'.encode() in s311)
     assert atlas.lookup_index(Family.S311, index) is not None
+
+
+def test_each_directory_is_read_at_its_own_paths(catalog_dir, tmp_path, monkeypatch):
+    a = str(_marked_catalog(catalog_dir, tmp_path / "a", "XA"))
+    b = str(_marked_catalog(catalog_dir, tmp_path / "b", "XB"))
+    for path, mark in ((a, "XA"), (b, "XB"), (a, "XA")):
+        assert load_atlas(path).lookup_index(Family.S311, mark) is not None
+    # A relative directory is resolved by the open of each call, not when its paths are joined.
+    for parent, mark in (("p", "XP"), ("q", "XQ")):
+        (tmp_path / parent).mkdir()
+        _marked_catalog(catalog_dir, tmp_path / parent / "rel", mark)
+        monkeypatch.chdir(tmp_path / parent)
+        assert load_atlas("rel").lookup_index(Family.S311, mark) is not None
+
+
+def test_catalog_paths_are_joined_once_per_directory(catalog_dir, tmp_path, monkeypatch):
+    # A performance gate: a warm call to the same directory joins no path, even when the
+    # variable decodes to a new str on every call.
+    other = str(_marked_catalog(catalog_dir, tmp_path / "other", "X"))
+    monkeypatch.setattr(atlas_module, "_JOINED", ("", ()))
+    joins = []
+    join = os.path.join
+
+    def counting(*parts):
+        joins.append(parts)
+        return join(*parts)
+
+    monkeypatch.setattr(os.path, "join", counting)
+    monkeypatch.setenv("ATLAS_DATA_DIR", str(catalog_dir))
+    for directory, load in ((str(catalog_dir), load_atlas), (other, lambda: load_atlas(other))):
+        del joins[:]
+        load()
+        assert len(joins) == 2  # a change of directory joins both paths
+        del joins[:]
+        for _ in range(3):
+            load()
+        assert joins == []
+        assert atlas_module._JOINED == (directory, (join(directory, "s311.json"), join(directory, "u.json")))
 
 
 def test_external_atlas_sees_edit_with_same_size_and_mtime(catalog_dir):

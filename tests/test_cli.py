@@ -693,6 +693,7 @@ def test_data_dir_superscript_digit_in_an_index(exported_catalogs, capsys, monke
     [
         (None, None, "s311.json: cannot read"),  # the directory does not exist
         ("u.json", b"\xff[]", "u.json: not UTF-8"),
+        ("u.json", b"", "u.json: bad JSON"),  # a 0-byte file
         ("s311.json", b"[{", "s311.json: bad JSON"),
         ("u.json", b'[{"family": "u", "a": 1, "delta": 1}]', "u.json: record 0: field 'r' is missing"),
     ],
@@ -700,6 +701,7 @@ def test_data_dir_superscript_digit_in_an_index(exported_catalogs, capsys, monke
 def test_data_dir_malformed_exit_seven(exported_catalogs, capsys, monkeypatch, name, content, problem):
     data_dir = exported_catalogs / "missing" if name is None else exported_catalogs
     if name is not None:
+        good = (data_dir / name).read_bytes()
         (data_dir / name).write_bytes(content)
     monkeypatch.setenv("ATLAS_DATA_DIR", str(data_dir))
     for argv in (["validate"], ["classes", "--family", "u"], ["degenerate", "--side", "primed"]):
@@ -707,6 +709,11 @@ def test_data_dir_malformed_exit_seven(exported_catalogs, capsys, monkeypatch, n
         assert code == 7 and out == ""
         assert err.startswith(f"atlas: {os.path.join(data_dir, problem)}")
         assert err.count("\n") == 1 and "Traceback" not in err
+    if name is not None:  # the good content written back is read on the next call
+        (data_dir / name).write_bytes(good)
+        code, out, err = run(capsys, "validate")
+        assert code == 0 and err == ""
+        assert "summary: 102/51, 63/37, correspondence OK, 1 whitelisted discrepancy" in out
 
 
 @pytest.mark.parametrize("index", [None, 17, 1.5, [1], {}])

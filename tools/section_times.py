@@ -10,7 +10,8 @@ audit reads (the row ``load_atlas, first call``), one ``run_all_checks`` call, w
 and keeps the family passes (the row ``run_all_checks, first call``), and the first
 ``graph_to_dot`` of the graph that the pass kept, which formats its DOT text (the row
 ``graph_to_dot, first call``); it then times a warm ``run_all_checks`` and each of its
-sections on that atlas: the best of 5 repeats of 2,000 calls.  The table has one row for each
+sections on that atlas, and a warm ``load_atlas(dir)`` on that atlas exported into a temporary
+directory (the row ``load_atlas(dir), warm``): the best of 5 repeats of 2,000 calls.  The table has one row for each
 first call and one per section and, per tree, the median of its runs' times in microseconds
 per call, then their lowest and highest in brackets (``12.3 [11.1-13.2]``), so that one slow
 run widens a range but moves no median; a section that a tree does not have, or that
@@ -39,13 +40,14 @@ SECTIONS = (
 )
 FIRST_LOAD, FIRST_CALL = "load_atlas, first call", "run_all_checks, first call"
 FIRST_DOT = "graph_to_dot, first call"
+WARM_EXTERNAL = "load_atlas(dir), warm"
 REPEAT, NUMBER = 5, 2000
 
 # One run, in a fresh interpreter: prints {row name: microseconds per call} as JSON.
 _RUN = """
-import importlib, json, sys, time, timeit
-from k3atlas import graph_to_dot, load_atlas, run_all_checks, transition_graph
-first_load, first_call, first_dot, sections, repeat, number = json.loads(sys.argv[1])
+import importlib, json, os, sys, tempfile, time, timeit
+from k3atlas import Family, graph_to_dot, load_atlas, run_all_checks, transition_graph
+first_load, first_call, first_dot, warm_external, sections, repeat, number = json.loads(sys.argv[1])
 start = time.perf_counter()
 atlas = load_atlas()
 loaded = time.perf_counter()
@@ -64,6 +66,13 @@ for name, module, function in sections:
     if call is not None:
         best = min(timeit.repeat(lambda: call(atlas), repeat=repeat, number=number))
         out[name] = best / number * 1e6
+with tempfile.TemporaryDirectory() as data_dir:
+    for family in Family:
+        with open(os.path.join(data_dir, family.value + ".json"), "w") as f:
+            json.dump(atlas.to_records(family), f)
+    load_atlas(data_dir)  # the one parse: the timed calls read both files and compare them
+    best = min(timeit.repeat(lambda: load_atlas(data_dir), repeat=repeat, number=number))
+    out[warm_external] = best / number * 1e6
 print(json.dumps(out))
 """
 
@@ -71,7 +80,7 @@ print(json.dumps(out))
 def run_once(src: str) -> dict[str, float | None]:
     env = {k: v for k, v in os.environ.items() if k not in ("ATLAS_DATA_DIR", "PYTHONPATH")}
     env["PYTHONPATH"] = os.path.abspath(src)
-    argv = [sys.executable, "-c", _RUN, json.dumps([FIRST_LOAD, FIRST_CALL, FIRST_DOT, SECTIONS, REPEAT, NUMBER])]
+    argv = [sys.executable, "-c", _RUN, json.dumps([FIRST_LOAD, FIRST_CALL, FIRST_DOT, WARM_EXTERNAL, SECTIONS, REPEAT, NUMBER])]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -82,7 +91,7 @@ def table(srcs: list[str], runs: list[list[dict[str, float | None]]]) -> str:
 
     rows = [["section (us per call)", *srcs]]
     reported = [name for per_src in runs for run in per_src for name in run]
-    for name in dict.fromkeys([FIRST_LOAD, FIRST_CALL, FIRST_DOT] + [name for name, _module, _function in SECTIONS] + reported):
+    for name in dict.fromkeys([FIRST_LOAD, FIRST_CALL, FIRST_DOT] + [name for name, _module, _function in SECTIONS] + [WARM_EXTERNAL] + reported):
         times = ([run[name] for run in per_src if run.get(name) is not None] for per_src in runs)
         rows.append([name, *map(cell, times)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
