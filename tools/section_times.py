@@ -11,11 +11,12 @@ and keeps the family passes (the row ``run_all_checks, first call``), and the fi
 ``graph_to_dot`` of the graph that the pass kept, which formats its DOT text (the row
 ``graph_to_dot, first call``); it then times a warm ``run_all_checks`` and each of its
 sections on that atlas, and a warm ``load_atlas(dir)`` on that atlas exported into a temporary
-directory (the row ``load_atlas(dir), warm``): the best of 5 repeats of 2,000 calls.  The table has one row for each
-first call and one per section and, per tree, the median of its runs' times in microseconds
-per call, then their lowest and highest in brackets (``12.3 [11.1-13.2]``), so that one slow
-run widens a range but moves no median; a section that a tree does not have, or that
-``run_all_checks`` reports but ``SECTIONS`` does not time, reads ``-``.  Standard library only.
+directory (the row ``load_atlas(dir), warm``): the best of 5 repeats of 2,000 calls.  The table
+has one row for each first call and one per section and, per tree, the median of its runs'
+times in microseconds per call, then their lowest and highest in brackets
+(``12.3 [11.1-13.2]``), so that one slow run widens a range but moves no median; a section that
+a tree does not have, or that ``run_all_checks`` reports but ``SECTIONS`` does not time, reads
+``-``.  Standard library only.
 """
 
 import argparse
